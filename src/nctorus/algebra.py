@@ -13,6 +13,7 @@ hermitian and the family commutes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,9 +56,13 @@ class TorusAlgebra:
         return self.scalar(0, 1)
 
     def gen(self, j: int, power: int = 1) -> "AlgebraElement":
-        """The generator U_j raised to an integer power."""
+        """The generator U_j raised to an integer power.
+
+        A power that is not an integer (such as 2.5) raises TypeError.
+        """
         if not 1 <= j <= self.n:
             raise IndexError("generator index out of range: %d" % j)
+        power = operator.index(power)
         exp = tuple(power if k == j - 1 else 0 for k in range(self.n))
         return AlgebraElement(self, {exp: PhaseScalar.one()})
 
@@ -66,10 +71,12 @@ class TorusAlgebra:
         if not (1 <= a <= self.n and 1 <= b <= self.n):
             raise IndexError("phase indices out of range: (%d, %d)" % (a, b))
         exp = (0,) * self.n
+        power = operator.index(power)
         return AlgebraElement(self, {exp: PhaseScalar.q_symbol(a, b, power)})
 
     def monomial(self, coeff, exponents) -> "AlgebraElement":
-        exponents = tuple(int(k) for k in exponents)
+        """coeff * U_1^{k_1} ... U_n^{k_n}; a non-integer exponent raises TypeError."""
+        exponents = tuple(operator.index(k) for k in exponents)
         if len(exponents) != self.n:
             raise ValueError("exponent vector must have length %d" % self.n)
         phase = coeff if isinstance(coeff, PhaseScalar) else PhaseScalar.from_coeff(coeff)
@@ -182,8 +189,13 @@ class AlgebraElement:
         if k < 0:
             return self.invert() ** (-k)
         out = self.algebra.one()
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- star structure and derivations -----------------------------------------
@@ -302,6 +314,32 @@ def _reversal_qkey(k):
             if e:
                 acc[(a0 + 1, b0 + 1)] = acc.get((a0 + 1, b0 + 1), 0) + e
     return tuple(sorted((pair, e) for pair, e in acc.items() if e))
+
+
+def matmul(left, right):
+    """The exact matrix product (left . right) of two matrices of elements.
+
+    Entry (i, k) is the sum over j of left[i][j] * right[j][k], summed in
+    increasing j.  A pair with a zero factor contributes nothing and is
+    skipped without multiplying, so sparse matrices (block and diagonal
+    metrics, most Christoffel arrays) cost only their nonzero pairs.
+    Exact arithmetic makes the result independent of which pairs are
+    skipped.  Returns a tuple of row tuples.
+    """
+    if not right or not right[0]:
+        return tuple(() for _ in left)
+    zero = right[0][0].algebra.zero()
+    out = []
+    for row in left:
+        acc = [zero] * len(right[0])
+        for x, right_row in zip(row, right):
+            if x.is_zero():
+                continue
+            for k, y in enumerate(right_row):
+                if not y.is_zero():
+                    acc[k] = acc[k] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 # Named operation surface mirroring the library contract; each is a thin

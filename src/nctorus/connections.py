@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, matmul
 from .errors import AntihermitianViolation, DescriptorMismatch
 from .forms import Calculus, KForm
 from .metric import HermitianMetric
@@ -90,13 +90,8 @@ def apply_connection(conn: Connection, a: int, coeffs):
     coeffs = tuple(coeffs)
     if len(coeffs) != conn.rank:
         raise ValueError("expected %d coefficients" % conn.rank)
-    out = []
-    for k in range(conn.rank):
-        total = coeffs[k].derive(a)
-        for i in range(conn.rank):
-            total = total + coeffs[i] * conn.gamma[a - 1][i][k]
-        out.append(total)
-    return tuple(out)
+    (product,) = matmul((coeffs,), conn.gamma[a - 1])
+    return tuple(f.derive(a) + p for f, p in zip(coeffs, product))
 
 
 def torsion(conn: Connection):
@@ -137,20 +132,16 @@ def compat_defect(conn: Connection, metric: HermitianMetric):
         raise ValueError("metric rank does not match the connection")
     out = []
     for a in range(1, n + 1):
-        plane = []
-        for i in range(rank):
-            row = []
-            for j in range(rank):
-                value = metric.upper[i][j].derive(a)
-                for k in range(rank):
-                    value = value - conn.gamma[a - 1][i][k] * metric.upper[k][j]
-                mirror = calc.algebra.zero()
-                for k in range(rank):
-                    mirror = mirror + conn.gamma[a - 1][j][k] * metric.upper[k][i]
-                value = value - mirror.star()
-                row.append(value)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
+        product = matmul(conn.gamma[a - 1], metric.upper)
+        out.append(
+            tuple(
+                tuple(
+                    metric.upper[i][j].derive(a) - product[i][j] - product[j][i].star()
+                    for j in range(rank)
+                )
+                for i in range(rank)
+            )
+        )
     return tuple(out)
 
 
@@ -171,21 +162,14 @@ def grassmann(metric: HermitianMetric) -> Connection:
     the matrices rather than assumed.
     """
     calc = metric.calculus
-    rank = metric.rank
-    alg = calc.algebra
-    gamma = []
-    for a in range(1, calc.n + 1):
-        plane = []
-        for i in range(rank):
-            row = []
-            for k in range(rank):
-                total = alg.zero()
-                for j in range(rank):
-                    total = total + metric.upper[i][j] * metric.lower[j][k]
-                row.append(total.derive(a))
-            plane.append(tuple(row))
-        gamma.append(tuple(plane))
-    return Connection(calc, gamma)
+    product = matmul(metric.upper, metric.lower)
+    return Connection(
+        calc,
+        tuple(
+            tuple(tuple(entry.derive(a) for entry in row) for row in product)
+            for a in range(1, calc.n + 1)
+        ),
+    )
 
 
 def check_antihermitian(array, rank, n) -> None:
@@ -208,25 +192,17 @@ def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
     """
     calc = metric.calculus
     rank = metric.rank
-    alg = calc.algebra
     if antiherm is not None:
         antiherm, _ = _as_gamma(calc, antiherm, rank)
         check_antihermitian(antiherm, rank, calc.n)
     gamma = []
     for a in range(1, calc.n + 1):
-        plane = []
-        for i in range(rank):
-            row = []
-            for k in range(rank):
-                total = alg.zero()
+        coeff = [[entry.derive(a) * HALF for entry in row] for row in metric.upper]
+        if antiherm is not None:
+            for i in range(rank):
                 for j in range(rank):
-                    half_dh = metric.upper[i][j].derive(a) * HALF
-                    if antiherm is not None:
-                        half_dh = half_dh + antiherm[a - 1][i][j]
-                    total = total + half_dh * metric.lower[j][k]
-                row.append(total)
-            plane.append(tuple(row))
-        gamma.append(tuple(plane))
+                    coeff[i][j] = coeff[i][j] + antiherm[a - 1][i][j]
+        gamma.append(matmul(coeff, metric.lower))
     return Connection(calc, gamma)
 
 
@@ -330,23 +306,16 @@ def d_array(calculus: Calculus):
 
 def metric_pairing_operator(array, metric: HermitianMetric):
     """T_h(alpha)^ij_a = alpha^i_ak h^kj + (alpha^j_ak h^ki)*."""
-    n = len(array)
     rank = metric.rank
-    alg = metric.calculus.algebra
     out = []
-    for a in range(n):
-        plane = []
-        for i in range(rank):
-            row = []
-            for j in range(rank):
-                direct = alg.zero()
-                mirror = alg.zero()
-                for k in range(rank):
-                    direct = direct + array[a][i][k] * metric.upper[k][j]
-                    mirror = mirror + array[a][j][k] * metric.upper[k][i]
-                row.append(direct + mirror.star())
-            plane.append(tuple(row))
-        out.append(tuple(plane))
+    for plane in array:
+        product = matmul(plane, metric.upper)
+        out.append(
+            tuple(
+                tuple(product[i][j] + product[j][i].star() for j in range(rank))
+                for i in range(rank)
+            )
+        )
     return tuple(out)
 
 

@@ -21,20 +21,33 @@ from .scalars import GaussianRational
 
 
 def _jacobi_defect(n, c):
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                for f in range(n):
-                    total = Fraction(0)
-                    for e in range(n):
-                        total += (
-                            c[e][a][b] * c[f][e][d]
-                            + c[e][b][d] * c[f][e][a]
-                            + c[e][d][a] * c[f][e][b]
-                        )
-                    if total:
-                        return (a + 1, b + 1, d + 1, f + 1)
-    return None
+    """The lexicographically first (a, b, d, f), 1-based, at which
+    sum_e c^e_ab c^f_ed + c^e_bd c^f_ea + c^e_da c^f_eb is nonzero, or None.
+
+    The sums are accumulated from products of nonzero constants only, so
+    an abelian bracket costs one pass over c instead of O(n^5).
+    """
+    nonzero = [
+        (e, x, y, c[e][x][y])
+        for e in range(n)
+        for x in range(n)
+        for y in range(n)
+        if c[e][x][y]
+    ]
+    outer = {}  # e -> [(f, z, c^f_ez)]
+    for f, e, z, w in nonzero:
+        outer.setdefault(e, []).append((f, z, w))
+    totals = {}
+    for e, x, y, v in nonzero:
+        for f, z, w in outer.get(e, ()):
+            # c^e_xy c^f_ez is the product in the first, second and third
+            # summand at (a, b, d) = (x, y, z), (z, x, y) and (y, z, x).
+            for key in ((x, y, z, f), (z, x, y, f), (y, z, x, f)):
+                totals[key] = totals.get(key, 0) + v * w
+    failing = [key for key, total in totals.items() if total]
+    if not failing:
+        return None
+    return tuple(idx + 1 for idx in min(failing))
 
 
 @dataclass(frozen=True)

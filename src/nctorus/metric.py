@@ -12,7 +12,7 @@ compatible connection; d(rho) = 0 is the exact existence criterion.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, matmul
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
 from .forms import Calculus, KForm
 
@@ -121,22 +121,19 @@ def validate(metric: HermitianMetric) -> None:
 
     Raises NotHermitian or NotInverse naming the first failing entry.
     """
-    calc = metric.calculus
     n = metric.rank
-    alg = calc.algebra
+    alg = metric.calculus.algebra
     _check_hermitian_matrix(metric.upper)
     _check_hermitian_matrix(metric.lower)
     for first, second, label in (
         (metric.upper, metric.lower, "h^ij h_jk"),
         (metric.lower, metric.upper, "h_ij h^jk"),
     ):
+        product = matmul(first, second)
         for i in range(n):
             for k in range(n):
-                total = alg.zero()
-                for j in range(n):
-                    total = total + first[i][j] * second[j][k]
-                expected = alg.one() if i == k else alg.zero()
-                if total != expected:
+                total = product[i][k]
+                if total != (alg.one() if i == k else alg.zero()):
                     raise NotInverse(
                         "%s fails at (%d, %d): got %r" % (label, i + 1, k + 1, total)
                     )

@@ -204,6 +204,8 @@ class PhaseScalar:
 
     def collapsed(self) -> "PhaseScalar":
         """Specialize every q symbol to 1 (the commutative limit)."""
+        if self.terms.keys() <= {()}:
+            return self
         total = GaussianRational()
         for coeff in self.terms.values():
             total = total + coeff

@@ -15,6 +15,7 @@ from nctorus import (
     is_hermitian,
     is_zero,
     mul,
+    parse_element,
     star,
 )
 
@@ -205,6 +206,37 @@ def test_power_negative_exponent(t3):
     u2 = t3.gen(2)
     assert u2 ** -2 == t3.gen(2, -2)
     assert (t3.gen(1) * 2) ** 0 == t3.one()
+
+
+def test_power_matches_repeated_product(rng):
+    alg = TorusAlgebra(3)
+    x = random_element(rng, alg, max_terms=2, max_exp=1) + alg.gen(2) * alg.q(1, 2)
+    expected = alg.one()
+    for k in range(10):
+        assert x ** k == expected
+        expected = expected * x
+
+
+def test_large_generator_power_is_exact():
+    alg = TorusAlgebra(2)
+    assert parse_element(alg, "U1^20000") == alg.gen(1, 20000)
+    assert (alg.gen(1) * alg.gen(2)) ** 3000 == alg.gen(1, 3000) * alg.gen(2, 3000) * alg.q(
+        1, 2, -3000 * 2999 // 2
+    )
+
+
+def test_non_integer_exponents_rejected(t3):
+    with pytest.raises(TypeError):
+        t3.gen(1, 2.5)
+    with pytest.raises(TypeError):
+        t3.gen(1, 2.0)
+    with pytest.raises(TypeError):
+        t3.monomial(1, (0.5, 0, 0))
+    with pytest.raises(TypeError):
+        t3.monomial(1, (Fraction(1, 2), 0, 0))
+    with pytest.raises(TypeError):
+        t3.q(1, 2, 0.5)
+    assert t3.monomial(1, (2, 0, 0)) == t3.gen(1, 2)
 
 
 def test_commutative_laws_persist(rng):

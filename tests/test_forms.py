@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -213,6 +214,50 @@ def test_lie_algebra_validation():
     assert lie.bracket(3, 1, 2) == 1
     assert lie.bracket(3, 2, 1) == -1
     assert not lie.is_abelian()
+
+
+def _jacobi_reference(n, c):
+    """First failing (a, b, d, f) of the Jacobi sum by the literal loop."""
+    for a in range(n):
+        for b in range(n):
+            for d in range(n):
+                for f in range(n):
+                    total = Fraction(0)
+                    for e in range(n):
+                        total += (
+                            c[e][a][b] * c[f][e][d]
+                            + c[e][b][d] * c[f][e][a]
+                            + c[e][d][a] * c[f][e][b]
+                        )
+                    if total:
+                        return (a + 1, b + 1, d + 1, f + 1)
+    return None
+
+
+def test_jacobi_failure_names_first_failing_indices():
+    rng = random.Random(7)
+    failures = 0
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        entries = {}
+        for _ in range(rng.randint(2, 5)):
+            e, a, b = rng.randint(1, n), rng.randint(1, n - 1), rng.randint(1, n)
+            if a < b and (e, a, b) not in entries:
+                entries[(e, a, b)] = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for (e, a, b), v in entries.items():
+            c[e - 1][a - 1][b - 1], c[e - 1][b - 1][a - 1] = v, -v
+        expected = _jacobi_reference(n, c)
+        if expected is None:
+            assert LieAlgebra.from_struct(n, entries).brackets == tuple(
+                tuple(tuple(row) for row in plane) for plane in c
+            )
+            continue
+        failures += 1
+        with pytest.raises(ValueError) as excinfo:
+            LieAlgebra.from_struct(n, entries)
+        assert str(excinfo.value) == "Jacobi identity fails at indices %s" % (expected,)
+    assert failures >= 20
 
 
 def test_d_with_brackets_on_constant_form(heis):

@@ -1,0 +1,293 @@
+"""Matrix products in metrics, connections and the solver against oracles.
+
+Every library function that multiplies matrices of algebra elements is
+compared with its literal index-sum definition, written out below, on
+seeded dense metrics h = L D L* (L unit lower triangular, D rational
+constants) and on random arrays with zero entries.  Each case runs for
+n = 3..5 over an abelian, a bracket (c^3_12 = 1) and a commutative
+calculus.
+"""
+
+from fractions import Fraction
+import random
+
+import pytest
+
+from nctorus import (
+    Calculus,
+    Connection,
+    HermitianMetric,
+    NotInverse,
+    RSet,
+    SolverParams,
+    assemble_U,
+    build_levi_civita,
+    compat_defect,
+    compatible_connection,
+    compute_F,
+    metric_pairing_operator,
+    solve_R,
+)
+
+from conftest import random_antihermitian_array, random_hermitian, random_monomial
+
+HALF = Fraction(1, 2)
+FAMILIES = ("abelian", "bracket", "commutative")
+CASES = [(family, n) for family in FAMILIES for n in (3, 4, 5)]
+
+
+def make_calculus(family, n):
+    if family == "bracket":
+        return Calculus.torus(n, brackets={(3, 1, 2): 1})
+    return Calculus.torus(n, commutative=family == "commutative")
+
+
+def case_rng(name, family, n):
+    return random.Random("%s/%s/%d" % (name, family, n))
+
+
+def ldl_upper(rng, alg, entry):
+    """h = L D L* with n - 1 random strictly lower entries of L drawn by
+    ``entry`` and nonzero rational constants on D."""
+    n = alg.n
+    z, one = alg.zero(), alg.one()
+    lower_tri = [[one if i == j else z for j in range(n)] for i in range(n)]
+    slots = [(i, j) for i in range(n) for j in range(i)]
+    for i, j in rng.sample(slots, n - 1):
+        lower_tri[i][j] = entry()
+    diag = [
+        alg.scalar(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+        for _ in range(n)
+    ]
+    upper = [[z] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                upper[i][j] = upper[i][j] + lower_tri[i][k] * diag[k] * lower_tri[j][k].star()
+    return upper
+
+
+def dense_metric(rng, calc):
+    """A dense metric whose L entries are random monomials."""
+    alg = calc.algebra
+    return HermitianMetric(calc, ldl_upper(rng, alg, lambda: random_monomial(rng, alg, 1)))
+
+
+def symmetric_dense_metric(rng, calc):
+    """A dense metric with d(rho) = 0: L's entries are hermitian elements of
+    the commutative subalgebra generated by U_1, so h and its inverse are
+    symmetric matrices of hermitian elements and rho = 0."""
+    alg = calc.algebra
+
+    def entry():
+        c = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+        return (alg.gen(1) + alg.gen(1, -1)) * c
+
+    return HermitianMetric(calc, ldl_upper(rng, alg, entry))
+
+
+def sparse_element(rng, alg):
+    """Zero about half the time, otherwise a one- or two-term element."""
+    if rng.random() < 0.5:
+        return alg.zero()
+    value = random_monomial(rng, alg, 1)
+    if rng.random() < 0.5:
+        value = value + random_monomial(rng, alg, 1)
+    return value
+
+
+def sparse_array(rng, calc):
+    n = calc.n
+    return tuple(
+        tuple(tuple(sparse_element(rng, calc.algebra) for _ in range(n)) for _ in range(n))
+        for _ in range(n)
+    )
+
+
+def sparse_hermitian_matrices(rng, calc):
+    n = calc.n
+    alg = calc.algebra
+    out = []
+    for _ in range(n):
+        m = [[alg.zero()] * n for _ in range(n)]
+        for i in range(n):
+            if rng.random() < 0.5:
+                m[i][i] = random_hermitian(rng, alg, 1, 1)
+            for j in range(i + 1, n):
+                m[i][j] = sparse_element(rng, alg)
+                m[j][i] = m[i][j].star()
+        out.append(m)
+    return out
+
+
+# -- literal index-sum definitions ----------------------------------------------
+
+
+def oracle_U(upper, matrices):
+    """U^ij_a = sum_b sum_c h^ib (R_a)_bc h^cj."""
+    n = len(upper)
+    zero = upper[0][0].algebra.zero()
+    out = []
+    for r_a in matrices:
+        plane = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for b in range(n):
+                    for c in range(n):
+                        plane[i][j] = plane[i][j] + upper[i][b] * r_a[b][c] * upper[c][j]
+        out.append(plane)
+    return out
+
+
+def oracle_compat(gamma, upper):
+    """C^ij_a = d_a h^ij - sum_k gamma^i_ak h^kj - (sum_k gamma^j_ak h^ki)*."""
+    n = len(upper)
+    out = []
+    for a in range(n):
+        plane = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                value = upper[i][j].derive(a + 1)
+                for k in range(n):
+                    value = value - gamma[a][i][k] * upper[k][j]
+                for k in range(n):
+                    value = value - (gamma[a][j][k] * upper[k][i]).star()
+                row.append(value)
+            plane.append(row)
+        out.append(plane)
+    return out
+
+
+def oracle_pairing(array, upper):
+    """T_h(alpha)^ij_a = sum_k alpha^i_ak h^kj + (sum_k alpha^j_ak h^ki)*."""
+    n = len(upper)
+    out = []
+    for a in range(len(array)):
+        plane = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                value = upper[0][0].algebra.zero()
+                for k in range(n):
+                    value = value + array[a][i][k] * upper[k][j]
+                    value = value + (array[a][j][k] * upper[k][i]).star()
+                row.append(value)
+            plane.append(row)
+        out.append(plane)
+    return out
+
+
+def oracle_gamma(metric, extra):
+    """gamma^i_ak = sum_j (1/2 d_a h^ij + extra^ij_a) h_jk."""
+    n = metric.rank
+    zero = metric.calculus.algebra.zero()
+    out = []
+    for a in range(metric.calculus.n):
+        plane = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                for j in range(n):
+                    coeff = metric.upper[i][j].derive(a + 1) * HALF + extra[a][i][j]
+                    plane[i][k] = plane[i][k] + coeff * metric.lower[j][k]
+        out.append(plane)
+    return out
+
+
+def oracle_inverse_failure(upper, lower):
+    """The message of the first failing entry of h^ij h_jk = delta, then of
+    h_ij h^jk = delta, or None when both identities hold."""
+    n = len(upper)
+    alg = upper[0][0].algebra
+    for first, second, label in ((upper, lower, "h^ij h_jk"), (lower, upper, "h_ij h^jk")):
+        for i in range(n):
+            for k in range(n):
+                total = alg.zero()
+                for j in range(n):
+                    total = total + first[i][j] * second[j][k]
+                if total != (alg.one() if i == k else alg.zero()):
+                    return "%s fails at (%d, %d): got %r" % (label, i + 1, k + 1, total)
+    return None
+
+
+def as_lists(array):
+    return [[list(row) for row in plane] for plane in array]
+
+
+# -- tests ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_validate_matches_literal_products(family, n):
+    rng = case_rng("validate", family, n)
+    calc = make_calculus(family, n)
+    metric = dense_metric(rng, calc)
+    assert oracle_inverse_failure(metric.upper, metric.lower) is None
+    # A real constant added to one diagonal entry keeps the lower matrix
+    # hermitian but breaks both inverse identities.
+    p = rng.randrange(n)
+    lower = [list(row) for row in metric.lower]
+    lower[p][p] = lower[p][p] + calc.algebra.scalar(rng.choice((1, 2)))
+    expected = oracle_inverse_failure(metric.upper, lower)
+    assert expected is not None
+    with pytest.raises(NotInverse) as excinfo:
+        HermitianMetric(calc, metric.upper, lower)
+    assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_assemble_U_matches_double_sum(family, n):
+    rng = case_rng("assemble_U", family, n)
+    calc = make_calculus(family, n)
+    metric = dense_metric(rng, calc)
+    matrices = sparse_hermitian_matrices(rng, calc)
+    assert as_lists(assemble_U(metric, RSet(calc, matrices))) == oracle_U(
+        metric.upper, matrices
+    )
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_compat_defect_and_pairing_match_index_sums(family, n):
+    rng = case_rng("compat", family, n)
+    calc = make_calculus(family, n)
+    metric = dense_metric(rng, calc)
+    gamma = sparse_array(rng, calc)
+    assert as_lists(compat_defect(Connection(calc, gamma), metric)) == oracle_compat(
+        gamma, metric.upper
+    )
+    assert as_lists(metric_pairing_operator(gamma, metric)) == oracle_pairing(
+        gamma, metric.upper
+    )
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_compatible_connection_matches_index_sum(family, n):
+    rng = case_rng("compatible", family, n)
+    calc = make_calculus(family, n)
+    metric = dense_metric(rng, calc)
+    antiherm = random_antihermitian_array(rng, calc)
+    conn = compatible_connection(metric, antiherm)
+    assert as_lists(conn.gamma) == oracle_gamma(metric, antiherm)
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_build_gamma_matches_index_sum(family, n):
+    rng = case_rng("build", family, n)
+    calc = make_calculus(family, n)
+    alg = calc.algebra
+    metric = symmetric_dense_metric(rng, calc)
+    z = alg.zero()
+    X = [[z] * n for _ in range(n)]
+    for _ in range(2):
+        X[rng.randrange(n)][rng.randrange(n)] = random_hermitian(rng, alg, 1, 1)
+    params = SolverParams(
+        tuple(tuple(row) for row in X), {(1, 2, 3): random_hermitian(rng, alg, 1, 1)}
+    )
+    conn = build_levi_civita(metric, params)
+    rset = solve_R(compute_F(metric), params)
+    unit_i = alg.scalar(0, 1)
+    i_u = [
+        [[unit_i * entry for entry in row] for row in plane]
+        for plane in oracle_U(metric.upper, rset.matrices)
+    ]
+    assert as_lists(conn.gamma) == oracle_gamma(metric, i_u)

@@ -62,3 +62,6 @@ def test_phase_scalar_collapse():
     assert p.collapsed() == PhaseScalar.from_coeff(2)
     minus = PhaseScalar.q_symbol(1, 2) - PhaseScalar.from_coeff(1)
     assert minus.collapsed().is_zero()
+    plain = PhaseScalar.from_coeff(GaussianRational(2, -1))
+    assert plain.collapsed() is plain
+    assert PhaseScalar.zero().collapsed().is_zero()
