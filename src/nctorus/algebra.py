@@ -2,10 +2,21 @@
 
 The algebra is generated by unitaries U_1, ..., U_n subject to
 U_a U_b = q[a,b] U_b U_a for a < b, where the q[a,b] are formal unimodular
-scalars (see :mod:`nctorus.scalars`).  Every element is kept in normal
-form: a finite sum of ordered monomials U_1^{k_1} ... U_n^{k_n} with
-nonzero phase-scalar coefficients.  Two elements are equal exactly when
-their normal forms coincide.
+scalars, q[a,b]* = q[a,b]^-1.  Every element is kept in normal form: a
+finite sum of terms c * q^e * U_1^{k_1} ... U_n^{k_n} with a nonzero
+Gaussian-rational coefficient c and a Laurent monomial q^e in the phase
+symbols.  Two elements are equal exactly when their normal forms coincide.
+
+One flat term representation carries all of this.  An element stores a
+dict from a key to a Gaussian-integer numerator ``(re, im)``, plus one
+positive common denominator ``den``.  The key lists the n U-exponents,
+then the q-exponents of the pairs (1,2), (1,3), ..., (n-1,n); a
+commutative algebra has no q block.  In normal form no numerator is
+zero, gcd(den, every numerator) = 1, and the zero element is ({}, 1).
+Products, sums, the star, derivations and inverses are integer
+arithmetic on keys and numerators with one gcd pass per result.  This
+module alone knows the layout; ``canonical_terms`` hands the terms to
+the renderer.
 
 The standard derivations act by d_a(U^k) = i k_a U^k; each d_a is
 hermitian and the family commutes.
@@ -14,11 +25,18 @@ hermitian and the family commutes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 from .errors import DescriptorMismatch, NotMonomial, ZeroElement
-from .scalars import GaussianRational, PhaseScalar
+from .scalars import GaussianRational
+
+_SCALARS = (int, Fraction, GaussianRational)
+# The module's public ``add`` and ``mul`` (below) are element operations;
+# the key arithmetic uses the integer ones.
+_plus, _times = operator.add, operator.mul
 
 
 @dataclass(frozen=True)
@@ -32,25 +50,35 @@ class TorusAlgebra:
 
     n: int
     commutative: bool = False
+    # The key layout: the generator pairs (a, b), a < b, of the q block in
+    # key order, and for each its (key position, a - 1, b - 1).  Both are
+    # empty for a commutative algebra.
+    _pairs: tuple = field(init=False, repr=False, compare=False)
+    _slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one generator")
+        n = self.n
+        pairs = () if self.commutative else tuple(
+            (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+        )
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(
+            self, "_slots", tuple((n + p, a - 1, b - 1) for p, (a, b) in enumerate(pairs))
+        )
 
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return AlgebraElement(self, {}, 1)
 
     def one(self) -> "AlgebraElement":
         return self.scalar(1)
 
     def scalar(self, re, im=0) -> "AlgebraElement":
         coeff = re if isinstance(re, GaussianRational) else GaussianRational(re, im)
-        if coeff.is_zero():
-            return self.zero()
-        exp = (0,) * self.n
-        return AlgebraElement(self, {exp: PhaseScalar.from_coeff(coeff)})
+        return self.monomial(coeff, (0,) * self.n)
 
     def i(self) -> "AlgebraElement":
         return self.scalar(0, 1)
@@ -63,45 +91,74 @@ class TorusAlgebra:
         if not 1 <= j <= self.n:
             raise IndexError("generator index out of range: %d" % j)
         power = operator.index(power)
-        exp = tuple(power if k == j - 1 else 0 for k in range(self.n))
-        return AlgebraElement(self, {exp: PhaseScalar.one()})
+        return self.monomial(1, tuple(power if k == j - 1 else 0 for k in range(self.n)))
 
     def q(self, a: int, b: int, power: int = 1) -> "AlgebraElement":
-        """The scalar q[a,b]^power as an algebra element."""
+        """The scalar q[a,b]^power as an algebra element; q[b,a] = q[a,b]^-1."""
         if not (1 <= a <= self.n and 1 <= b <= self.n):
             raise IndexError("phase indices out of range: (%d, %d)" % (a, b))
-        exp = (0,) * self.n
         power = operator.index(power)
-        return AlgebraElement(self, {exp: PhaseScalar.q_symbol(a, b, power)})
+        if a == b:
+            raise ValueError("phase symbol needs two distinct generator indices")
+        if a > b:
+            a, b, power = b, a, -power
+        if not self._pairs:
+            return self.one()
+        key = [0] * (self.n + len(self._pairs))
+        key[self.n + self._pairs.index((a, b))] = power
+        return AlgebraElement(self, {tuple(key): (1, 0)}, 1)
 
     def monomial(self, coeff, exponents) -> "AlgebraElement":
         """coeff * U_1^{k_1} ... U_n^{k_n}; a non-integer exponent raises TypeError."""
         exponents = tuple(operator.index(k) for k in exponents)
         if len(exponents) != self.n:
             raise ValueError("exponent vector must have length %d" % self.n)
-        phase = coeff if isinstance(coeff, PhaseScalar) else PhaseScalar.from_coeff(coeff)
-        return AlgebraElement(self, {exponents: phase})
+        re, im, den = _gaussian_parts(coeff)
+        if not (re or im):
+            return self.zero()
+        return AlgebraElement(self, {exponents + (0,) * len(self._pairs): (re, im)}, den)
+
+
+def _gaussian_parts(c):
+    """(re, im, den) with c = (re + i im) / den in lowest terms, for c an
+    int, a Fraction or a GaussianRational."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, 0, c.denominator
+    c = GaussianRational.coerce(c)
+    rd, id_ = c.re.denominator, c.im.denominator
+    den = rd * id_ // gcd(rd, id_)
+    return c.re.numerator * (den // rd), c.im.numerator * (den // id_), den
+
+
+def _scaled(terms: dict, factor: int) -> dict:
+    if factor == 1:
+        return terms
+    return {key: (re * factor, im * factor) for key, (re, im) in terms.items()}
+
+
+def _reduced(num: int, den: int):
+    """num / den as a (numerator, denominator) pair in lowest terms."""
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 class AlgebraElement:
     """An element of the torus algebra in canonical normal form.
 
-    ``terms`` maps each monomial exponent vector in Z^n to its nonzero
-    PhaseScalar coefficient.  Instances are immutable by convention; all
-    operations return new elements.
+    ``terms`` maps each flat key (U-exponents, then q-exponents, see the
+    module docstring) to its nonzero Gaussian-integer numerator
+    ``(re, im)``; ``den`` is the common denominator.  Elements are built
+    by ``TorusAlgebra`` and the operations below, which keep the normal
+    form; the constructor trusts its arguments.  Instances are immutable
+    by convention; all operations return new elements.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "den")
 
-    def __init__(self, algebra: TorusAlgebra, terms):
-        clean = {}
-        for exp, phase in terms.items():
-            if algebra.commutative:
-                phase = phase.collapsed()
-            if phase:
-                clean[exp] = phase
+    def __init__(self, algebra: TorusAlgebra, terms: dict, den: int):
         self.algebra = algebra
-        self.terms = clean
+        self.terms = terms
+        self.den = den
 
     # -- helpers ---------------------------------------------------------------
 
@@ -116,29 +173,92 @@ class AlgebraElement:
         if isinstance(value, AlgebraElement):
             self._check_same(value)
             return value
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            return self.algebra.scalar(GaussianRational.coerce(value))
+        if isinstance(value, _SCALARS):
+            return self.algebra.scalar(value)
         return None
+
+    def _normal(self, acc: dict, den: int) -> "AlgebraElement":
+        """The element acc / den over this algebra, brought to normal form."""
+        terms = {key: (re, im) for key, (re, im) in acc.items() if re or im}
+        if not terms:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *chain.from_iterable(terms.values()))
+            if g != 1:
+                den //= g
+                terms = {key: (re // g, im // g) for key, (re, im) in terms.items()}
+        return AlgebraElement(self.algebra, terms, den)
+
+    def _reversed_key(self, k):
+        """Key of the reversed inverse monomial U_n^{-k_n} ... U_1^{-k_1}.
+
+        Both the star and the inverse of the ordered monomial q^e U^k need
+        it: the exponents are negated, and normal-ordering the reversed
+        word picks up q[a,b]^(-k_a k_b) for every pair a < b.
+        """
+        return tuple(
+            [-e for e in k[: self.algebra.n]]
+            + [-k[i] - k[a] * k[b] for i, a, b in self.algebra._slots]
+        )
+
+    def canonical_terms(self):
+        """The terms as (U exponents, q key, re, im), sorted by U exponents
+        and then by q key, the order in which elements are rendered.
+
+        The q key is a tuple of ((a, b), e) with a < b and e != 0 in
+        increasing (a, b); ``re`` and ``im`` are the coefficient's real
+        and imaginary parts as (numerator, denominator) in lowest terms.
+        """
+        n = self.algebra.n
+        pairs = self.algebra._pairs
+        den = self.den
+        out = [
+            (
+                k[:n],
+                tuple((pair, e) for pair, e in zip(pairs, k[n:]) if e),
+                _reduced(re, den),
+                _reduced(im, den),
+            )
+            for k, (re, im) in self.terms.items()
+        ]
+        out.sort()
+        return out
 
     # -- ring structure ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self.terms)
-        for exp, phase in other.terms.items():
-            if exp in acc:
-                acc[exp] = acc[exp] + phase
-            else:
-                acc[exp] = phase
-        return AlgebraElement(self.algebra, acc)
+        if other.__class__ is not AlgebraElement or other.algebra is not self.algebra:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        dx, dy = self.den, other.den
+        if dx == dy:
+            den, left, right = dx, self.terms, other.terms
+        else:
+            den = dx * dy // gcd(dx, dy)
+            left, right = _scaled(self.terms, den // dx), _scaled(other.terms, den // dy)
+        if left.keys().isdisjoint(right):
+            # Without a shared key no numerator changes, and the result is
+            # already in lowest terms: a prime dividing den divides one of
+            # the two denominators at full power, so it misses a numerator.
+            return AlgebraElement(self.algebra, {**left, **right}, den)
+        acc = dict(left)
+        for key, (re, im) in right.items():
+            old = acc.get(key)
+            acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        return self._normal(acc, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         return AlgebraElement(
-            self.algebra, {exp: -phase for exp, phase in self.terms.items()}
+            self.algebra,
+            {key: (-re, -im) for key, (re, im) in self.terms.items()},
+            self.den,
         )
 
     def __sub__(self, other):
@@ -154,32 +274,61 @@ class AlgebraElement:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.coerce(other)
-            return AlgebraElement(
-                self.algebra, {exp: phase * c for exp, phase in self.terms.items()}
+        if isinstance(other, _SCALARS):
+            cr, ci, cd = _gaussian_parts(other)
+            return self._normal(
+                {
+                    key: (re * cr - im * ci, re * ci + im * cr)
+                    for key, (re, im) in self.terms.items()
+                },
+                self.den * cd,
             )
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check_same(other)
-        n = self.algebra.n
+        alg = self.algebra
+        if other.algebra is not alg:
+            self._check_same(other)
+        n = alg.n
         acc: dict = {}
-        for k, pk in self.terms.items():
-            for l, pl in other.terms.items():
-                exp = tuple(k[t] + l[t] for t in range(n))
-                phase = pk * pl
-                if not self.algebra.commutative:
-                    shift = _reorder_qkey(k, l)
-                    if shift:
-                        phase = phase.shifted(shift)
-                if exp in acc:
-                    acc[exp] = acc[exp] + phase
-                else:
-                    acc[exp] = phase
-        return AlgebraElement(self.algebra, acc)
+        get = acc.get
+        slots = alg._slots
+        if slots:
+            # Normal-ordering U^k U^l moves U_a^{l_a} of the right factor
+            # leftwards past U_b^{k_b}, b > a: the pair (a, b) picks up the
+            # q-exponent -k_b * l_a.
+            right = [
+                (l[:n], l[n:], [l[a] for _, a, _ in slots], lr, li)
+                for l, (lr, li) in other.terms.items()
+            ]
+            for k, (kr, ki) in self.terms.items():
+                ku, kq = k[:n], k[n:]
+                kb = [-k[b] for _, _, b in slots]
+                for lu, lq, la, lr, li in right:
+                    key = (
+                        *map(_plus, ku, lu),
+                        *map(_plus, map(_plus, kq, lq), map(_times, kb, la)),
+                    )
+                    old = get(key)
+                    if old is None:
+                        acc[key] = [kr * lr - ki * li, kr * li + ki * lr]
+                    else:
+                        old[0] += kr * lr - ki * li
+                        old[1] += kr * li + ki * lr
+        else:
+            right = list(other.terms.items())
+            for k, (kr, ki) in self.terms.items():
+                for l, (lr, li) in right:
+                    key = tuple(map(_plus, k, l))
+                    old = get(key)
+                    if old is None:
+                        acc[key] = [kr * lr - ki * li, kr * li + ki * lr]
+                    else:
+                        old[0] += kr * lr - ki * li
+                        old[1] += kr * li + ki * lr
+        return self._normal(acc, self.den * other.den)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, _SCALARS):
             return self * other
         return NotImplemented
 
@@ -202,30 +351,21 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         """The adjoint: antilinear, reverses products, U_j -> U_j^-1."""
-        acc = {}
-        for k, phase in self.terms.items():
-            exp = tuple(-e for e in k)
-            new = phase.conjugate()
-            if not self.algebra.commutative:
-                shift = _reversal_qkey(k)
-                if shift:
-                    new = new.shifted(shift)
-            if exp in acc:
-                acc[exp] = acc[exp] + new
-            else:
-                acc[exp] = new
-        return AlgebraElement(self.algebra, acc)
+        return AlgebraElement(
+            self.algebra,
+            {self._reversed_key(k): (re, -im) for k, (re, im) in self.terms.items()},
+            self.den,
+        )
 
     def derive(self, a: int) -> "AlgebraElement":
         """Apply the standard derivation d_a: d_a(c U^k) = i k_a c U^k."""
         if not 1 <= a <= self.algebra.n:
             raise IndexError("derivation index out of range: %d" % a)
-        acc = {}
-        for k, phase in self.terms.items():
-            factor = GaussianRational(0, k[a - 1])
-            if factor:
-                acc[k] = phase * factor
-        return AlgebraElement(self.algebra, acc)
+        t = a - 1
+        return self._normal(
+            {k: (-im * k[t], re * k[t]) for k, (re, im) in self.terms.items() if k[t]},
+            self.den,
+        )
 
     def invert(self) -> "AlgebraElement":
         """Invert a monomial element; mul(x, x.invert()) == 1 two-sided."""
@@ -233,14 +373,11 @@ class AlgebraElement:
             raise ZeroElement("cannot invert the zero element")
         if not self.is_monomial():
             raise NotMonomial("only single-monomial elements are invertible")
-        ((k, phase),) = self.terms.items()
-        exp = tuple(-e for e in k)
-        new = phase.inverse()
-        if not self.algebra.commutative:
-            shift = _reversal_qkey(k)
-            if shift:
-                new = new.shifted(shift)
-        return AlgebraElement(self.algebra, {exp: new})
+        ((k, (re, im)),) = self.terms.items()
+        # 1 / ((re + i im) / den) = den (re - i im) / (re^2 + im^2)
+        return self._normal(
+            {self._reversed_key(k): (self.den * re, -self.den * im)}, re * re + im * im
+        )
 
     # -- predicates ---------------------------------------------------------------
 
@@ -248,72 +385,30 @@ class AlgebraElement:
         return not self.terms
 
     def is_monomial(self) -> bool:
-        """True for exactly one ordered monomial with one q-monomial coefficient."""
-        if len(self.terms) != 1:
-            return False
-        (phase,) = self.terms.values()
-        return len(phase.terms) == 1
+        """True for exactly one term: one ordered monomial times one q-monomial."""
+        return len(self.terms) == 1
 
     def is_hermitian(self) -> bool:
         return self.star() == self
 
     def __eq__(self, other):
-        coerced = None
-        if isinstance(other, AlgebraElement):
-            if self.algebra != other.algebra:
-                return False
-            coerced = other
-        elif isinstance(other, (int, Fraction, GaussianRational)):
-            coerced = self.algebra.scalar(GaussianRational.coerce(other))
-        if coerced is None:
+        if isinstance(other, _SCALARS):
+            other = self.algebra.scalar(other)
+        elif not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.terms == coerced.terms
+        return (
+            (self.algebra is other.algebra or self.algebra == other.algebra)
+            and self.den == other.den
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash(
-            (self.algebra, frozenset((k, p) for k, p in self.terms.items()))
-        )
+        return hash((self.algebra, self.den, frozenset(self.terms.items())))
 
     def __repr__(self):
         from .expr import render_element
 
         return render_element(self)
-
-
-def _reorder_qkey(k, l):
-    """Phase exponents picked up normal-ordering the product U^k * U^l.
-
-    Moving U_a^{l_a} of the right factor leftwards past U_b^{k_b} with
-    b > a contributes q[a,b]^(-k_b * l_a).
-    """
-    acc = {}
-    n = len(k)
-    for a0 in range(n - 1):
-        if l[a0] == 0:
-            continue
-        for b0 in range(a0 + 1, n):
-            e = -k[b0] * l[a0]
-            if e:
-                acc[(a0 + 1, b0 + 1)] = acc.get((a0 + 1, b0 + 1), 0) + e
-    return tuple(sorted((pair, e) for pair, e in acc.items() if e))
-
-
-def _reversal_qkey(k):
-    """Phase exponents from normal-ordering U_n^{-k_n} ... U_1^{-k_1}.
-
-    This is the reordering needed by both the star and the inverse of the
-    ordered monomial U^k.
-    """
-    acc = {}
-    n = len(k)
-    for a0 in range(n - 1):
-        if k[a0] == 0:
-            continue
-        for b0 in range(a0 + 1, n):
-            e = -k[b0] * k[a0]
-            if e:
-                acc[(a0 + 1, b0 + 1)] = acc.get((a0 + 1, b0 + 1), 0) + e
-    return tuple(sorted((pair, e) for pair, e in acc.items() if e))
 
 
 def matmul(left, right):

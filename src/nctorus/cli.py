@@ -27,6 +27,13 @@ Config files are flat sectioned key-value text::
     [run]
     command = build-lc     # or check-weak-symmetry, verify-given
 
+Limits: ``n`` is at most ``MAX_N`` (16), because every term of an
+element carries n + n(n-1)/2 exponents and the solver's work grows with
+powers of n; a value (the text after ``=``) is at most ``MAX_VALUE_CHARS``
+(4096) characters.  A config over either limit is rejected with a
+ParseError that names its line (exit code 1).  Exponent sizes are not
+bounded.
+
 Reports are deterministic: algebra elements appear only as canonical
 strings, so two runs of the same config are byte-identical.  Exit codes:
 0 ok, 2 not weakly symmetric or solvability violated, 1 any other error.
@@ -62,6 +69,10 @@ from .metric import HermitianMetric, weak_symmetry_defect
 COMMANDS = ("check-weak-symmetry", "build-lc", "verify-given")
 
 SCHEMA_VERSION = 1
+
+# Input limits of load_config, see the module docstring.
+MAX_N = 16
+MAX_VALUE_CHARS = 4096
 
 
 @dataclass
@@ -130,6 +141,13 @@ def _read_sections(path):
             value = value.strip()
             if not key:
                 raise ParseError("empty key", lineno, 1)
+            if len(value) > MAX_VALUE_CHARS:
+                raise ParseError(
+                    "value of %r has %d characters, more than MAX_VALUE_CHARS = %d"
+                    % (key, len(value), MAX_VALUE_CHARS),
+                    lineno,
+                    1,
+                )
             if key in sections[current]:
                 raise ParseError("duplicate key %r" % key, lineno, 1)
             sections[current][key] = (value, lineno)
@@ -185,6 +203,8 @@ def load_config(path) -> ProblemConfig:
         raise ParseError("n must be an integer", n_line, 1) from None
     if n < 1:
         raise ParseError("n must be at least 1", n_line, 1)
+    if n > MAX_N:
+        raise ParseError("n = %d exceeds MAX_N = %d" % (n, MAX_N), n_line, 1)
     commutative = False
     if "commutative" in algebra_sec:
         text, lineno = algebra_sec["commutative"]

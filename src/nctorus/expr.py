@@ -11,9 +11,12 @@ Grammar (whitespace between tokens is ignored)::
 
 ``adj`` is the star operation.  ``q[a,b]`` with a > b denotes the inverse
 of the stored symbol q[b,a].  Rendering emits the canonical normal form
-with terms sorted lexicographically by monomial exponent (then by phase
-exponent), and ``parse_element(alg, render_element(x)) == x`` holds
-exactly.
+with terms sorted lexicographically by monomial exponent, then by the
+phase key as a sorted list of ((a, b), e) pairs (so ``q[1,2]`` comes before
+``q[1,3]^-1``), and ``parse_element(alg, render_element(x)) == x`` holds
+exactly.  Terms come from ``AlgebraElement.canonical_terms``, which
+yields each coefficient as reduced integer numerators and denominators;
+they are formatted directly, without building scalar objects.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, TorusAlgebra
 from .errors import ParseError
-from .scalars import GaussianRational
 
 _TOKEN_RE = re.compile(
     r"""
@@ -212,34 +214,40 @@ def parse_element(algebra: TorusAlgebra, text: str) -> AlgebraElement:
     return _Parser(algebra, text).parse()
 
 
-def _abs_coeff_string(mag: Fraction, imaginary: bool) -> str:
-    if imaginary:
-        return "i" if mag == 1 else "%s*i" % mag
-    return str(mag)
+def _rational(part) -> str:
+    num, den = part
+    return "%d" % num if den == 1 else "%d/%d" % (num, den)
 
 
-def _coeff_parts(coeff: GaussianRational):
-    """Split a coefficient into (sign, factor string); empty string means 1."""
-    if coeff.im == 0:
-        sign = "-" if coeff.re < 0 else "+"
-        mag = abs(coeff.re)
-        return sign, "" if mag == 1 else str(mag)
-    if coeff.re == 0:
-        sign = "-" if coeff.im < 0 else "+"
-        return sign, _abs_coeff_string(abs(coeff.im), True)
-    im_sign = "-" if coeff.im < 0 else "+"
-    inner = "%s%s%s" % (coeff.re, im_sign, _abs_coeff_string(abs(coeff.im), True))
-    return "+", "(%s)" % inner
+def _imaginary(num, den) -> str:
+    """The magnitude of an imaginary part, num > 0: i or num/den*i."""
+    return "i" if num == den == 1 else "%s*i" % _rational((num, den))
 
 
-def _term_string(coeff: GaussianRational, qkey, uexp):
+def _coeff_parts(re, im):
+    """Split a coefficient into (sign, factor string); empty string means 1.
+
+    ``re`` and ``im`` are (numerator, denominator) pairs in lowest terms.
+    """
+    if im[0] == 0:
+        sign = "-" if re[0] < 0 else "+"
+        mag = (abs(re[0]), re[1])
+        return sign, "" if mag == (1, 1) else _rational(mag)
+    im_sign = "-" if im[0] < 0 else "+"
+    im_str = _imaginary(abs(im[0]), im[1])
+    if re[0] == 0:
+        return im_sign, im_str
+    return "+", "(%s%s%s)" % (_rational(re), im_sign, im_str)
+
+
+def _term_string(uexp, qkey, re, im):
     factors = []
     for (a, b), e in qkey:
         factors.append("q[%d,%d]" % (a, b) + ("^%d" % e if e != 1 else ""))
     for pos, k in enumerate(uexp):
         if k:
             factors.append("U%d" % (pos + 1) + ("^%d" % k if k != 1 else ""))
-    sign, coeff_str = _coeff_parts(coeff)
+    sign, coeff_str = _coeff_parts(re, im)
     if coeff_str:
         factors.insert(0, coeff_str)
     if not factors:
@@ -249,18 +257,11 @@ def _term_string(coeff: GaussianRational, qkey, uexp):
 
 def render_element(x: AlgebraElement) -> str:
     """Render ``x`` in canonical normal form; inverse of ``parse_element``."""
-    flat = []
-    for uexp, phase in x.terms.items():
-        for qkey, coeff in phase.terms.items():
-            flat.append((uexp, qkey, coeff))
-    if not flat:
-        return "0"
-    flat.sort(key=lambda item: (item[0], item[1]))
     pieces = []
-    for idx, (uexp, qkey, coeff) in enumerate(flat):
-        sign, body = _term_string(coeff, qkey, uexp)
-        if idx == 0:
+    for term in x.canonical_terms():
+        sign, body = _term_string(*term)
+        if not pieces:
             pieces.append(body if sign == "+" else "-" + body)
         else:
             pieces.append("%s %s" % (sign, body))
-    return " ".join(pieces)
+    return " ".join(pieces) if pieces else "0"

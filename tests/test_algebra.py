@@ -182,14 +182,14 @@ def test_invert_rejects_sums_and_zero(t3):
 @settings(max_examples=40, deadline=None)
 @given(ELEM3)
 def test_invert_random_monomials(x):
-    from nctorus import PhaseScalar
-
     alg = TorusAlgebra(3)
-    for exp, phase in x.terms.items():
-        for qkey, coeff in phase.terms.items():
-            mono = alg.monomial(PhaseScalar({qkey: coeff}), exp)
-            assert mono * invert(mono) == alg.one()
-            assert invert(mono) * mono == alg.one()
+    for uexp, qkey, re, im in x.canonical_terms():
+        mono = alg.monomial(GaussianRational(Fraction(*re), Fraction(*im)), uexp)
+        for (a, b), e in qkey:
+            mono = mono * alg.q(a, b, e)
+        assert mono.is_monomial()
+        assert mono * invert(mono) == alg.one()
+        assert invert(mono) * mono == alg.one()
 
 
 # -- predicates -----------------------------------------------------------------------

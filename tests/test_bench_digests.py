@@ -1,0 +1,54 @@
+"""Byte identity of normal forms against the benchmark's recorded digests.
+
+``bench/expected.json`` holds, per stratum of the benchmark's workloads,
+the SHA-256 of the rendered output each pool candidate produced when the
+pool was recorded.  These tests rebuild the first candidate of every
+``solve`` and ``gate`` stratum and both demo configs with the benchmark's
+own generators (``bench/workloads.py``, loaded read-only) and check the
+digest, so a change to any rendered normal form fails here and not only
+in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import nctorus
+import nctorus.cli  # noqa: F401  (run_cli_in_process calls nctorus.cli.main)
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+wl = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_write_bytecode = sys.dont_write_bytecode
+sys.dont_write_bytecode = True  # leave no cache file under bench/
+try:
+    _spec.loader.exec_module(wl)
+finally:
+    sys.dont_write_bytecode = _write_bytecode
+
+EXPECTED = wl.load_expected()
+
+
+@pytest.mark.parametrize("stratum", wl.SOLVE_STRATA)
+def test_solve_digest(stratum):
+    entry = EXPECTED["solve"][stratum][0]
+    inst = wl.solve_instance(nctorus, stratum, entry["cand"])
+    assert wl.digest(wl.solve_output(nctorus, inst)) == entry["digest"]
+
+
+@pytest.mark.parametrize("stratum", wl.GATE_STRATA)
+def test_gate_digest(stratum):
+    entry = EXPECTED["gate"][stratum][0]
+    holds, text = wl.gate_output(nctorus, *wl.gate_instance(nctorus, stratum, entry["cand"]))
+    assert holds == entry["holds"]
+    assert wl.digest(text) == entry["digest"]
+
+
+@pytest.mark.parametrize("stratum", sorted(wl.DEMO_FILES))
+def test_demo_config_digest(stratum):
+    (entry,) = EXPECTED["cli"][stratum]
+    stdout, code = wl.run_cli_in_process(nctorus, wl.DEMO_DIR / wl.DEMO_FILES[stratum])
+    assert code == entry["exit"]
+    assert wl.digest(wl.cli_output(stdout, code)) == entry["digest"]

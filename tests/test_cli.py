@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nctorus import HermiticityError, ParseError, parse_element
-from nctorus.cli import emit_report, load_config, run
+from nctorus.cli import MAX_N, MAX_VALUE_CHARS, emit_report, load_config, main, run
 
 REPO = Path(__file__).resolve().parent.parent
 BLOCK_CFG = REPO / "demos" / "torus3-block.cfg"
@@ -61,6 +61,54 @@ def test_load_rejects_bad_index(tmp_path):
     )
     with pytest.raises(IndexError):
         load_config(path)
+
+
+def diagonal_cfg(n, value="1"):
+    metric = "".join("h.%d.%d = %s\n" % (i, i, value) for i in range(1, n + 1))
+    return "[algebra]\nn = %d\n\n[metric]\n%s\n[run]\ncommand = check-weak-symmetry\n" % (
+        n,
+        metric,
+    )
+
+
+def assert_rejected(path, capsys, line, words):
+    with pytest.raises(ParseError) as info:
+        load_config(path)
+    assert info.value.line == line
+    assert words in str(info.value)
+    capsys.readouterr()
+    assert main(["--config", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    payload = json.loads(out.err)
+    assert payload["status"] == "error"
+    assert payload["error"].startswith("ParseError: ")
+    assert "at line %d" % line in payload["error"]
+
+
+def test_load_rejects_n_above_limit(tmp_path, capsys):
+    assert MAX_N == 16
+    path = write_cfg(tmp_path, diagonal_cfg(MAX_N + 1))
+    assert_rejected(path, capsys, 2, "MAX_N")
+
+
+def test_load_rejects_long_value(tmp_path, capsys):
+    assert MAX_VALUE_CHARS == 4096
+    long_sum = " + ".join(["U1"] * 1000)  # 4,998 characters
+    assert len(long_sum) > MAX_VALUE_CHARS
+    path = write_cfg(tmp_path, diagonal_cfg(3).replace("h.2.2 = 1", "h.2.2 = " + long_sum))
+    assert_rejected(path, capsys, 6, "MAX_VALUE_CHARS")
+    # a value at the limit still loads
+    at_limit = "(" + "1 + " * 1023 + "10)"
+    assert len(at_limit) == MAX_VALUE_CHARS
+    config = load_config(write_cfg(tmp_path, diagonal_cfg(3, at_limit), "limit.cfg"))
+    assert config.upper[0][0] == config.calculus.algebra.scalar(1033)
+
+
+def test_load_accepts_n_at_limit(tmp_path):
+    config = load_config(write_cfg(tmp_path, diagonal_cfg(MAX_N)))
+    assert config.calculus.n == MAX_N
+    assert run(config).weak_symmetry["holds"] is True
 
 
 def test_load_rejects_unknown_command(tmp_path):

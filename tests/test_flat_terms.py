@@ -1,0 +1,245 @@
+"""The flat term representation against an independent word-rewriting oracle.
+
+The oracle knows nothing of keys or common denominators.  It writes each
+monomial c * q^e * U^k as a word of generator letters U_j^(+-1), and
+normal-orders a word by adjacent swaps: moving U_a^s left past U_b^t,
+a < b, collects q[a,b]^(-s*t), from U_a^s U_b^t = q[a,b]^(s*t) U_b^t U_a^s.
+Coefficients are pairs of Fractions.  In a commutative algebra every q
+symbol is 1.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from nctorus import GaussianRational, TorusAlgebra, parse_element, render_element
+
+# -- the oracle ----------------------------------------------------------------
+
+# An oracle element is a dict {(U exponents, q key): (re, im)} with Fraction
+# parts and the q key a sorted tuple of ((a, b), e), e != 0.
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _word(uexp):
+    return [(j + 1, 1 if k > 0 else -1) for j, k in enumerate(uexp) for _ in range(abs(k))]
+
+
+def _qadd(acc, pair, e):
+    acc[pair] = acc.get(pair, 0) + e
+
+
+def _normal_order(word, q):
+    """Bubble the letters of ``word`` into increasing generator order,
+    collecting each swap's phase into the dict ``q``; returns U exponents."""
+    word = list(word)
+    swapped = True
+    while swapped:
+        swapped = False
+        for p in range(len(word) - 1):
+            (b, t), (a, s) = word[p], word[p + 1]
+            if a < b:
+                word[p], word[p + 1] = (a, s), (b, t)
+                _qadd(q, (a, b), -s * t)
+                swapped = True
+    return word
+
+
+def _term(alg, coeff, q, word):
+    """Collect a normal-ordered word into an oracle (key, coeff) pair."""
+    uexp = [0] * alg.n
+    for j, s in word:
+        uexp[j - 1] += s
+    qkey = () if alg.commutative else tuple(sorted((p, e) for p, e in q.items() if e))
+    return (tuple(uexp), qkey), coeff
+
+
+def _accumulate(terms):
+    acc = {}
+    for key, c in terms:
+        old = acc.get(key, (Fraction(0), Fraction(0)))
+        acc[key] = (old[0] + c[0], old[1] + c[1])
+    return {key: c for key, c in acc.items() if c[0] or c[1]}
+
+
+def o_mul(alg, x, y):
+    out = []
+    for (ku, kq), c in x.items():
+        for (lu, lq), d in y.items():
+            q = dict(kq)
+            for pair, e in lq:
+                _qadd(q, pair, e)
+            word = _normal_order(_word(ku) + _word(lu), q)
+            out.append(_term(alg, _cmul(c, d), q, word))
+    return _accumulate(out)
+
+
+def _reversed_inverse(alg, uexp, qkey):
+    q = {pair: -e for pair, e in qkey}
+    word = [(j, -s) for j, s in reversed(_word(uexp))]
+    return q, _normal_order(word, q)
+
+
+def o_star(alg, x):
+    out = []
+    for (uexp, qkey), (re, im) in x.items():
+        q, word = _reversed_inverse(alg, uexp, qkey)
+        out.append(_term(alg, (re, -im), q, word))
+    return _accumulate(out)
+
+
+def o_invert(alg, x):
+    ((uexp, qkey), (re, im)), = x.items()
+    norm = re * re + im * im
+    q, word = _reversed_inverse(alg, uexp, qkey)
+    return _accumulate([_term(alg, (re / norm, -im / norm), q, word)])
+
+
+def o_derive(alg, x, a):
+    """Leibniz over the letters of each word: d_a(U_j^s) = i s [j == a] U_j^s."""
+    out = []
+    for (uexp, qkey), c in x.items():
+        weight = sum(s for j, s in _word(uexp) if j == a)
+        out.append(((uexp, qkey), _cmul(c, (Fraction(0), Fraction(weight)))))
+    return _accumulate(out)
+
+
+# -- building both sides from one spec -------------------------------------------
+
+
+def spec_strategy(n, max_terms=3, min_terms=0):
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    coeff = st.tuples(
+        st.integers(-6, 6), st.integers(1, 6), st.integers(-6, 6), st.integers(1, 6)
+    ).filter(lambda t: t[0] or t[2])
+    uexp = st.tuples(*[st.integers(-2, 2) for _ in range(n)])
+    phase = st.lists(st.tuples(st.sampled_from(pairs), st.integers(-2, 2)), max_size=2)
+    return st.lists(st.tuples(coeff, uexp, phase), min_size=min_terms, max_size=max_terms)
+
+
+def build(alg, spec):
+    """The library element and the oracle element of one spec."""
+    element = alg.zero()
+    oracle_terms = []
+    for (rn, rd, im_n, im_d), uexp, phase in spec:
+        c = (Fraction(rn, rd), Fraction(im_n, im_d))
+        term = alg.monomial(GaussianRational(*c), uexp)
+        q = {}
+        for pair, e in phase:
+            term = term * alg.q(*pair, e)
+            _qadd(q, pair, e)
+        element = element + term
+        oracle_terms.append(_term(alg, c, q, _word(uexp)))
+    return element, _accumulate(oracle_terms)
+
+
+def as_oracle(x):
+    return {
+        (uexp, qkey): (Fraction(*re), Fraction(*im))
+        for uexp, qkey, re, im in x.canonical_terms()
+    }
+
+
+def assert_normal_form(x):
+    alg = x.algebra
+    width = alg.n if alg.commutative else alg.n + alg.n * (alg.n - 1) // 2
+    assert isinstance(x.den, int) and x.den >= 1
+    if not x.terms:
+        assert x.den == 1
+        return
+    for key, value in x.terms.items():
+        assert isinstance(key, tuple) and len(key) == width
+        assert not hasattr(value, "terms")
+        re, im = value
+        assert re or im
+    assert gcd(x.den, *(v for value in x.terms.values() for v in value)) == 1
+
+
+def check(alg, x, oracle):
+    assert_normal_form(x)
+    assert as_oracle(x) == oracle
+
+
+ALGEBRAS = [TorusAlgebra(n, commutative) for n in (2, 3, 4) for commutative in (False, True)]
+IDS = ["n%d-%s" % (alg.n, "comm" if alg.commutative else "q") for alg in ALGEBRAS]
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_mul_matches_oracle(alg):
+    @seed(alg.n * 10 + alg.commutative)
+    @settings(max_examples=40, deadline=None)
+    @given(spec_strategy(alg.n), spec_strategy(alg.n))
+    def inner(sx, sy):
+        x, ox = build(alg, sx)
+        y, oy = build(alg, sy)
+        check(alg, x, ox)
+        check(alg, y, oy)
+        check(alg, x * y, o_mul(alg, ox, oy))
+        check(alg, x + y, _accumulate(list(ox.items()) + list(oy.items())))
+
+    inner()
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_star_and_derive_match_oracle(alg):
+    @seed(alg.n * 10 + alg.commutative + 100)
+    @settings(max_examples=40, deadline=None)
+    @given(spec_strategy(alg.n, max_terms=4))
+    def inner(sx):
+        x, ox = build(alg, sx)
+        check(alg, x.star(), o_star(alg, ox))
+        for a in range(1, alg.n + 1):
+            check(alg, x.derive(a), o_derive(alg, ox, a))
+
+    inner()
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_invert_matches_oracle(alg):
+    @seed(alg.n * 10 + alg.commutative + 200)
+    @settings(max_examples=40, deadline=None)
+    @given(spec_strategy(alg.n, max_terms=1, min_terms=1))
+    def inner(sx):
+        x, ox = build(alg, sx)
+        inverse = x.invert()
+        check(alg, inverse, o_invert(alg, ox))
+        assert x * inverse == alg.one()
+        assert inverse * x == alg.one()
+
+    inner()
+
+
+def test_scalar_multiples_stay_normal(t3):
+    x = parse_element(t3, "2/3*U1 + 4/9*i*U2 - 2*q[1,3]")
+    assert_normal_form(x)
+    for c in (3, Fraction(9, 2), GaussianRational(Fraction(3, 2), 3), 0):
+        assert_normal_form(x * c)
+    assert (x * 0).den == 1
+    assert_normal_form(x - x)
+    assert (x * Fraction(9, 2)).den == 1
+
+
+def test_render_order_uses_sparse_q_key(t3):
+    # sorted by ((a, b), e) pairs: q[1,2] before q[1,3]^-1, although the
+    # dense q-exponent vector (0, -1, 0) sorts before (1, 0, 0)
+    x = t3.q(1, 3, -1) + t3.q(1, 2)
+    assert render_element(x) == "q[1,2] + q[1,3]^-1"
+    assert render_element(t3.q(2, 3) * t3.gen(1) + t3.q(1, 3, 2)) == "q[1,3]^2 + q[2,3]*U1"
+
+
+def test_parse_render_round_trip_with_denominators(t3):
+    text = "1/6*U1 + 1/4*i*q[1,2]"
+    x = parse_element(t3, text)
+    assert x.den == 12
+    assert_normal_form(x)
+    rendered = render_element(x)
+    assert rendered == "1/4*i*q[1,2] + 1/6*U1"
+    assert parse_element(t3, rendered) == x
+    y = parse_element(t3, "(1/2 - 3/4*i)*U2^-1 - 5/6*i*q[2,3]^-2*U1*U3")
+    assert render_element(y) == "(1/2-3/4*i)*U2^-1 - 5/6*i*q[2,3]^-2*U1*U3"
+    assert parse_element(t3, render_element(y)) == y

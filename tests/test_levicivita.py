@@ -613,3 +613,45 @@ def test_build_rank_two_off_diagonal(rng):
         conn.gamma[a][i][j] for a in range(2) for i in range(2) for j in range(2)
     ]
     assert any(not entry.is_zero() for entry in flat)
+
+
+def test_build_runs_each_check_once(calc3, monkeypatch):
+    import nctorus.levicivita as lc
+
+    calls = {"validated": 0, "solvability": 0}
+    validated = SolverParams.validated
+    solvability = lc.solvability_check
+
+    def counting_validated(self, calculus, rank):
+        calls["validated"] += 1
+        return validated(self, calculus, rank)
+
+    def counting_solvability(tensor):
+        calls["solvability"] += 1
+        return solvability(tensor)
+
+    monkeypatch.setattr(SolverParams, "validated", counting_validated)
+    monkeypatch.setattr(lc, "solvability_check", counting_solvability)
+    alg = calc3.algebra
+    metric = block_metric(calc3, alg.gen(2))
+    build_levi_civita(metric, params_with_x11(calc3, alg.gen(1) + alg.gen(1, -1)))
+    assert calls == {"validated": 1, "solvability": 1}
+    # a direct call to solve_R keeps its own checks
+    lc.solve_R(compute_F(metric), SolverParams.zeros(calc3))
+    assert calls == {"validated": 2, "solvability": 2}
+
+
+def test_build_error_precedence(calc3, monkeypatch):
+    import nctorus.levicivita as lc
+
+    bad = params_with_x11(calc3, calc3.algebra.i())
+    unsymmetric = block_metric(calc3, calc3.algebra.gen(1))
+    # bad params are reported before d(rho) != 0
+    with pytest.raises(ParamViolation):
+        build_levi_civita(unsymmetric, bad)
+    with pytest.raises(NotWeaklySymmetric):
+        build_levi_civita(unsymmetric, SolverParams.zeros(calc3))
+    # with the d(rho) gate passed, a solvability failure is still reported
+    monkeypatch.setattr(lc, "solvability_check", lambda tensor: ((1, 2, 3), tensor[1, 2, 3]))
+    with pytest.raises(SolvabilityViolated):
+        build_levi_civita(block_metric(calc3, calc3.algebra.gen(2)))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nctorus import GaussianRational, PhaseScalar
+from nctorus import GaussianRational, TorusAlgebra
 
 
 def test_gaussian_rational_field_ops():
@@ -24,44 +24,49 @@ def test_gaussian_rational_conjugate_and_inverse():
         GaussianRational(0, 0).inverse()
 
 
-def test_phase_scalar_drops_zero_terms():
-    p = PhaseScalar.q_symbol(1, 2) - PhaseScalar.q_symbol(1, 2)
+# q-phase coefficients are part of each term of an algebra element; these
+# check the phase laws on elements built from alg.q(a, b, e).
+
+
+def test_phase_scalar_drops_zero_terms(t3):
+    p = t3.q(1, 2) - t3.q(1, 2)
     assert p.is_zero()
     assert p.terms == {}
+    assert p == t3.zero()
 
 
-def test_phase_scalar_conjugation_is_involution():
-    p = PhaseScalar.q_symbol(1, 2, 3) * GaussianRational(1, 2) + PhaseScalar.from_coeff(
-        Fraction(5, 7)
-    )
-    assert p.conjugate().conjugate() == p
+def test_phase_scalar_conjugation_is_involution(t3):
+    p = t3.q(1, 2, 3) * GaussianRational(1, 2) + t3.scalar(Fraction(5, 7))
+    assert p.star().star() == p
     # conjugation negates exponent vectors
-    q = PhaseScalar.q_symbol(1, 2)
-    assert q.conjugate() == PhaseScalar.q_symbol(2, 1)
+    q = t3.q(1, 2)
+    assert q.star() == t3.q(2, 1)
 
 
-def test_phase_scalar_q_orientation():
+def test_phase_scalar_q_orientation(t3):
     # q[b,a] is stored as the inverse of q[a,b]
-    assert PhaseScalar.q_symbol(2, 1) == PhaseScalar.q_symbol(1, 2, -1)
-    assert PhaseScalar.q_symbol(1, 2) * PhaseScalar.q_symbol(2, 1) == PhaseScalar.one()
+    assert t3.q(2, 1) == t3.q(1, 2, -1)
+    assert t3.q(1, 2) * t3.q(2, 1) == t3.one()
     with pytest.raises(ValueError):
-        PhaseScalar.q_symbol(1, 1)
+        t3.q(1, 1)
 
 
-def test_phase_scalar_ring_laws():
-    p = PhaseScalar.q_symbol(1, 2) + PhaseScalar.from_coeff(2)
-    q = PhaseScalar.q_symbol(1, 3, -1)
-    r = PhaseScalar.from_coeff(GaussianRational(0, 1))
+def test_phase_scalar_ring_laws(t3):
+    p = t3.q(1, 2) + t3.scalar(2)
+    q = t3.q(1, 3, -1)
+    r = t3.scalar(GaussianRational(0, 1))
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-    assert (p * q).conjugate() == p.conjugate() * q.conjugate()
+    assert (p * q).star() == p.star() * q.star()
 
 
 def test_phase_scalar_collapse():
-    p = PhaseScalar.q_symbol(1, 2) + PhaseScalar.from_coeff(1)
-    assert p.collapsed() == PhaseScalar.from_coeff(2)
-    minus = PhaseScalar.q_symbol(1, 2) - PhaseScalar.from_coeff(1)
-    assert minus.collapsed().is_zero()
-    plain = PhaseScalar.from_coeff(GaussianRational(2, -1))
-    assert plain.collapsed() is plain
-    assert PhaseScalar.zero().collapsed().is_zero()
+    alg = TorusAlgebra(3, commutative=True)
+    p = alg.q(1, 2) + alg.one()
+    assert p == alg.scalar(2)
+    minus = alg.q(1, 2) - alg.one()
+    assert minus.is_zero()
+    plain = alg.scalar(GaussianRational(2, -1))
+    assert plain * alg.q(1, 3, -2) == plain
+    assert plain.canonical_terms() == [((0, 0, 0), (), (2, 1), (-1, 1))]
+    assert (alg.zero() * alg.q(2, 3)).is_zero()
