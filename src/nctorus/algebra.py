@@ -241,11 +241,6 @@ class AlgebraElement:
         else:
             den = dx * dy // gcd(dx, dy)
             left, right = _scaled(self.terms, den // dx), _scaled(other.terms, den // dy)
-        if left.keys().isdisjoint(right):
-            # Without a shared key no numerator changes, and the result is
-            # already in lowest terms: a prime dividing den divides one of
-            # the two denominators at full power, so it misses a numerator.
-            return AlgebraElement(self.algebra, {**left, **right}, den)
         acc = dict(left)
         for key, (re, im) in right.items():
             old = acc.get(key)
@@ -292,39 +287,28 @@ class AlgebraElement:
         acc: dict = {}
         get = acc.get
         slots = alg._slots
-        if slots:
-            # Normal-ordering U^k U^l moves U_a^{l_a} of the right factor
-            # leftwards past U_b^{k_b}, b > a: the pair (a, b) picks up the
-            # q-exponent -k_b * l_a.
-            right = [
-                (l[:n], l[n:], [l[a] for _, a, _ in slots], lr, li)
-                for l, (lr, li) in other.terms.items()
-            ]
-            for k, (kr, ki) in self.terms.items():
-                ku, kq = k[:n], k[n:]
-                kb = [-k[b] for _, _, b in slots]
-                for lu, lq, la, lr, li in right:
-                    key = (
-                        *map(_plus, ku, lu),
-                        *map(_plus, map(_plus, kq, lq), map(_times, kb, la)),
-                    )
-                    old = get(key)
-                    if old is None:
-                        acc[key] = [kr * lr - ki * li, kr * li + ki * lr]
-                    else:
-                        old[0] += kr * lr - ki * li
-                        old[1] += kr * li + ki * lr
-        else:
-            right = list(other.terms.items())
-            for k, (kr, ki) in self.terms.items():
-                for l, (lr, li) in right:
-                    key = tuple(map(_plus, k, l))
-                    old = get(key)
-                    if old is None:
-                        acc[key] = [kr * lr - ki * li, kr * li + ki * lr]
-                    else:
-                        old[0] += kr * lr - ki * li
-                        old[1] += kr * li + ki * lr
+        # Normal-ordering U^k U^l moves U_a^{l_a} of the right factor
+        # leftwards past U_b^{k_b}, b > a: the pair (a, b) picks up the
+        # q-exponent -k_b * l_a.  A commutative algebra has no slots, so
+        # its key is the sum of the U exponents alone.
+        right = [
+            (l[:n], l[n:], [l[a] for _, a, _ in slots], lr, li)
+            for l, (lr, li) in other.terms.items()
+        ]
+        for k, (kr, ki) in self.terms.items():
+            ku, kq = k[:n], k[n:]
+            kb = [-k[b] for _, _, b in slots]
+            for lu, lq, la, lr, li in right:
+                key = (
+                    *map(_plus, ku, lu),
+                    *map(_plus, map(_plus, kq, lq), map(_times, kb, la)),
+                )
+                old = get(key)
+                if old is None:
+                    acc[key] = [kr * lr - ki * li, kr * li + ki * lr]
+                else:
+                    old[0] += kr * lr - ki * li
+                    old[1] += kr * li + ki * lr
         return self._normal(acc, self.den * other.den)
 
     def __rmul__(self, other):

@@ -225,20 +225,14 @@ def solve_R(tensor: FTensor, params: SolverParams) -> RSet:
     Diagonals are the free X parameters; entries (R_a)_ab are forced;
     for each strictly increasing triple the three remaining entries follow
     the closed-form solution with one free hermitian parameter.  The
-    transposed entries are filled by hermitian conjugation.  Raises
-    SolvabilityViolated, then ParamViolation, before solving.
+    transposed entries are filled by hermitian conjugation.
     """
+    calc = tensor.calculus
+    n = tensor.n
     violation = solvability_check(tensor)
     if violation is not None:
         raise SolvabilityViolated(*violation)
-    return _solve_R(tensor, params.validated(tensor.calculus, tensor.n))
-
-
-def _solve_R(tensor: FTensor, params: SolverParams) -> RSet:
-    """The solution of ``solve_R`` for a solvable tensor and validated
-    params; ``build_levi_civita`` has run both checks already."""
-    calc = tensor.calculus
-    n = tensor.n
+    params = params.validated(calc, n)
     R = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -324,13 +318,11 @@ def verify_levi_civita(conn: Connection, metric: HermitianMetric) -> LCVerificat
 def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = None) -> Connection:
     """Construct a torsion-free metric-compatible connection.
 
-    Raises ParamViolation for bad parameters, then NotWeaklySymmetric
-    when d(rho) != 0 (no such connection exists), then
-    SolvabilityViolated; each check runs once per build.  The default
-    parameters are all zero.  A nonzero antihermitian array keeps
-    compatibility but in general breaks torsion freeness; the
-    unconditional re-verification turns any such failure, or any internal
-    convention bug, into an immediate error.
+    Raises NotWeaklySymmetric when d(rho) != 0 (no such connection
+    exists).  The default parameters are all zero.  A nonzero
+    antihermitian array keeps compatibility but in general breaks torsion
+    freeness; the unconditional re-verification turns any such failure,
+    or any internal convention bug, into an immediate error.
     """
     calc = metric.calculus
     n = calc.n
@@ -347,7 +339,7 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     violation = solvability_check(tensor)
     if violation is not None:
         raise SolvabilityViolated(*violation)
-    rset = _solve_R(tensor, params)
+    rset = solve_R(tensor, params)
     u_array = assemble_U(metric, rset)
     unit_i = calc.algebra.scalar(0, 1)
     gamma = []

@@ -615,32 +615,6 @@ def test_build_rank_two_off_diagonal(rng):
     assert any(not entry.is_zero() for entry in flat)
 
 
-def test_build_runs_each_check_once(calc3, monkeypatch):
-    import nctorus.levicivita as lc
-
-    calls = {"validated": 0, "solvability": 0}
-    validated = SolverParams.validated
-    solvability = lc.solvability_check
-
-    def counting_validated(self, calculus, rank):
-        calls["validated"] += 1
-        return validated(self, calculus, rank)
-
-    def counting_solvability(tensor):
-        calls["solvability"] += 1
-        return solvability(tensor)
-
-    monkeypatch.setattr(SolverParams, "validated", counting_validated)
-    monkeypatch.setattr(lc, "solvability_check", counting_solvability)
-    alg = calc3.algebra
-    metric = block_metric(calc3, alg.gen(2))
-    build_levi_civita(metric, params_with_x11(calc3, alg.gen(1) + alg.gen(1, -1)))
-    assert calls == {"validated": 1, "solvability": 1}
-    # a direct call to solve_R keeps its own checks
-    lc.solve_R(compute_F(metric), SolverParams.zeros(calc3))
-    assert calls == {"validated": 2, "solvability": 2}
-
-
 def test_build_error_precedence(calc3, monkeypatch):
     import nctorus.levicivita as lc
 
