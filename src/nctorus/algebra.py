@@ -14,9 +14,11 @@ then the q-exponents of the pairs (1,2), (1,3), ..., (n-1,n); a
 commutative algebra has no q block.  In normal form no numerator is
 zero, gcd(den, every numerator) = 1, and the zero element is ({}, 1).
 Products, sums, the star, derivations and inverses are integer
-arithmetic on keys and numerators with one gcd pass per result.  This
-module alone knows the layout; ``canonical_terms`` hands the terms to
-the renderer.
+arithmetic on keys and numerators with one gcd pass per result.  An
+operation with a zero operand returns at once, after the same descriptor
+and index checks, without building or normalising anything.  This module
+alone knows the layout; ``canonical_terms`` hands the terms to the
+renderer.
 
 The standard derivations act by d_a(U^k) = i k_a U^k; each d_a is
 hermitian and the family commutes.
@@ -150,7 +152,9 @@ class AlgebraElement:
     ``(re, im)``; ``den`` is the common denominator.  Elements are built
     by ``TorusAlgebra`` and the operations below, which keep the normal
     form; the constructor trusts its arguments.  Instances are immutable
-    by convention; all operations return new elements.
+    by convention: an operation may return one of its operands unchanged
+    (``x - 0`` returns ``x`` itself, a product with a zero factor returns
+    that factor), so nothing may mutate ``terms`` or ``den``.
     """
 
     __slots__ = ("algebra", "terms", "den")
@@ -250,6 +254,8 @@ class AlgebraElement:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.terms:
+            return self
         return AlgebraElement(
             self.algebra,
             {key: (-re, -im) for key, (re, im) in self.terms.items()},
@@ -257,9 +263,12 @@ class AlgebraElement:
         )
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not AlgebraElement or other.algebra is not self.algebra:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other.terms:
+            return self
         return self + (-other)
 
     def __rsub__(self, other):
@@ -269,20 +278,27 @@ class AlgebraElement:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            cr, ci, cd = _gaussian_parts(other)
-            return self._normal(
-                {
-                    key: (re * cr - im * ci, re * ci + im * cr)
-                    for key, (re, im) in self.terms.items()
-                },
-                self.den * cd,
-            )
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
+        if other.__class__ is not AlgebraElement:
+            if isinstance(other, _SCALARS):
+                if not self.terms:
+                    return self
+                cr, ci, cd = _gaussian_parts(other)
+                return self._normal(
+                    {
+                        key: (re * cr - im * ci, re * ci + im * cr)
+                        for key, (re, im) in self.terms.items()
+                    },
+                    self.den * cd,
+                )
+            if not isinstance(other, AlgebraElement):
+                return NotImplemented
         alg = self.algebra
         if other.algebra is not alg:
             self._check_same(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         n = alg.n
         acc: dict = {}
         get = acc.get
@@ -335,6 +351,8 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         """The adjoint: antilinear, reverses products, U_j -> U_j^-1."""
+        if not self.terms:
+            return self
         return AlgebraElement(
             self.algebra,
             {self._reversed_key(k): (re, -im) for k, (re, im) in self.terms.items()},
@@ -345,6 +363,8 @@ class AlgebraElement:
         """Apply the standard derivation d_a: d_a(c U^k) = i k_a c U^k."""
         if not 1 <= a <= self.algebra.n:
             raise IndexError("derivation index out of range: %d" % a)
+        if not self.terms:
+            return self
         t = a - 1
         return self._normal(
             {k: (-im * k[t], re * k[t]) for k, (re, im) in self.terms.items() if k[t]},
@@ -376,10 +396,11 @@ class AlgebraElement:
         return self.star() == self
 
     def __eq__(self, other):
-        if isinstance(other, _SCALARS):
-            other = self.algebra.scalar(other)
-        elif not isinstance(other, AlgebraElement):
-            return NotImplemented
+        if other.__class__ is not AlgebraElement:
+            if isinstance(other, _SCALARS):
+                other = self.algebra.scalar(other)
+            elif not isinstance(other, AlgebraElement):
+                return NotImplemented
         return (
             (self.algebra is other.algebra or self.algebra == other.algebra)
             and self.den == other.den

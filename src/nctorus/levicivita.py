@@ -41,8 +41,11 @@ from .errors import (
 )
 from .forms import Calculus
 from .metric import HermitianMetric, weak_symmetry_defect
+from .scalars import GaussianRational
 
 HALF = Fraction(1, 2)
+HALF_I = GaussianRational(0, HALF)
+UNIT_I = GaussianRational(0, 1)
 
 
 class FTensor:
@@ -175,33 +178,30 @@ def compute_F(metric: HermitianMetric) -> FTensor:
 
     The bracket correction vanishes for an abelian Lie algebra.  The
     cyclic defect of this tensor reproduces i d(rho) componentwise.
+    Since c^e_ab = -c^e_ba, F is antisymmetric in (a, b): each pair
+    a < b is computed once, F_cba = -F_cab, and F_caa = 0.
     """
     calc = metric.calculus
     n = calc.n
     if metric.rank != n:
         raise ValueError("F tensor needs the dual-basis calculus (N = n)")
-    alg = calc.algebra
-    half_i = alg.scalar(0, Fraction(1, 2))
-    unit_i = alg.scalar(0, 1)
-    abelian = calc.lie.is_abelian()
+    zero = calc.algebra.zero()
+    lie = calc.lie
+    abelian = lie.is_abelian()
     entries = []
-    for c in range(1, n + 1):
-        plane = []
+    for h_c in metric.lower:
+        plane = [[zero] * n for _ in range(n)]
         for a in range(1, n + 1):
-            row = []
-            for b in range(1, n + 1):
-                value = (
-                    half_i * metric.lower[c - 1][b - 1].derive(a) * (-1)
-                    + half_i * metric.lower[c - 1][a - 1].derive(b)
-                )
+            for b in range(a + 1, n + 1):
+                value = (h_c[a - 1].derive(b) - h_c[b - 1].derive(a)) * HALF_I
                 if not abelian:
                     for e in range(1, n + 1):
-                        const = calc.lie.bracket(e, a, b)
+                        const = lie.bracket(e, a, b)
                         if const:
-                            value = value + unit_i * metric.lower[c - 1][e - 1] * const
-                row.append(value)
-            plane.append(tuple(row))
-        entries.append(tuple(plane))
+                            value = value + h_c[e - 1] * (UNIT_I * const)
+                plane[a - 1][b - 1] = value
+                plane[b - 1][a - 1] = -value
+        entries.append(plane)
     return FTensor(calc, entries)
 
 
@@ -341,12 +341,11 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
         raise SolvabilityViolated(*violation)
     rset = solve_R(tensor, params)
     u_array = assemble_U(metric, rset)
-    unit_i = calc.algebra.scalar(0, 1)
     gamma = []
     for a in range(1, n + 1):
         coeff = [
             [
-                metric.upper[i][j].derive(a) * HALF + unit_i * u_array[a - 1][i][j]
+                metric.upper[i][j].derive(a) * HALF + u_array[a - 1][i][j] * UNIT_I
                 for j in range(n)
             ]
             for i in range(n)

@@ -2,11 +2,13 @@
 
 ``bench/expected.json`` holds, per stratum of the benchmark's workloads,
 the SHA-256 of the rendered output each pool candidate produced when the
-pool was recorded.  These tests rebuild the first candidate of every
-``solve`` and ``gate`` stratum and both demo configs with the benchmark's
-own generators (``bench/workloads.py``, loaded read-only) and check the
-digest, so a change to any rendered normal form fails here and not only
-in a benchmark run.
+pool was recorded.  These tests rebuild every pool candidate of every
+``solve`` and ``gate`` stratum (288 in all) and both demo configs with the
+benchmark's own generators (``bench/workloads.py``, loaded read-only) and
+check the digest, so a change to any rendered normal form fails here and
+not only in a benchmark run.  The whole pool is replayed because the
+element operations take shortcuts on zero operands, which depend on each
+candidate's sparsity pattern.
 """
 
 import importlib.util
@@ -33,17 +35,27 @@ EXPECTED = wl.load_expected()
 
 @pytest.mark.parametrize("stratum", wl.SOLVE_STRATA)
 def test_solve_digest(stratum):
-    entry = EXPECTED["solve"][stratum][0]
-    inst = wl.solve_instance(nctorus, stratum, entry["cand"])
-    assert wl.digest(wl.solve_output(nctorus, inst)) == entry["digest"]
+    calculi = {}
+    mismatched = []
+    assert len(EXPECTED["solve"][stratum]) == wl.POOL_SIZE
+    for entry in EXPECTED["solve"][stratum]:
+        inst = wl.solve_instance(nctorus, stratum, entry["cand"], calculi)
+        if wl.digest(wl.solve_output(nctorus, inst)) != entry["digest"]:
+            mismatched.append(entry["cand"])
+    assert mismatched == []
 
 
 @pytest.mark.parametrize("stratum", wl.GATE_STRATA)
 def test_gate_digest(stratum):
-    entry = EXPECTED["gate"][stratum][0]
-    holds, text = wl.gate_output(nctorus, *wl.gate_instance(nctorus, stratum, entry["cand"]))
-    assert holds == entry["holds"]
-    assert wl.digest(text) == entry["digest"]
+    calculi = {}
+    mismatched = []
+    assert len(EXPECTED["gate"][stratum]) == wl.POOL_SIZE
+    for entry in EXPECTED["gate"][stratum]:
+        calc, upper = wl.gate_instance(nctorus, stratum, entry["cand"], calculi)
+        holds, text = wl.gate_output(nctorus, calc, upper)
+        if (holds, wl.digest(text)) != (entry["holds"], entry["digest"]):
+            mismatched.append(entry["cand"])
+    assert mismatched == []
 
 
 @pytest.mark.parametrize("stratum", sorted(wl.DEMO_FILES))

@@ -14,7 +14,13 @@ from math import gcd
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from nctorus import GaussianRational, TorusAlgebra, parse_element, render_element
+from nctorus import (
+    DescriptorMismatch,
+    GaussianRational,
+    TorusAlgebra,
+    parse_element,
+    render_element,
+)
 
 # -- the oracle ----------------------------------------------------------------
 
@@ -212,6 +218,72 @@ def test_invert_matches_oracle(alg):
         assert inverse * x == alg.one()
 
     inner()
+
+
+def o_neg(x):
+    return {key: (-re, -im) for key, (re, im) in x.items()}
+
+
+ZERO_SCALARS = (0, 3, Fraction(-2, 3), GaussianRational(Fraction(1, 2), -1))
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_zero_operands_match_oracle(alg):
+    zero = alg.zero()
+    for result, expected in (
+        (zero * zero, o_mul(alg, {}, {})),
+        (-zero, o_neg({})),
+        (zero.star(), o_star(alg, {})),
+        (zero - zero, {}),
+        *((zero * c, {}) for c in ZERO_SCALARS),
+        *((c * zero, {}) for c in ZERO_SCALARS),
+        *((zero.derive(a), o_derive(alg, {}, a)) for a in range(1, alg.n + 1)),
+    ):
+        check(alg, result, expected)
+        assert (result.terms, result.den) == ({}, 1)
+
+    @seed(alg.n * 10 + alg.commutative + 300)
+    @settings(max_examples=20, deadline=None)
+    @given(spec_strategy(alg.n))
+    def inner(sx):
+        x, ox = build(alg, sx)
+        for result, expected in (
+            (x * zero, o_mul(alg, ox, {})),
+            (zero * x, o_mul(alg, {}, ox)),
+            (x * 0, {}),
+            (x - zero, ox),
+            (x - 0, ox),
+            (zero - x, o_neg(ox)),
+            (0 - x, o_neg(ox)),
+        ):
+            check(alg, result, expected)
+
+    inner()
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_zero_operands_keep_checks(alg):
+    n = alg.n
+    zero = alg.zero()
+    x = alg.gen(1) * GaussianRational(1, 2) + alg.q(1, 2)
+    for other_alg in (TorusAlgebra(n, not alg.commutative), TorusAlgebra(n + 1, alg.commutative)):
+        other = other_alg.zero()
+        for left, right in ((x, other), (other, x), (zero, other), (other, zero)):
+            for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
+                with pytest.raises(DescriptorMismatch):
+                    op(left, right)
+        assert (zero == other) is False
+        assert (other == zero) is False
+    for a in (0, n + 1):
+        with pytest.raises(IndexError):
+            zero.derive(a)
+    assert (zero == zero) is True
+    assert (zero == alg.zero()) is True
+    assert (zero == TorusAlgebra(n, alg.commutative).zero()) is True
+    for c in (0, Fraction(0), GaussianRational(0)):
+        assert (zero == c) is True
+        assert (x == c) is False
+    assert (zero == "0") is False
 
 
 def test_scalar_multiples_stay_normal(t3):

@@ -1,9 +1,9 @@
 """Matrix products in metrics, connections and the solver against oracles.
 
-Every library function that multiplies matrices of algebra elements is
-compared with its literal index-sum definition, written out below, on
-seeded dense metrics h = L D L* (L unit lower triangular, D rational
-constants) and on random arrays with zero entries.  Each case runs for
+Every library function that multiplies matrices of algebra elements, and
+the F tensor, is compared with its literal index-sum definition, written
+out below, on seeded dense metrics h = L D L* (L unit lower triangular,
+D rational constants) and on random arrays with zero entries.  Each case runs for
 n = 3..5 over an abelian, a bracket (c^3_12 = 1) and a commutative
 calculus.
 """
@@ -194,6 +194,34 @@ def oracle_gamma(metric, extra):
     return out
 
 
+def oracle_F(metric):
+    """F_cab = -(i/2) d_a h_cb + (i/2) d_b h_ca + i c^e_ab h_ce, every
+    (c, a, b) computed on its own, the diagonal a = b included."""
+    calc = metric.calculus
+    n = calc.n
+    alg = calc.algebra
+    half_i = alg.scalar(0, HALF)
+    unit_i = alg.scalar(0, 1)
+    out = []
+    for c in range(1, n + 1):
+        plane = []
+        for a in range(1, n + 1):
+            row = []
+            for b in range(1, n + 1):
+                value = (
+                    half_i * metric.lower[c - 1][b - 1].derive(a) * (-1)
+                    + half_i * metric.lower[c - 1][a - 1].derive(b)
+                )
+                for e in range(1, n + 1):
+                    const = calc.lie.bracket(e, a, b)
+                    if const:
+                        value = value + unit_i * metric.lower[c - 1][e - 1] * const
+                row.append(value)
+            plane.append(row)
+        out.append(plane)
+    return out
+
+
 def oracle_inverse_failure(upper, lower):
     """The message of the first failing entry of h^ij h_jk = delta, then of
     h_ij h^jk = delta, or None when both identities hold."""
@@ -233,6 +261,13 @@ def test_validate_matches_literal_products(family, n):
     with pytest.raises(NotInverse) as excinfo:
         HermitianMetric(calc, metric.upper, lower)
     assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_compute_F_matches_literal_loop(family, n):
+    rng = case_rng("compute_F", family, n)
+    metric = dense_metric(rng, make_calculus(family, n))
+    assert as_lists(compute_F(metric).entries) == oracle_F(metric)
 
 
 @pytest.mark.parametrize("family,n", CASES)
