@@ -10,24 +10,13 @@ immutable after construction and every operation is a pure function, so
 values can be shared and sent between threads freely.
 """
 
-from .algebra import (
-    AlgebraElement,
-    TorusAlgebra,
-    add,
-    derive,
-    invert,
-    is_hermitian,
-    is_zero,
-    mul,
-    star,
-)
+from .algebra import AlgebraElement, TorusAlgebra
 from .connections import (
     Connection,
     antisymmetrize,
     apply_connection,
     compat_defect,
     compatible_connection,
-    grassmann,
     is_compatible,
     is_torsion_free,
     lc_characterization_check,
@@ -54,16 +43,7 @@ from .errors import (
     ZeroElement,
 )
 from .expr import parse_element, render_element
-from .forms import (
-    Calculus,
-    KForm,
-    LieAlgebra,
-    d_element,
-    evaluate,
-    exterior_derivative,
-    form_star,
-    wedge,
-)
+from .forms import Calculus, KForm, LieAlgebra, d_element
 from .levicivita import (
     FTensor,
     LCVerification,
@@ -80,7 +60,6 @@ from .metric import (
     HermitianMetric,
     invert_metric,
     is_weakly_symmetric,
-    lowered_evaluation,
     pair,
     symmetry_form,
     validate,
@@ -115,7 +94,6 @@ __all__ = [
     "SolverParams",
     "TorusAlgebra",
     "ZeroElement",
-    "add",
     "antisymmetrize",
     "apply_connection",
     "assemble_U",
@@ -124,35 +102,23 @@ __all__ = [
     "compatible_connection",
     "compute_F",
     "d_element",
-    "derive",
-    "evaluate",
-    "exterior_derivative",
-    "form_star",
-    "grassmann",
-    "invert",
     "invert_metric",
     "is_compatible",
-    "is_hermitian",
     "is_torsion_free",
     "is_weakly_symmetric",
-    "is_zero",
     "lc_characterization_check",
-    "lowered_evaluation",
     "metric_pairing_operator",
-    "mul",
     "pair",
     "parse_element",
     "render_element",
     "sigma_swap",
     "solvability_check",
     "solve_R",
-    "star",
     "symmetrize",
     "symmetry_form",
     "torsion",
     "torsion_free_from",
     "validate",
     "verify_levi_civita",
-    "wedge",
     "weak_symmetry_defect",
 ]

@@ -27,47 +27,42 @@ hermitian and the family commutes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 
 from .errors import DescriptorMismatch, NotMonomial, ZeroElement
+from .records import FrozenRecord
 from .scalars import GaussianRational
 
 _SCALARS = (int, Fraction, GaussianRational)
-# The module's public ``add`` and ``mul`` (below) are element operations;
-# the key arithmetic uses the integer ones.
 _plus, _times = operator.add, operator.mul
 
 
-@dataclass(frozen=True)
-class TorusAlgebra:
+class TorusAlgebra(FrozenRecord):
     """Descriptor of the torus algebra: number of generators and q-mode.
 
     With ``commutative=True`` every commutation phase collapses to 1,
     which realizes the algebra of Laurent polynomials on the ordinary
-    n-torus.
+    n-torus.  Immutable; equal and hashed by (n, commutative).
     """
 
-    n: int
-    commutative: bool = False
-    # The key layout: the generator pairs (a, b), a < b, of the q block in
-    # key order, and for each its (key position, a - 1, b - 1).  Both are
-    # empty for a commutative algebra.
-    _pairs: tuple = field(init=False, repr=False, compare=False)
-    _slots: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("n", "commutative")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, commutative: bool = False):
+        if n < 1:
             raise ValueError("need at least one generator")
-        n = self.n
-        pairs = () if self.commutative else tuple(
+        pairs = () if commutative else tuple(
             (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
         )
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(
-            self, "_slots", tuple((n + p, a - 1, b - 1) for p, (a, b) in enumerate(pairs))
+        # The key layout: the generator pairs (a, b), a < b, of the q block
+        # in key order, and for each its (key position, a - 1, b - 1).  Both
+        # are empty for a commutative algebra.
+        self.__dict__.update(
+            n=n,
+            commutative=commutative,
+            _pairs=pairs,
+            _slots=tuple((n + p, a - 1, b - 1) for p, (a, b) in enumerate(pairs)),
         )
 
     # -- element constructors -------------------------------------------------
@@ -440,34 +435,3 @@ def matmul(left, right):
                     acc[k] = acc[k] + x * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-# Named operation surface mirroring the library contract; each is a thin
-# wrapper around the corresponding method.
-
-def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def star(x: AlgebraElement) -> AlgebraElement:
-    return x.star()
-
-
-def derive(a: int, x: AlgebraElement) -> AlgebraElement:
-    return x.derive(a)
-
-
-def invert(x: AlgebraElement) -> AlgebraElement:
-    return x.invert()
-
-
-def is_hermitian(x: AlgebraElement) -> bool:
-    return x.is_hermitian()
-
-
-def is_zero(x: AlgebraElement) -> bool:
-    return x.is_zero()

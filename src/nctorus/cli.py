@@ -30,9 +30,12 @@ Config files are flat sectioned key-value text::
 Limits: ``n`` is at most ``MAX_N`` (16), because every term of an
 element carries n + n(n-1)/2 exponents and the solver's work grows with
 powers of n; a value (the text after ``=``) is at most ``MAX_VALUE_CHARS``
-(4096) characters.  A config over either limit is rejected with a
-ParseError that names its line (exit code 1).  Exponent sizes are not
-bounded.
+(4096) characters; and parsing one value multiplies at most
+``nctorus.expr.MAX_TERM_PAIRS`` (65536) pairs of terms, with a power of
+a sum charged up front by an upper bound.  A config over any limit is
+rejected with a ParseError that names its line (exit code 1).  Powers of
+a single term (``U1^-20000000``, ``q[1,2]^7``) are not charged, so
+exponent sizes themselves are not bounded.
 
 Reports are deterministic: algebra elements appear only as canonical
 strings, so two runs of the same config are byte-identical.  Exit codes:
@@ -44,7 +47,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .connections import Connection
 from .errors import (
@@ -65,6 +67,7 @@ from .levicivita import (
     verify_levi_civita,
 )
 from .metric import HermitianMetric, weak_symmetry_defect
+from .records import Record
 
 COMMANDS = ("check-weak-symmetry", "build-lc", "verify-given")
 
@@ -75,32 +78,72 @@ MAX_N = 16
 MAX_VALUE_CHARS = 4096
 
 
-@dataclass
-class ProblemConfig:
+class ProblemConfig(Record):
     """A fully validated problem description."""
 
-    calculus: Calculus
-    rank: int
-    upper: tuple
-    lower: tuple | None
-    params: SolverParams
-    gamma: tuple | None
-    command: str
+    _fields = ("calculus", "rank", "upper", "lower", "params", "gamma", "command")
+
+    def __init__(
+        self,
+        calculus: Calculus,
+        rank: int,
+        upper: tuple,
+        lower: tuple | None,
+        params: SolverParams,
+        gamma: tuple | None,
+        command: str,
+    ):
+        self.calculus = calculus
+        self.rank = rank
+        self.upper = upper
+        self.lower = lower
+        self.params = params
+        self.gamma = gamma
+        self.command = command
 
 
-@dataclass
-class Report:
-    command: str
-    status: str
-    n: int
-    commutative: bool
-    weak_symmetry: dict | None = None
-    f: dict | None = None
-    r: list | None = None
-    u: list | None = None
-    gamma: list | None = None
-    verification: dict | None = None
-    error: str | None = None
+class Report(Record):
+    """The outcome of one command; ``run`` fills the optional sections."""
+
+    _fields = (
+        "command",
+        "status",
+        "n",
+        "commutative",
+        "weak_symmetry",
+        "f",
+        "r",
+        "u",
+        "gamma",
+        "verification",
+        "error",
+    )
+
+    def __init__(
+        self,
+        command: str,
+        status: str,
+        n: int,
+        commutative: bool,
+        weak_symmetry: dict | None = None,
+        f: dict | None = None,
+        r: list | None = None,
+        u: list | None = None,
+        gamma: list | None = None,
+        verification: dict | None = None,
+        error: str | None = None,
+    ):
+        self.command = command
+        self.status = status
+        self.n = n
+        self.commutative = commutative
+        self.weak_symmetry = weak_symmetry
+        self.f = f
+        self.r = r
+        self.u = u
+        self.gamma = gamma
+        self.verification = verification
+        self.error = error
 
     def as_dict(self) -> dict:
         out = {

@@ -154,24 +154,6 @@ def is_compatible(conn: Connection, metric: HermitianMetric) -> bool:
     )
 
 
-def grassmann(metric: HermitianMetric) -> Connection:
-    """The base-point connection gamma^i_ak = d_a(h^ij h_jk).
-
-    With an exact two-sided inverse the product h^ij h_jk is the constant
-    identity, so this is the zero connection; it is still computed from
-    the matrices rather than assumed.
-    """
-    calc = metric.calculus
-    product = matmul(metric.upper, metric.lower)
-    return Connection(
-        calc,
-        tuple(
-            tuple(tuple(entry.derive(a) for entry in row) for row in product)
-            for a in range(1, calc.n + 1)
-        ),
-    )
-
-
 def check_antihermitian(array, rank, n) -> None:
     """(A^ij_a)* = -A^ji_a for all a, i, j; raises AntihermitianViolation."""
     for a in range(n):

@@ -17,6 +17,14 @@ phase key as a sorted list of ((a, b), e) pairs (so ``q[1,2]`` comes before
 exactly.  Terms come from ``AlgebraElement.canonical_terms``, which
 yields each coefficient as reduced integer numerators and denominators;
 they are formatted directly, without building scalar objects.
+
+The work of one parse is bounded by ``MAX_TERM_PAIRS``: every product
+``x * y`` is charged len(x) * len(y) term pairs before it is computed,
+and a power ``x^k`` of a sum of t >= 2 terms is charged up front with
+the pairs square-and-multiply would form if x^j had t^j terms, an upper
+bound.  Once the charges exceed the budget, parsing stops with a
+ParseError at the operator.  Powers of single terms (``U1^-20000000``,
+``q[1,2]^7``) cost one pair per step and are not charged.
 """
 
 from __future__ import annotations
@@ -26,6 +34,10 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, TorusAlgebra
 from .errors import ParseError
+
+# Budget of multiplied term pairs per parsed value, see the module
+# docstring.  A product of two 256-term sums uses all of it.
+MAX_TERM_PAIRS = 1 << 16
 
 _TOKEN_RE = re.compile(
     r"""
@@ -75,11 +87,27 @@ def _tokenize(text):
     return tokens
 
 
+def _power_pairs(terms: int, k: int, limit: int) -> int:
+    """Term pairs that x ** k forms by square-and-multiply, counting t^j
+    terms for x^j when x has t terms; stops counting above ``limit``."""
+    pairs, out, base = 0, 1, terms
+    while k and pairs <= limit:
+        if k & 1:
+            pairs += out * base
+            out *= base
+        k >>= 1
+        if k:
+            pairs += base * base
+            base *= base
+    return pairs
+
+
 class _Parser:
     def __init__(self, algebra: TorusAlgebra, text: str):
         self.algebra = algebra
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.budget = MAX_TERM_PAIRS
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -92,6 +120,17 @@ class _Parser:
     def fail(self, message):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def charge(self, pairs: int, tok: _Token):
+        """Spend ``pairs`` of the term-pair budget on the operator ``tok``."""
+        self.budget -= pairs
+        if self.budget < 0:
+            raise ParseError(
+                "expression multiplies more than MAX_TERM_PAIRS = %d term pairs"
+                % MAX_TERM_PAIRS,
+                tok.line,
+                tok.col,
+            )
 
     def expect(self, text):
         tok = self.peek()
@@ -131,7 +170,9 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "sym" and tok.text == "*":
                 self.advance()
-                value = value * self.factor()
+                rhs = self.factor()
+                self.charge(len(value.terms) * len(rhs.terms), tok)
+                value = value * rhs
             else:
                 return value
 
@@ -140,7 +181,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "sym" and tok.text == "^":
             self.advance()
-            value = value ** self.signed_int()
+            k = self.signed_int()
+            if k > 0 and len(value.terms) > 1:
+                self.charge(_power_pairs(len(value.terms), k, self.budget), tok)
+            value = value ** k
         return value
 
     def signed_int(self) -> int:

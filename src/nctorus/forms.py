@@ -11,12 +11,12 @@ derivations are hermitian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .algebra import AlgebraElement, TorusAlgebra
 from .errors import DescriptorMismatch
+from .records import FrozenRecord
 from .scalars import GaussianRational
 
 
@@ -50,37 +50,36 @@ def _jacobi_defect(n, c):
     return tuple(idx + 1 for idx in min(failing))
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(FrozenRecord):
     """An n-dimensional Lie algebra with a hermitian basis d_1, ..., d_n.
 
     ``brackets`` holds rational structure constants c^e_{ab} with
     [d_a, d_b] = sum_e c^e_{ab} d_e, stored as a nested tuple indexed
     [e][a][b] (0-based).  Antisymmetry and the Jacobi identity are
-    validated at construction.
+    validated at construction.  Immutable; equal and hashed by
+    (n, brackets).
     """
 
-    n: int
-    brackets: tuple
+    _fields = ("n", "brackets")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, brackets: tuple):
+        self.__dict__.update(n=n, brackets=brackets)
+        if n < 1:
             raise ValueError("need dimension at least 1")
-        c = self.brackets
-        if len(c) != self.n or any(
-            len(plane) != self.n or any(len(row) != self.n for row in plane)
-            for plane in c
+        c = brackets
+        if len(c) != n or any(
+            len(plane) != n or any(len(row) != n for row in plane) for plane in c
         ):
             raise ValueError("structure constants must be an n x n x n array")
-        for e in range(self.n):
-            for a in range(self.n):
-                for b in range(self.n):
+        for e in range(n):
+            for a in range(n):
+                for b in range(n):
                     if c[e][a][b] != -c[e][b][a]:
                         raise ValueError(
                             "structure constants not antisymmetric at "
                             "c^%d_{%d%d}" % (e + 1, a + 1, b + 1)
                         )
-        bad = _jacobi_defect(self.n, c)
+        bad = _jacobi_defect(n, c)
         if bad is not None:
             raise ValueError("Jacobi identity fails at indices %s" % (bad,))
 
@@ -120,19 +119,19 @@ class LieAlgebra:
         )
 
 
-@dataclass(frozen=True)
-class Calculus:
+class Calculus(FrozenRecord):
     """A torus algebra together with a Lie algebra acting by the standard
-    derivations; both must have the same dimension n."""
+    derivations; both must have the same dimension n.  Immutable; equal
+    and hashed by (algebra, lie)."""
 
-    algebra: TorusAlgebra
-    lie: LieAlgebra
+    _fields = ("algebra", "lie")
 
-    def __post_init__(self):
-        if self.algebra.n != self.lie.n:
+    def __init__(self, algebra: TorusAlgebra, lie: LieAlgebra):
+        self.__dict__.update(algebra=algebra, lie=lie)
+        if algebra.n != lie.n:
             raise DescriptorMismatch(
                 "algebra has %d generators but Lie algebra has dimension %d"
-                % (self.algebra.n, self.lie.n)
+                % (algebra.n, lie.n)
             )
 
     @property
@@ -367,22 +366,6 @@ class KForm:
             "%s: %r" % (key, value) for key, value in sorted(self.comps.items())
         )
         return "KForm(degree=%d, {%s})" % (self.degree, bits)
-
-
-def evaluate(form: KForm, indices) -> AlgebraElement:
-    return form(*indices)
-
-
-def exterior_derivative(form: KForm) -> KForm:
-    return form.d()
-
-
-def wedge(left: KForm, right: KForm) -> KForm:
-    return left * right
-
-
-def form_star(form: KForm) -> KForm:
-    return form.star()
 
 
 def d_element(calculus: Calculus, value: AlgebraElement) -> KForm:

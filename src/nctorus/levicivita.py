@@ -22,7 +22,6 @@ characterization identities) before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, matmul
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .forms import Calculus
 from .metric import HermitianMetric, weak_symmetry_defect
+from .records import Record
 from .scalars import GaussianRational
 
 HALF = Fraction(1, 2)
@@ -83,19 +83,21 @@ class FTensor:
         return self.calculus.n
 
 
-@dataclass
-class SolverParams:
+class SolverParams(Record):
     """Free parameters of the construction.
 
     ``X[a][b]`` (0-based) is the hermitian diagonal entry (R_{a+1})_{b+1,b+1};
     ``triples`` maps each strictly increasing index triple (a, b, c)
     (1-based) to a hermitian element; ``antiherm``, when present, is the
-    n x N x N antihermitian compatibility freedom.
+    n x N x N antihermitian compatibility freedom.  Compared field-wise.
     """
 
-    X: tuple
-    triples: dict
-    antiherm: tuple | None = None
+    _fields = ("X", "triples", "antiherm")
+
+    def __init__(self, X: tuple, triples: dict, antiherm: tuple | None = None):
+        self.X = X
+        self.triples = triples
+        self.antiherm = antiherm
 
     @classmethod
     def zeros(cls, calculus: Calculus) -> "SolverParams":
@@ -285,15 +287,25 @@ def assemble_U(metric: HermitianMetric, rset: RSet):
     )
 
 
-@dataclass
-class LCVerification:
-    """Outcome of checking a connection against a metric."""
+class LCVerification(Record):
+    """Outcome of checking a connection against a metric; compared
+    field-wise."""
 
-    torsion_forms: tuple
-    compat: tuple
-    torsion_zero: bool
-    compat_zero: bool
-    characterization: bool
+    _fields = ("torsion_forms", "compat", "torsion_zero", "compat_zero", "characterization")
+
+    def __init__(
+        self,
+        torsion_forms: tuple,
+        compat: tuple,
+        torsion_zero: bool,
+        compat_zero: bool,
+        characterization: bool,
+    ):
+        self.torsion_forms = torsion_forms
+        self.compat = compat
+        self.torsion_zero = torsion_zero
+        self.compat_zero = compat_zero
+        self.characterization = characterization
 
     @property
     def passed(self) -> bool:

@@ -139,13 +139,6 @@ def validate(metric: HermitianMetric) -> None:
                     )
 
 
-def lowered_evaluation(metric: HermitianMetric):
-    """The array theta_ia = theta_i(d_a); on the dual basis this is h_ia."""
-    if metric.rank != metric.calculus.n:
-        raise ValueError("lowered evaluation needs the dual-basis calculus (N = n)")
-    return metric.lower
-
-
 def pair(metric: HermitianMetric, left, right) -> AlgebraElement:
     """h(f_i theta^i, g_j theta^j) = sum f_i h^ij (g_j)*."""
     alg = metric.calculus.algebra

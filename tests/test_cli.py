@@ -105,6 +105,11 @@ def test_load_rejects_long_value(tmp_path, capsys):
     assert config.upper[0][0] == config.calculus.algebra.scalar(1033)
 
 
+def test_load_rejects_costly_expression(tmp_path, capsys):
+    body = diagonal_cfg(3).replace("h.2.2 = 1", "h.2.2 = (U1 + U2 + U3)^16")
+    assert_rejected(write_cfg(tmp_path, body), capsys, 6, "MAX_TERM_PAIRS")
+
+
 def test_load_accepts_n_at_limit(tmp_path):
     config = load_config(write_cfg(tmp_path, diagonal_cfg(MAX_N)))
     assert config.calculus.n == MAX_N
@@ -344,3 +349,13 @@ def test_cli_command_override():
     payload = json.loads(out.stdout)
     assert payload["command"] == "check-weak-symmetry"
     assert "gamma" not in payload
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = "import sys, nctorus.cli; print(sorted(set(%r) & set(sys.modules)))" % (heavy,)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

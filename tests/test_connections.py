@@ -10,7 +10,6 @@ from nctorus import (
     apply_connection,
     compat_defect,
     compatible_connection,
-    grassmann,
     is_compatible,
     is_torsion_free,
     lc_characterization_check,
@@ -20,6 +19,7 @@ from nctorus import (
     torsion,
     torsion_free_from,
 )
+from nctorus.algebra import matmul
 from nctorus.forms import Calculus
 
 from conftest import (
@@ -192,6 +192,19 @@ def test_compat_defect_detects_perturbation(calc3):
 
 
 # -- constructors ---------------------------------------------------------------------
+
+
+def grassmann(metric):
+    """The base-point connection gamma^i_ak = d_a(h^ij h_jk)."""
+    calc = metric.calculus
+    product = matmul(metric.upper, metric.lower)
+    return Connection(
+        calc,
+        tuple(
+            tuple(tuple(entry.derive(a) for entry in row) for row in product)
+            for a in range(1, calc.n + 1)
+        ),
+    )
 
 
 def test_grassmann_is_zero(rng, calc3):

@@ -1,8 +1,9 @@
 from fractions import Fraction
+import time
 
 import pytest
 
-from nctorus import ParseError, TorusAlgebra, parse_element, render_element
+from nctorus import ParseError, TorusAlgebra, expr, parse_element, render_element
 
 from conftest import random_element
 
@@ -96,3 +97,43 @@ def test_render_deterministic(rng, alg):
     assert render_element(x) == render_element(x)
     y = parse_element(alg, render_element(x))
     assert render_element(y) == render_element(x)
+
+
+# -- bounded work ------------------------------------------------------------------
+
+
+def test_budget_rejects_large_power_and_product_chain(alg):
+    assert expr.MAX_TERM_PAIRS == 1 << 16
+    chain = "*".join(["(U1+U2+U3)"] * 16)
+    for text, op in (("(U1+U2+U3)^16", "^"), ("(U1+U2+U3)^32", "^"), (chain, "*")):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="MAX_TERM_PAIRS = 65536") as info:
+            parse_element(alg, text)
+        assert time.perf_counter() - start < 5
+        assert info.value.line == 1
+        assert text[info.value.col - 1] == op
+
+
+def test_budget_keeps_small_powers_and_monomial_powers(alg):
+    u1, u2 = alg.gen(1), alg.gen(2)
+    assert parse_element(alg, "(U1+U2)^4") == (u1 + u2) * (u1 + u2) * (u1 + u2) * (u1 + u2)
+    assert parse_element(alg, "U1^-20000000") == alg.gen(1, -20000000)
+    assert parse_element(alg, "q[1,2]^7") == alg.q(1, 2, 7)
+    assert parse_element(alg, "(U1*U2)^100000") == (u1 * u2) ** 100000
+
+
+def test_budget_charges_products_and_power_bounds(alg, monkeypatch):
+    monkeypatch.setattr(expr, "MAX_TERM_PAIRS", 8)
+    # 2 x 2 pairs, then 4 x 2 pairs (the product has 4 terms): 12 > 8
+    assert len(parse_element(alg, "(U1+U2)*(U1+U2)").terms) == 4
+    with pytest.raises(ParseError) as info:
+        parse_element(alg, "(U1+U2)*(U1+U2)*(U1+U2)")
+    assert info.value.col == 16
+    # x^2 of a 2-term x: one squaring (2 x 2) and one product (1 x 4) = 8
+    assert parse_element(alg, "(U1+U2)^2") == parse_element(alg, "(U1+U2)*(U1+U2)")
+    monkeypatch.setattr(expr, "MAX_TERM_PAIRS", 7)
+    with pytest.raises(ParseError) as info:
+        parse_element(alg, "(U1+U2)^2")
+    assert info.value.col == 8
+    # monomial powers are not charged
+    assert parse_element(alg, "U1^1000 * U2") == alg.gen(1, 1000) * alg.gen(2)

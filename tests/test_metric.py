@@ -10,7 +10,6 @@ from nctorus import (
     NotInvertibleByElimination,
     invert_metric,
     is_weakly_symmetric,
-    lowered_evaluation,
     symmetry_form,
     validate,
     weak_symmetry_defect,
@@ -115,7 +114,7 @@ def test_invert_random_metrics_two_sided(rng, calc3):
 
 def test_lowered_identity(calc3):
     metric = identity_metric(calc3)
-    low = lowered_evaluation(metric)
+    low = metric.lower
     for i in range(3):
         for a in range(3):
             expected = calc3.algebra.one() if i == a else calc3.algebra.zero()
@@ -125,7 +124,7 @@ def test_lowered_identity(calc3):
 def test_lowered_block(calc3):
     h0 = calc3.algebra.gen(2)
     metric = block_metric(calc3, h0)
-    low = lowered_evaluation(metric)
+    low = metric.lower
     hinv = h0.invert()
     assert low[1][2] == hinv.star()
     assert low[2][1] == hinv
@@ -134,10 +133,10 @@ def test_lowered_block(calc3):
 def test_lowered_star_property(rng, calc3):
     for _ in range(10):
         metric = random_block_metric(rng, calc3, weakly_symmetric=False)
-        low = lowered_evaluation(metric)
+        low = metric.lower
         for i in range(3):
             for a in range(3):
-                assert low[i][a].star() == metric.lower[a][i]
+                assert low[i][a].star() == low[a][i]
 
 
 # -- symmetry form -------------------------------------------------------------------
