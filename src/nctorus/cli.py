@@ -7,7 +7,7 @@ Config files are flat sectioned key-value text::
     commutative = false
 
     [lie]                  # optional structure constants c^e_{ab}, a != b
-    c.3.1.2 = 1
+    c.3.1.2 = 1            # an integer, p/q or plain decimal such as -0.5
 
     [metric]
     N = 3                  # optional, defaults to n
@@ -27,10 +27,13 @@ Config files are flat sectioned key-value text::
     [run]
     command = build-lc     # or check-weak-symmetry, verify-given
 
-Limits: ``n`` is at most ``MAX_N`` (16), because every term of an
-element carries n + n(n-1)/2 exponents and the solver's work grows with
-powers of n; a value (the text after ``=``) is at most ``MAX_VALUE_CHARS``
-(4096) characters; and parsing one value multiplies at most
+Limits: ``n`` and ``N`` are at most ``MAX_N`` (16), because every term
+of an element carries n + n(n-1)/2 exponents, the solver's work grows
+with powers of n and a rank-N metric holds N^2 entries; a value (the text
+after ``=``) is at most ``MAX_VALUE_CHARS`` (4096) characters; a ``[lie]``
+value is an integer, ``p/q`` (q != 0) or a plain decimal, never an exponent form
+such as ``1e5`` (which would make ``1e10000000`` a ten-million-digit
+integer); and parsing one value multiplies at most
 ``nctorus.expr.MAX_TERM_PAIRS`` (65536) pairs of terms, with a power of
 a sum charged up front by an upper bound.  A config over any limit is
 rejected with a ParseError that names its line (exit code 1).  Powers of
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .connections import Connection
@@ -76,6 +80,7 @@ SCHEMA_VERSION = 1
 # Input limits of load_config, see the module docstring.
 MAX_N = 16
 MAX_VALUE_CHARS = 4096
+_RATIONAL = re.compile(r"[-+]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")
 
 
 class ProblemConfig(Record):
@@ -260,6 +265,13 @@ def load_config(path) -> ProblemConfig:
         e, a, b = _split_key(key, "c", 3, lineno)
         for idx in (e, a, b):
             _check_index(idx, n, "structure constant", lineno)
+        if not _RATIONAL.fullmatch(value):
+            raise ParseError(
+                "structure constant %r must be an integer, p/q (q != 0) or a plain decimal"
+                % value,
+                lineno,
+                1,
+            )
         brackets[(e, a, b)] = value
     try:
         calculus = Calculus.torus(n, commutative, brackets or None)
@@ -276,6 +288,8 @@ def load_config(path) -> ProblemConfig:
             raise ParseError("N must be an integer", lineno, 1) from None
         if rank < 1:
             raise ParseError("N must be at least 1", lineno, 1)
+        if rank > MAX_N:
+            raise ParseError("N = %d exceeds MAX_N = %d" % (rank, MAX_N), lineno, 1)
     zero = calculus.algebra.zero()
     upper = [[zero for _ in range(rank)] for _ in range(rank)]
     lower = [[zero for _ in range(rank)] for _ in range(rank)]

@@ -7,11 +7,21 @@ A connection is the array gamma[a][i][j] of algebra elements with
 extended to arbitrary module elements by the Leibniz rule.  On the
 dual-basis module every operator needed here (index swap in the two
 derivation slots, symmetrization, antisymmetrization, pairing against the
-metric) acts on such finite component arrays.
+metric) acts on such finite component arrays, and each is defined once.
+With T_h the metric pairing operator, s the symmetrizer and d the
+exterior derivative as an array (``d_array``):
+
+    compatibility defect   C(gamma) = d h - T_h(gamma)
+    torsion-free part      P(gamma) = (d + s(gamma)) / 2
+
+``compat_defect``, ``torsion_free_from`` and the characterization check
+are built from these two identities, and ``compatible_connection`` reads
+d_a h^ij from ``HermitianMetric.d_upper``.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .algebra import AlgebraElement, matmul
@@ -124,25 +134,13 @@ def is_torsion_free(conn: Connection) -> bool:
 
 
 def compat_defect(conn: Connection, metric: HermitianMetric):
-    """C^ij_a = d_a h^ij - gamma^i_ak h^kj - (gamma^j_ak h^ki)*."""
-    calc = conn.calculus
-    n = calc.n
-    rank = conn.rank
-    if metric.rank != rank:
+    """C^ij_a = d_a h^ij - T_h(gamma)^ij_a
+    = d_a h^ij - gamma^i_ak h^kj - (gamma^j_ak h^ki)*."""
+    if metric.rank != conn.rank:
         raise ValueError("metric rank does not match the connection")
-    out = []
-    for a in range(1, n + 1):
-        product = matmul(conn.gamma[a - 1], metric.upper)
-        out.append(
-            tuple(
-                tuple(
-                    metric.upper[i][j].derive(a) - product[i][j] - product[j][i].star()
-                    for j in range(rank)
-                )
-                for i in range(rank)
-            )
-        )
-    return tuple(out)
+    return entrywise(
+        operator.sub, metric.d_upper, metric_pairing_operator(conn.gamma, metric)
+    )
 
 
 def is_compatible(conn: Connection, metric: HermitianMetric) -> bool:
@@ -155,10 +153,14 @@ def is_compatible(conn: Connection, metric: HermitianMetric) -> bool:
 
 
 def check_antihermitian(array, rank, n) -> None:
-    """(A^ij_a)* = -A^ji_a for all a, i, j; raises AntihermitianViolation."""
+    """(A^ij_a)* = -A^ji_a for all a, i, j; raises AntihermitianViolation.
+
+    The star is an involution, so the entries with j >= i decide; the
+    first failing entry in (a, i, j) order always has i <= j.
+    """
     for a in range(n):
         for i in range(rank):
-            for j in range(rank):
+            for j in range(i, rank):
                 if array[a][i][j].star() != -array[a][j][i]:
                     raise AntihermitianViolation(
                         "entry (a=%d, i=%d, j=%d) violates (A^ij_a)* = -A^ji_a"
@@ -173,19 +175,13 @@ def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
     choice yields zero compatibility defect.
     """
     calc = metric.calculus
-    rank = metric.rank
-    if antiherm is not None:
-        antiherm, _ = _as_gamma(calc, antiherm, rank)
-        check_antihermitian(antiherm, rank, calc.n)
-    gamma = []
-    for a in range(1, calc.n + 1):
-        coeff = [[entry.derive(a) * HALF for entry in row] for row in metric.upper]
-        if antiherm is not None:
-            for i in range(rank):
-                for j in range(rank):
-                    coeff[i][j] = coeff[i][j] + antiherm[a - 1][i][j]
-        gamma.append(matmul(coeff, metric.lower))
-    return Connection(calc, gamma)
+    if antiherm is None:
+        coeffs = [[[x * HALF for x in row] for row in plane] for plane in metric.d_upper]
+    else:
+        antiherm, _ = _as_gamma(calc, antiherm, metric.rank)
+        check_antihermitian(antiherm, metric.rank, calc.n)
+        coeffs = entrywise(lambda dh, x: dh * HALF + x, metric.d_upper, antiherm)
+    return Connection(calc, [matmul(coeff, metric.lower) for coeff in coeffs])
 
 
 def torsion_free_from(base: Connection, symmetric_part=None) -> Connection:
@@ -209,29 +205,21 @@ def torsion_free_from(base: Connection, symmetric_part=None) -> Connection:
                             "slots; entry (a=%d, i=%d, b=%d) is not"
                             % (a + 1, i + 1, b + 1)
                         )
-    alg = calc.algebra
-    gamma = []
-    for a in range(1, calc.n + 1):
-        plane = []
-        for i in range(1, base.rank + 1):
-            row = []
-            for b in range(1, base.rank + 1):
-                value = (
-                    base.gamma[a - 1][i - 1][b - 1] + base.gamma[b - 1][i - 1][a - 1]
-                )
-                c = calc.lie.bracket(i, a, b)
-                if c:
-                    value = value - alg.scalar(c)
-                value = value * HALF
-                if symmetric_part is not None:
-                    value = value + symmetric_part[a - 1][i - 1][b - 1]
-                row.append(value)
-            plane.append(tuple(row))
-        gamma.append(tuple(plane))
+    gamma = _projection(d_array(calc), symmetrize(base.gamma))
+    if symmetric_part is not None:
+        gamma = entrywise(operator.add, gamma, symmetric_part)
     return Connection(calc, gamma)
 
 
 # -- operators on component arrays gamma[a][i][b] (dual basis, N = n) ----------
+
+
+def entrywise(op, left, right):
+    """op applied entry by entry to two arrays of the same shape."""
+    return tuple(
+        tuple(tuple(map(op, row_l, row_r)) for row_l, row_r in zip(plane_l, plane_r))
+        for plane_l, plane_r in zip(left, right)
+    )
 
 
 def sigma_swap(array):
@@ -247,26 +235,12 @@ def sigma_swap(array):
 
 def symmetrize(array):
     """s(alpha) = alpha + sigma(alpha)."""
-    swapped = sigma_swap(array)
-    return tuple(
-        tuple(
-            tuple(array[a][i][b] + swapped[a][i][b] for b in range(len(row)))
-            for i, row in enumerate(plane)
-        )
-        for a, plane in enumerate(array)
-    )
+    return entrywise(operator.add, array, sigma_swap(array))
 
 
 def antisymmetrize(array):
     """wedge(alpha) = alpha - sigma(alpha)."""
-    swapped = sigma_swap(array)
-    return tuple(
-        tuple(
-            tuple(array[a][i][b] - swapped[a][i][b] for b in range(len(row)))
-            for i, row in enumerate(plane)
-        )
-        for a, plane in enumerate(array)
-    )
+    return entrywise(operator.sub, array, sigma_swap(array))
 
 
 def d_array(calculus: Calculus):
@@ -301,6 +275,11 @@ def metric_pairing_operator(array, metric: HermitianMetric):
     return tuple(out)
 
 
+def _projection(dop, sym):
+    """The torsion-free projection (d + s(gamma)) / 2, from d_array and s(gamma)."""
+    return entrywise(lambda d, s: (d + s) * HALF, dop, sym)
+
+
 def lc_characterization_check(conn: Connection, metric: HermitianMetric) -> bool:
     """Both component identities a Levi-Civita connection must satisfy.
 
@@ -315,18 +294,10 @@ def lc_characterization_check(conn: Connection, metric: HermitianMetric) -> bool
         raise ValueError("characterization needs the dual-basis calculus (N = n)")
     sym = symmetrize(conn.gamma)
     dop = d_array(calc)
-    lhs = metric_pairing_operator(sym, metric)
-    t_of_d = metric_pairing_operator(dop, metric)
-    for a in range(n):
-        for i in range(n):
-            for j in range(n):
-                rhs = metric.upper[i][j].derive(a + 1) * 2 - t_of_d[a][i][j]
-                if lhs[a][i][j] != rhs:
-                    return False
-    for a in range(n):
-        for i in range(n):
-            for b in range(n):
-                projected = (dop[a][i][b] + sym[a][i][b]) * HALF
-                if projected != conn.gamma[a][i][b]:
-                    return False
-    return True
+    rhs = entrywise(
+        lambda dh, t: dh * 2 - t, metric.d_upper, metric_pairing_operator(dop, metric)
+    )
+    return (
+        metric_pairing_operator(sym, metric) == rhs
+        and _projection(dop, sym) == conn.gamma
+    )

@@ -208,10 +208,6 @@ class KForm:
     def of_element(cls, calculus: Calculus, value: AlgebraElement) -> "KForm":
         return cls(calculus, 0, {(): value})
 
-    @classmethod
-    def from_components(cls, calculus: Calculus, degree: int, comps) -> "KForm":
-        return cls(calculus, degree, comps)
-
     def _zero_value(self) -> AlgebraElement:
         return self.calculus.algebra.zero()
 

@@ -7,9 +7,11 @@ metric to obtain the U array, and assemble the Christoffel entries
 
     gamma^i_ak = (1/2 d_a h^ij + i U^ij_a + A^ij_a) h_jk.
 
-Both the conjugation, U_a = (h R_a) h, and the assembly, gamma_a =
-(1/2 d_a h + i U_a + A_a) h_lower, are matrix products over the algebra
-(``nctorus.algebra.matmul``): O(n^3) element multiplications per
+The assembly is ``compatible_connection(metric, i U + A)``: i U is
+antihermitian because U is hermitian, so gamma is compatible by
+construction.  Both the conjugation, U_a = (h R_a) h, and the assembly,
+gamma_a = (1/2 d_a h + i U_a + A_a) h_lower, are matrix products over
+the algebra (``nctorus.algebra.matmul``): O(n^3) element multiplications per
 derivation index, O(n^4) in all, with every pair that has a zero factor
 skipped, so block and diagonal metrics cost only their nonzero pairs.
 
@@ -22,6 +24,7 @@ characterization identities) before being returned.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .algebra import AlgebraElement, matmul
@@ -29,6 +32,8 @@ from .connections import (
     Connection,
     check_antihermitian,
     compat_defect,
+    compatible_connection,
+    entrywise,
     lc_characterization_check,
     torsion,
 )
@@ -352,22 +357,13 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     if violation is not None:
         raise SolvabilityViolated(*violation)
     rset = solve_R(tensor, params)
-    u_array = assemble_U(metric, rset)
-    gamma = []
-    for a in range(1, n + 1):
-        coeff = [
-            [
-                metric.upper[i][j].derive(a) * HALF + u_array[a - 1][i][j] * UNIT_I
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        if params.antiherm is not None:
-            for i in range(n):
-                for j in range(n):
-                    coeff[i][j] = coeff[i][j] + params.antiherm[a - 1][i][j]
-        gamma.append(matmul(coeff, metric.lower))
-    conn = Connection(calc, gamma)
+    antiherm = tuple(
+        tuple(tuple(u * UNIT_I for u in row) for row in plane)
+        for plane in assemble_U(metric, rset)
+    )
+    if params.antiherm is not None:
+        antiherm = entrywise(operator.add, antiherm, params.antiherm)
+    conn = compatible_connection(metric, antiherm)
     report = verify_levi_civita(conn, metric)
     if not report.passed:
         raise InternalVerificationFailure(

@@ -89,7 +89,7 @@ def _check_hermitian_matrix(matrix):
 class HermitianMetric:
     """A validated metric: hermitian upper matrix with two-sided inverse."""
 
-    __slots__ = ("calculus", "rank", "upper", "lower")
+    __slots__ = ("calculus", "rank", "upper", "lower", "_d_upper")
 
     def __init__(self, calculus: Calculus, upper, lower=None):
         upper = _as_matrix(calculus, upper)
@@ -101,7 +101,18 @@ class HermitianMetric:
         self.rank = len(upper)
         self.upper = upper
         self.lower = lower
+        self._d_upper = None
         validate(self)
+
+    @property
+    def d_upper(self):
+        """The n matrices d_a h^ij (a = 1..n), derived on first use."""
+        if self._d_upper is None:
+            self._d_upper = tuple(
+                tuple(tuple(entry.derive(a) for entry in row) for row in self.upper)
+                for a in range(1, self.calculus.n + 1)
+            )
+        return self._d_upper
 
     def __eq__(self, other):
         if not isinstance(other, HermitianMetric):

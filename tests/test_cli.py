@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,57 @@ def test_load_accepts_n_at_limit(tmp_path):
     config = load_config(write_cfg(tmp_path, diagonal_cfg(MAX_N)))
     assert config.calculus.n == MAX_N
     assert run(config).weak_symmetry["holds"] is True
+
+
+def rank_cfg(rank):
+    return (
+        "[algebra]\nn = 3\n\n[metric]\nN = %d\nh.1.1 = 1\n\n[run]\ncommand = build-lc\n"
+        % rank
+    )
+
+
+def test_load_rejects_rank_above_limit(tmp_path, capsys):
+    path = write_cfg(tmp_path, rank_cfg(MAX_N + 1))
+    assert_rejected(path, capsys, 5, "MAX_N")
+
+
+def test_load_accepts_rank_at_limit(tmp_path):
+    config = load_config(write_cfg(tmp_path, rank_cfg(MAX_N)))
+    assert config.rank == MAX_N
+    assert len(config.upper) == MAX_N
+
+
+def lie_cfg(value):
+    return (
+        "[algebra]\nn = 3\n\n[lie]\nc.3.1.2 = %s\n\n"
+        "[metric]\nh.1.1 = 1\nh.2.2 = 1\nh.3.3 = 1\n\n[run]\ncommand = build-lc\n" % value
+    )
+
+
+@pytest.mark.parametrize(
+    "value", ["1e5", "2E3", "1e10000000", "0x10", "1_000", "inf", "1 / 2", "1/0", "3/00"]
+)
+def test_load_rejects_lie_value_outside_rational_forms(tmp_path, capsys, value):
+    path = write_cfg(tmp_path, lie_cfg(value))
+    assert_rejected(path, capsys, 5, "must be an integer, p/q (q != 0) or a plain decimal")
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [
+        ("2", 2),
+        ("-3", -3),
+        ("+1/2", Fraction(1, 2)),
+        ("3/06", Fraction(1, 2)),
+        ("-0.25", Fraction(-1, 4)),
+        (".5", Fraction(1, 2)),
+        ("4.", 4),
+    ],
+)
+def test_load_accepts_rational_lie_values(tmp_path, value, expected):
+    config = load_config(write_cfg(tmp_path, lie_cfg(value)))
+    assert config.calculus.lie.bracket(3, 1, 2) == expected
+    assert config.calculus.lie.bracket(3, 2, 1) == -expected
 
 
 def test_load_rejects_unknown_command(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from conftest import (
     block_metric,
     random_antihermitian_array,
     random_block_metric,
+    random_diagonal_metric,
     random_element,
 )
 from test_metric import identity_metric
@@ -266,6 +268,42 @@ def test_compatible_connection_rejects_bad_array(calc3):
     bad[0][0][0] = alg.one()
     with pytest.raises(AntihermitianViolation):
         compatible_connection(identity_metric(calc3), bad)
+
+
+def first_antihermitian_failure(array, rank, n):
+    """The message for the first (a, i, j) over all i, j where
+    (A^ij_a)* != -A^ji_a, or None."""
+    for a in range(n):
+        for i in range(rank):
+            for j in range(rank):
+                if array[a][i][j].star() != -array[a][j][i]:
+                    return "entry (a=%d, i=%d, j=%d) violates (A^ij_a)* = -A^ji_a" % (
+                        a + 1,
+                        i + 1,
+                        j + 1,
+                    )
+    return None
+
+
+@pytest.mark.parametrize("rank", (2, 3))
+def test_antihermitian_check_names_first_failing_entry(calc3, rank):
+    rng = random.Random("antihermitian/%d" % rank)
+    metric = random_diagonal_metric(rng, calc3, rank)
+    for _ in range(40):
+        array = [
+            [list(row) for row in plane]
+            for plane in random_antihermitian_array(rng, calc3, rank)
+        ]
+        for _ in range(rng.randint(0, 2)):  # break zero to two entries
+            a, i, j = rng.randrange(3), rng.randrange(rank), rng.randrange(rank)
+            array[a][i][j] = array[a][i][j] + random_element(rng, calc3.algebra, 1)
+        expected = first_antihermitian_failure(array, rank, 3)
+        if expected is None:
+            compatible_connection(metric, array)
+            continue
+        with pytest.raises(AntihermitianViolation) as info:
+            compatible_connection(metric, array)
+        assert str(info.value) == expected
 
 
 def test_torsion_free_from_by_hand(calc3):

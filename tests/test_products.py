@@ -1,11 +1,13 @@
 """Matrix products in metrics, connections and the solver against oracles.
 
-Every library function that multiplies matrices of algebra elements, and
-the F tensor, is compared with its literal index-sum definition, written
-out below, on seeded dense metrics h = L D L* (L unit lower triangular,
-D rational constants) and on random arrays with zero entries.  Each case runs for
+Every library function that multiplies matrices of algebra elements, the
+F tensor, the torsion-free projection and the derived metric d_a h^ij
+are compared with their literal index-sum definitions, written out below,
+on seeded dense metrics h = L D L* (L unit lower triangular, D rational
+constants) and on random arrays with zero entries.  Each case runs for
 n = 3..5 over an abelian, a bracket (c^3_12 = 1) and a commutative
-calculus.
+calculus; the compatibility operators also run at module rank N = 2 over
+the 3-torus.
 """
 
 from fractions import Fraction
@@ -25,8 +27,10 @@ from nctorus import (
     compat_defect,
     compatible_connection,
     compute_F,
+    is_torsion_free,
     metric_pairing_operator,
     solve_R,
+    torsion_free_from,
 )
 
 from conftest import random_antihermitian_array, random_hermitian, random_monomial
@@ -46,10 +50,10 @@ def case_rng(name, family, n):
     return random.Random("%s/%s/%d" % (name, family, n))
 
 
-def ldl_upper(rng, alg, entry):
-    """h = L D L* with n - 1 random strictly lower entries of L drawn by
-    ``entry`` and nonzero rational constants on D."""
-    n = alg.n
+def ldl_upper(rng, alg, entry, n=None):
+    """h = L D L*, n x n (default alg.n), with n - 1 random strictly lower
+    entries of L drawn by ``entry`` and nonzero rational constants on D."""
+    n = n if n is not None else alg.n
     z, one = alg.zero(), alg.one()
     lower_tri = [[one if i == j else z for j in range(n)] for i in range(n)]
     slots = [(i, j) for i in range(n) for j in range(i)]
@@ -67,10 +71,12 @@ def ldl_upper(rng, alg, entry):
     return upper
 
 
-def dense_metric(rng, calc):
+def dense_metric(rng, calc, rank=None):
     """A dense metric whose L entries are random monomials."""
     alg = calc.algebra
-    return HermitianMetric(calc, ldl_upper(rng, alg, lambda: random_monomial(rng, alg, 1)))
+    return HermitianMetric(
+        calc, ldl_upper(rng, alg, lambda: random_monomial(rng, alg, 1), rank)
+    )
 
 
 def symmetric_dense_metric(rng, calc):
@@ -96,11 +102,15 @@ def sparse_element(rng, alg):
     return value
 
 
-def sparse_array(rng, calc):
-    n = calc.n
+def sparse_array(rng, calc, rank=None):
+    """An n x N x N array (N = n by default) of sparse elements."""
+    rank = rank if rank is not None else calc.n
     return tuple(
-        tuple(tuple(sparse_element(rng, calc.algebra) for _ in range(n)) for _ in range(n))
-        for _ in range(n)
+        tuple(
+            tuple(sparse_element(rng, calc.algebra) for _ in range(rank))
+            for _ in range(rank)
+        )
+        for _ in range(calc.n)
     )
 
 
@@ -143,7 +153,7 @@ def oracle_compat(gamma, upper):
     """C^ij_a = d_a h^ij - sum_k gamma^i_ak h^kj - (sum_k gamma^j_ak h^ki)*."""
     n = len(upper)
     out = []
-    for a in range(n):
+    for a in range(len(gamma)):
         plane = []
         for i in range(n):
             row = []
@@ -192,6 +202,37 @@ def oracle_gamma(metric, extra):
                     plane[i][k] = plane[i][k] + coeff * metric.lower[j][k]
         out.append(plane)
     return out
+
+
+def oracle_torsion_free(base, beta):
+    """(gamma^i_ab + gamma^i_ba - c^i_ab) / 2 + beta^i_ab, entry by entry."""
+    calc = base.calculus
+    n = calc.n
+    out = []
+    for a in range(1, n + 1):
+        plane = []
+        for i in range(1, n + 1):
+            row = []
+            for b in range(1, n + 1):
+                value = base.gamma[a - 1][i - 1][b - 1] + base.gamma[b - 1][i - 1][a - 1]
+                c = calc.lie.bracket(i, a, b)
+                if c:
+                    value = value - calc.algebra.scalar(c)
+                value = value * HALF
+                if beta is not None:
+                    value = value + beta[a - 1][i - 1][b - 1]
+                row.append(value)
+            plane.append(row)
+        out.append(plane)
+    return out
+
+
+def oracle_d_upper(metric):
+    """d_a h^ij for a = 1..n, each entry derived on its own."""
+    return [
+        [[entry.derive(a) for entry in row] for row in metric.upper]
+        for a in range(1, metric.calculus.n + 1)
+    ]
 
 
 def oracle_F(metric):
@@ -326,3 +367,69 @@ def test_build_gamma_matches_index_sum(family, n):
         for plane in oracle_U(metric.upper, rset.matrices)
     ]
     assert as_lists(conn.gamma) == oracle_gamma(metric, i_u)
+
+
+@pytest.mark.parametrize("family,n", CASES)
+@pytest.mark.parametrize("with_beta", (False, True))
+def test_torsion_free_from_matches_literal_loop(family, n, with_beta):
+    rng = case_rng("torsion_free/%s" % with_beta, family, n)
+    calc = make_calculus(family, n)
+    base = Connection(calc, sparse_array(rng, calc))
+    beta = None
+    if with_beta:
+        half = sparse_array(rng, calc)
+        beta = tuple(
+            tuple(tuple(half[a][i][b] + half[b][i][a] for b in range(n)) for i in range(n))
+            for a in range(n)
+        )
+    conn = torsion_free_from(base, beta)
+    assert as_lists(conn.gamma) == oracle_torsion_free(base, beta)
+    assert is_torsion_free(conn)
+
+
+RANK_CASES = [(family, 3, 2) for family in FAMILIES] + [
+    (family, n, n) for family, n in CASES
+]
+
+
+@pytest.mark.parametrize("family,n,rank", RANK_CASES)
+def test_d_upper_matches_entrywise_derive(family, n, rank):
+    rng = case_rng("d_upper/%d" % rank, family, n)
+    calc = make_calculus(family, n)
+    metric = dense_metric(rng, calc, rank)
+    expected = oracle_d_upper(metric)
+    assert as_lists(metric.d_upper) == expected
+    assert metric.d_upper is metric.d_upper  # derived once, then kept
+    # the derived matrices stay out of == and repr
+    fresh = HermitianMetric(calc, metric.upper, metric.lower)
+    assert fresh == metric and repr(fresh) == repr(metric)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_compat_defect_at_rank_two_matches_index_sum(family):
+    rng = case_rng("compat/rank2", family, 3)
+    calc = make_calculus(family, 3)
+    metric = dense_metric(rng, calc, 2)
+    gamma = sparse_array(rng, calc, 2)
+    assert as_lists(compat_defect(Connection(calc, gamma), metric)) == oracle_compat(
+        gamma, metric.upper
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("with_antiherm", (False, True))
+def test_compatible_connection_at_rank_two_matches_index_sum(family, with_antiherm):
+    rng = case_rng("compatible/rank2/%s" % with_antiherm, family, 3)
+    calc = make_calculus(family, 3)
+    metric = dense_metric(rng, calc, 2)
+    zero = calc.algebra.zero()
+    antiherm = (
+        random_antihermitian_array(rng, calc, 2)
+        if with_antiherm
+        else tuple(((zero, zero), (zero, zero)) for _ in range(3))
+    )
+    conn = compatible_connection(metric, antiherm if with_antiherm else None)
+    assert conn.rank == 2
+    assert as_lists(conn.gamma) == oracle_gamma(metric, antiherm)
+    defect = compat_defect(conn, metric)
+    assert all(x.is_zero() for plane in defect for row in plane for x in row)
