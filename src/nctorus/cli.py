@@ -349,7 +349,7 @@ def load_config(path) -> ProblemConfig:
     if a_entries is not None:
         for a in range(n):
             for i in range(rank):
-                for j in range(rank):
+                for j in range(i, rank):
                     if a_entries[a][i][j].star() != -a_entries[a][j][i]:
                         raise HermiticityError(
                             "A.%d.%d.%d must be antihermitian: (A^ij_a)* = -A^ji_a"

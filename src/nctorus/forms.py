@@ -320,11 +320,12 @@ class KForm:
         lie = calc.lie
         abelian = lie.is_abelian()
         comps = {}
+        zero = self._zero_value()
         for key in combinations(range(1, n + 1), k + 1):
-            total = self._zero_value()
+            total = zero
             for pos, b in enumerate(key):
-                rest = key[:pos] + key[pos + 1 :]
-                term = self(*rest).derive(b)
+                rest = key[:pos] + key[pos + 1 :]  # increasing: a stored key
+                term = self.comps.get(rest, zero).derive(b)
                 total = total + term if pos % 2 == 0 else total - term
             if not abelian:
                 for pi, pj in combinations(range(k + 1), 2):

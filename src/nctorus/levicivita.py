@@ -70,7 +70,7 @@ class FTensor:
             raise ValueError("expected an n x n x n array")
         for c in range(n):
             for a in range(n):
-                for b in range(n):
+                for b in range(a, n):
                     if entries[c][a][b] != -entries[c][b][a]:
                         raise ValueError(
                             "F is not antisymmetric at (%d, %d, %d)"
@@ -165,7 +165,7 @@ class RSet:
             raise ValueError("expected n matrices of size n x n")
         for a in range(n):
             for b in range(n):
-                for c in range(n):
+                for c in range(b, n):
                     if matrices[a][b][c].star() != matrices[a][c][b]:
                         raise ValueError(
                             "R_%d is not hermitian at (%d, %d)" % (a + 1, b + 1, c + 1)

@@ -82,6 +82,17 @@ def random_antihermitian(rng, alg, max_terms=2, max_exp=2):
     return x - x.star()
 
 
+def random_hermitian_matrix(rng, alg, n):
+    """An n x n hermitian matrix with one- or two-term entries, some zero."""
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = random_hermitian(rng, alg, 1, 1)
+        for j in range(i + 1, n):
+            m[i][j] = random_element(rng, alg, 2, 1)
+            m[j][i] = m[i][j].star()
+    return m
+
+
 def random_antihermitian_array(rng, calc, rank=None):
     """An n x N x N array with (A^ij_a)* = -A^ji_a for every a."""
     alg = calc.algebra

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from nctorus import HermiticityError, ParseError, parse_element
+from nctorus import HermiticityError, ParseError, parse_element, render_element
 from nctorus.cli import MAX_N, MAX_VALUE_CHARS, emit_report, load_config, main, run
+
+from conftest import random_antihermitian_array, random_monomial
 
 REPO = Path(__file__).resolve().parent.parent
 BLOCK_CFG = REPO / "demos" / "torus3-block.cfg"
@@ -186,6 +189,56 @@ def test_load_rejects_bad_antihermitian(tmp_path):
     )
     with pytest.raises(HermiticityError):
         load_config(path)
+
+
+def first_config_antihermitian_failure(array):
+    """The load_config message for the first (a, i, j) over all i, j where
+    (A^ij_a)* != -A^ji_a, or None."""
+    for a, plane in enumerate(array):
+        for i in range(3):
+            for j in range(3):
+                if plane[i][j].star() != -plane[j][i]:
+                    return "A.%d.%d.%d must be antihermitian: (A^ij_a)* = -A^ji_a" % (
+                        a + 1,
+                        i + 1,
+                        j + 1,
+                    )
+    return None
+
+
+def test_load_antihermitian_check_names_first_failing_entry(tmp_path):
+    head = (
+        "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.2 = 1\nh.3.3 = 1\n\n"
+        "[run]\ncommand = build-lc\n"
+    )
+    calc = load_config(write_cfg(tmp_path, head)).calculus
+    rng = random.Random("config-antihermitian")
+    checked = 0
+    for _ in range(40):
+        array = [
+            [list(row) for row in plane]
+            for plane in random_antihermitian_array(rng, calc)
+        ]
+        for _ in range(rng.randint(1, 2)):  # break one or two entries
+            a, i, j = (rng.randrange(3) for _ in range(3))
+            array[a][i][j] = array[a][i][j] + random_monomial(rng, calc.algebra, 1)
+        lines = [
+            "A.%d.%d.%d = %s" % (a + 1, i + 1, j + 1, render_element(value))
+            for a, plane in enumerate(array)
+            for i, row in enumerate(plane)
+            for j, value in enumerate(row)
+            if not value.is_zero()
+        ]
+        path = write_cfg(tmp_path, head + "\n[params]\n" + "\n".join(lines) + "\n")
+        expected = first_config_antihermitian_failure(array)
+        if expected is None:
+            load_config(path)
+            continue
+        with pytest.raises(HermiticityError) as info:
+            load_config(path)
+        assert str(info.value) == expected
+        checked += 1
+    assert checked >= 30
 
 
 # -- running ----------------------------------------------------------------------

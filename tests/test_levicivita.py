@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -8,18 +9,24 @@ from nctorus import (
     FTensor,
     HermitianMetric,
     InternalVerificationFailure,
+    NotInvertibleByElimination,
     NotWeaklySymmetric,
     ParamViolation,
+    RSet,
     SolvabilityViolated,
     SolverParams,
     assemble_U,
     build_levi_civita,
     compute_F,
+    invert_metric,
+    is_weakly_symmetric,
     solvability_check,
     solve_R,
+    symmetry_form,
     verify_levi_civita,
     weak_symmetry_defect,
 )
+from nctorus.algebra import matmul
 
 from conftest import (
     block_metric,
@@ -27,6 +34,7 @@ from conftest import (
     random_diagonal_metric,
     random_element,
     random_hermitian,
+    random_monomial,
 )
 from test_metric import identity_metric
 
@@ -70,6 +78,44 @@ def test_f_antisymmetry_validated(calc3):
     bad[0][0][1] = alg.one()
     with pytest.raises(ValueError):
         FTensor(calc3, bad)
+
+
+def first_antisymmetry_failure(entries):
+    """The FTensor message for the first (c, a, b) over all a, b where
+    F_cab != -F_cba, or None."""
+    n = len(entries)
+    for c in range(n):
+        for a in range(n):
+            for b in range(n):
+                if entries[c][a][b] != -entries[c][b][a]:
+                    return "F is not antisymmetric at (%d, %d, %d)" % (
+                        c + 1,
+                        a + 1,
+                        b + 1,
+                    )
+    return None
+
+
+def test_f_antisymmetry_names_first_failing_entry(calc3):
+    rng = random.Random("F-antisymmetry")
+    alg = calc3.algebra
+    for _ in range(40):
+        entries = [[[alg.zero()] * 3 for _ in range(3)] for _ in range(3)]
+        for c in range(3):
+            for a in range(3):
+                for b in range(a + 1, 3):
+                    entries[c][a][b] = random_element(rng, alg, max_terms=2)
+                    entries[c][b][a] = -entries[c][a][b]
+        for _ in range(rng.randint(0, 2)):  # break zero to two entries
+            c, a, b = (rng.randrange(3) for _ in range(3))
+            entries[c][a][b] = entries[c][a][b] + random_monomial(rng, alg, 1)
+        expected = first_antisymmetry_failure(entries)
+        if expected is None:
+            FTensor(calc3, entries)
+            continue
+        with pytest.raises(ValueError) as info:
+            FTensor(calc3, entries)
+        assert str(info.value) == expected
 
 
 def cyclic_defect(tensor, a, b, c):
@@ -194,6 +240,37 @@ def random_hermitian_matrices(rng, calc):
                 m[c][b] = x.star()
         mats.append(tuple(tuple(row) for row in m))
     return tuple(mats)
+
+
+def first_rset_failure(matrices):
+    """The RSet message for the first (a, b, c) over all b, c where
+    ((R_a)_bc)* != (R_a)_cb, or None."""
+    n = len(matrices)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if matrices[a][b][c].star() != matrices[a][c][b]:
+                    return "R_%d is not hermitian at (%d, %d)" % (a + 1, b + 1, c + 1)
+    return None
+
+
+def test_rset_hermiticity_names_first_failing_entry(calc3):
+    rng = random.Random("R-hermiticity")
+    for _ in range(40):
+        matrices = [
+            [list(row) for row in m] for m in random_hermitian_matrices(rng, calc3)
+        ]
+        for _ in range(rng.randint(0, 2)):  # break zero to two entries
+            a, b, c = (rng.randrange(3) for _ in range(3))
+            extra = random_monomial(rng, calc3.algebra, 1)
+            matrices[a][b][c] = matrices[a][b][c] + extra
+        expected = first_rset_failure(matrices)
+        if expected is None:
+            RSet(calc3, matrices)
+            continue
+        with pytest.raises(ValueError) as info:
+            RSet(calc3, matrices)
+        assert str(info.value) == expected
 
 
 def test_solve_r_round_trip(rng, calc3):
@@ -435,6 +512,60 @@ def test_build_rejects_non_weakly_symmetric(calc3):
         build_levi_civita(metric)
     assert info.value.triple == (1, 2, 3)
     assert not info.value.component.is_zero()
+
+
+def congruence_metric(calc, x):
+    """n = 3, D = diag(2, 3, 1), E = I + x e_12: lower = E* D E and
+    upper = E^-1 D^-1 E^-*, passed as an explicit pair."""
+    alg = calc.algebra
+
+    def diag(values):
+        return [
+            [alg.scalar(values[i]) if i == j else alg.zero() for j in range(3)]
+            for i in range(3)
+        ]
+
+    def adjoint(m):
+        return [[m[j][i].star() for j in range(3)] for i in range(3)]
+
+    step, step_inv = diag((1, 1, 1)), diag((1, 1, 1))
+    step[0][1], step_inv[0][1] = x, -x
+    lower = matmul(matmul(adjoint(step), diag((2, 3, 1))), step)
+    upper = matmul(
+        matmul(step_inv, diag((Fraction(1, 2), Fraction(1, 3), 1))), adjoint(step_inv)
+    )
+    return HermitianMetric(calc, upper, lower)
+
+
+WEAK_NOT_STRONG = {
+    "U1": lambda alg: alg.gen(1),
+    "U1*U2": lambda alg: alg.gen(1) * alg.gen(2),
+    "U1 + i*U2^-1": lambda alg: alg.gen(1) + alg.i() * alg.gen(2, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEAK_NOT_STRONG))
+def test_weakly_but_not_strongly_symmetric_metric_builds(calc3, name):
+    # x non-hermitian and free of U3: rho != 0 but d(rho) = 0
+    metric = congruence_metric(calc3, WEAK_NOT_STRONG[name](calc3.algebra))
+    assert not symmetry_form(metric).is_zero()
+    assert is_weakly_symmetric(metric)
+    conn = build_levi_civita(metric)
+    assert verify_levi_civita(conn, metric).passed
+
+
+def test_congruence_metric_beyond_elimination(calc3):
+    # the explicit lower matrix is the only way in for this x
+    metric = congruence_metric(calc3, WEAK_NOT_STRONG["U1 + i*U2^-1"](calc3.algebra))
+    with pytest.raises(NotInvertibleByElimination):
+        invert_metric(calc3, metric.upper)
+
+
+def test_congruence_metric_with_u3_is_not_weakly_symmetric(calc3):
+    metric = congruence_metric(calc3, calc3.algebra.gen(3))
+    assert not is_weakly_symmetric(metric)
+    with pytest.raises(NotWeaklySymmetric):
+        build_levi_civita(metric)
 
 
 def test_build_nonabelian_identity_metric():

@@ -1,8 +1,11 @@
 from fractions import Fraction
+import random
 
 import pytest
 
+import nctorus.metric as metric_module
 from nctorus import (
+    AlgebraElement,
     Calculus,
     HermitianMetric,
     NotHermitian,
@@ -20,6 +23,8 @@ from conftest import (
     drho_via_generators,
     random_block_metric,
     random_diagonal_metric,
+    random_hermitian_matrix,
+    random_monomial,
 )
 
 
@@ -107,6 +112,80 @@ def test_invert_random_metrics_two_sided(rng, calc3):
     for _ in range(15):
         metric = random_block_metric(rng, calc3, weakly_symmetric=False)
         validate(metric)
+
+
+def first_hermitian_failure(matrix):
+    """The NotHermitian message for the first (i, j) over all i, j where
+    (h_ij)* != h_ji, or None."""
+    n = len(matrix)
+    for i in range(n):
+        for j in range(n):
+            if matrix[i][j].star() != matrix[j][i]:
+                return "entry (%d, %d) is not the star of entry (%d, %d)" % (
+                    i + 1,
+                    j + 1,
+                    j + 1,
+                    i + 1,
+                )
+    return None
+
+
+@pytest.mark.parametrize("rank", (2, 3, 4))
+def test_hermitian_check_names_first_failing_entry(calc3, rank):
+    # upper, then lower, against the full (i, j) loop
+    rng = random.Random("hermitian/%d" % rank)
+    alg = calc3.algebra
+    checked = 0
+    for _ in range(40):
+        matrices = [random_hermitian_matrix(rng, alg, rank) for _ in range(2)]
+        for _ in range(rng.randint(1, 3)):  # break one to three entries
+            m, i, j = rng.randrange(2), rng.randrange(rank), rng.randrange(rank)
+            matrices[m][i][j] = matrices[m][i][j] + random_monomial(rng, alg, 1)
+        upper, lower = matrices
+        expected = first_hermitian_failure(upper) or first_hermitian_failure(lower)
+        if expected is None:
+            continue
+        with pytest.raises(NotHermitian) as info:
+            HermitianMetric(calc3, upper, lower)
+        assert str(info.value) == expected
+        checked += 1
+    assert checked >= 30
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_validate_forms_one_matrix_product(rng, calc3, monkeypatch):
+    # with and without a supplied lower matrix
+    metric = random_block_metric(rng, calc3)
+    calls = counting(monkeypatch, metric_module, "matmul")
+    HermitianMetric(calc3, metric.upper, metric.lower)
+    assert len(calls) == 1
+    HermitianMetric(calc3, metric.upper)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("rank", (1, 2, 3, 4))
+def test_hermitian_check_stars_each_pair_once(calc3, monkeypatch, rank):
+    rng = random.Random("stars/%d" % rank)
+    metric = random_diagonal_metric(rng, calc3, rank)
+    matrix = random_hermitian_matrix(rng, calc3.algebra, rank)
+    calls = counting(monkeypatch, AlgebraElement, "star")
+    metric_module._check_hermitian_matrix(matrix)
+    assert len(calls) == rank * (rank + 1) // 2
+    calls.clear()
+    HermitianMetric(calc3, metric.upper, metric.lower)
+    assert len(calls) == rank * (rank + 1)
 
 
 # -- lowered evaluation -------------------------------------------------------------

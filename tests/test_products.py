@@ -7,7 +7,9 @@ on seeded dense metrics h = L D L* (L unit lower triangular, D rational
 constants) and on random arrays with zero entries.  Each case runs for
 n = 3..5 over an abelian, a bracket (c^3_12 = 1) and a commutative
 calculus; the compatibility operators also run at module rank N = 2 over
-the 3-torus.
+the 3-torus.  The adjoint identity h_ij h^jk = (h^kj h_ji)* for hermitian
+pairs, on which metric validation rests, is checked on pairs that are not
+inverses.
 """
 
 from fractions import Fraction
@@ -19,7 +21,9 @@ from nctorus import (
     Calculus,
     Connection,
     HermitianMetric,
+    NotHermitian,
     NotInverse,
+    NotInvertibleByElimination,
     RSet,
     SolverParams,
     assemble_U,
@@ -32,8 +36,14 @@ from nctorus import (
     solve_R,
     torsion_free_from,
 )
+from nctorus.algebra import matmul
 
-from conftest import random_antihermitian_array, random_hermitian, random_monomial
+from conftest import (
+    random_antihermitian_array,
+    random_hermitian,
+    random_hermitian_matrix,
+    random_monomial,
+)
 
 HALF = Fraction(1, 2)
 FAMILIES = ("abelian", "bracket", "commutative")
@@ -302,6 +312,37 @@ def test_validate_matches_literal_products(family, n):
     with pytest.raises(NotInverse) as excinfo:
         HermitianMetric(calc, metric.upper, lower)
     assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_hermitian_pair_products_are_adjoint(family, n):
+    # LU = (UL)* for hermitian U, L, inverse or not: the identity that lets
+    # validate form h^ij h_jk alone
+    rng = case_rng("adjoint", family, n)
+    alg = make_calculus(family, n).algebra
+    for _ in range(3):
+        upper, lower = (random_hermitian_matrix(rng, alg, n) for _ in range(2))
+        assert oracle_inverse_failure(upper, lower) is not None
+        forward, backward = matmul(upper, lower), matmul(lower, upper)
+        for i in range(n):
+            for k in range(n):
+                assert backward[i][k] == forward[k][i].star()
+
+
+def test_hermiticity_is_checked_before_elimination():
+    # every column of h has no monomial pivot, so elimination would fail;
+    # the hermiticity check runs first
+    calc = Calculus.torus(3)
+    alg = calc.algebra
+    z = alg.zero()
+    fat = alg.scalar(2) + alg.gen(1) + alg.gen(1, -1)
+    upper = [[fat if i == j else z for j in range(3)] for i in range(3)]
+    with pytest.raises(NotInvertibleByElimination):
+        HermitianMetric(calc, upper)
+    upper[0][1] = alg.gen(2)
+    with pytest.raises(NotHermitian) as info:
+        HermitianMetric(calc, upper)
+    assert str(info.value) == "entry (1, 2) is not the star of entry (2, 1)"
 
 
 @pytest.mark.parametrize("family,n", CASES)
