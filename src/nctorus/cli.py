@@ -1,44 +1,58 @@
 """Batch front end: read a problem config, run a command, emit a report.
 
-Config files are flat sectioned key-value text::
+Config files are flat sectioned key-value text.  Each line is a
+``[section]`` header, a ``key = value`` entry or a ``#`` comment::
 
     [algebra]
     n = 3
     commutative = false
 
-    [lie]                  # optional structure constants c^e_{ab}, a != b
-    c.3.1.2 = 1            # an integer, p/q or plain decimal such as -0.5
+    # optional structure constants c^e_ab: an integer, p/q or plain decimal
+    [lie]
+    c.3.1.2 = 1
 
+    # the rank N (optional, defaults to n), the upper entries h^ij (missing
+    # entries are 0) and optional explicit inverse entries h_ij
     [metric]
-    N = 3                  # optional, defaults to n
-    h.1.1 = 1              # upper entries h^ij, missing entries are 0
+    N = 3
+    h.1.1 = 1
     h.2.3 = U2
     h.3.2 = adj(U2)
-    hinv.2.3 = adj(U2)     # optional explicit inverse entries h_ij
+    hinv.1.1 = 1
+    hinv.2.3 = U2
+    hinv.3.2 = adj(U2)
 
-    [params]               # all optional, defaults are 0
-    X.1.1 = U1 + U1^-1     # X_ab, hermitian
-    H.1.2.3 = 2            # one hermitian parameter per triple a < b < c
-    A.1.1.2 = i*U3         # A^ij_a keyed A.a.i.j, antihermitian
+    # optional, parameters default to 0: X_ab and one parameter per triple
+    # a < b < c are hermitian, A^ij_a (keyed A.a.i.j) is antihermitian
+    [params]
+    X.1.1 = U1 + U1^-1
+    H.1.2.3 = 2
+    A.1.1.1 = i
 
-    [connection]           # only for verify-given
+    # read only by verify-given
+    [connection]
     gamma.1.1.1 = i
 
     [run]
-    command = build-lc     # or check-weak-symmetry, verify-given
+    # build-lc, check-weak-symmetry or verify-given
+    command = build-lc
+
+Only these sections and keys are read; any other is an error.  Each
+entry may be given once: ``h.1.1`` and ``h.01.1`` name the same entry.
 
 Limits: ``n`` and ``N`` are at most ``MAX_N`` (16), because every term
 of an element carries n + n(n-1)/2 exponents, the solver's work grows
-with powers of n and a rank-N metric holds N^2 entries; a value (the text
-after ``=``) is at most ``MAX_VALUE_CHARS`` (4096) characters; a ``[lie]``
-value is an integer, ``p/q`` (q != 0) or a plain decimal, never an exponent form
-such as ``1e5`` (which would make ``1e10000000`` a ten-million-digit
-integer); and parsing one value multiplies at most
-``nctorus.expr.MAX_TERM_PAIRS`` (65536) pairs of terms, with a power of
-a sum charged up front by an upper bound.  A config over any limit is
-rejected with a ParseError that names its line (exit code 1).  Powers of
-a single term (``U1^-20000000``, ``q[1,2]^7``) are not charged, so
-exponent sizes themselves are not bounded.
+with powers of n and a rank-N metric holds N^2 entries.  A value (the
+text after ``=``) has at most ``MAX_VALUE_CHARS`` (4096) characters.  A
+``[lie]`` value is an integer, ``p/q`` (q != 0) or a plain decimal,
+never an exponent form such as ``1e5`` (``1e10000000`` would be a
+ten-million-digit integer).  Parsing one value multiplies at most
+``nctorus.expr.MAX_TERM_PAIRS`` (65536) pairs of terms, charging a power
+of a sum up front by an upper bound, and nests parentheses at most
+``nctorus.expr.MAX_DEPTH`` (64) deep.  A config over any limit, or not
+UTF-8, is rejected with a ParseError that names its line (exit code 1).
+Powers of a single term (``U1^-20000000``, ``q[1,2]^7``) are not
+charged, so exponent sizes themselves are not bounded.
 
 Reports are deterministic: algebra elements appear only as canonical
 strings, so two runs of the same config are byte-identical.  Exit codes:
@@ -52,8 +66,9 @@ import json
 import re
 import sys
 
-from .connections import Connection
+from .connections import Connection, check_antihermitian
 from .errors import (
+    AntihermitianViolation,
     HermiticityError,
     NCTorusError,
     NotWeaklySymmetric,
@@ -80,6 +95,9 @@ SCHEMA_VERSION = 1
 # Input limits of load_config, see the module docstring.
 MAX_N = 16
 MAX_VALUE_CHARS = 4096
+SECTIONS = ("algebra", "lie", "metric", "params", "connection", "run")
+# surrogateescape decoding turns each byte that is not UTF-8 into one of these
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 _RATIONAL = re.compile(r"[-+]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")
 
 
@@ -171,13 +189,18 @@ class Report(Record):
 def _read_sections(path):
     sections: dict = {}
     current = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            bad = _NOT_UTF8.search(raw)
+            if bad:
+                raise ParseError("not valid UTF-8", lineno, bad.start() + 1)
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
+                if current not in SECTIONS:
+                    raise ParseError("unknown section [%s]" % current, lineno, 1)
                 sections.setdefault(current, {})
                 continue
             if "=" not in line:
@@ -202,6 +225,68 @@ def _read_sections(path):
     return sections
 
 
+def _plain_keys(sections, name, required, optional=()):
+    """The section ``name``, which must hold ``required`` and no key other
+    than ``required`` and ``optional``."""
+    section = sections.get(name, {})
+    for key, (_, lineno) in section.items():
+        if key != required and key not in optional:
+            raise ParseError("unknown key %r in [%s]" % (key, name), lineno, 1)
+    if required not in section:
+        raise ParseError("missing required key %r in [%s]" % (required, name))
+    return section
+
+
+def _size(name, text, lineno):
+    """The size ``n`` or ``N``: an integer in 1..MAX_N."""
+    try:
+        size = int(text)
+    except ValueError:
+        raise ParseError("%s must be an integer" % name, lineno, 1) from None
+    if size < 1:
+        raise ParseError("%s must be at least 1" % name, lineno, 1)
+    if size > MAX_N:
+        raise ParseError("%s = %d exceeds MAX_N = %d" % (name, size, MAX_N), lineno, 1)
+    return size
+
+
+def _index(key, prefix, bounds, what, lineno, entries):
+    """The indices of the key ``prefix.i.j[.k]``: one integer per bound, each
+    in 1..its bound, and together not yet a key of ``entries``."""
+    parts = key.split(".")
+    if parts[0] != prefix or len(parts) != len(bounds) + 1:
+        raise ParseError(
+            "bad key %r, expected %s with %d indices" % (key, prefix, len(bounds)),
+            lineno,
+            1,
+        )
+    try:
+        index = tuple(int(p) for p in parts[1:])
+    except ValueError:
+        raise ParseError("non-integer index in key %r" % key, lineno, 1) from None
+    for value, bound in zip(index, bounds):
+        if not 1 <= value <= bound:
+            raise IndexError(
+                "%s index %d out of range 1..%d (line %d)" % (what, value, bound, lineno)
+            )
+    if index in entries:
+        raise ParseError(
+            "key %r repeats the entry %s of an earlier key" % (key, index), lineno, 1
+        )
+    return index
+
+
+def _nested(entries, shape, zero, index=()):
+    """Nested tuples of ``shape`` holding ``entries`` (1-based index tuple
+    -> element) and ``zero`` wherever ``entries`` has no element."""
+    if len(index) == len(shape):
+        return entries.get(index, zero)
+    return tuple(
+        _nested(entries, shape, zero, index + (k,))
+        for k in range(1, shape[len(index)] + 1)
+    )
+
+
 def _parse_expr(calculus, text, lineno):
     try:
         return parse_element(calculus.algebra, text)
@@ -211,25 +296,14 @@ def _parse_expr(calculus, text, lineno):
         ) from exc
 
 
-def _split_key(key, prefix, count, lineno):
-    parts = key.split(".")
-    if parts[0] != prefix or len(parts) != count + 1:
-        raise ParseError(
-            "bad key %r, expected %s with %d indices" % (key, prefix, count),
-            lineno,
-            1,
+def _parse_hermitian(calculus, text, lineno, prefix, index):
+    element = _parse_expr(calculus, text, lineno)
+    if not element.is_hermitian():
+        raise HermiticityError(
+            "%s.%s must be hermitian (line %d)"
+            % (prefix, ".".join(map(str, index)), lineno)
         )
-    try:
-        return tuple(int(p) for p in parts[1:])
-    except ValueError:
-        raise ParseError("non-integer index in key %r" % key, lineno, 1) from None
-
-
-def _check_index(value, upper_bound, what, lineno):
-    if not 1 <= value <= upper_bound:
-        raise IndexError(
-            "%s index %d out of range 1..%d (line %d)" % (what, value, upper_bound, lineno)
-        )
+    return element
 
 
 def load_config(path) -> ProblemConfig:
@@ -241,30 +315,16 @@ def load_config(path) -> ProblemConfig:
     """
     sections = _read_sections(path)
 
-    algebra_sec = sections.get("algebra", {})
-    if "n" not in algebra_sec:
-        raise ParseError("missing required key 'n' in [algebra]")
-    n_text, n_line = algebra_sec["n"]
-    try:
-        n = int(n_text)
-    except ValueError:
-        raise ParseError("n must be an integer", n_line, 1) from None
-    if n < 1:
-        raise ParseError("n must be at least 1", n_line, 1)
-    if n > MAX_N:
-        raise ParseError("n = %d exceeds MAX_N = %d" % (n, MAX_N), n_line, 1)
-    commutative = False
-    if "commutative" in algebra_sec:
-        text, lineno = algebra_sec["commutative"]
-        if text not in ("true", "false"):
-            raise ParseError("commutative must be true or false", lineno, 1)
-        commutative = text == "true"
+    algebra_sec = _plain_keys(sections, "algebra", "n", ("commutative",))
+    n = _size("n", *algebra_sec["n"])
+    text, lineno = algebra_sec.get("commutative", ("false", None))
+    if text not in ("true", "false"):
+        raise ParseError("commutative must be true or false", lineno, 1)
+    commutative = text == "true"
 
     brackets = {}
     for key, (value, lineno) in sections.get("lie", {}).items():
-        e, a, b = _split_key(key, "c", 3, lineno)
-        for idx in (e, a, b):
-            _check_index(idx, n, "structure constant", lineno)
+        index = _index(key, "c", (n, n, n), "structure constant", lineno, brackets)
         if not _RATIONAL.fullmatch(value):
             raise ParseError(
                 "structure constant %r must be an integer, p/q (q != 0) or a plain decimal"
@@ -272,112 +332,57 @@ def load_config(path) -> ProblemConfig:
                 lineno,
                 1,
             )
-        brackets[(e, a, b)] = value
+        brackets[index] = value
     try:
         calculus = Calculus.torus(n, commutative, brackets or None)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad [lie] section: %s" % exc) from exc
+    zero = calculus.algebra.zero()
 
     metric_sec = dict(sections.get("metric", {}))
-    rank = n
-    if "N" in metric_sec:
-        text, lineno = metric_sec.pop("N")
-        try:
-            rank = int(text)
-        except ValueError:
-            raise ParseError("N must be an integer", lineno, 1) from None
-        if rank < 1:
-            raise ParseError("N must be at least 1", lineno, 1)
-        if rank > MAX_N:
-            raise ParseError("N = %d exceeds MAX_N = %d" % (rank, MAX_N), lineno, 1)
-    zero = calculus.algebra.zero()
-    upper = [[zero for _ in range(rank)] for _ in range(rank)]
-    lower = [[zero for _ in range(rank)] for _ in range(rank)]
-    has_lower = False
+    rank = _size("N", *metric_sec.pop("N")) if "N" in metric_sec else n
+    upper, lower = {}, {}
     for key, (value, lineno) in metric_sec.items():
-        if key.startswith("hinv."):
-            i, j = _split_key("h" + key[4:], "h", 2, lineno)
-            _check_index(i, rank, "metric", lineno)
-            _check_index(j, rank, "metric", lineno)
-            lower[i - 1][j - 1] = _parse_expr(calculus, value, lineno)
-            has_lower = True
-        else:
-            i, j = _split_key(key, "h", 2, lineno)
-            _check_index(i, rank, "metric", lineno)
-            _check_index(j, rank, "metric", lineno)
-            upper[i - 1][j - 1] = _parse_expr(calculus, value, lineno)
+        # an hinv key is read, and named in errors, as the h key with its indices
+        entries, key = (lower, "h" + key[4:]) if key.startswith("hinv.") else (upper, key)
+        index = _index(key, "h", (rank, rank), "metric", lineno, entries)
+        entries[index] = _parse_expr(calculus, value, lineno)
 
-    params_sec = sections.get("params", {})
-    x_entries = [[zero for _ in range(n)] for _ in range(n)]
-    triples = {}
-    a_entries = None
-    for key, (value, lineno) in params_sec.items():
+    x_entries, triples, a_entries = {}, {}, {}
+    for key, (value, lineno) in sections.get("params", {}).items():
         if key.startswith("X."):
-            a, b = _split_key(key, "X", 2, lineno)
-            _check_index(a, n, "X", lineno)
-            _check_index(b, n, "X", lineno)
-            element = _parse_expr(calculus, value, lineno)
-            if not element.is_hermitian():
-                raise HermiticityError(
-                    "X.%d.%d must be hermitian (line %d)" % (a, b, lineno)
-                )
-            x_entries[a - 1][b - 1] = element
+            index = _index(key, "X", (n, n), "X", lineno, x_entries)
+            x_entries[index] = _parse_hermitian(calculus, value, lineno, "X", index)
         elif key.startswith("H."):
-            a, b, c = _split_key(key, "H", 3, lineno)
-            for idx in (a, b, c):
-                _check_index(idx, n, "H", lineno)
-            if not a < b < c:
+            index = _index(key, "H", (n, n, n), "H", lineno, triples)
+            if not index[0] < index[1] < index[2]:
                 raise ParseError("H key indices must be strictly increasing", lineno, 1)
-            element = _parse_expr(calculus, value, lineno)
-            if not element.is_hermitian():
-                raise HermiticityError(
-                    "H.%d.%d.%d must be hermitian (line %d)" % (a, b, c, lineno)
-                )
-            triples[(a, b, c)] = element
+            triples[index] = _parse_hermitian(calculus, value, lineno, "H", index)
         elif key.startswith("A."):
-            a, i, j = _split_key(key, "A", 3, lineno)
-            _check_index(a, n, "A", lineno)
-            _check_index(i, rank, "A", lineno)
-            _check_index(j, rank, "A", lineno)
-            if a_entries is None:
-                a_entries = [
-                    [[zero for _ in range(rank)] for _ in range(rank)] for _ in range(n)
-                ]
-            a_entries[a - 1][i - 1][j - 1] = _parse_expr(calculus, value, lineno)
+            index = _index(key, "A", (n, rank, rank), "A", lineno, a_entries)
+            a_entries[index] = _parse_expr(calculus, value, lineno)
         else:
             raise ParseError("unknown key %r in [params]" % key, lineno, 1)
-    if a_entries is not None:
-        for a in range(n):
-            for i in range(rank):
-                for j in range(i, rank):
-                    if a_entries[a][i][j].star() != -a_entries[a][j][i]:
-                        raise HermiticityError(
-                            "A.%d.%d.%d must be antihermitian: (A^ij_a)* = -A^ji_a"
-                            % (a + 1, i + 1, j + 1)
-                        )
-    params = SolverParams(
-        tuple(tuple(row) for row in x_entries),
-        triples,
-        tuple(tuple(tuple(row) for row in plane) for plane in a_entries)
-        if a_entries is not None
-        else None,
-    )
+    antiherm = None
+    if a_entries:
+        antiherm = _nested(a_entries, (n, rank, rank), zero)
+        try:
+            check_antihermitian(antiherm, rank, n)
+        except AntihermitianViolation as exc:
+            raise HermiticityError(
+                "A.%d.%d.%d must be antihermitian: (A^ij_a)* = -A^ji_a" % exc.entry
+            ) from None
+    params = SolverParams(_nested(x_entries, (n, n), zero), triples, antiherm)
 
     gamma = None
     if "connection" in sections:
-        gamma_rows = [[[zero for _ in range(rank)] for _ in range(rank)] for _ in range(n)]
+        gamma_entries = {}
         for key, (value, lineno) in sections["connection"].items():
-            a, i, j = _split_key(key, "gamma", 3, lineno)
-            _check_index(a, n, "gamma", lineno)
-            _check_index(i, rank, "gamma", lineno)
-            _check_index(j, rank, "gamma", lineno)
-            gamma_rows[a - 1][i - 1][j - 1] = _parse_expr(calculus, value, lineno)
-        gamma = tuple(tuple(tuple(row) for row in plane) for plane in gamma_rows)
+            index = _index(key, "gamma", (n, rank, rank), "gamma", lineno, gamma_entries)
+            gamma_entries[index] = _parse_expr(calculus, value, lineno)
+        gamma = _nested(gamma_entries, (n, rank, rank), zero)
 
-    run_sec = sections.get("run", {})
-    if "command" not in run_sec:
-        raise ParseError("missing required key 'command' in [run]")
-    command, lineno = run_sec["command"]
+    command, lineno = _plain_keys(sections, "run", "command")["command"]
     if command not in COMMANDS:
         raise ParseError(
             "unknown command %r, expected one of %s" % (command, ", ".join(COMMANDS)),
@@ -385,15 +390,9 @@ def load_config(path) -> ProblemConfig:
             1,
         )
 
-    return ProblemConfig(
-        calculus=calculus,
-        rank=rank,
-        upper=tuple(tuple(row) for row in upper),
-        lower=tuple(tuple(row) for row in lower) if has_lower else None,
-        params=params,
-        gamma=gamma,
-        command=command,
-    )
+    upper = _nested(upper, (rank, rank), zero)
+    lower = _nested(lower, (rank, rank), zero) if lower else None
+    return ProblemConfig(calculus, rank, upper, lower, params, gamma, command)
 
 
 # -- running -------------------------------------------------------------------

@@ -162,10 +162,7 @@ def check_antihermitian(array, rank, n) -> None:
         for i in range(rank):
             for j in range(i, rank):
                 if array[a][i][j].star() != -array[a][j][i]:
-                    raise AntihermitianViolation(
-                        "entry (a=%d, i=%d, j=%d) violates (A^ij_a)* = -A^ji_a"
-                        % (a + 1, i + 1, j + 1)
-                    )
+                    raise AntihermitianViolation((a + 1, i + 1, j + 1))
 
 
 def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:

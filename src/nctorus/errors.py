@@ -30,7 +30,16 @@ class NotInvertibleByElimination(NCTorusError):
 
 
 class AntihermitianViolation(NCTorusError):
-    """A parameter that must satisfy (A^ij)* = -A^ji does not."""
+    """A parameter that must satisfy (A^ij)* = -A^ji does not.
+
+    ``entry`` is the first failing (a, i, j), 1-based.
+    """
+
+    def __init__(self, entry):
+        self.entry = entry
+        super().__init__(
+            "entry (a=%d, i=%d, j=%d) violates (A^ij_a)* = -A^ji_a" % entry
+        )
 
 
 class ParamViolation(NCTorusError):

@@ -25,6 +25,13 @@ the pairs square-and-multiply would form if x^j had t^j terms, an upper
 bound.  Once the charges exceed the budget, parsing stops with a
 ParseError at the operator.  Powers of single terms (``U1^-20000000``,
 ``q[1,2]^7``) cost one pair per step and are not charged.
+
+Parentheses, including those of ``adj(...)``, nest at most ``MAX_DEPTH``
+deep.  The parser recurses once per level, so the bound keeps a parse
+far from the interpreter's recursion limit (about 250 levels at the
+default limit of 1000 frames) and a deeper value is a ParseError at the
+first parenthesis past the bound.  A zero denominator (``1/0``) and a
+negative power of the zero element or of a sum are ParseErrors too.
 """
 
 from __future__ import annotations
@@ -33,11 +40,13 @@ import re
 from fractions import Fraction
 
 from .algebra import AlgebraElement, TorusAlgebra
-from .errors import ParseError
+from .errors import NotMonomial, ParseError, ZeroElement
 
 # Budget of multiplied term pairs per parsed value, see the module
 # docstring.  A product of two 256-term sums uses all of it.
 MAX_TERM_PAIRS = 1 << 16
+# Deepest nesting of parentheses per parsed value, see the module docstring.
+MAX_DEPTH = 64
 
 _TOKEN_RE = re.compile(
     r"""
@@ -108,6 +117,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.budget = MAX_TERM_PAIRS
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -184,7 +194,10 @@ class _Parser:
             k = self.signed_int()
             if k > 0 and len(value.terms) > 1:
                 self.charge(_power_pairs(len(value.terms), k, self.budget), tok)
-            value = value ** k
+            try:
+                value = value ** k
+            except (NotMonomial, ZeroElement) as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from None
         return value
 
     def signed_int(self) -> int:
@@ -206,12 +219,29 @@ class _Parser:
         self.advance()
         return int(tok.text)
 
+    def nested(self, paren: _Token) -> AlgebraElement:
+        """The expression after the opening parenthesis ``paren``, and its ``)``."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                "parentheses nest deeper than MAX_DEPTH = %d" % MAX_DEPTH,
+                paren.line,
+                paren.col,
+            )
+        inner = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
+
     def atom(self) -> AlgebraElement:
         alg = self.algebra
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return alg.scalar(Fraction(tok.text))
+            try:
+                return alg.scalar(Fraction(tok.text))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", tok.line, tok.col) from None
         if tok.kind == "ugen":
             self.advance()
             j = int(tok.text[1:])
@@ -240,16 +270,10 @@ class _Parser:
                 return alg.q(a, b)
             if tok.text == "adj":
                 self.advance()
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return inner.star()
+                return self.nested(self.expect("(")).star()
             self.fail("unknown name %r" % tok.text)
         if tok.kind == "sym" and tok.text == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return inner
+            return self.nested(self.advance())
         self.fail("expected an atom")
 
 

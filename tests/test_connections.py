@@ -266,8 +266,9 @@ def test_compatible_connection_rejects_bad_array(calc3):
     z = alg.zero()
     bad = [[[z for _ in range(3)] for _ in range(3)] for _ in range(3)]
     bad[0][0][0] = alg.one()
-    with pytest.raises(AntihermitianViolation):
+    with pytest.raises(AntihermitianViolation) as info:
         compatible_connection(identity_metric(calc3), bad)
+    assert info.value.entry == (1, 1, 1)
 
 
 def first_antihermitian_failure(array, rank, n):

@@ -137,3 +137,36 @@ def test_budget_charges_products_and_power_bounds(alg, monkeypatch):
     assert info.value.col == 8
     # monomial powers are not charged
     assert parse_element(alg, "U1^1000 * U2") == alg.gen(1, 1000) * alg.gen(2)
+
+
+# -- nesting depth and invalid arithmetic ---------------------------------------------
+
+
+@pytest.mark.parametrize("opener", ["(", "adj("])
+def test_nesting_depth_bound(alg, opener):
+    assert expr.MAX_DEPTH == 64
+    depth = expr.MAX_DEPTH
+    assert parse_element(alg, opener * depth + "U1" + ")" * depth) == alg.gen(1)
+    text = opener * (depth + 1) + "U1" + ")" * (depth + 1)
+    with pytest.raises(ParseError, match="MAX_DEPTH = 64") as info:
+        parse_element(alg, text)
+    # reported at the first parenthesis past the bound
+    assert info.value.col == len(opener) * depth + len(opener)
+    # far past the bound, where the recursion limit would be reached
+    with pytest.raises(ParseError, match="MAX_DEPTH"):
+        parse_element(alg, opener * 300 + "U1" + ")" * 300)
+
+
+def test_nesting_depth_counts_open_parentheses_only(alg):
+    # many sibling groups at depth one are not nested
+    assert parse_element(alg, " + ".join(["(1)"] * 200)) == alg.scalar(200)
+
+
+@pytest.mark.parametrize(
+    "text,col",
+    [("1/0", 1), ("U1 + 3/00", 6), ("(U1 + U2)^-1", 10), ("0^-1", 2), ("(U1 - U1)^-2", 10)],
+)
+def test_invalid_arithmetic_is_parse_error(alg, text, col):
+    with pytest.raises(ParseError) as info:
+        parse_element(alg, text)
+    assert info.value.col == col
