@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 
 from .errors import DescriptorMismatch, NotMonomial, ZeroElement
@@ -435,3 +435,60 @@ def matmul(left, right):
                     acc[k] = acc[k] + x * y
         out.append(tuple(acc))
     return tuple(out)
+
+
+def _frozen(x, shape, name, dims="", algebra=None, errors=(ValueError, TypeError)):
+    """The nested sequence ``x`` as nested tuples of ``shape``; with an
+    empty shape, ``x`` is the one leaf.
+
+    Another shape raises ``errors[0]``, worded from ``name`` and ``dims``
+    (the shape in symbols, such as "n x N x N").  With ``algebra``, the
+    first leaf in index order that is not an AlgebraElement raises
+    ``errors[1]``, and the first over an algebra not equal to it
+    DescriptorMismatch, each naming the leaf as ``name[i][j]...``, 1-based.
+    """
+
+    def freeze(part, depth):
+        if depth == len(shape):
+            return part
+        items = tuple(part) if hasattr(part, "__iter__") else None
+        if items is None or len(items) != shape[depth]:
+            raise errors[0]("%s must be an %s array" % (name, dims))
+        return tuple([freeze(item, depth + 1) for item in items])
+
+    out = freeze(x, 0)
+    if algebra is None:
+        return out
+    leaves = [out]
+    for _ in shape:
+        leaves = list(chain.from_iterable(leaves))
+    if all(y.__class__ is AlgebraElement and y.algebra is algebra for y in leaves):
+        return out
+    for index, y in zip(product(*[range(1, k + 1) for k in shape]), leaves):
+        where = name + "".join("[%d]" % k for k in index)
+        if not isinstance(y, AlgebraElement):
+            raise errors[1]("%s has type %s, not AlgebraElement" % (where, type(y).__name__))
+        if y.algebra != algebra:
+            raise DescriptorMismatch("%s lives over %r, not %r" % (where, y.algebra, algebra))
+    return out
+
+
+def _first_unpaired(x, related, ndim):
+    """The first index (..., i, j), 1-based, with j >= i at which
+    ``related(x[..][i][j], x[..][j][i])`` is false, or None.
+
+    ``x`` has ``ndim`` axes, the last two of equal length.  For a relation
+    that holds at (i, j) exactly when it holds at (j, i), such as hermitian
+    or antisymmetric pairing, no earlier index of the full search fails.
+    """
+    if ndim > 2:
+        for k, part in enumerate(x, 1):
+            bad = _first_unpaired(part, related, ndim - 1)
+            if bad is not None:
+                return (k,) + bad
+        return None
+    for i, row in enumerate(x):
+        for j in range(i, len(x)):
+            if not related(row[j], x[j][i]):
+                return (i + 1, j + 1)
+    return None

@@ -343,9 +343,8 @@ def load_config(path) -> ProblemConfig:
     rank = _size("N", *metric_sec.pop("N")) if "N" in metric_sec else n
     upper, lower = {}, {}
     for key, (value, lineno) in metric_sec.items():
-        # an hinv key is read, and named in errors, as the h key with its indices
-        entries, key = (lower, "h" + key[4:]) if key.startswith("hinv.") else (upper, key)
-        index = _index(key, "h", (rank, rank), "metric", lineno, entries)
+        entries, prefix = (lower, "hinv") if key.startswith("hinv.") else (upper, "h")
+        index = _index(key, prefix, (rank, rank), "metric", lineno, entries)
         entries[index] = _parse_expr(calculus, value, lineno)
 
     x_entries, triples, a_entries = {}, {}, {}
@@ -367,7 +366,7 @@ def load_config(path) -> ProblemConfig:
     if a_entries:
         antiherm = _nested(a_entries, (n, rank, rank), zero)
         try:
-            check_antihermitian(antiherm, rank, n)
+            check_antihermitian(antiherm)
         except AntihermitianViolation as exc:
             raise HermiticityError(
                 "A.%d.%d.%d must be antihermitian: (A^ij_a)* = -A^ji_a" % exc.entry

@@ -24,30 +24,12 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .algebra import AlgebraElement, matmul
-from .errors import AntihermitianViolation, DescriptorMismatch
+from .algebra import _first_unpaired, _frozen, matmul
+from .errors import AntihermitianViolation
 from .forms import Calculus, KForm
 from .metric import HermitianMetric
 
 HALF = Fraction(1, 2)
-
-
-def _as_gamma(calculus: Calculus, gamma, rank=None):
-    arr = tuple(tuple(tuple(entry for entry in row) for row in plane) for plane in gamma)
-    n = calculus.n
-    if len(arr) != n:
-        raise ValueError("first index must run over the %d derivations" % n)
-    rank = rank if rank is not None else (len(arr[0]) if arr else 0)
-    for plane in arr:
-        if len(plane) != rank or any(len(row) != rank for row in plane):
-            raise ValueError("expected %d x %d x %d array" % (n, rank, rank))
-        for row in plane:
-            for entry in row:
-                if not isinstance(entry, AlgebraElement):
-                    raise TypeError("Christoffel entries must be algebra elements")
-                if entry.algebra != calculus.algebra:
-                    raise DescriptorMismatch("entry over a different algebra")
-    return arr, rank
 
 
 class Connection:
@@ -56,20 +38,20 @@ class Connection:
     __slots__ = ("calculus", "rank", "gamma")
 
     def __init__(self, calculus: Calculus, gamma):
+        try:
+            rank = len(gamma[0])
+        except (TypeError, IndexError):
+            rank = 0  # not an array of matrices: _frozen names the shape
         self.calculus = calculus
-        self.gamma, self.rank = _as_gamma(calculus, gamma)
+        self.rank = rank
+        self.gamma = _frozen(
+            gamma, (calculus.n, rank, rank), "gamma", "n x N x N", calculus.algebra
+        )
 
     @classmethod
     def zero(cls, calculus: Calculus, rank=None) -> "Connection":
         rank = rank if rank is not None else calculus.n
-        z = calculus.algebra.zero()
-        return cls(
-            calculus,
-            tuple(
-                tuple(tuple(z for _ in range(rank)) for _ in range(rank))
-                for _ in range(calculus.n)
-            ),
-        )
+        return cls(calculus, [[[calculus.algebra.zero()] * rank] * rank] * calculus.n)
 
     def __eq__(self, other):
         if not isinstance(other, Connection):
@@ -97,9 +79,7 @@ def apply_connection(conn: Connection, a: int, coeffs):
     calc = conn.calculus
     if not 1 <= a <= calc.n:
         raise IndexError("derivation index out of range: %d" % a)
-    coeffs = tuple(coeffs)
-    if len(coeffs) != conn.rank:
-        raise ValueError("expected %d coefficients" % conn.rank)
+    coeffs = _frozen(coeffs, (conn.rank,), "coeffs", "N-entry", calc.algebra)
     (product,) = matmul((coeffs,), conn.gamma[a - 1])
     return tuple(f.derive(a) + p for f, p in zip(coeffs, product))
 
@@ -152,17 +132,12 @@ def is_compatible(conn: Connection, metric: HermitianMetric) -> bool:
     )
 
 
-def check_antihermitian(array, rank, n) -> None:
-    """(A^ij_a)* = -A^ji_a for all a, i, j; raises AntihermitianViolation.
-
-    The star is an involution, so the entries with j >= i decide; the
-    first failing entry in (a, i, j) order always has i <= j.
-    """
-    for a in range(n):
-        for i in range(rank):
-            for j in range(i, rank):
-                if array[a][i][j].star() != -array[a][j][i]:
-                    raise AntihermitianViolation((a + 1, i + 1, j + 1))
+def check_antihermitian(array) -> None:
+    """(A^ij_a)* = -A^ji_a for all a, i, j of a frozen n x N x N array;
+    raises AntihermitianViolation naming the first failing (a, i, j)."""
+    bad = _first_unpaired(array, lambda x, y: x.star() == -y, 3)
+    if bad is not None:
+        raise AntihermitianViolation(bad)
 
 
 def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
@@ -175,8 +150,9 @@ def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
     if antiherm is None:
         coeffs = [[[x * HALF for x in row] for row in plane] for plane in metric.d_upper]
     else:
-        antiherm, _ = _as_gamma(calc, antiherm, metric.rank)
-        check_antihermitian(antiherm, metric.rank, calc.n)
+        shape = (calc.n, metric.rank, metric.rank)
+        antiherm = _frozen(antiherm, shape, "antiherm", "n x N x N", calc.algebra)
+        check_antihermitian(antiherm)
         coeffs = entrywise(lambda dh, x: dh * HALF + x, metric.d_upper, antiherm)
     return Connection(calc, [matmul(coeff, metric.lower) for coeff in coeffs])
 
@@ -192,16 +168,16 @@ def torsion_free_from(base: Connection, symmetric_part=None) -> Connection:
     if base.rank != calc.n:
         raise ValueError("torsion-free construction needs N = n")
     if symmetric_part is not None:
-        symmetric_part, _ = _as_gamma(calc, symmetric_part, base.rank)
-        for a in range(calc.n):
-            for i in range(base.rank):
-                for b in range(calc.n):
-                    if symmetric_part[a][i][b] != symmetric_part[b][i][a]:
-                        raise ValueError(
-                            "symmetric_part must be symmetric in the derivation "
-                            "slots; entry (a=%d, i=%d, b=%d) is not"
-                            % (a + 1, i + 1, b + 1)
-                        )
+        symmetric_part = _frozen(
+            symmetric_part, (calc.n,) * 3, "symmetric_part", "n x n x n", calc.algebra
+        )
+        # the planes [a][b] of each i pair the two derivation slots
+        bad = _first_unpaired(tuple(zip(*symmetric_part)), operator.eq, 3)
+        if bad is not None:
+            raise ValueError(
+                "symmetric_part must be symmetric in the derivation "
+                "slots; entry (a=%d, i=%d, b=%d) is not" % (bad[1], bad[0], bad[2])
+            )
     gamma = _projection(d_array(calc), symmetrize(base.gamma))
     if symmetric_part is not None:
         gamma = entrywise(operator.add, gamma, symmetric_part)
@@ -241,7 +217,11 @@ def antisymmetrize(array):
 
 
 def d_array(calculus: Calculus):
-    """The exterior derivative as a component array: d^i_ab = d theta^i (d_a, d_b)."""
+    """The exterior derivative as a component array, d^i_ab = d theta^i (d_a, d_b),
+    built on first use and kept on the (immutable) calculus."""
+    cached = calculus.__dict__.get("_d_array")
+    if cached is not None:
+        return cached
     n = calculus.n
     alg = calculus.algebra
     out = []
@@ -254,7 +234,8 @@ def d_array(calculus: Calculus):
                 row.append(alg.scalar(-c) if c else alg.zero())
             plane.append(tuple(row))
         out.append(tuple(plane))
-    return tuple(out)
+    cached = calculus.__dict__["_d_array"] = tuple(out)
+    return cached
 
 
 def metric_pairing_operator(array, metric: HermitianMetric):

@@ -18,7 +18,12 @@ class NotMonomial(NCTorusError):
 
 
 class NotHermitian(NCTorusError):
-    """A matrix fails the hermitian symmetry (h^ij)* = h^ji."""
+    """A matrix fails (h^ij)* = h^ji; ``entry`` is the first failing (i, j), i <= j."""
+
+    def __init__(self, entry):
+        self.entry = entry
+        i, j = entry
+        super().__init__("entry (%d, %d) is not the star of entry (%d, %d)" % (i, j, j, i))
 
 
 class NotInverse(NCTorusError):
@@ -29,7 +34,11 @@ class NotInvertibleByElimination(NCTorusError):
     """Gaussian elimination found no invertible monomial pivot."""
 
 
-class AntihermitianViolation(NCTorusError):
+class ParamViolation(NCTorusError):
+    """A solver parameter fails its hermiticity or shape requirement."""
+
+
+class AntihermitianViolation(ParamViolation):
     """A parameter that must satisfy (A^ij)* = -A^ji does not.
 
     ``entry`` is the first failing (a, i, j), 1-based.
@@ -40,10 +49,6 @@ class AntihermitianViolation(NCTorusError):
         super().__init__(
             "entry (a=%d, i=%d, j=%d) violates (A^ij_a)* = -A^ji_a" % entry
         )
-
-
-class ParamViolation(NCTorusError):
-    """A solver parameter fails its hermiticity or shape requirement."""
 
 
 class SolvabilityViolated(NCTorusError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import AlgebraElement, TorusAlgebra
+from .algebra import AlgebraElement, TorusAlgebra, _first_unpaired, _frozen
 from .errors import DescriptorMismatch
 from .records import FrozenRecord
 from .scalars import GaussianRational
@@ -63,31 +63,20 @@ class LieAlgebra(FrozenRecord):
     _fields = ("n", "brackets")
 
     def __init__(self, n: int, brackets: tuple):
-        self.__dict__.update(n=n, brackets=brackets)
         if n < 1:
             raise ValueError("need dimension at least 1")
-        c = brackets
-        if len(c) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in c
-        ):
-            raise ValueError("structure constants must be an n x n x n array")
-        for e in range(n):
-            for a in range(n):
-                for b in range(n):
-                    if c[e][a][b] != -c[e][b][a]:
-                        raise ValueError(
-                            "structure constants not antisymmetric at "
-                            "c^%d_{%d%d}" % (e + 1, a + 1, b + 1)
-                        )
+        c = _frozen(brackets, (n, n, n), "structure constants", "n x n x n")
+        self.__dict__.update(n=n, brackets=c)
+        bad = _first_unpaired(c, lambda x, y: x == -y, 3)
+        if bad is not None:
+            raise ValueError("structure constants not antisymmetric at c^%d_{%d%d}" % bad)
         bad = _jacobi_defect(n, c)
         if bad is not None:
             raise ValueError("Jacobi identity fails at indices %s" % (bad,))
 
     @classmethod
     def abelian(cls, n: int) -> "LieAlgebra":
-        zero = Fraction(0)
-        plane = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-        return cls(n, tuple(plane for _ in range(n)))
+        return cls(n, [[[Fraction(0)] * n] * n] * n)
 
     @classmethod
     def from_struct(cls, n: int, entries) -> "LieAlgebra":
@@ -107,7 +96,7 @@ class LieAlgebra(FrozenRecord):
                 if c[e - 1][x - 1][y - 1] and c[e - 1][x - 1][y - 1] != v:
                     raise ValueError("conflicting structure constants at %s" % ((e, x, y),))
                 c[e - 1][x - 1][y - 1] = v
-        return cls(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
+        return cls(n, c)
 
     def bracket(self, e: int, a: int, b: int) -> Fraction:
         """c^e_{ab} with 1-based indices."""

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import combinations
 
-from .algebra import AlgebraElement, matmul
+from .algebra import AlgebraElement, _first_unpaired, _frozen, matmul
 from .connections import (
     Connection,
     check_antihermitian,
@@ -59,23 +60,11 @@ class FTensor:
     __slots__ = ("calculus", "entries")
 
     def __init__(self, calculus: Calculus, entries):
-        entries = tuple(
-            tuple(tuple(entry for entry in row) for row in plane) for plane in entries
-        )
         n = calculus.n
-        if len(entries) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane)
-            for plane in entries
-        ):
-            raise ValueError("expected an n x n x n array")
-        for c in range(n):
-            for a in range(n):
-                for b in range(a, n):
-                    if entries[c][a][b] != -entries[c][b][a]:
-                        raise ValueError(
-                            "F is not antisymmetric at (%d, %d, %d)"
-                            % (c + 1, a + 1, b + 1)
-                        )
+        entries = _frozen(entries, (n, n, n), "F", "n x n x n", calculus.algebra)
+        bad = _first_unpaired(entries, lambda x, y: x == -y, 3)
+        if bad is not None:
+            raise ValueError("F is not antisymmetric at (%d, %d, %d)" % bad)
         self.calculus = calculus
         self.entries = entries
 
@@ -111,41 +100,33 @@ class SolverParams(Record):
         return cls(tuple(tuple(z for _ in range(n)) for _ in range(n)), {})
 
     def validated(self, calculus: Calculus, rank: int) -> "SolverParams":
+        """The parameters frozen and checked for ``calculus`` and a metric
+        of ``rank``; every failure but a foreign algebra (DescriptorMismatch)
+        raises ParamViolation."""
         n = calculus.n
-        X = tuple(tuple(entry for entry in row) for row in self.X)
-        if len(X) != n or any(len(row) != n for row in X):
-            raise ParamViolation("X must be an n x n array")
-        for a in range(n):
-            for b in range(n):
-                if not X[a][b].is_hermitian():
-                    raise ParamViolation(
-                        "X[%d][%d] is not hermitian" % (a + 1, b + 1)
-                    )
+        alg = calculus.algebra
+        errors = (ParamViolation, ParamViolation)
+        X = _frozen(self.X, (n, n), "X", "n x n", alg, errors)
+        for a, row in enumerate(X, 1):
+            for b, x in enumerate(row, 1):
+                if not x.is_hermitian():
+                    raise ParamViolation("X[%d][%d] is not hermitian" % (a, b))
         triples = {}
+        keys = set(combinations(range(1, n + 1), 3))
         for key, value in self.triples.items():
-            a, b, c = key
-            if not (1 <= a < b < c <= n):
+            if key not in keys:
                 raise ParamViolation(
-                    "triple key %s must be strictly increasing in 1..%d" % (key, n)
+                    "triple key %r must be three strictly increasing indices in 1..%d"
+                    % (key, n)
                 )
+            value = _frozen(value, (), "triple parameter %s" % (key,), "", alg, errors)
             if not value.is_hermitian():
                 raise ParamViolation("triple parameter %s is not hermitian" % (key,))
-            triples[(a, b, c)] = value
+            triples[key] = value
         antiherm = self.antiherm
         if antiherm is not None:
-            antiherm = tuple(
-                tuple(tuple(entry for entry in row) for row in plane)
-                for plane in antiherm
-            )
-            if len(antiherm) != n or any(
-                len(plane) != rank or any(len(row) != rank for row in plane)
-                for plane in antiherm
-            ):
-                raise ParamViolation("antihermitian array must be n x N x N")
-            try:
-                check_antihermitian(antiherm, rank, n)
-            except Exception as exc:
-                raise ParamViolation(str(exc)) from exc
+            antiherm = _frozen(antiherm, (n, rank, rank), "A", "n x N x N", alg, errors)
+            check_antihermitian(antiherm)
         return SolverParams(X, triples, antiherm)
 
 
@@ -155,21 +136,11 @@ class RSet:
     __slots__ = ("calculus", "matrices")
 
     def __init__(self, calculus: Calculus, matrices):
-        matrices = tuple(
-            tuple(tuple(entry for entry in row) for row in m) for m in matrices
-        )
         n = calculus.n
-        if len(matrices) != n or any(
-            len(m) != n or any(len(row) != n for row in m) for m in matrices
-        ):
-            raise ValueError("expected n matrices of size n x n")
-        for a in range(n):
-            for b in range(n):
-                for c in range(b, n):
-                    if matrices[a][b][c].star() != matrices[a][c][b]:
-                        raise ValueError(
-                            "R_%d is not hermitian at (%d, %d)" % (a + 1, b + 1, c + 1)
-                        )
+        matrices = _frozen(matrices, (n, n, n), "R", "n x n x n", calculus.algebra)
+        bad = _first_unpaired(matrices, lambda x, y: x.star() == y, 3)
+        if bad is not None:
+            raise ValueError("R_%d is not hermitian at (%d, %d)" % bad)
         self.calculus = calculus
         self.matrices = matrices
 
@@ -338,8 +309,10 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     Raises NotWeaklySymmetric when d(rho) != 0 (no such connection
     exists).  The default parameters are all zero.  A nonzero
     antihermitian array keeps compatibility but in general breaks torsion
-    freeness; the unconditional re-verification turns any such failure,
-    or any internal convention bug, into an immediate error.
+    freeness; the unconditional re-verification reports that as a
+    ParamViolation naming the first (i, a, b) with T^i(d_a, d_b) != 0, and
+    any other failure (an internal convention bug) as
+    InternalVerificationFailure.
     """
     calc = metric.calculus
     n = calc.n
@@ -365,6 +338,14 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
         antiherm = entrywise(operator.add, antiherm, params.antiherm)
     conn = compatible_connection(metric, antiherm)
     report = verify_levi_civita(conn, metric)
+    if params.antiherm is not None and report.compat_zero and not report.torsion_zero:
+        # the construction without A is torsion free, so A broke it
+        i, form = next((i, f) for i, f in enumerate(report.torsion_forms, 1) if f.comps)
+        a, b = min(form.comps)
+        raise ParamViolation(
+            "antihermitian parameter A breaks torsion freedom: T^%d(d_%d, d_%d) = %r"
+            % (i, a, b, form.comps[(a, b)])
+        )
     if not report.passed:
         raise InternalVerificationFailure(
             "constructed connection failed re-verification: torsion_zero=%s "

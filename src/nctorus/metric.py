@@ -12,23 +12,14 @@ compatible connection; d(rho) = 0 is the exact existence criterion.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, matmul
+from .algebra import AlgebraElement, _first_unpaired, _frozen, matmul
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
 from .forms import Calculus, KForm
 
 
-def _as_matrix(calculus: Calculus, rows, size=None):
-    matrix = tuple(tuple(entry for entry in row) for row in rows)
-    size = size if size is not None else len(matrix)
-    if len(matrix) != size or any(len(row) != size for row in matrix):
-        raise ValueError("expected a %d x %d matrix" % (size, size))
-    for row in matrix:
-        for entry in row:
-            if not isinstance(entry, AlgebraElement):
-                raise TypeError("matrix entries must be algebra elements")
-            if entry.algebra != calculus.algebra:
-                raise ValueError("matrix entry over a different algebra")
-    return matrix
+def _adjoint(x, y):
+    """The hermitian pairing of entries (i, j) and (j, i)."""
+    return x.star() == y
 
 
 def invert_metric(calculus: Calculus, upper):
@@ -38,10 +29,12 @@ def invert_metric(calculus: Calculus, upper):
     monomial pivot the procedure raises NotInvertibleByElimination and the
     caller has to supply the lower matrix explicitly.
     """
-    upper = _as_matrix(calculus, upper)
-    n = len(upper)
-    _check_hermitian_matrix(upper)
     alg = calculus.algebra
+    upper = _frozen(upper, (len(upper),) * 2, "upper", "N x N", alg)
+    bad = _first_unpaired(upper, _adjoint, 2)
+    if bad is not None:
+        raise NotHermitian(bad)
+    n = len(upper)
     work = [list(row) for row in upper]
     aug = [
         [alg.one() if r == c else alg.zero() for c in range(n)] for r in range(n)
@@ -75,29 +68,17 @@ def invert_metric(calculus: Calculus, upper):
     return tuple(tuple(row) for row in aug)
 
 
-def _check_hermitian_matrix(matrix):
-    """Visits j >= i only: the star is an involution, so (i, j) fails iff (j, i) does."""
-    n = len(matrix)
-    for i in range(n):
-        for j in range(i, n):
-            if matrix[i][j].star() != matrix[j][i]:
-                raise NotHermitian(
-                    "entry (%d, %d) is not the star of entry (%d, %d)"
-                    % (i + 1, j + 1, j + 1, i + 1)
-                )
-
-
 class HermitianMetric:
     """A validated metric: hermitian upper matrix with two-sided inverse."""
 
     __slots__ = ("calculus", "rank", "upper", "lower", "_d_upper")
 
     def __init__(self, calculus: Calculus, upper, lower=None):
-        upper = _as_matrix(calculus, upper)
+        upper = _frozen(upper, (len(upper),) * 2, "upper", "N x N", calculus.algebra)
         if lower is None:
             lower = invert_metric(calculus, upper)
         else:
-            lower = _as_matrix(calculus, lower, len(upper))
+            lower = _frozen(lower, (len(upper),) * 2, "lower", "N x N", calculus.algebra)
         self.calculus = calculus
         self.rank = len(upper)
         self.upper = upper
@@ -137,8 +118,10 @@ def validate(metric: HermitianMetric) -> None:
     the adjoint of UL and equals delta exactly when UL does.
     """
     alg = metric.calculus.algebra
-    _check_hermitian_matrix(metric.upper)
-    _check_hermitian_matrix(metric.lower)
+    for matrix in (metric.upper, metric.lower):
+        bad = _first_unpaired(matrix, _adjoint, 2)
+        if bad is not None:
+            raise NotHermitian(bad)
     one, zero = alg.one(), alg.zero()
     for i, row in enumerate(matmul(metric.upper, metric.lower)):
         for k, total in enumerate(row):
@@ -151,6 +134,8 @@ def validate(metric: HermitianMetric) -> None:
 def pair(metric: HermitianMetric, left, right) -> AlgebraElement:
     """h(f_i theta^i, g_j theta^j) = sum f_i h^ij (g_j)*."""
     alg = metric.calculus.algebra
+    left = _frozen(left, (metric.rank,), "left", "N-entry", alg)
+    right = _frozen(right, (metric.rank,), "right", "N-entry", alg)
     total = alg.zero()
     for i in range(metric.rank):
         for j in range(metric.rank):

@@ -99,10 +99,10 @@ MESSAGES = {
         ("metric", "h.1.y = 1", ParseError, non_integer("h.1.y")),
         ("metric", "h.4.1 = 1", IndexError, "metric index 4 out of range 1..3"),
     ],
-    # an hinv key is named as the h key with the same indices
+    # an hinv key is named as written
     "hinv": [
-        ("metric", "hinv.1 = 1", ParseError, bad_key("h.1", "h", 2)),
-        ("metric", "hinv.1.y = 1", ParseError, non_integer("h.1.y")),
+        ("metric", "hinv.1 = 1", ParseError, bad_key("hinv.1", "hinv", 2)),
+        ("metric", "hinv.1.y = 1", ParseError, non_integer("hinv.1.y")),
         ("metric", "hinv.1.4 = 1", IndexError, "metric index 4 out of range 1..3"),
     ],
     "X": [
@@ -230,7 +230,7 @@ def repeated(key, index):
     [
         ("lie", "c.3.1.2 = 1", "c.03.1.2 = 2", repeated("c.03.1.2", (3, 1, 2))),
         ("metric", "h.2.3 = U2", "h.2.+3 = 5", repeated("h.2.+3", (2, 3))),
-        ("metric", "hinv.1.1 = 1", "hinv.1.0_1 = 1", repeated("h.1.0_1", (1, 1))),
+        ("metric", "hinv.1.1 = 1", "hinv.1.0_1 = 1", repeated("hinv.1.0_1", (1, 1))),
         ("params", "X.1.1 = 1", "X.1.\u0661 = 2", repeated("X.1.\u0661", (1, 1))),
         ("params", "H.1.2.3 = 1", "H.1.2.03 = 1", repeated("H.1.2.03", (1, 2, 3))),
         ("params", "A.1.1.1 = i", "A.+1.1.1 = 2*i", repeated("A.+1.1.1", (1, 1, 1))),
@@ -369,6 +369,19 @@ def test_docstring_config_loads_and_builds(tmp_path):
     report = run(config)
     assert report.status == "ok"
     assert report.verification["pass"] is True
+
+
+def test_docstring_config_with_torsion_breaking_a_is_a_param_error(tmp_path, capsys):
+    # A.2.1.1 = i is antihermitian and keeps compatibility, but breaks
+    # torsion freedom: the input is at fault, not the solver
+    text = docstring_config()
+    assert text.count("A.1.1.1 = i") == 1
+    path = write_cfg(tmp_path, text.replace("A.1.1.1 = i", "A.2.1.1 = i"))
+    capsys.readouterr()
+    assert main(["--config", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert report["error"].startswith("ParamViolation: ")
 
 
 # -- fuzzing ------------------------------------------------------------------------------

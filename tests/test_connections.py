@@ -146,6 +146,16 @@ def test_torsion_left_linear(calc3, rng):
                     assert direct == a_elt * forms[i - 1](x, y)
 
 
+def test_d_array_is_built_once_per_calculus():
+    from nctorus.connections import d_array
+
+    calc = Calculus.torus(3, brackets={(3, 1, 2): 1})
+    dop = d_array(calc)
+    assert d_array(calc) is dop
+    assert dop[0][2][1] == calc.algebra.scalar(-1)
+    assert d_array(Calculus.torus(3, brackets={(3, 1, 2): 1})) == dop
+
+
 def test_torsion_equals_wedge_minus_d(calc3, rng):
     from nctorus.connections import d_array
 

@@ -639,8 +639,34 @@ def test_antihermitian_param_breaking_torsion_raises(calc3):
         {},
         tuple(tuple(tuple(row) for row in plane) for plane in anti),
     )
-    with pytest.raises(InternalVerificationFailure):
+    with pytest.raises(ParamViolation) as info:
         build_levi_civita(metric, params)
+    assert str(info.value) == (
+        "antihermitian parameter A breaks torsion freedom: T^1(d_1, d_3) = U2"
+    )
+
+
+@pytest.mark.parametrize(
+    "with_a, torsion_zero, compat_zero",
+    [(False, False, True), (True, True, False), (True, False, False), (True, True, True)],
+)
+def test_other_verification_failures_stay_internal(
+    calc3, monkeypatch, with_a, torsion_zero, compat_zero
+):
+    # only an A that keeps compatibility and breaks torsion is the user's fault
+    import nctorus.levicivita as lc
+
+    z = calc3.algebra.zero()
+    zeros = tuple(tuple(tuple(z for _ in range(3)) for _ in range(3)) for _ in range(3))
+    params = SolverParams.zeros(calc3)
+    if with_a:
+        params.antiherm = zeros
+    failed = lc.LCVerification(
+        (calc3.zero_form(2),) * 3, zeros, torsion_zero, compat_zero, False
+    )
+    monkeypatch.setattr(lc, "verify_levi_civita", lambda conn, metric: failed)
+    with pytest.raises(InternalVerificationFailure):
+        build_levi_civita(identity_metric(calc3), params)
 
 
 def test_build_random_diagonal_with_params(rng, calc3):
