@@ -473,6 +473,15 @@ def _frozen(x, shape, name, dims="", algebra=None, errors=(ValueError, TypeError
     return out
 
 
+def _size(x, axis=0):
+    """len(x), or with axis 1 len(x[0]); 0 where that fails, so that
+    ``_frozen`` then refuses the shape in its own words."""
+    try:
+        return len(x[0] if axis else x)
+    except (TypeError, LookupError):
+        return 0
+
+
 def _first_unpaired(x, related, ndim):
     """The first index (..., i, j), 1-based, with j >= i at which
     ``related(x[..][i][j], x[..][j][i])`` is false, or None.

@@ -8,25 +8,30 @@ extended to arbitrary module elements by the Leibniz rule.  On the
 dual-basis module every operator needed here (index swap in the two
 derivation slots, symmetrization, antisymmetrization, pairing against the
 metric) acts on such finite component arrays, and each is defined once.
-With T_h the metric pairing operator, s the symmetrizer and d the
-exterior derivative as an array (``d_array``):
+With T_h the metric pairing operator, s the symmetrizer, wedge the
+antisymmetrizer and d the exterior derivative as an array
+(``forms.d_array``, d^i_ab = -c^i_ab):
 
+    torsion                T(gamma) = wedge(gamma) - d
     compatibility defect   C(gamma) = d h - T_h(gamma)
     torsion-free part      P(gamma) = (d + s(gamma)) / 2
 
-``compat_defect``, ``torsion_free_from`` and the characterization check
-are built from these two identities, and ``compatible_connection`` reads
-d_a h^ij from ``HermitianMetric.d_upper``.
+``torsion``, ``compat_defect``, ``torsion_free_from`` and the
+characterization check are built from these identities, and
+``compatible_connection`` reads d_a h^ij from ``HermitianMetric.d_upper``.
+The F tensor of ``levicivita`` reads its bracket term, -i h_ce d^e_ab,
+from the same array.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import combinations
 
-from .algebra import _first_unpaired, _frozen, matmul
+from .algebra import _first_unpaired, _frozen, _size, matmul
 from .errors import AntihermitianViolation
-from .forms import Calculus, KForm
+from .forms import Calculus, KForm, d_array
 from .metric import HermitianMetric
 
 HALF = Fraction(1, 2)
@@ -38,10 +43,7 @@ class Connection:
     __slots__ = ("calculus", "rank", "gamma")
 
     def __init__(self, calculus: Calculus, gamma):
-        try:
-            rank = len(gamma[0])
-        except (TypeError, IndexError):
-            rank = 0  # not an array of matrices: _frozen names the shape
+        rank = _size(gamma, 1)
         self.calculus = calculus
         self.rank = rank
         self.gamma = _frozen(
@@ -87,24 +89,21 @@ def apply_connection(conn: Connection, a: int, coeffs):
 def torsion(conn: Connection):
     """Torsion on the basis: a two-form per basis index i.
 
-    T^i(d_a, d_b) = gamma[a][i][b] - gamma[b][i][a] + c^i_{ab}; left
-    linearity extends this to the whole module.
+    T^i(d_a, d_b) = gamma[a][i][b] - gamma[b][i][a] - d^i_ab, the
+    antisymmetrization of gamma minus ``d_array``, taken once per pair
+    a < b; left linearity extends this to the whole module.
     """
     calc = conn.calculus
     if conn.rank != calc.n:
         raise ValueError("torsion needs the dual-basis calculus (N = n)")
-    alg = calc.algebra
+    gamma, dop = conn.gamma, d_array(calc)
     forms = []
-    for i in range(1, conn.rank + 1):
+    for i in range(calc.n):
         comps = {}
-        for a in range(1, calc.n + 1):
-            for b in range(a + 1, calc.n + 1):
-                value = conn.gamma[a - 1][i - 1][b - 1] - conn.gamma[b - 1][i - 1][a - 1]
-                c = calc.lie.bracket(i, a, b)
-                if c:
-                    value = value + alg.scalar(c)
-                if not value.is_zero():
-                    comps[(a, b)] = value
+        for a, b in combinations(range(calc.n), 2):
+            value = gamma[a][i][b] - gamma[b][i][a] - dop[a][i][b]
+            if not value.is_zero():
+                comps[(a + 1, b + 1)] = value
         forms.append(KForm(calc, 2, comps))
     return tuple(forms)
 
@@ -214,28 +213,6 @@ def symmetrize(array):
 def antisymmetrize(array):
     """wedge(alpha) = alpha - sigma(alpha)."""
     return entrywise(operator.sub, array, sigma_swap(array))
-
-
-def d_array(calculus: Calculus):
-    """The exterior derivative as a component array, d^i_ab = d theta^i (d_a, d_b),
-    built on first use and kept on the (immutable) calculus."""
-    cached = calculus.__dict__.get("_d_array")
-    if cached is not None:
-        return cached
-    n = calculus.n
-    alg = calculus.algebra
-    out = []
-    for a in range(1, n + 1):
-        plane = []
-        for i in range(1, n + 1):
-            row = []
-            for b in range(1, n + 1):
-                c = calculus.lie.bracket(i, a, b)
-                row.append(alg.scalar(-c) if c else alg.zero())
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    cached = calculus.__dict__["_d_array"] = tuple(out)
-    return cached
 
 
 def metric_pairing_operator(array, metric: HermitianMetric):

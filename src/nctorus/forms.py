@@ -7,6 +7,10 @@ exterior derivative follows the alternating-sum formula with bracket
 terms weighted by the structure constants, the product is the signed sum
 over (k,l)-shuffles, and the star acts componentwise because the basis
 derivations are hermitian.
+
+Only this module reads the structure constants: ``KForm.d`` and
+``d_array`` (d as a component array) fix d theta^i (d_a, d_b) = -c^i_ab
+for the array formulas of ``connections`` and ``levicivita``.
 """
 
 from __future__ import annotations
@@ -181,10 +185,9 @@ class KForm:
                     raise IndexError("bad component tuple %s" % (key,))
                 if list(key) != sorted(set(key)):
                     raise ValueError("component tuples must be strictly increasing")
-                if value.algebra != calculus.algebra:
-                    raise DescriptorMismatch(
-                        "component at %s lives over a different algebra" % (key,)
-                    )
+                # the checker's own identity test first: this runs per component
+                if value.__class__ is not AlgebraElement or value.algebra is not calculus.algebra:
+                    value = _frozen(value, (), "component %s" % (key,), "", calculus.algebra)
                 if not value.is_zero():
                     clean[key] = value
         self.calculus = calculus
@@ -352,6 +355,19 @@ class KForm:
             "%s: %r" % (key, value) for key, value in sorted(self.comps.items())
         )
         return "KForm(degree=%d, {%s})" % (self.degree, bits)
+
+
+def d_array(calculus: Calculus):
+    """The exterior derivative as a component array, d^i_ab = d theta^i (d_a, d_b)
+    = -c^i_ab stored at [a][i][b], built on first use and kept on the
+    (immutable) calculus."""
+    cached = calculus.__dict__.get("_d_array")
+    if cached is None:
+        lie, scalar, r = calculus.lie, calculus.algebra.scalar, range(1, calculus.n + 1)
+        cached = calculus.__dict__["_d_array"] = tuple(
+            tuple(tuple(scalar(-lie.bracket(i, a, b)) for b in r) for i in r) for a in r
+        )
+    return cached
 
 
 def d_element(calculus: Calculus, value: AlgebraElement) -> KForm:

@@ -1,9 +1,11 @@
 """Construction and verification of Levi-Civita connections.
 
-Pipeline: from a validated metric build the antisymmetric F tensor, check
-the cyclic solvability condition (equivalent to d(rho) = 0), solve the
-hermitian matrix equations (R_a)_cb - (R_b)_ca = F_cab, conjugate by the
-metric to obtain the U array, and assemble the Christoffel entries
+Pipeline: from a validated metric build the antisymmetric F tensor,
+F_cab = (i/2) (d_b h_ca - d_a h_cb) - i h_ce d^e_ab with d = ``d_array``,
+check the cyclic solvability condition (equivalent to d(rho) = 0), solve
+the hermitian matrix equations (R_a)_cb - (R_b)_ca = F_cab, that is
+antisymmetrize(R) = F, conjugate by the metric to obtain the U array,
+and assemble the Christoffel entries
 
     gamma^i_ak = (1/2 d_a h^ij + i U^ij_a + A^ij_a) h_jk.
 
@@ -26,11 +28,12 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import AlgebraElement, _first_unpaired, _frozen, matmul
 from .connections import (
     Connection,
+    antisymmetrize,
     check_antihermitian,
     compat_defect,
     compatible_connection,
@@ -44,7 +47,7 @@ from .errors import (
     ParamViolation,
     SolvabilityViolated,
 )
-from .forms import Calculus
+from .forms import Calculus, d_array
 from .metric import HermitianMetric, weak_symmetry_defect
 from .records import Record
 from .scalars import GaussianRational
@@ -152,33 +155,29 @@ class RSet:
 
 
 def compute_F(metric: HermitianMetric) -> FTensor:
-    """F_cab = -(i/2) d_a h_cb + (i/2) d_b h_ca + i c^e_ab h_ce.
+    """F_cab = -(i/2) d_a h_cb + (i/2) d_b h_ca - i h_ce d^e_ab.
 
-    The bracket correction vanishes for an abelian Lie algebra.  The
-    cyclic defect of this tensor reproduces i d(rho) componentwise.
-    Since c^e_ab = -c^e_ba, F is antisymmetric in (a, b): each pair
-    a < b is computed once, F_cba = -F_cab, and F_caa = 0.
+    d^e_ab is ``d_array``, zero for an abelian Lie algebra; zero entries
+    are skipped.  The cyclic defect of this tensor reproduces i d(rho)
+    componentwise.  Since d^e_ab = -d^e_ba, F is antisymmetric in (a, b):
+    each pair a < b is computed once, F_cba = -F_cab, and F_caa = 0.
     """
     calc = metric.calculus
     n = calc.n
     if metric.rank != n:
         raise ValueError("F tensor needs the dual-basis calculus (N = n)")
     zero = calc.algebra.zero()
-    lie = calc.lie
-    abelian = lie.is_abelian()
+    dop = d_array(calc)
     entries = []
     for h_c in metric.lower:
         plane = [[zero] * n for _ in range(n)]
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                value = (h_c[a - 1].derive(b) - h_c[b - 1].derive(a)) * HALF_I
-                if not abelian:
-                    for e in range(1, n + 1):
-                        const = lie.bracket(e, a, b)
-                        if const:
-                            value = value + h_c[e - 1] * (UNIT_I * const)
-                plane[a - 1][b - 1] = value
-                plane[b - 1][a - 1] = -value
+        for a, b in combinations(range(n), 2):
+            value = (h_c[a].derive(b + 1) - h_c[b].derive(a + 1)) * HALF_I
+            for e in range(n):
+                if not dop[a][e][b].is_zero():
+                    value = value - h_c[e] * dop[a][e][b] * UNIT_I
+            plane[a][b] = value
+            plane[b][a] = -value
         entries.append(plane)
     return FTensor(calc, entries)
 
@@ -240,14 +239,12 @@ def solve_R(tensor: FTensor, params: SolverParams) -> RSet:
                 R[c - 1][a - 1][b - 1] = r_c
                 R[c - 1][b - 1][a - 1] = r_c.star()
     result = RSet(calc, R)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                lhs = result.entry(a, c, b) - result.entry(b, c, a)
-                if lhs != tensor[c, a, b]:
-                    raise InternalVerificationFailure(
-                        "R equation fails at (a=%d, b=%d, c=%d)" % (a, b, c)
-                    )
+    lhs = antisymmetrize(result.matrices)  # (R_a)_cb - (R_b)_ca at [a][c][b]
+    for a, b, c in product(range(n), repeat=3):
+        if lhs[a][c][b] != tensor.entries[c][a][b]:
+            raise InternalVerificationFailure(
+                "R equation fails at (a=%d, b=%d, c=%d)" % (a + 1, b + 1, c + 1)
+            )
     return result
 
 

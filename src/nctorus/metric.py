@@ -12,7 +12,7 @@ compatible connection; d(rho) = 0 is the exact existence criterion.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, _first_unpaired, _frozen, matmul
+from .algebra import AlgebraElement, _first_unpaired, _frozen, _size, matmul
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
 from .forms import Calculus, KForm
 
@@ -30,7 +30,7 @@ def invert_metric(calculus: Calculus, upper):
     caller has to supply the lower matrix explicitly.
     """
     alg = calculus.algebra
-    upper = _frozen(upper, (len(upper),) * 2, "upper", "N x N", alg)
+    upper = _frozen(upper, (_size(upper),) * 2, "upper", "N x N", alg)
     bad = _first_unpaired(upper, _adjoint, 2)
     if bad is not None:
         raise NotHermitian(bad)
@@ -74,13 +74,14 @@ class HermitianMetric:
     __slots__ = ("calculus", "rank", "upper", "lower", "_d_upper")
 
     def __init__(self, calculus: Calculus, upper, lower=None):
-        upper = _frozen(upper, (len(upper),) * 2, "upper", "N x N", calculus.algebra)
+        rank = _size(upper)
+        upper = _frozen(upper, (rank, rank), "upper", "N x N", calculus.algebra)
         if lower is None:
             lower = invert_metric(calculus, upper)
         else:
-            lower = _frozen(lower, (len(upper),) * 2, "lower", "N x N", calculus.algebra)
+            lower = _frozen(lower, (rank, rank), "lower", "N x N", calculus.algebra)
         self.calculus = calculus
-        self.rank = len(upper)
+        self.rank = rank
         self.upper = upper
         self.lower = lower
         self._d_upper = None

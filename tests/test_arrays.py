@@ -2,11 +2,13 @@
 
 Each entry below takes a nested list of algebra elements: a metric
 matrix, a Christoffel or parameter array, the F tensor, the R matrices
-or a vector of module coefficients.  Three defects are put into a valid array in turn: one row one
-entry short, an int leaf and a leaf over another algebra.  Each must be
-refused with the package's error for it, in words that start with the
-argument's name, and never escape as an AttributeError or an unpacking
-ValueError from deeper in the code.
+or a vector of module coefficients.  Four defects are put into a valid
+array in turn: one row one entry short, an int leaf, a leaf over another
+algebra, and an int in place of the whole array.  Each must be refused
+with the package's error for it, in words that start with the argument's
+name, and never escape as an AttributeError, a bare TypeError from
+``len`` or an unpacking ValueError from deeper in the code.  The
+components of a ``KForm`` go through the same leaf check.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from nctorus import (
     DescriptorMismatch,
     FTensor,
     HermitianMetric,
+    KForm,
     ParamViolation,
     RSet,
     SolverParams,
@@ -25,6 +28,7 @@ from nctorus import (
     build_levi_civita,
     compatible_connection,
     compute_F,
+    invert_metric,
     pair,
     solve_R,
     torsion_free_from,
@@ -66,6 +70,7 @@ def params(X=None, triples=None, antiherm=None):
 ENTRIES = {
     "upper": (identity, lambda x: HermitianMetric(CALC, x), "upper", None),
     "lower": (identity, lambda x: HermitianMetric(CALC, identity(), x), "lower", None),
+    "invert_metric": (identity, lambda x: invert_metric(CALC, x), "upper", None),
     "Connection": (lambda: zeros(N, N, N), lambda x: Connection(CALC, x), "gamma", None),
     "compatible_connection": (
         lambda: zeros(N, N, N),
@@ -107,7 +112,10 @@ for run in (build_with, solve_with):
 
 def broken(array, failure):
     """``array`` with its first row one entry short, or its first leaf
-    replaced by an int or by an element over another algebra."""
+    replaced by an int or by an element over another algebra, or an int
+    in its place."""
+    if failure == "scalar":
+        return 5
     row = array
     while isinstance(row[0], list):
         row = row[0]
@@ -118,12 +126,13 @@ def broken(array, failure):
     return array
 
 
-@pytest.mark.parametrize("failure", ("shape", "leaf", "foreign"))
+@pytest.mark.parametrize("failure", ("shape", "leaf", "foreign", "scalar"))
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_bad_array_is_refused(entry, failure):
     make, call, name, param_error = ENTRIES[entry]
     expected = {
         "shape": param_error or ValueError,
+        "scalar": param_error or ValueError,
         "leaf": param_error or TypeError,
         "foreign": DescriptorMismatch,
     }[failure]
@@ -171,3 +180,19 @@ def test_leaves_are_named_and_algebra_compared_by_value():
     assert twin is not ALG
     upper = [[twin.one() if i == j else twin.zero() for j in range(N)] for i in range(N)]
     assert HermitianMetric(CALC, upper) == METRIC
+
+
+@pytest.mark.parametrize(
+    "degree, value, expected, words",
+    [
+        (1, 1, TypeError, "component (1,) has type int, not AlgebraElement"),
+        (2, None, TypeError, "component (1, 2) has type NoneType, not AlgebraElement"),
+        (1, FOREIGN, DescriptorMismatch, "component (1,) lives over"),
+    ],
+    ids=("int", "none", "foreign"),
+)
+def test_bad_kform_component_is_refused(degree, value, expected, words):
+    with pytest.raises(Exception) as info:
+        KForm(CALC, degree, {tuple(range(1, degree + 1)): value})
+    assert type(info.value) is expected, repr(info.value)
+    assert str(info.value).startswith(words), str(info.value)

@@ -21,7 +21,7 @@ from nctorus import (
     torsion_free_from,
 )
 from nctorus.algebra import matmul
-from nctorus.forms import Calculus
+from nctorus.forms import Calculus, d_array
 
 from conftest import (
     block_metric,
@@ -121,34 +121,43 @@ def test_torsion_bracket_term():
     assert fixed.gamma[0][2][1] == heis.algebra.scalar(Fraction(-1, 2))
 
 
-def test_torsion_left_linear(calc3, rng):
-    # torsion of a . theta^i computed from first principles equals a . T^i
-    alg = calc3.algebra
-    conn = connection_with(
-        calc3, {(1, 1, 2): alg.gen(2), (2, 1, 1): alg.i() * alg.gen(1)}
-    )
-    forms = torsion(conn)
-    for _ in range(5):
-        a_elt = random_element(rng, alg)
+HEISENBERG = {(3, 1, 2): 1}
+SO3 = {(3, 1, 2): 1, (1, 2, 3): 1, (2, 3, 1): 1}
+
+
+def test_torsion_left_linear(rng):
+    # torsion of a . theta^i computed from first principles (the Leibniz
+    # rule and KForm.d) equals a . T^i, on abelian and bracket calculi
+    for brackets in (None, HEISENBERG, SO3):
+        calc = Calculus.torus(3, brackets=brackets)
+        alg = calc.algebra
+        conn = connection_with(
+            calc, {(1, 1, 2): alg.gen(2), (2, 1, 1): alg.i() * alg.gen(1)}
+        )
+        forms = torsion(conn)
+        dop = d_array(calc)
         for i in (1, 2, 3):
-            coeffs = tuple(
-                a_elt if k == i else alg.zero() for k in (1, 2, 3)
-            )
-            one_form = KForm(
-                calc3, 1, {(k,): coeffs[k - 1] for k in (1, 2, 3)}
-            )
-            dform = one_form.d()
-            for x in (1, 2, 3):
-                for y in (1, 2, 3):
-                    nab_x = apply_connection(conn, x, coeffs)
-                    nab_y = apply_connection(conn, y, coeffs)
-                    direct = nab_x[y - 1] - nab_y[x - 1] - dform(x, y)
-                    assert direct == a_elt * forms[i - 1](x, y)
+            d_theta = calc.theta(i).d()
+            for a in (1, 2, 3):
+                for b in (1, 2, 3):
+                    assert dop[a - 1][i - 1][b - 1] == d_theta(a, b), brackets
+        for _ in range(5):
+            a_elt = random_element(rng, alg)
+            for i in (1, 2, 3):
+                coeffs = tuple(a_elt if k == i else alg.zero() for k in (1, 2, 3))
+                dform = KForm(calc, 1, {(i,): a_elt}).d()
+                for x in (1, 2, 3):
+                    for y in (1, 2, 3):
+                        nab_x = apply_connection(conn, x, coeffs)
+                        nab_y = apply_connection(conn, y, coeffs)
+                        direct = nab_x[y - 1] - nab_y[x - 1] - dform(x, y)
+                        assert direct == a_elt * forms[i - 1](x, y), brackets
 
 
 def test_d_array_is_built_once_per_calculus():
-    from nctorus.connections import d_array
+    from nctorus import connections
 
+    assert connections.d_array is d_array  # still importable from connections
     calc = Calculus.torus(3, brackets={(3, 1, 2): 1})
     dop = d_array(calc)
     assert d_array(calc) is dop
@@ -157,8 +166,6 @@ def test_d_array_is_built_once_per_calculus():
 
 
 def test_torsion_equals_wedge_minus_d(calc3, rng):
-    from nctorus.connections import d_array
-
     conn = connection_with(
         calc3, {(1, 2, 2): random_element(rng, calc3.algebra), (3, 2, 1): calc3.algebra.one()}
     )

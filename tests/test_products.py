@@ -46,13 +46,19 @@ from conftest import (
 )
 
 HALF = Fraction(1, 2)
-FAMILIES = ("abelian", "bracket", "commutative")
+# structure constants {(e, a, b): c^e_ab}: Heisenberg, and an so(3)-type
+# algebra on d_1, d_2, d_3 with a nonzero constant in every slot
+BRACKETS = {
+    "bracket": {(3, 1, 2): 1},
+    "so3": {(3, 1, 2): 1, (1, 2, 3): 1, (2, 3, 1): 1},
+}
+FAMILIES = ("abelian", "bracket", "so3", "commutative")
 CASES = [(family, n) for family in FAMILIES for n in (3, 4, 5)]
 
 
 def make_calculus(family, n):
-    if family == "bracket":
-        return Calculus.torus(n, brackets={(3, 1, 2): 1})
+    if family in BRACKETS:
+        return Calculus.torus(n, brackets=BRACKETS[family])
     return Calculus.torus(n, commutative=family == "commutative")
 
 
