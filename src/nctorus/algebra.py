@@ -442,7 +442,7 @@ def _frozen(x, shape, name, dims="", algebra=None, errors=(ValueError, TypeError
     empty shape, ``x`` is the one leaf.
 
     Another shape raises ``errors[0]``, worded from ``name`` and ``dims``
-    (the shape in symbols, such as "n x N x N").  With ``algebra``, the
+    (the shape in symbols, such as "n x n x n").  With ``algebra``, the
     first leaf in index order that is not an AlgebraElement raises
     ``errors[1]``, and the first over an algebra not equal to it
     DescriptorMismatch, each naming the leaf as ``name[i][j]...``, 1-based.
@@ -471,15 +471,6 @@ def _frozen(x, shape, name, dims="", algebra=None, errors=(ValueError, TypeError
         if y.algebra != algebra:
             raise DescriptorMismatch("%s lives over %r, not %r" % (where, y.algebra, algebra))
     return out
-
-
-def _size(x, axis=0):
-    """len(x), or with axis 1 len(x[0]); 0 where that fails, so that
-    ``_frozen`` then refuses the shape in its own words."""
-    try:
-        return len(x[0] if axis else x)
-    except (TypeError, LookupError):
-        return 0
 
 
 def _first_unpaired(x, related, ndim):

@@ -11,8 +11,8 @@ Config files are flat sectioned key-value text.  Each line is a
     [lie]
     c.3.1.2 = 1
 
-    # the rank N (optional, defaults to n), the upper entries h^ij (missing
-    # entries are 0) and optional explicit inverse entries h_ij
+    # the module size N (optional, must equal n), the upper entries h^ij
+    # (missing entries are 0) and optional explicit inverse entries h_ij
     [metric]
     N = 3
     h.1.1 = 1
@@ -40,12 +40,12 @@ Config files are flat sectioned key-value text.  Each line is a
 Only these sections and keys are read; any other is an error.  Each
 entry may be given once: ``h.1.1`` and ``h.01.1`` name the same entry.
 
-Limits: ``n`` and ``N`` are at most ``MAX_N`` (16), because every term
-of an element carries n + n(n-1)/2 exponents, the solver's work grows
-with powers of n and a rank-N metric holds N^2 entries.  A value (the
-text after ``=``) has at most ``MAX_VALUE_CHARS`` (4096) characters.  A
-``[lie]`` value is an integer, ``p/q`` (q != 0) or a plain decimal,
-never an exponent form such as ``1e5`` (``1e10000000`` would be a
+Limits: ``n`` is at most ``MAX_N`` (16), because every term of an
+element carries n + n(n-1)/2 exponents, the solver's work grows with
+powers of n and a metric holds n^2 entries.  A value (the text after
+``=``) has at most ``MAX_VALUE_CHARS`` (4096) characters.  A ``[lie]``
+value is an integer, ``p/q`` (q != 0) or a plain decimal, never an
+exponent form such as ``1e5`` (``1e10000000`` would be a
 ten-million-digit integer).  Parsing one value multiplies at most
 ``nctorus.expr.MAX_TERM_PAIRS`` (65536) pairs of terms, charging a power
 of a sum up front by an upper bound, and nests parentheses at most
@@ -104,12 +104,11 @@ _RATIONAL = re.compile(r"[-+]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")
 class ProblemConfig(Record):
     """A fully validated problem description."""
 
-    _fields = ("calculus", "rank", "upper", "lower", "params", "gamma", "command")
+    _fields = ("calculus", "upper", "lower", "params", "gamma", "command")
 
     def __init__(
         self,
         calculus: Calculus,
-        rank: int,
         upper: tuple,
         lower: tuple | None,
         params: SolverParams,
@@ -117,7 +116,6 @@ class ProblemConfig(Record):
         command: str,
     ):
         self.calculus = calculus
-        self.rank = rank
         self.upper = upper
         self.lower = lower
         self.params = params
@@ -340,11 +338,13 @@ def load_config(path) -> ProblemConfig:
     zero = calculus.algebra.zero()
 
     metric_sec = dict(sections.get("metric", {}))
-    rank = _size("N", *metric_sec.pop("N")) if "N" in metric_sec else n
+    text, lineno = metric_sec.pop("N", (str(n), None))
+    if _size("N", text, lineno) != n:
+        raise ParseError("N must equal n = %d (the dual-basis module)" % n, lineno, 1)
     upper, lower = {}, {}
     for key, (value, lineno) in metric_sec.items():
         entries, prefix = (lower, "hinv") if key.startswith("hinv.") else (upper, "h")
-        index = _index(key, prefix, (rank, rank), "metric", lineno, entries)
+        index = _index(key, prefix, (n, n), "metric", lineno, entries)
         entries[index] = _parse_expr(calculus, value, lineno)
 
     x_entries, triples, a_entries = {}, {}, {}
@@ -358,13 +358,13 @@ def load_config(path) -> ProblemConfig:
                 raise ParseError("H key indices must be strictly increasing", lineno, 1)
             triples[index] = _parse_hermitian(calculus, value, lineno, "H", index)
         elif key.startswith("A."):
-            index = _index(key, "A", (n, rank, rank), "A", lineno, a_entries)
+            index = _index(key, "A", (n, n, n), "A", lineno, a_entries)
             a_entries[index] = _parse_expr(calculus, value, lineno)
         else:
             raise ParseError("unknown key %r in [params]" % key, lineno, 1)
     antiherm = None
     if a_entries:
-        antiherm = _nested(a_entries, (n, rank, rank), zero)
+        antiherm = _nested(a_entries, (n, n, n), zero)
         try:
             check_antihermitian(antiherm)
         except AntihermitianViolation as exc:
@@ -377,9 +377,9 @@ def load_config(path) -> ProblemConfig:
     if "connection" in sections:
         gamma_entries = {}
         for key, (value, lineno) in sections["connection"].items():
-            index = _index(key, "gamma", (n, rank, rank), "gamma", lineno, gamma_entries)
+            index = _index(key, "gamma", (n, n, n), "gamma", lineno, gamma_entries)
             gamma_entries[index] = _parse_expr(calculus, value, lineno)
-        gamma = _nested(gamma_entries, (n, rank, rank), zero)
+        gamma = _nested(gamma_entries, (n, n, n), zero)
 
     command, lineno = _plain_keys(sections, "run", "command")["command"]
     if command not in COMMANDS:
@@ -389,9 +389,9 @@ def load_config(path) -> ProblemConfig:
             1,
         )
 
-    upper = _nested(upper, (rank, rank), zero)
-    lower = _nested(lower, (rank, rank), zero) if lower else None
-    return ProblemConfig(calculus, rank, upper, lower, params, gamma, command)
+    upper = _nested(upper, (n, n), zero)
+    lower = _nested(lower, (n, n), zero) if lower else None
+    return ProblemConfig(calculus, upper, lower, params, gamma, command)
 
 
 # -- running -------------------------------------------------------------------
@@ -476,7 +476,7 @@ def run(config: ProblemConfig) -> Report:
         # build-lc
         conn = build_levi_civita(metric, config.params)
         tensor = compute_F(metric)
-        rset = solve_R(tensor, config.params.validated(calc, metric.rank))
+        rset = solve_R(tensor, config.params.validated(calc))
         u_array = assemble_U(metric, rset)
         report.f = _f_dict(tensor)
         report.r = [_render_matrix(m) for m in rset.matrices]

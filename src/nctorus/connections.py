@@ -29,8 +29,8 @@ import operator
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import _first_unpaired, _frozen, _size, matmul
-from .errors import AntihermitianViolation
+from .algebra import _first_unpaired, _frozen, matmul
+from .errors import AntihermitianViolation, DescriptorMismatch
 from .forms import Calculus, KForm, d_array
 from .metric import HermitianMetric
 
@@ -38,22 +38,20 @@ HALF = Fraction(1, 2)
 
 
 class Connection:
-    """Christoffel data gamma[a][i][j] over a calculus, module rank N."""
+    """Christoffel data gamma[a][i][j] over a calculus, an n x n x n array."""
 
-    __slots__ = ("calculus", "rank", "gamma")
+    __slots__ = ("calculus", "gamma")
 
     def __init__(self, calculus: Calculus, gamma):
-        rank = _size(gamma, 1)
         self.calculus = calculus
-        self.rank = rank
         self.gamma = _frozen(
-            gamma, (calculus.n, rank, rank), "gamma", "n x N x N", calculus.algebra
+            gamma, (calculus.n,) * 3, "gamma", "n x n x n", calculus.algebra
         )
 
     @classmethod
-    def zero(cls, calculus: Calculus, rank=None) -> "Connection":
-        rank = rank if rank is not None else calculus.n
-        return cls(calculus, [[[calculus.algebra.zero()] * rank] * rank] * calculus.n)
+    def zero(cls, calculus: Calculus) -> "Connection":
+        n = calculus.n
+        return cls(calculus, [[[calculus.algebra.zero()] * n] * n] * n)
 
     def __eq__(self, other):
         if not isinstance(other, Connection):
@@ -64,14 +62,12 @@ class Connection:
         from .expr import render_element
 
         nonzero = []
-        for a in range(self.calculus.n):
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    entry = self.gamma[a][i][j]
+        for a, plane in enumerate(self.gamma, 1):
+            for i, row in enumerate(plane, 1):
+                for j, entry in enumerate(row, 1):
                     if not entry.is_zero():
                         nonzero.append(
-                            "gamma[%d,%d,%d]=%s"
-                            % (a + 1, i + 1, j + 1, render_element(entry))
+                            "gamma[%d,%d,%d]=%s" % (a, i, j, render_element(entry))
                         )
         return "Connection(%s)" % ("; ".join(nonzero) if nonzero else "0")
 
@@ -81,7 +77,7 @@ def apply_connection(conn: Connection, a: int, coeffs):
     calc = conn.calculus
     if not 1 <= a <= calc.n:
         raise IndexError("derivation index out of range: %d" % a)
-    coeffs = _frozen(coeffs, (conn.rank,), "coeffs", "N-entry", calc.algebra)
+    coeffs = _frozen(coeffs, (calc.n,), "coeffs", "n-entry", calc.algebra)
     (product,) = matmul((coeffs,), conn.gamma[a - 1])
     return tuple(f.derive(a) + p for f, p in zip(coeffs, product))
 
@@ -94,8 +90,6 @@ def torsion(conn: Connection):
     a < b; left linearity extends this to the whole module.
     """
     calc = conn.calculus
-    if conn.rank != calc.n:
-        raise ValueError("torsion needs the dual-basis calculus (N = n)")
     gamma, dop = conn.gamma, d_array(calc)
     forms = []
     for i in range(calc.n):
@@ -115,8 +109,8 @@ def is_torsion_free(conn: Connection) -> bool:
 def compat_defect(conn: Connection, metric: HermitianMetric):
     """C^ij_a = d_a h^ij - T_h(gamma)^ij_a
     = d_a h^ij - gamma^i_ak h^kj - (gamma^j_ak h^ki)*."""
-    if metric.rank != conn.rank:
-        raise ValueError("metric rank does not match the connection")
+    if conn.calculus != metric.calculus:
+        raise DescriptorMismatch("connection and metric live over different calculi")
     return entrywise(
         operator.sub, metric.d_upper, metric_pairing_operator(conn.gamma, metric)
     )
@@ -132,7 +126,7 @@ def is_compatible(conn: Connection, metric: HermitianMetric) -> bool:
 
 
 def check_antihermitian(array) -> None:
-    """(A^ij_a)* = -A^ji_a for all a, i, j of a frozen n x N x N array;
+    """(A^ij_a)* = -A^ji_a for all a, i, j of a frozen n x n x n array;
     raises AntihermitianViolation naming the first failing (a, i, j)."""
     bad = _first_unpaired(array, lambda x, y: x.star() == -y, 3)
     if bad is not None:
@@ -149,8 +143,7 @@ def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
     if antiherm is None:
         coeffs = [[[x * HALF for x in row] for row in plane] for plane in metric.d_upper]
     else:
-        shape = (calc.n, metric.rank, metric.rank)
-        antiherm = _frozen(antiherm, shape, "antiherm", "n x N x N", calc.algebra)
+        antiherm = _frozen(antiherm, (calc.n,) * 3, "antiherm", "n x n x n", calc.algebra)
         check_antihermitian(antiherm)
         coeffs = entrywise(lambda dh, x: dh * HALF + x, metric.d_upper, antiherm)
     return Connection(calc, [matmul(coeff, metric.lower) for coeff in coeffs])
@@ -164,8 +157,6 @@ def torsion_free_from(base: Connection, symmetric_part=None) -> Connection:
     every such choice keeps the result torsion free.
     """
     calc = base.calculus
-    if base.rank != calc.n:
-        raise ValueError("torsion-free construction needs N = n")
     if symmetric_part is not None:
         symmetric_part = _frozen(
             symmetric_part, (calc.n,) * 3, "symmetric_part", "n x n x n", calc.algebra
@@ -183,7 +174,7 @@ def torsion_free_from(base: Connection, symmetric_part=None) -> Connection:
     return Connection(calc, gamma)
 
 
-# -- operators on component arrays gamma[a][i][b] (dual basis, N = n) ----------
+# -- operators on component arrays gamma[a][i][b] (dual basis) -----------------
 
 
 def entrywise(op, left, right):
@@ -217,14 +208,14 @@ def antisymmetrize(array):
 
 def metric_pairing_operator(array, metric: HermitianMetric):
     """T_h(alpha)^ij_a = alpha^i_ak h^kj + (alpha^j_ak h^ki)*."""
-    rank = metric.rank
+    n = metric.calculus.n
     out = []
     for plane in array:
         product = matmul(plane, metric.upper)
         out.append(
             tuple(
-                tuple(product[i][j] + product[j][i].star() for j in range(rank))
-                for i in range(rank)
+                tuple(product[i][j] + product[j][i].star() for j in range(n))
+                for i in range(n)
             )
         )
     return tuple(out)
@@ -244,9 +235,8 @@ def lc_characterization_check(conn: Connection, metric: HermitianMetric) -> bool
     holds exactly when conn is torsion free and compatible.
     """
     calc = conn.calculus
-    n = calc.n
-    if conn.rank != n or metric.rank != n:
-        raise ValueError("characterization needs the dual-basis calculus (N = n)")
+    if calc != metric.calculus:
+        raise DescriptorMismatch("connection and metric live over different calculi")
     sym = symmetrize(conn.gamma)
     dop = d_array(calc)
     rhs = entrywise(

@@ -1,4 +1,4 @@
-"""Differential graded algebra of forms over a Lie algebra of derivations.
+"""Forms over a Lie algebra of derivations: exterior derivative and wedge.
 
 A k-form assigns an algebra element to every k-tuple of basis derivations,
 antisymmetrically.  Components are stored on strictly increasing index
@@ -6,7 +6,9 @@ tuples; evaluation at arbitrary tuples is the signed extension.  The
 exterior derivative follows the alternating-sum formula with bracket
 terms weighted by the structure constants, the product is the signed sum
 over (k,l)-shuffles, and the star acts componentwise because the basis
-derivations are hermitian.
+derivations are hermitian.  The torus derivations commute, so they do
+not represent a nonzero bracket, and d(d x) = 0 holds only for abelian
+brackets: over c^3_12 = 1, d(d U3) = -i U3 theta^1 theta^2.
 
 Only this module reads the structure constants: ``KForm.d`` and
 ``d_array`` (d as a component array) fix d theta^i (d_a, d_b) = -c^i_ab

@@ -86,7 +86,7 @@ class SolverParams(Record):
     ``X[a][b]`` (0-based) is the hermitian diagonal entry (R_{a+1})_{b+1,b+1};
     ``triples`` maps each strictly increasing index triple (a, b, c)
     (1-based) to a hermitian element; ``antiherm``, when present, is the
-    n x N x N antihermitian compatibility freedom.  Compared field-wise.
+    n x n x n antihermitian compatibility freedom.  Compared field-wise.
     """
 
     _fields = ("X", "triples", "antiherm")
@@ -102,10 +102,9 @@ class SolverParams(Record):
         z = calculus.algebra.zero()
         return cls(tuple(tuple(z for _ in range(n)) for _ in range(n)), {})
 
-    def validated(self, calculus: Calculus, rank: int) -> "SolverParams":
-        """The parameters frozen and checked for ``calculus`` and a metric
-        of ``rank``; every failure but a foreign algebra (DescriptorMismatch)
-        raises ParamViolation."""
+    def validated(self, calculus: Calculus) -> "SolverParams":
+        """The parameters frozen and checked for ``calculus``; every failure
+        but a foreign algebra (DescriptorMismatch) raises ParamViolation."""
         n = calculus.n
         alg = calculus.algebra
         errors = (ParamViolation, ParamViolation)
@@ -128,7 +127,7 @@ class SolverParams(Record):
             triples[key] = value
         antiherm = self.antiherm
         if antiherm is not None:
-            antiherm = _frozen(antiherm, (n, rank, rank), "A", "n x N x N", alg, errors)
+            antiherm = _frozen(antiherm, (n, n, n), "A", "n x n x n", alg, errors)
             check_antihermitian(antiherm)
         return SolverParams(X, triples, antiherm)
 
@@ -164,8 +163,6 @@ def compute_F(metric: HermitianMetric) -> FTensor:
     """
     calc = metric.calculus
     n = calc.n
-    if metric.rank != n:
-        raise ValueError("F tensor needs the dual-basis calculus (N = n)")
     zero = calc.algebra.zero()
     dop = d_array(calc)
     entries = []
@@ -209,7 +206,7 @@ def solve_R(tensor: FTensor, params: SolverParams) -> RSet:
     violation = solvability_check(tensor)
     if violation is not None:
         raise SolvabilityViolated(*violation)
-    params = params.validated(calc, n)
+    params = params.validated(calc)
     R = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -312,12 +309,9 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     InternalVerificationFailure.
     """
     calc = metric.calculus
-    n = calc.n
-    if metric.rank != n:
-        raise ValueError("construction needs the dual-basis calculus (N = n)")
     if params is None:
         params = SolverParams.zeros(calc)
-    params = params.validated(calc, metric.rank)
+    params = params.validated(calc)
     defect = weak_symmetry_defect(metric)
     if not defect.is_zero():
         key = sorted(defect.comps)[0]

@@ -1,6 +1,6 @@
 """Hermitian metrics on the free module of one-forms with dual basis.
 
-A metric is stored as the pair of N x N matrices h^ij (upper) and h_ij
+A metric is stored as the pair of n x n matrices h^ij (upper) and h_ij
 (lower), where the lower matrix is a verified two-sided inverse of the
 upper one.  The dual basis theta^i(d_a) = delta^i_a makes every lowered
 quantity an explicit matrix entry: theta_i(d_a) = h_ia.
@@ -12,7 +12,7 @@ compatible connection; d(rho) = 0 is the exact existence criterion.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, _first_unpaired, _frozen, _size, matmul
+from .algebra import AlgebraElement, _first_unpaired, _frozen, matmul
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
 from .forms import Calculus, KForm
 
@@ -29,12 +29,11 @@ def invert_metric(calculus: Calculus, upper):
     monomial pivot the procedure raises NotInvertibleByElimination and the
     caller has to supply the lower matrix explicitly.
     """
-    alg = calculus.algebra
-    upper = _frozen(upper, (_size(upper),) * 2, "upper", "N x N", alg)
+    alg, n = calculus.algebra, calculus.n
+    upper = _frozen(upper, (n, n), "upper", "n x n", alg)
     bad = _first_unpaired(upper, _adjoint, 2)
     if bad is not None:
         raise NotHermitian(bad)
-    n = len(upper)
     work = [list(row) for row in upper]
     aug = [
         [alg.one() if r == c else alg.zero() for c in range(n)] for r in range(n)
@@ -71,17 +70,16 @@ def invert_metric(calculus: Calculus, upper):
 class HermitianMetric:
     """A validated metric: hermitian upper matrix with two-sided inverse."""
 
-    __slots__ = ("calculus", "rank", "upper", "lower", "_d_upper")
+    __slots__ = ("calculus", "upper", "lower", "_d_upper")
 
     def __init__(self, calculus: Calculus, upper, lower=None):
-        rank = _size(upper)
-        upper = _frozen(upper, (rank, rank), "upper", "N x N", calculus.algebra)
+        shape = (calculus.n,) * 2
+        upper = _frozen(upper, shape, "upper", "n x n", calculus.algebra)
         if lower is None:
             lower = invert_metric(calculus, upper)
         else:
-            lower = _frozen(lower, (rank, rank), "lower", "N x N", calculus.algebra)
+            lower = _frozen(lower, shape, "lower", "n x n", calculus.algebra)
         self.calculus = calculus
-        self.rank = rank
         self.upper = upper
         self.lower = lower
         self._d_upper = None
@@ -107,7 +105,7 @@ class HermitianMetric:
         )
 
     def __repr__(self):
-        return "HermitianMetric(rank=%d)" % self.rank
+        return "HermitianMetric(n=%d)" % self.calculus.n
 
 
 def validate(metric: HermitianMetric) -> None:
@@ -116,7 +114,8 @@ def validate(metric: HermitianMetric) -> None:
     Raises NotHermitian or NotInverse naming the first failing entry.
     Only h^ij h_jk is formed: once U = h^ij and L = h_ij are hermitian,
     (LU)_ik = sum_j L_ij U_jk = sum_j (U_kj L_ji)* = ((UL)_ki)*, so LU is
-    the adjoint of UL and equals delta exactly when UL does.
+    the adjoint of UL and equals delta exactly when UL does.  UL is formed
+    one row at a time, up to the first failing row.
     """
     alg = metric.calculus.algebra
     for matrix in (metric.upper, metric.lower):
@@ -124,7 +123,8 @@ def validate(metric: HermitianMetric) -> None:
         if bad is not None:
             raise NotHermitian(bad)
     one, zero = alg.one(), alg.zero()
-    for i, row in enumerate(matmul(metric.upper, metric.lower)):
+    for i, upper_row in enumerate(metric.upper):
+        (row,) = matmul((upper_row,), metric.lower)
         for k, total in enumerate(row):
             if total != (one if i == k else zero):
                 raise NotInverse(
@@ -134,12 +134,12 @@ def validate(metric: HermitianMetric) -> None:
 
 def pair(metric: HermitianMetric, left, right) -> AlgebraElement:
     """h(f_i theta^i, g_j theta^j) = sum f_i h^ij (g_j)*."""
-    alg = metric.calculus.algebra
-    left = _frozen(left, (metric.rank,), "left", "N-entry", alg)
-    right = _frozen(right, (metric.rank,), "right", "N-entry", alg)
+    alg, n = metric.calculus.algebra, metric.calculus.n
+    left = _frozen(left, (n,), "left", "n-entry", alg)
+    right = _frozen(right, (n,), "right", "n-entry", alg)
     total = alg.zero()
-    for i in range(metric.rank):
-        for j in range(metric.rank):
+    for i in range(n):
+        for j in range(n):
             total = total + left[i] * metric.upper[i][j] * right[j].star()
     return total
 
@@ -147,8 +147,6 @@ def pair(metric: HermitianMetric, left, right) -> AlgebraElement:
 def symmetry_form(metric: HermitianMetric) -> KForm:
     """The two-form rho with rho(d_a, d_b) = h_ab - (h_ab)*."""
     calc = metric.calculus
-    if metric.rank != calc.n:
-        raise ValueError("symmetry form needs the dual-basis calculus (N = n)")
     comps = {}
     for a in range(1, calc.n + 1):
         for b in range(a + 1, calc.n + 1):

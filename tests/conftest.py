@@ -6,6 +6,8 @@ exponents) because the point is exact law checking, not stress testing.
 """
 
 from fractions import Fraction
+import os
+from pathlib import Path
 import random
 
 import pytest
@@ -17,6 +19,19 @@ from nctorus import (
     KForm,
     TorusAlgebra,
 )
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def src_env():
+    """The environment with the repository's ``src`` first on PYTHONPATH,
+    for tests that run the package in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @pytest.fixture
@@ -93,16 +108,16 @@ def random_hermitian_matrix(rng, alg, n):
     return m
 
 
-def random_antihermitian_array(rng, calc, rank=None):
-    """An n x N x N array with (A^ij_a)* = -A^ji_a for every a."""
+def random_antihermitian_array(rng, calc):
+    """An n x n x n array with (A^ij_a)* = -A^ji_a for every a."""
     alg = calc.algebra
-    rank = rank if rank is not None else calc.n
+    n = calc.n
     out = []
-    for _ in range(calc.n):
-        plane = [[None] * rank for _ in range(rank)]
-        for i in range(rank):
+    for _ in range(n):
+        plane = [[None] * n for _ in range(n)]
+        for i in range(n):
             plane[i][i] = random_antihermitian(rng, alg, max_terms=1)
-            for j in range(i + 1, rank):
+            for j in range(i + 1, n):
                 x = random_element(rng, alg, max_terms=1)
                 plane[i][j] = x
                 plane[j][i] = -x.star()
@@ -119,13 +134,13 @@ def random_form(rng, calc, degree, max_terms=2, max_exp=2):
     return KForm(calc, degree, comps)
 
 
-def random_diagonal_metric(rng, calc, rank=None):
+def random_diagonal_metric(rng, calc):
     """Diagonal metric with nonzero rational constant entries.
 
     Hermitian invertible monomials are exactly the nonzero rational
     scalars, so this is the full family of exact diagonal metrics.
     """
-    n = rank if rank is not None else calc.n
+    n = calc.n
     alg = calc.algebra
     z = alg.zero()
     upper = [[z for _ in range(n)] for _ in range(n)]

@@ -17,13 +17,16 @@ import pytest
 
 from nctorus import (
     Calculus,
+    Connection,
     FTensor,
+    GaussianRational,
     HermitianMetric,
     NotWeaklySymmetric,
     SolverParams,
     assemble_U,
     build_levi_civita,
     compute_F,
+    is_weakly_symmetric,
     parse_element,
     solve_R,
     verify_levi_civita,
@@ -39,7 +42,9 @@ from conftest import (
     random_element,
     random_form,
     random_hermitian,
+    src_env,
 )
+from test_levicivita import congruence_metric
 
 REPO = Path(__file__).resolve().parent.parent
 BLOCK_CFG = REPO / "demos" / "torus3-block.cfg"
@@ -172,6 +177,7 @@ def test_criterion_03_negative_gate():
             [sys.executable, "-m", "nctorus", "--config", str(BLOCK_U1_CFG)],
             capture_output=True,
             cwd=REPO,
+            env=src_env(),
         )
         assert proc.returncode == 2
 
@@ -394,6 +400,67 @@ def test_criterion_09_commutative_cross_check():
         built = build_levi_civita(block)
         assert built.gamma[1][1][1] == alg.i()
         assert verify_levi_civita(built, block).passed
+
+
+def monomial_draws(alg, seed, count, span=None):
+    """``count`` seeded U-monomials c U^k, c a nonzero rational and k != 0
+    with k_a = 0 for a > ``span`` (default n)."""
+    span = alg.n if span is None else span
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        exponents = [rng.randint(-2, 2) for _ in range(span)] + [0] * (alg.n - span)
+        if any(exponents):
+            coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+            out.append(alg.monomial(coeff, exponents))
+    return out
+
+
+def test_classical_christoffel_oracle_on_non_constant_metrics():
+    calc = Calculus.torus(3, commutative=True)
+    for w in monomial_draws(calc.algebra, 919, 8):
+        # x = c W + c W* is hermitian: a non-constant real symmetric metric
+        metric = congruence_metric(calc, w + w.star())
+        conn = build_levi_civita(metric)
+        assert conn != Connection.zero(calc)
+        assert conn.gamma == classical_form_christoffel(metric)
+
+
+def specialised(element, target):
+    """The image of ``element`` under q -> 1 in the algebra ``target``: the
+    q key of every term is dropped and equal U-monomials are merged."""
+    total = target.zero()
+    for exponents, _, re, im in element.canonical_terms():
+        coeff = GaussianRational(Fraction(*re), Fraction(*im))
+        total = total + target.monomial(coeff, exponents)
+    return total
+
+
+def test_q_to_one_commutes_with_the_solver():
+    # q -> 1 is a *-homomorphism onto the commutative torus that commutes
+    # with every derivation, so it commutes with each stage of the build
+    calc = Calculus.torus(3)
+    flat = Calculus.torus(3, commutative=True)
+
+    def spec(array):
+        if isinstance(array, tuple):
+            return tuple(spec(part) for part in array)
+        return specialised(array, flat.algebra)
+
+    draws = monomial_draws(calc.algebra, 929, 8)
+    # x = c W + c W* gives rho = 0; x = c W gives rho != 0, and d(rho) = 0
+    # when W is free of U3
+    xs = [w + w.star() for w in draws] + draws + monomial_draws(calc.algebra, 939, 4, 2)
+    built = 0
+    for x in xs:
+        metric = congruence_metric(calc, x)
+        image = HermitianMetric(flat, spec(metric.upper), spec(metric.lower))
+        if not is_weakly_symmetric(metric):
+            continue
+        assert is_weakly_symmetric(image)
+        assert spec(build_levi_civita(metric).gamma) == build_levi_civita(image).gamma
+        built += 1
+    assert built >= 12
 
 
 # -- criterion 10: CLI determinism ------------------------------------------------------------------------

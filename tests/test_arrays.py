@@ -196,3 +196,12 @@ def test_bad_kform_component_is_refused(degree, value, expected, words):
         KForm(CALC, degree, {tuple(range(1, degree + 1)): value})
     assert type(info.value) is expected, repr(info.value)
     assert str(info.value).startswith(words), str(info.value)
+
+
+def test_module_of_another_size_is_refused():
+    # the module has the size of the calculus: 2 x 2 over the 3-torus is refused
+    two = [[ALG.one(), ALG.zero()], [ALG.zero(), ALG.one()]]
+    with pytest.raises(ValueError, match=r"^upper must be an n x n array$"):
+        HermitianMetric(CALC, two)
+    with pytest.raises(ValueError, match=r"^gamma must be an n x n x n array$"):
+        Connection(CALC, zeros(N, 2, 2))

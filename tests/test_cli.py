@@ -8,9 +8,17 @@ from pathlib import Path
 import pytest
 
 from nctorus import HermiticityError, ParseError, parse_element, render_element
-from nctorus.cli import MAX_N, MAX_VALUE_CHARS, emit_report, load_config, main, run
+from nctorus.cli import (
+    COMMANDS,
+    MAX_N,
+    MAX_VALUE_CHARS,
+    emit_report,
+    load_config,
+    main,
+    run,
+)
 
-from conftest import random_antihermitian_array, random_monomial
+from conftest import random_antihermitian_array, random_monomial, src_env
 
 REPO = Path(__file__).resolve().parent.parent
 BLOCK_CFG = REPO / "demos" / "torus3-block.cfg"
@@ -120,10 +128,10 @@ def test_load_accepts_n_at_limit(tmp_path):
     assert run(config).weak_symmetry["holds"] is True
 
 
-def rank_cfg(rank):
+def rank_cfg(rank, n=3):
     return (
-        "[algebra]\nn = 3\n\n[metric]\nN = %d\nh.1.1 = 1\n\n[run]\ncommand = build-lc\n"
-        % rank
+        "[algebra]\nn = %d\n\n[metric]\nN = %d\nh.1.1 = 1\n\n[run]\ncommand = build-lc\n"
+        % (n, rank)
     )
 
 
@@ -132,10 +140,12 @@ def test_load_rejects_rank_above_limit(tmp_path, capsys):
     assert_rejected(path, capsys, 5, "MAX_N")
 
 
-def test_load_accepts_rank_at_limit(tmp_path):
-    config = load_config(write_cfg(tmp_path, rank_cfg(MAX_N)))
-    assert config.rank == MAX_N
-    assert len(config.upper) == MAX_N
+def test_load_accepts_rank_at_limit(tmp_path, capsys):
+    # N = MAX_N is read over the MAX_N-torus and refused over the 3-torus
+    config = load_config(write_cfg(tmp_path, rank_cfg(MAX_N, MAX_N)))
+    assert len(config.upper) == config.calculus.n == MAX_N
+    path = write_cfg(tmp_path, rank_cfg(MAX_N), "three.cfg")
+    assert_rejected(path, capsys, 5, "N must equal n = 3")
 
 
 def lie_cfg(value):
@@ -381,14 +391,22 @@ def test_run_with_structure_constants(tmp_path):
     assert any(s != "0" for s in flattened)
 
 
-def test_run_rank_mismatch_is_error(tmp_path):
+def test_run_rank_mismatch_is_error(tmp_path, capsys):
+    # the module has the size of the calculus: N = 2 over the 3-torus is
+    # refused at its line, whichever command is asked for
     path = write_cfg(
         tmp_path,
         "[algebra]\nn = 3\n\n[metric]\nN = 2\nh.1.1 = 1\nh.2.2 = 1\n\n"
         "[run]\ncommand = build-lc\n",
     )
-    report = run(load_config(path))
-    assert report.status == "error"
+    assert_rejected(path, capsys, 5, "N must equal n = 3 (the dual-basis module)")
+    for command in COMMANDS:
+        assert main(["--config", str(path), "--command", command]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err)["error"] == (
+            "ParseError: N must equal n = 3 (the dual-basis module) at line 5, column 1"
+        )
 
 
 def test_run_with_valid_antihermitian_param(tmp_path):
@@ -422,6 +440,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         cwd=REPO,
+        env=src_env(),
     )
 
 
@@ -460,7 +479,7 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
     code = "import sys, nctorus.cli; print(sorted(set(%r) & set(sys.modules)))" % (heavy,)
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO, env=src_env()
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"

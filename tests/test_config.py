@@ -158,7 +158,9 @@ def test_indexed_key_errors(tmp_path, capsys, section, line, kind, message):
     assert_load_error(path, capsys, kind, full, lineno if kind is ParseError else None)
 
 
+# the module size N must equal n: refused over the 3-torus, read over the 2-torus
 RANK_2 = dict(BASE, metric=["N = 2", "h.1.1 = 1", "h.2.2 = 1"])
+SIZE_2 = dict(RANK_2, algebra=["n = 2"])
 
 
 @pytest.mark.parametrize(
@@ -171,21 +173,20 @@ RANK_2 = dict(BASE, metric=["N = 2", "h.1.1 = 1", "h.2.2 = 1"])
     ],
 )
 def test_rank_bounds_matrix_indices(tmp_path, capsys, section, line, message):
-    text, lineno = config_text({section: [line]}, RANK_2)
+    text, lineno = config_text({section: [line]}, SIZE_2)
     path = write_cfg(tmp_path, text)
     assert_load_error(path, capsys, IndexError, "%s (line %d)" % (message, lineno))
 
 
-def test_derivation_index_runs_to_n_over_a_smaller_rank(tmp_path):
+def test_smaller_rank_is_refused_at_its_line(tmp_path, capsys):
+    # entries that would have fitted an N = 2 module are never read
     text, _ = config_text(
         {"params": ["A.3.1.2 = i", "A.3.2.1 = i"], "connection": ["gamma.3.2.2 = 1"]},
         RANK_2,
     )
-    config = load_config(write_cfg(tmp_path, text))
-    alg = config.calculus.algebra
-    assert config.params.antiherm[2][0][1] == alg.i()
-    assert config.params.antiherm[2][1][0] == alg.i()
-    assert config.gamma[2][1][1] == alg.one()
+    assert text.splitlines()[4] == "N = 2"
+    message = "N must equal n = 3 (the dual-basis module) at line 5, column 1"
+    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, message, 5)
 
 
 @pytest.mark.parametrize(
@@ -360,7 +361,7 @@ def test_docstring_config_loads_and_builds(tmp_path):
     config = load_config(write_cfg(tmp_path, text))
     alg = config.calculus.algebra
     assert config.calculus.lie.bracket(3, 1, 2) == 1
-    assert config.rank == 3
+    assert len(config.upper) == config.calculus.n == 3
     assert config.lower[1][2] == alg.gen(2)
     assert config.params.X[0][0] == alg.gen(1) + alg.gen(1, -1)
     assert config.params.triples == {(1, 2, 3): alg.scalar(2)}

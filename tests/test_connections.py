@@ -6,6 +6,7 @@ import pytest
 from nctorus import (
     AntihermitianViolation,
     Connection,
+    DescriptorMismatch,
     KForm,
     antisymmetrize,
     apply_connection,
@@ -33,11 +34,11 @@ from conftest import (
 from test_metric import identity_metric
 
 
-def connection_with(calc, entries, rank=None):
+def connection_with(calc, entries):
     """Connection that is zero except for the given {(a, i, j): element}."""
-    rank = rank or calc.n
+    n = calc.n
     z = calc.algebra.zero()
-    gamma = [[[z for _ in range(rank)] for _ in range(rank)] for _ in range(calc.n)]
+    gamma = [[[z for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for (a, i, j), value in entries.items():
         gamma[a - 1][i - 1][j - 1] = value
     return Connection(calc, gamma)
@@ -226,6 +227,16 @@ def grassmann(metric):
     )
 
 
+def test_connection_and_metric_over_different_calculi_are_refused(calc3):
+    # a 4 x 4 x 4 connection against a 3 x 3 metric would otherwise be cut
+    # to the metric's size without a word
+    metric = identity_metric(calc3)
+    for calc in (Calculus.torus(4), Calculus.torus(3, brackets={(3, 1, 2): 1})):
+        for check in (compat_defect, lc_characterization_check):
+            with pytest.raises(DescriptorMismatch, match="different calculi"):
+                check(Connection.zero(calc), metric)
+
+
 def test_grassmann_is_zero(rng, calc3):
     for _ in range(5):
         metric = random_block_metric(rng, calc3, weakly_symmetric=False)
@@ -288,12 +299,12 @@ def test_compatible_connection_rejects_bad_array(calc3):
     assert info.value.entry == (1, 1, 1)
 
 
-def first_antihermitian_failure(array, rank, n):
+def first_antihermitian_failure(array, n):
     """The message for the first (a, i, j) over all i, j where
     (A^ij_a)* != -A^ji_a, or None."""
     for a in range(n):
-        for i in range(rank):
-            for j in range(rank):
+        for i in range(n):
+            for j in range(n):
                 if array[a][i][j].star() != -array[a][j][i]:
                     return "entry (a=%d, i=%d, j=%d) violates (A^ij_a)* = -A^ji_a" % (
                         a + 1,
@@ -303,19 +314,19 @@ def first_antihermitian_failure(array, rank, n):
     return None
 
 
-@pytest.mark.parametrize("rank", (2, 3))
-def test_antihermitian_check_names_first_failing_entry(calc3, rank):
-    rng = random.Random("antihermitian/%d" % rank)
-    metric = random_diagonal_metric(rng, calc3, rank)
+@pytest.mark.parametrize("n", (2, 3))
+def test_antihermitian_check_names_first_failing_entry(n):
+    calc = Calculus.torus(n)
+    rng = random.Random("antihermitian/%d" % n)
+    metric = random_diagonal_metric(rng, calc)
     for _ in range(40):
         array = [
-            [list(row) for row in plane]
-            for plane in random_antihermitian_array(rng, calc3, rank)
+            [list(row) for row in plane] for plane in random_antihermitian_array(rng, calc)
         ]
         for _ in range(rng.randint(0, 2)):  # break zero to two entries
-            a, i, j = rng.randrange(3), rng.randrange(rank), rng.randrange(rank)
-            array[a][i][j] = array[a][i][j] + random_element(rng, calc3.algebra, 1)
-        expected = first_antihermitian_failure(array, rank, 3)
+            a, i, j = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            array[a][i][j] = array[a][i][j] + random_element(rng, calc.algebra, 1)
+        expected = first_antihermitian_failure(array, n)
         if expected is None:
             compatible_connection(metric, array)
             continue

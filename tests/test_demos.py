@@ -5,15 +5,14 @@ interpreter with ``src`` on the path, so a change to the public API that
 breaks a documented example fails here.
 """
 
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, src_env
+
 DEMOS = [
     REPO / "demos" / name
     for name in (
@@ -25,12 +24,8 @@ DEMOS = [
 
 
 def run_python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, cwd=REPO, env=env
+        [sys.executable, *args], capture_output=True, text=True, cwd=REPO, env=src_env()
     )
 
 

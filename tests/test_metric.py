@@ -131,23 +131,24 @@ def first_hermitian_failure(matrix):
     return None
 
 
-@pytest.mark.parametrize("rank", (2, 3, 4))
-def test_hermitian_check_names_first_failing_entry(calc3, rank):
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_hermitian_check_names_first_failing_entry(n):
     # upper, then lower, against the full (i, j) loop
-    rng = random.Random("hermitian/%d" % rank)
-    alg = calc3.algebra
+    calc = Calculus.torus(n)
+    rng = random.Random("hermitian/%d" % n)
+    alg = calc.algebra
     checked = 0
     for _ in range(40):
-        matrices = [random_hermitian_matrix(rng, alg, rank) for _ in range(2)]
+        matrices = [random_hermitian_matrix(rng, alg, n) for _ in range(2)]
         for _ in range(rng.randint(1, 3)):  # break one to three entries
-            m, i, j = rng.randrange(2), rng.randrange(rank), rng.randrange(rank)
+            m, i, j = rng.randrange(2), rng.randrange(n), rng.randrange(n)
             matrices[m][i][j] = matrices[m][i][j] + random_monomial(rng, alg, 1)
         upper, lower = matrices
         expected = first_hermitian_failure(upper) or first_hermitian_failure(lower)
         if expected is None:
             continue
         with pytest.raises(NotHermitian) as info:
-            HermitianMetric(calc3, upper, lower)
+            HermitianMetric(calc, upper, lower)
         assert str(info.value) == expected
         checked += 1
     assert checked >= 30
@@ -167,26 +168,63 @@ def counting(monkeypatch, owner, name):
 
 
 def test_validate_forms_one_matrix_product(rng, calc3, monkeypatch):
-    # with and without a supplied lower matrix
+    # with and without a supplied lower matrix: h^ij h_jk, one row of h^ij
+    # at a time, and nothing else
     metric = random_block_metric(rng, calc3)
-    calls = counting(monkeypatch, metric_module, "matmul")
+    lefts = []
+    original = metric_module.matmul
+
+    def recording(left, right):
+        assert right == metric.lower
+        lefts.append(left)
+        return original(left, right)
+
+    monkeypatch.setattr(metric_module, "matmul", recording)
     HermitianMetric(calc3, metric.upper, metric.lower)
-    assert len(calls) == 1
+    assert lefts == [(row,) for row in metric.upper]
     HermitianMetric(calc3, metric.upper)
-    assert len(calls) == 2
+    assert lefts == [(row,) for row in metric.upper] * 2
 
 
-@pytest.mark.parametrize("rank", (1, 2, 3, 4))
-def test_hermitian_check_stars_each_pair_once(calc3, monkeypatch, rank):
-    rng = random.Random("stars/%d" % rank)
-    metric = random_diagonal_metric(rng, calc3, rank)
-    matrix = random_hermitian_matrix(rng, calc3.algebra, rank)
+def test_validate_stops_at_the_first_failing_row(calc3, monkeypatch):
+    # h = L L* with a dense first row; the supplied inverse is wrong in
+    # rows 1 and 3 of the product, so only row 1's products are formed
+    alg = calc3.algebra
+    z, one = alg.zero(), alg.one()
+    lt = [[one, z, z], [alg.gen(1), one, z], [z, alg.gen(2), one]]
+    upper = [
+        [sum((lt[i][k] * lt[j][k].star() for k in range(3)), z) for j in range(3)]
+        for i in range(3)
+    ]
+    lower = [list(row) for row in HermitianMetric(calc3, upper).lower]
+    lower[0][0] = lower[0][0] + one
+    lower[2][2] = lower[2][2] + one
+    expected = sum(
+        sum(not y.is_zero() for y in lower[j])
+        for j, x in enumerate(upper[0])
+        if not x.is_zero()
+    )
+    assert expected >= 3
+    got = upper[0][0] * lower[0][0] + upper[0][1] * lower[1][0]
+    calls = counting(monkeypatch, AlgebraElement, "__mul__")
+    with pytest.raises(NotInverse) as info:
+        HermitianMetric(calc3, upper, lower)
+    assert str(info.value) == "h^ij h_jk fails at (1, 1): got %r" % got
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_hermitian_check_stars_each_pair_once(monkeypatch, n):
+    calc = Calculus.torus(n)
+    rng = random.Random("stars/%d" % n)
+    metric = random_diagonal_metric(rng, calc)
+    matrix = random_hermitian_matrix(rng, calc.algebra, n)
     calls = counting(monkeypatch, AlgebraElement, "star")
     assert _first_unpaired(matrix, metric_module._adjoint, 2) is None
-    assert len(calls) == rank * (rank + 1) // 2
+    assert len(calls) == n * (n + 1) // 2
     calls.clear()
-    HermitianMetric(calc3, metric.upper, metric.lower)
-    assert len(calls) == rank * (rank + 1)
+    HermitianMetric(calc, metric.upper, metric.lower)
+    assert len(calls) == n * (n + 1)
 
 
 # -- lowered evaluation -------------------------------------------------------------

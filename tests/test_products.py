@@ -6,10 +6,10 @@ are compared with their literal index-sum definitions, written out below,
 on seeded dense metrics h = L D L* (L unit lower triangular, D rational
 constants) and on random arrays with zero entries.  Each case runs for
 n = 3..5 over an abelian, a bracket (c^3_12 = 1) and a commutative
-calculus; the compatibility operators also run at module rank N = 2 over
-the 3-torus.  The adjoint identity h_ij h^jk = (h^kj h_ji)* for hermitian
-pairs, on which metric validation rests, is checked on pairs that are not
-inverses.
+calculus; the compatibility operators also run at n = 2, where the two
+bracket families take two-dimensional constants.  The adjoint identity
+h_ij h^jk = (h^kj h_ji)* for hermitian pairs, on which metric validation
+rests, is checked on pairs that are not inverses.
 """
 
 from fractions import Fraction
@@ -52,13 +52,16 @@ BRACKETS = {
     "bracket": {(3, 1, 2): 1},
     "so3": {(3, 1, 2): 1, (1, 2, 3): 1, (2, 3, 1): 1},
 }
+# their stand-ins at n = 2: [d_1, d_2] = d_2, and [d_1, d_2] = d_1 + d_2
+# with a nonzero constant in every slot
+BRACKETS_2D = {"bracket": {(2, 1, 2): 1}, "so3": {(1, 1, 2): 1, (2, 1, 2): 1}}
 FAMILIES = ("abelian", "bracket", "so3", "commutative")
 CASES = [(family, n) for family in FAMILIES for n in (3, 4, 5)]
 
 
 def make_calculus(family, n):
     if family in BRACKETS:
-        return Calculus.torus(n, brackets=BRACKETS[family])
+        return Calculus.torus(n, brackets=(BRACKETS if n > 2 else BRACKETS_2D)[family])
     return Calculus.torus(n, commutative=family == "commutative")
 
 
@@ -87,12 +90,21 @@ def ldl_upper(rng, alg, entry, n=None):
     return upper
 
 
-def dense_metric(rng, calc, rank=None):
-    """A dense metric whose L entries are random monomials."""
+def dense_metric(rng, calc, block=None):
+    """A metric whose leading block x block corner (all of it by default)
+    is dense, with random monomial L entries, and whose rest is 1."""
     alg = calc.algebra
-    return HermitianMetric(
-        calc, ldl_upper(rng, alg, lambda: random_monomial(rng, alg, 1), rank)
-    )
+    n = calc.n
+    block = block if block is not None else n
+    corner = ldl_upper(rng, alg, lambda: random_monomial(rng, alg, 1), block)
+    upper = [
+        [
+            corner[i][j] if i < block and j < block else alg.scalar(int(i == j))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return HermitianMetric(calc, upper)
 
 
 def symmetric_dense_metric(rng, calc):
@@ -118,15 +130,12 @@ def sparse_element(rng, alg):
     return value
 
 
-def sparse_array(rng, calc, rank=None):
-    """An n x N x N array (N = n by default) of sparse elements."""
-    rank = rank if rank is not None else calc.n
+def sparse_array(rng, calc):
+    """An n x n x n array of sparse elements."""
+    n = calc.n
     return tuple(
-        tuple(
-            tuple(sparse_element(rng, calc.algebra) for _ in range(rank))
-            for _ in range(rank)
-        )
-        for _ in range(calc.n)
+        tuple(tuple(sparse_element(rng, calc.algebra) for _ in range(n)) for _ in range(n))
+        for _ in range(n)
     )
 
 
@@ -206,7 +215,7 @@ def oracle_pairing(array, upper):
 
 def oracle_gamma(metric, extra):
     """gamma^i_ak = sum_j (1/2 d_a h^ij + extra^ij_a) h_jk."""
-    n = metric.rank
+    n = metric.calculus.n
     zero = metric.calculus.algebra.zero()
     out = []
     for a in range(metric.calculus.n):
@@ -434,16 +443,17 @@ def test_torsion_free_from_matches_literal_loop(family, n, with_beta):
     assert is_torsion_free(conn)
 
 
-RANK_CASES = [(family, 3, 2) for family in FAMILIES] + [
+# (family, n, size of the dense corner of the metric)
+BLOCK_CASES = [(family, 3, 2) for family in FAMILIES] + [
     (family, n, n) for family, n in CASES
 ]
 
 
-@pytest.mark.parametrize("family,n,rank", RANK_CASES)
-def test_d_upper_matches_entrywise_derive(family, n, rank):
-    rng = case_rng("d_upper/%d" % rank, family, n)
+@pytest.mark.parametrize("family,n,block", BLOCK_CASES)
+def test_d_upper_matches_entrywise_derive(family, n, block):
+    rng = case_rng("d_upper/%d" % block, family, n)
     calc = make_calculus(family, n)
-    metric = dense_metric(rng, calc, rank)
+    metric = dense_metric(rng, calc, block)
     expected = oracle_d_upper(metric)
     assert as_lists(metric.d_upper) == expected
     assert metric.d_upper is metric.d_upper  # derived once, then kept
@@ -454,10 +464,10 @@ def test_d_upper_matches_entrywise_derive(family, n, rank):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_compat_defect_at_rank_two_matches_index_sum(family):
-    rng = case_rng("compat/rank2", family, 3)
-    calc = make_calculus(family, 3)
-    metric = dense_metric(rng, calc, 2)
-    gamma = sparse_array(rng, calc, 2)
+    rng = case_rng("compat/rank2", family, 2)
+    calc = make_calculus(family, 2)
+    metric = dense_metric(rng, calc)
+    gamma = sparse_array(rng, calc)
     assert as_lists(compat_defect(Connection(calc, gamma), metric)) == oracle_compat(
         gamma, metric.upper
     )
@@ -466,17 +476,16 @@ def test_compat_defect_at_rank_two_matches_index_sum(family):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("with_antiherm", (False, True))
 def test_compatible_connection_at_rank_two_matches_index_sum(family, with_antiherm):
-    rng = case_rng("compatible/rank2/%s" % with_antiherm, family, 3)
-    calc = make_calculus(family, 3)
-    metric = dense_metric(rng, calc, 2)
+    rng = case_rng("compatible/rank2/%s" % with_antiherm, family, 2)
+    calc = make_calculus(family, 2)
+    metric = dense_metric(rng, calc)
     zero = calc.algebra.zero()
     antiherm = (
-        random_antihermitian_array(rng, calc, 2)
+        random_antihermitian_array(rng, calc)
         if with_antiherm
-        else tuple(((zero, zero), (zero, zero)) for _ in range(3))
+        else tuple(((zero, zero), (zero, zero)) for _ in range(2))
     )
     conn = compatible_connection(metric, antiherm if with_antiherm else None)
-    assert conn.rank == 2
     assert as_lists(conn.gamma) == oracle_gamma(metric, antiherm)
     defect = compat_defect(conn, metric)
     assert all(x.is_zero() for plane in defect for row in plane for x in row)
