@@ -6,7 +6,7 @@ Run with: python demos/forms_and_metrics.py
 from nctorus import (
     Calculus,
     HermitianMetric,
-    d_element,
+    KForm,
     symmetry_form,
     weak_symmetry_defect,
 )
@@ -16,7 +16,7 @@ alg = calc.algebra
 U1, U2 = alg.gen(1), alg.gen(2)
 
 print("== the exterior derivative and the dual basis ==")
-dU1 = d_element(calc, U1)
+dU1 = KForm.of_element(calc, U1).d()
 print("dU1(d_1)        =", dU1(1))
 print("dU1(d_2)        =", dU1(2))
 theta1 = alg.scalar(0, -1) * U1.invert() * dU1

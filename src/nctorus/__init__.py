@@ -17,8 +17,6 @@ from .connections import (
     apply_connection,
     compat_defect,
     compatible_connection,
-    is_compatible,
-    is_torsion_free,
     lc_characterization_check,
     metric_pairing_operator,
     sigma_swap,
@@ -43,7 +41,7 @@ from .errors import (
     ZeroElement,
 )
 from .expr import parse_element, render_element
-from .forms import Calculus, KForm, LieAlgebra, d_element
+from .forms import Calculus, KForm, LieAlgebra
 from .levicivita import (
     FTensor,
     LCVerification,
@@ -59,7 +57,6 @@ from .levicivita import (
 from .metric import (
     HermitianMetric,
     invert_metric,
-    is_weakly_symmetric,
     pair,
     symmetry_form,
     validate,
@@ -101,11 +98,7 @@ __all__ = [
     "compat_defect",
     "compatible_connection",
     "compute_F",
-    "d_element",
     "invert_metric",
-    "is_compatible",
-    "is_torsion_free",
-    "is_weakly_symmetric",
     "lc_characterization_check",
     "metric_pairing_operator",
     "pair",

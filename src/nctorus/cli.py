@@ -123,64 +123,6 @@ class ProblemConfig(Record):
         self.command = command
 
 
-class Report(Record):
-    """The outcome of one command; ``run`` fills the optional sections."""
-
-    _fields = (
-        "command",
-        "status",
-        "n",
-        "commutative",
-        "weak_symmetry",
-        "f",
-        "r",
-        "u",
-        "gamma",
-        "verification",
-        "error",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        status: str,
-        n: int,
-        commutative: bool,
-        weak_symmetry: dict | None = None,
-        f: dict | None = None,
-        r: list | None = None,
-        u: list | None = None,
-        gamma: list | None = None,
-        verification: dict | None = None,
-        error: str | None = None,
-    ):
-        self.command = command
-        self.status = status
-        self.n = n
-        self.commutative = commutative
-        self.weak_symmetry = weak_symmetry
-        self.f = f
-        self.r = r
-        self.u = u
-        self.gamma = gamma
-        self.verification = verification
-        self.error = error
-
-    def as_dict(self) -> dict:
-        out = {
-            "schema": SCHEMA_VERSION,
-            "command": self.command,
-            "status": self.status,
-            "n": self.n,
-            "commutative": self.commutative,
-        }
-        for key in ("weak_symmetry", "f", "r", "u", "gamma", "verification", "error"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
-
 # -- config loading ----------------------------------------------------------
 
 
@@ -443,23 +385,27 @@ def _verification_dict(report) -> dict:
     }
 
 
-def run(config: ProblemConfig) -> Report:
-    """Execute the configured command and return a populated report."""
+def run(config: ProblemConfig) -> dict:
+    """Execute the configured command and return its report: ``schema``,
+    ``command``, ``status``, ``n``, ``commutative`` and each section
+    (``weak_symmetry``, ``f``, ``r``, ``u``, ``gamma``, ``verification``,
+    ``error``) that the command set, elements as canonical strings."""
     calc = config.calculus
-    report = Report(
-        command=config.command,
-        status="ok",
-        n=calc.n,
-        commutative=calc.algebra.commutative,
-    )
+    report = {
+        "schema": SCHEMA_VERSION,
+        "command": config.command,
+        "status": "ok",
+        "n": calc.n,
+        "commutative": calc.algebra.commutative,
+    }
     try:
         metric = HermitianMetric(calc, config.upper, config.lower)
         defect = weak_symmetry_defect(metric)
-        report.weak_symmetry = _weak_symmetry_dict(defect, calc.n)
+        report["weak_symmetry"] = _weak_symmetry_dict(defect, calc.n)
 
         if config.command == "check-weak-symmetry":
             if not defect.is_zero():
-                report.status = "not_weakly_symmetric"
+                report["status"] = "not_weakly_symmetric"
             return report
 
         if config.command == "verify-given":
@@ -467,10 +413,10 @@ def run(config: ProblemConfig) -> Report:
                 raise ParseError("verify-given needs a [connection] section")
             conn = Connection(calc, config.gamma)
             verification = verify_levi_civita(conn, metric)
-            report.gamma = _render_array(conn.gamma)
-            report.verification = _verification_dict(verification)
+            report["gamma"] = _render_array(conn.gamma)
+            report["verification"] = _verification_dict(verification)
             if not verification.passed:
-                report.status = "verification_failed"
+                report["status"] = "verification_failed"
             return report
 
         # build-lc
@@ -478,33 +424,26 @@ def run(config: ProblemConfig) -> Report:
         tensor = compute_F(metric)
         rset = solve_R(tensor, config.params.validated(calc))
         u_array = assemble_U(metric, rset)
-        report.f = _f_dict(tensor)
-        report.r = [_render_matrix(m) for m in rset.matrices]
-        report.u = _render_array(u_array)
-        report.gamma = _render_array(conn.gamma)
-        report.verification = _verification_dict(verify_levi_civita(conn, metric))
-        return report
+        report["f"] = _f_dict(tensor)
+        report["r"] = [_render_matrix(m) for m in rset.matrices]
+        report["u"] = _render_array(u_array)
+        report["gamma"] = _render_array(conn.gamma)
+        report["verification"] = _verification_dict(verify_levi_civita(conn, metric))
     except NotWeaklySymmetric as exc:
-        report.status = "not_weakly_symmetric"
-        report.error = str(exc)
-        return report
+        report.update(status="not_weakly_symmetric", error=str(exc))
     except SolvabilityViolated as exc:
-        report.status = "solvability_violated"
-        report.error = str(exc)
-        return report
+        report.update(status="solvability_violated", error=str(exc))
     except (NCTorusError, ValueError, IndexError) as exc:
-        report.status = "error"
-        report.error = "%s: %s" % (type(exc).__name__, exc)
-        return report
+        report.update(status="error", error="%s: %s" % (type(exc).__name__, exc))
+    return report
 
 
-def emit_report(report: Report, fmt: str) -> str:
+def emit_report(report: dict, fmt: str) -> str:
     """Serialize a report deterministically as json or text."""
     if fmt == "json":
-        return json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
     if fmt != "text":
         raise ValueError("format must be 'json' or 'text'")
-    data = report.as_dict()
     lines = []
 
     def walk(prefix, value):
@@ -517,7 +456,7 @@ def emit_report(report: Report, fmt: str) -> str:
         else:
             lines.append("%s = %s" % (prefix, value))
 
-    walk("", data)
+    walk("", report)
     return "\n".join(lines) + "\n"
 
 
@@ -577,7 +516,7 @@ def main(argv=None) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return STATUS_EXIT_CODES[report.status]
+    return STATUS_EXIT_CODES[report["status"]]
 
 
 if __name__ == "__main__":

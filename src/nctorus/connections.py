@@ -102,10 +102,6 @@ def torsion(conn: Connection):
     return tuple(forms)
 
 
-def is_torsion_free(conn: Connection) -> bool:
-    return all(form.is_zero() for form in torsion(conn))
-
-
 def compat_defect(conn: Connection, metric: HermitianMetric):
     """C^ij_a = d_a h^ij - T_h(gamma)^ij_a
     = d_a h^ij - gamma^i_ak h^kj - (gamma^j_ak h^ki)*."""
@@ -113,15 +109,6 @@ def compat_defect(conn: Connection, metric: HermitianMetric):
         raise DescriptorMismatch("connection and metric live over different calculi")
     return entrywise(
         operator.sub, metric.d_upper, metric_pairing_operator(conn.gamma, metric)
-    )
-
-
-def is_compatible(conn: Connection, metric: HermitianMetric) -> bool:
-    return all(
-        entry.is_zero()
-        for plane in compat_defect(conn, metric)
-        for row in plane
-        for entry in row
     )
 
 

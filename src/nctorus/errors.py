@@ -55,10 +55,12 @@ class SolvabilityViolated(NCTorusError):
     """The cyclic solvability condition on the F tensor fails."""
 
     def __init__(self, triple, defect):
+        from .expr import render_short
         self.triple = triple
         self.defect = defect
         super().__init__(
-            "solvability condition fails at triple %s: defect %s" % (triple, defect)
+            "solvability condition fails at triple %s: defect %s"
+            % (triple, render_short(defect))
         )
 
 
@@ -66,10 +68,11 @@ class NotWeaklySymmetric(NCTorusError):
     """The metric has d(rho) != 0, so no torsion-free compatible connection exists."""
 
     def __init__(self, triple, component):
+        from .expr import render_short
         self.triple = triple
         self.component = component
         super().__init__(
-            "d(rho) is nonzero at derivations %s: %s" % (triple, component)
+            "d(rho) is nonzero at derivations %s: %s" % (triple, render_short(component))
         )
 
 

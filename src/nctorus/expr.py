@@ -47,6 +47,8 @@ from .errors import NotMonomial, ParseError, ZeroElement
 MAX_TERM_PAIRS = 1 << 16
 # Deepest nesting of parentheses per parsed value, see the module docstring.
 MAX_DEPTH = 64
+# Terms of an element that an error message shows, see ``render_short``.
+MAX_SHOWN_TERMS = 16
 
 _TOKEN_RE = re.compile(
     r"""
@@ -323,13 +325,22 @@ def _term_string(uexp, qkey, re, im):
     return sign, "*".join(factors)
 
 
+def _joined(terms) -> str:
+    """The signed terms joined by spaces, the leading ``+ `` dropped."""
+    text = " ".join("%s %s" % _term_string(*term) for term in terms)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def render_element(x: AlgebraElement) -> str:
     """Render ``x`` in canonical normal form; inverse of ``parse_element``."""
-    pieces = []
-    for term in x.canonical_terms():
-        sign, body = _term_string(*term)
-        if not pieces:
-            pieces.append(body if sign == "+" else "-" + body)
-        else:
-            pieces.append("%s %s" % (sign, body))
-    return " ".join(pieces) if pieces else "0"
+    return _joined(x.canonical_terms())
+
+
+def render_short(x: AlgebraElement) -> str:
+    """``render_element(x)`` cut after MAX_SHOWN_TERMS terms, for error messages."""
+    if len(x.terms) <= MAX_SHOWN_TERMS:
+        return render_element(x)
+    terms = x.canonical_terms()
+    return "%s + ... (%d terms)" % (_joined(terms[:MAX_SHOWN_TERMS]), len(terms))

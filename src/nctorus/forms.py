@@ -81,10 +81,6 @@ class LieAlgebra(FrozenRecord):
             raise ValueError("Jacobi identity fails at indices %s" % (bad,))
 
     @classmethod
-    def abelian(cls, n: int) -> "LieAlgebra":
-        return cls(n, [[[Fraction(0)] * n] * n] * n)
-
-    @classmethod
     def from_struct(cls, n: int, entries) -> "LieAlgebra":
         """Build from a sparse map {(e, a, b): rational}, 1-based indices.
 
@@ -135,8 +131,7 @@ class Calculus(FrozenRecord):
 
     @classmethod
     def torus(cls, n: int, commutative: bool = False, brackets=None) -> "Calculus":
-        lie = LieAlgebra.abelian(n) if brackets is None else LieAlgebra.from_struct(n, brackets)
-        return cls(TorusAlgebra(n, commutative), lie)
+        return cls(TorusAlgebra(n, commutative), LieAlgebra.from_struct(n, brackets or {}))
 
     def zero_form(self, degree: int) -> "KForm":
         return KForm(self, degree, {})
@@ -371,7 +366,3 @@ def d_array(calculus: Calculus):
         )
     return cached
 
-
-def d_element(calculus: Calculus, value: AlgebraElement) -> KForm:
-    """The one-form d(a) for a degree-0 element a."""
-    return KForm.of_element(calculus, value).d()

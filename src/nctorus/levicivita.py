@@ -47,6 +47,7 @@ from .errors import (
     ParamViolation,
     SolvabilityViolated,
 )
+from .expr import render_short
 from .forms import Calculus, d_array
 from .metric import HermitianMetric, weak_symmetry_defect
 from .records import Record
@@ -334,8 +335,8 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
         i, form = next((i, f) for i, f in enumerate(report.torsion_forms, 1) if f.comps)
         a, b = min(form.comps)
         raise ParamViolation(
-            "antihermitian parameter A breaks torsion freedom: T^%d(d_%d, d_%d) = %r"
-            % (i, a, b, form.comps[(a, b)])
+            "antihermitian parameter A breaks torsion freedom: T^%d(d_%d, d_%d) = %s"
+            % (i, a, b, render_short(form.comps[(a, b)]))
         )
     if not report.passed:
         raise InternalVerificationFailure(

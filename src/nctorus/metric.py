@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraElement, _first_unpaired, _frozen, matmul
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
+from .expr import render_short
 from .forms import Calculus, KForm
 
 
@@ -128,7 +129,8 @@ def validate(metric: HermitianMetric) -> None:
         for k, total in enumerate(row):
             if total != (one if i == k else zero):
                 raise NotInverse(
-                    "h^ij h_jk fails at (%d, %d): got %r" % (i + 1, k + 1, total)
+                    "h^ij h_jk fails at (%d, %d): got %s"
+                    % (i + 1, k + 1, render_short(total))
                 )
 
 
@@ -160,6 +162,3 @@ def weak_symmetry_defect(metric: HermitianMetric) -> KForm:
     """d(rho) as a three-form; the metric is weakly symmetric iff it vanishes."""
     return symmetry_form(metric).d()
 
-
-def is_weakly_symmetric(metric: HermitianMetric) -> bool:
-    return weak_symmetry_defect(metric).is_zero()

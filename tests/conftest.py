@@ -19,6 +19,7 @@ from nctorus import (
     KForm,
     TorusAlgebra,
 )
+from nctorus.algebra import matmul
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -174,6 +175,54 @@ def random_block_metric(rng, calc, weakly_symmetric=True):
     upper[p - 1][q - 1] = h0
     upper[q - 1][p - 1] = h0.star()
     return HermitianMetric(calc, upper)
+
+
+def congruence_metric(calc, *steps):
+    """lower = E* D E and upper = E^-1 D^-1 E^-*, passed as an explicit
+    pair: D = diag(2, 3, 1, 2, 3, 1, ...) and E is the product of the steps
+    I + x e_ij, each given as (i, j, x) with 1-based i != j."""
+    alg, n = calc.algebra, calc.n
+    weights = [(2, 3, 1)[k % 3] for k in range(n)]
+
+    def diag(values):
+        return [
+            [alg.scalar(values[i]) if i == j else alg.zero() for j in range(n)]
+            for i in range(n)
+        ]
+
+    def adjoint(m):
+        return [[m[j][i].star() for j in range(n)] for i in range(n)]
+
+    e, e_inv = diag([1] * n), diag([1] * n)
+    for i, j, x in steps:
+        step, step_inv = diag([1] * n), diag([1] * n)
+        step[i - 1][j - 1], step_inv[i - 1][j - 1] = x, -x
+        e, e_inv = matmul(e, step), matmul(step_inv, e_inv)
+    lower = matmul(matmul(adjoint(e), diag(weights)), e)
+    upper = matmul(
+        matmul(e_inv, diag([Fraction(1, w) for w in weights])), adjoint(e_inv)
+    )
+    return HermitianMetric(calc, upper, lower)
+
+
+def random_congruence_steps(rng, alg, count):
+    """``count`` seeded steps (i, j, x) for ``congruence_metric``.  One
+    non-constant monomial W is drawn for the whole metric, and each x is
+    c W^k or the hermitian c W^k + (c W^k)*, with c a nonzero rational and
+    k = +-1."""
+    exponents = [0] * alg.n
+    while not any(exponents):
+        exponents = [rng.randint(-1, 1) for _ in range(alg.n)]
+    w = alg.monomial(1, exponents)
+    if not alg.commutative and rng.random() < 0.5:
+        w = w * alg.q(1, 2)
+    steps = []
+    for _ in range(count):
+        i, j = rng.sample(range(1, alg.n + 1), 2)
+        x = w.invert() if rng.random() < 0.5 else w
+        x = x * Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+        steps.append((i, j, x + x.star() if rng.random() < 0.8 else x))
+    return steps
 
 
 def block_metric(calc, h0):

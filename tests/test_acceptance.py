@@ -26,8 +26,8 @@ from nctorus import (
     assemble_U,
     build_levi_civita,
     compute_F,
-    is_weakly_symmetric,
     parse_element,
+    render_element,
     solve_R,
     verify_levi_civita,
     weak_symmetry_defect,
@@ -36,15 +36,16 @@ from nctorus.cli import emit_report, load_config, run
 
 from conftest import (
     block_metric,
+    congruence_metric,
     drho_via_generators,
     random_block_metric,
+    random_congruence_steps,
     random_diagonal_metric,
     random_element,
     random_form,
     random_hermitian,
     src_env,
 )
-from test_levicivita import congruence_metric
 
 REPO = Path(__file__).resolve().parent.parent
 BLOCK_CFG = REPO / "demos" / "torus3-block.cfg"
@@ -420,7 +421,7 @@ def test_classical_christoffel_oracle_on_non_constant_metrics():
     calc = Calculus.torus(3, commutative=True)
     for w in monomial_draws(calc.algebra, 919, 8):
         # x = c W + c W* is hermitian: a non-constant real symmetric metric
-        metric = congruence_metric(calc, w + w.star())
+        metric = congruence_metric(calc, (1, 2, w + w.star()))
         conn = build_levi_civita(metric)
         assert conn != Connection.zero(calc)
         assert conn.gamma == classical_form_christoffel(metric)
@@ -453,14 +454,61 @@ def test_q_to_one_commutes_with_the_solver():
     xs = [w + w.star() for w in draws] + draws + monomial_draws(calc.algebra, 939, 4, 2)
     built = 0
     for x in xs:
-        metric = congruence_metric(calc, x)
+        metric = congruence_metric(calc, (1, 2, x))
         image = HermitianMetric(flat, spec(metric.upper), spec(metric.lower))
-        if not is_weakly_symmetric(metric):
+        if not weak_symmetry_defect(metric).is_zero():
             continue
-        assert is_weakly_symmetric(image)
+        assert weak_symmetry_defect(image).is_zero()
         assert spec(build_levi_civita(metric).gamma) == build_levi_civita(image).gamma
         built += 1
     assert built >= 12
+
+
+def build_lc_config(metric):
+    """The build-lc config of ``metric``: every nonzero entry of both
+    matrices, rendered."""
+    calc = metric.calculus
+    lines = [
+        "[algebra]",
+        "n = %d" % calc.n,
+        "commutative = %s" % ("true" if calc.algebra.commutative else "false"),
+        "[metric]",
+    ]
+    for prefix, matrix in (("h", metric.upper), ("hinv", metric.lower)):
+        for i, row in enumerate(matrix, start=1):
+            for j, entry in enumerate(row, start=1):
+                if not entry.is_zero():
+                    lines.append("%s.%d.%d = %s" % (prefix, i, j, render_element(entry)))
+    return "\n".join(lines + ["[run]", "command = build-lc", ""])
+
+
+@pytest.mark.parametrize("commutative", [False, True], ids=["q", "commutative"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_congruence_round_trip(tmp_path, n, commutative):
+    # the gate refuses exactly the metrics with d(rho) != 0, every build
+    # verifies, and the CLI on the rendered metric prints the same gamma
+    calc = Calculus.torus(n, commutative)
+    rng = random.Random(7000 + 10 * n + commutative)
+    verdicts = []
+    for k in range(6):
+        metric = congruence_metric(calc, *random_congruence_steps(rng, calc.algebra, 3))
+        path = tmp_path / ("metric%d.cfg" % k)
+        path.write_text(build_lc_config(metric), encoding="utf-8")
+        report = run(load_config(path))
+        verdicts.append(weak_symmetry_defect(metric).is_zero())
+        if not verdicts[-1]:
+            with pytest.raises(NotWeaklySymmetric):
+                build_levi_civita(metric)
+            assert report["status"] == "not_weakly_symmetric"
+            continue
+        conn = build_levi_civita(metric)
+        assert verify_levi_civita(conn, metric).passed
+        assert report["status"] == "ok"
+        assert report["gamma"] == [
+            [[render_element(entry) for entry in row] for row in plane]
+            for plane in conn.gamma
+        ]
+    assert set(verdicts) == {True, False}
 
 
 # -- criterion 10: CLI determinism ------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_load_rejects_costly_expression(tmp_path, capsys):
 def test_load_accepts_n_at_limit(tmp_path):
     config = load_config(write_cfg(tmp_path, diagonal_cfg(MAX_N)))
     assert config.calculus.n == MAX_N
-    assert run(config).weak_symmetry["holds"] is True
+    assert run(config)["weak_symmetry"]["holds"] is True
 
 
 def rank_cfg(rank, n=3):
@@ -257,31 +257,31 @@ def test_load_antihermitian_check_names_first_failing_entry(tmp_path):
 def test_run_build_lc_block():
     config = load_config(BLOCK_CFG)
     report = run(config)
-    assert report.status == "ok"
-    assert report.weak_symmetry["holds"] is True
-    assert report.verification["pass"] is True
+    assert report["status"] == "ok"
+    assert report["weak_symmetry"]["holds"] is True
+    assert report["verification"]["pass"] is True
     alg = config.calculus.algebra
-    gamma_111 = parse_element(alg, report.gamma[0][0][0])
+    gamma_111 = parse_element(alg, report["gamma"][0][0][0])
     assert gamma_111 == alg.i() * (alg.gen(1) + alg.gen(1, -1))
-    assert report.gamma[1][1][1] == "i"
+    assert report["gamma"][1][1][1] == "i"
 
 
 def test_run_not_weakly_symmetric():
     config = load_config(BLOCK_U1_CFG)
     report = run(config)
-    assert report.status == "not_weakly_symmetric"
-    assert report.weak_symmetry["holds"] is False
-    assert report.weak_symmetry["drho"]["1,2,3"] == "i*U1^-1 + i*U1"
-    assert report.gamma is None
+    assert report["status"] == "not_weakly_symmetric"
+    assert report["weak_symmetry"]["holds"] is False
+    assert report["weak_symmetry"]["drho"]["1,2,3"] == "i*U1^-1 + i*U1"
+    assert "gamma" not in report
 
 
 def test_run_check_weak_symmetry(tmp_path):
     config = load_config(BLOCK_CFG)
     config.command = "check-weak-symmetry"
     report = run(config)
-    assert report.status == "ok"
-    assert report.gamma is None
-    assert report.f is None
+    assert report["status"] == "ok"
+    assert "gamma" not in report
+    assert "f" not in report
 
 
 def test_run_verify_given(tmp_path):
@@ -291,8 +291,8 @@ def test_run_verify_given(tmp_path):
         "[connection]\ngamma.2.2.2 = i\n\n[run]\ncommand = verify-given\n",
     )
     report = run(load_config(path))
-    assert report.status == "ok"
-    assert report.verification["pass"] is True
+    assert report["status"] == "ok"
+    assert report["verification"]["pass"] is True
 
 
 def test_run_verify_given_failing(tmp_path):
@@ -302,8 +302,8 @@ def test_run_verify_given_failing(tmp_path):
         "[connection]\ngamma.1.1.1 = 0\n\n[run]\ncommand = verify-given\n",
     )
     report = run(load_config(path))
-    assert report.status == "verification_failed"
-    assert report.verification["pass"] is False
+    assert report["status"] == "verification_failed"
+    assert report["verification"]["pass"] is False
 
 
 def test_run_explicit_lower(tmp_path):
@@ -313,7 +313,7 @@ def test_run_explicit_lower(tmp_path):
         "hinv.1.1 = 1\nhinv.2.3 = U2\nhinv.3.2 = U2^-1\n\n[run]\ncommand = build-lc\n",
     )
     report = run(load_config(path))
-    assert report.status == "ok"
+    assert report["status"] == "ok"
 
 
 def test_run_bad_lower_is_error(tmp_path):
@@ -323,8 +323,25 @@ def test_run_bad_lower_is_error(tmp_path):
         "hinv.1.1 = 1\nhinv.2.3 = U1\nhinv.3.2 = U1^-1\n\n[run]\ncommand = build-lc\n",
     )
     report = run(load_config(path))
-    assert report.status == "error"
-    assert "NotInverse" in report.error
+    assert report["status"] == "error"
+    assert "NotInverse" in report["error"]
+
+
+def test_long_element_in_an_error_is_cut_to_its_first_terms(tmp_path, capsys):
+    # hinv.1.1 = 1 + 128 hermitian terms, so h^ij h_jk at (1, 1) has 129 terms
+    sum_128 = " + ".join("U1^%d + U1^-%d" % (k, k) for k in range(1, 65))
+    path = write_cfg(
+        tmp_path,
+        "[algebra]\nn = 3\ncommutative = true\n\n[metric]\n"
+        "h.1.1 = 1\nh.2.2 = 1\nh.3.3 = 1\nhinv.1.1 = 1 + %s\nhinv.2.2 = 1\nhinv.3.3 = 1\n\n"
+        "[run]\ncommand = build-lc\n" % sum_128,
+    )
+    first_16 = " + ".join("U1^-%d" % k for k in range(64, 48, -1))
+    error = "NotInverse: h^ij h_jk fails at (1, 1): got %s + ... (129 terms)" % first_16
+    assert main(["--config", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "error"
+    assert report["error"] == error
 
 
 # -- emission -----------------------------------------------------------------------
@@ -351,7 +368,7 @@ def test_emit_gamma_strings_reparse():
     for a in range(3):
         for i in range(3):
             for j in range(3):
-                assert parse_element(alg, report.gamma[a][i][j]) == conn.gamma[a][i][j]
+                assert parse_element(alg, report["gamma"][a][i][j]) == conn.gamma[a][i][j]
 
 
 def test_emit_text_format():
@@ -371,9 +388,9 @@ def test_run_check_weak_symmetry_diagonal(tmp_path):
         "[run]\ncommand = check-weak-symmetry\n",
     )
     report = run(load_config(path))
-    assert report.status == "ok"
-    assert report.weak_symmetry["holds"] is True
-    assert report.weak_symmetry["drho"]["1,2,3"] == "0"
+    assert report["status"] == "ok"
+    assert report["weak_symmetry"]["holds"] is True
+    assert report["weak_symmetry"]["drho"]["1,2,3"] == "0"
 
 
 def test_run_with_structure_constants(tmp_path):
@@ -385,9 +402,9 @@ def test_run_with_structure_constants(tmp_path):
         "[metric]\nh.1.1 = 1\nh.2.2 = 1\nh.3.3 = 1\n\n[run]\ncommand = build-lc\n",
     )
     report = run(load_config(path))
-    assert report.status == "ok"
-    assert report.verification["pass"] is True
-    flattened = [s for plane in report.gamma for row in plane for s in row]
+    assert report["status"] == "ok"
+    assert report["verification"]["pass"] is True
+    flattened = [s for plane in report["gamma"] for row in plane for s in row]
     assert any(s != "0" for s in flattened)
 
 
@@ -416,9 +433,9 @@ def test_run_with_valid_antihermitian_param(tmp_path):
         "[params]\nA.1.1.1 = i\n\n[run]\ncommand = build-lc\n",
     )
     report = run(load_config(path))
-    assert report.status == "ok"
-    assert report.gamma[0][0][0] == "i"
-    assert report.verification["pass"] is True
+    assert report["status"] == "ok"
+    assert report["gamma"][0][0][0] == "i"
+    assert report["verification"]["pass"] is True
 
 
 def test_load_rejects_non_jacobi_lie_section(tmp_path):

@@ -368,8 +368,8 @@ def test_docstring_config_loads_and_builds(tmp_path):
     assert config.params.antiherm[0][0][0] == alg.i()
     assert config.gamma[0][0][0] == alg.i()
     report = run(config)
-    assert report.status == "ok"
-    assert report.verification["pass"] is True
+    assert report["status"] == "ok"
+    assert report["verification"]["pass"] is True
 
 
 def test_docstring_config_with_torsion_breaking_a_is_a_param_error(tmp_path, capsys):

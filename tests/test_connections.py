@@ -12,8 +12,6 @@ from nctorus import (
     apply_connection,
     compat_defect,
     compatible_connection,
-    is_compatible,
-    is_torsion_free,
     lc_characterization_check,
     pair,
     sigma_swap,
@@ -82,7 +80,7 @@ def test_apply_leibniz(calc3, rng):
 
 
 def test_torsion_zero_connection(calc3):
-    assert is_torsion_free(Connection.zero(calc3))
+    assert all(form.is_zero() for form in torsion(Connection.zero(calc3)))
 
 
 def test_torsion_symmetric_gamma(calc3, rng):
@@ -94,7 +92,7 @@ def test_torsion_symmetric_gamma(calc3, rng):
             sym[(a, 1, b)] = value
             sym[(b, 1, a)] = value
     conn = connection_with(calc3, sym)
-    assert is_torsion_free(conn)
+    assert all(form.is_zero() for form in torsion(conn))
 
 
 def test_torsion_definition(calc3, rng):
@@ -118,7 +116,7 @@ def test_torsion_bracket_term():
     assert forms[2](1, 2) == heis.algebra.one()
     assert forms[0](1, 2).is_zero()
     fixed = torsion_free_from(conn)
-    assert is_torsion_free(fixed)
+    assert all(form.is_zero() for form in torsion(fixed))
     assert fixed.gamma[0][2][1] == heis.algebra.scalar(Fraction(-1, 2))
 
 
@@ -184,7 +182,7 @@ def test_torsion_equals_wedge_minus_d(calc3, rng):
 
 def test_compat_identity_flat(calc3):
     metric = identity_metric(calc3)
-    assert is_compatible(Connection.zero(calc3), metric)
+    assert compat_defect(Connection.zero(calc3), metric) == Connection.zero(calc3).gamma
 
 
 def test_compat_pairing_identity(calc3):
@@ -259,7 +257,7 @@ def test_compatible_connection_formula(calc3):
                         metric.upper[i][j].derive(a + 1) * half
                     ) * metric.lower[j][k]
                 assert conn.gamma[a][i][k] == expected
-    assert is_compatible(conn, metric)
+    assert compat_defect(conn, metric) == Connection.zero(calc3).gamma
 
 
 def test_compatible_connection_identity_zero(calc3):
@@ -272,7 +270,7 @@ def test_compatible_connection_with_antihermitian_freedom(rng, calc3):
         metric = random_block_metric(rng, calc3, weakly_symmetric=False)
         anti = random_antihermitian_array(rng, calc3)
         conn = compatible_connection(metric, anti)
-        assert is_compatible(conn, metric)
+        assert compat_defect(conn, metric) == Connection.zero(calc3).gamma
 
 
 def test_compatible_connection_general_antihermitian(rng, calc3):
@@ -286,7 +284,7 @@ def test_compatible_connection_general_antihermitian(rng, calc3):
     a_arr[0][1][0] = -x.star()
     a_arr[0][0][0] = alg.i()
     conn = compatible_connection(metric, a_arr)
-    assert is_compatible(conn, metric)
+    assert compat_defect(conn, metric) == Connection.zero(calc3).gamma
 
 
 def test_compatible_connection_rejects_bad_array(calc3):
@@ -342,7 +340,7 @@ def test_torsion_free_from_by_hand(calc3):
     half_u1 = alg.gen(1) * Fraction(1, 2)
     assert fixed.gamma[0][0][1] == half_u1
     assert fixed.gamma[1][0][0] == half_u1
-    assert is_torsion_free(fixed)
+    assert all(form.is_zero() for form in torsion(fixed))
 
 
 def test_torsion_free_from_random(rng, calc3):
@@ -355,7 +353,7 @@ def test_torsion_free_from_random(rng, calc3):
             for j in (1, 2, 3)
         }
         base = connection_with(calc3, entries)
-        assert is_torsion_free(torsion_free_from(base))
+        assert all(form.is_zero() for form in torsion(torsion_free_from(base)))
 
 
 def test_torsion_free_from_symmetric_freedom(rng, calc3):
@@ -367,7 +365,7 @@ def test_torsion_free_from_symmetric_freedom(rng, calc3):
     beta[0][1][2] = value
     beta[2][1][0] = value
     shifted = torsion_free_from(base, beta)
-    assert is_torsion_free(shifted)
+    assert all(form.is_zero() for form in torsion(shifted))
     assert shifted != torsion_free_from(base)
     bad = [[[z for _ in range(3)] for _ in range(3)] for _ in range(3)]
     bad[0][1][2] = alg.one()
@@ -406,8 +404,8 @@ def test_characterization_rejects_compatible_but_torsionful(calc3):
     anti[0][0][1] = alg.one()
     anti[0][1][0] = -alg.one()
     conn = compatible_connection(metric, anti)
-    assert is_compatible(conn, metric)
-    assert not is_torsion_free(conn)
+    assert compat_defect(conn, metric) == Connection.zero(calc3).gamma
+    assert not all(form.is_zero() for form in torsion(conn))
     assert not lc_characterization_check(conn, metric)
 
 
@@ -415,6 +413,6 @@ def test_characterization_rejects_torsion_free_but_incompatible(calc3):
     alg = calc3.algebra
     metric = block_metric(calc3, alg.gen(2))
     conn = Connection.zero(calc3)
-    assert is_torsion_free(conn)
-    assert not is_compatible(conn, metric)
+    assert all(form.is_zero() for form in torsion(conn))
+    assert compat_defect(conn, metric) != Connection.zero(calc3).gamma
     assert not lc_characterization_check(conn, metric)

@@ -2,7 +2,8 @@
 
 Each demo script and the README's library quick start run in a fresh
 interpreter with ``src`` on the path, so a change to the public API that
-breaks a documented example fails here.
+breaks a documented example fails here.  The README's "Public API" list
+names exactly ``nctorus.__all__``.
 """
 
 import re
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import nctorus
 from conftest import REPO, src_env
 
 DEMOS = [
@@ -43,3 +45,12 @@ def test_readme_quick_start_runs():
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "i\nTrue\n"
+
+
+def test_readme_public_api_lists_every_exported_name():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Public API", 1)[1]
+    bullets = re.search(r"^\* .*?\n\n", section, re.S | re.M).group(0)
+    listed = re.findall(r"`(\w+)`", bullets)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(nctorus.__all__)

@@ -3,7 +3,15 @@ import time
 
 import pytest
 
-from nctorus import ParseError, TorusAlgebra, expr, parse_element, render_element
+from nctorus import (
+    NotWeaklySymmetric,
+    ParseError,
+    SolvabilityViolated,
+    TorusAlgebra,
+    expr,
+    parse_element,
+    render_element,
+)
 
 from conftest import random_element
 
@@ -97,6 +105,32 @@ def test_render_deterministic(rng, alg):
     assert render_element(x) == render_element(x)
     y = parse_element(alg, render_element(x))
     assert render_element(y) == render_element(x)
+
+
+def test_render_short_cuts_after_max_shown_terms(alg):
+    assert expr.MAX_SHOWN_TERMS == 16
+    x = alg.zero()
+    for k in range(16):
+        x = x - alg.gen(1, k)
+    assert expr.render_short(x) == render_element(x)
+    assert expr.render_short(x - alg.gen(1, 16)) == render_element(x) + " + ... (17 terms)"
+    assert expr.render_short(alg.zero()) == "0"
+
+
+def test_errors_cut_long_elements_and_keep_them_whole(alg):
+    long = alg.zero()
+    for k in range(20):
+        long = long + alg.gen(2, k)
+    shown = expr.render_short(long)
+    assert shown == " + ".join(["1", "U2"] + ["U2^%d" % k for k in range(2, 16)]) + (
+        " + ... (20 terms)"
+    )
+    exc = NotWeaklySymmetric((1, 2, 3), long)
+    assert exc.component is long
+    assert str(exc) == "d(rho) is nonzero at derivations (1, 2, 3): " + shown
+    exc = SolvabilityViolated((1, 2, 3), long)
+    assert exc.defect is long
+    assert str(exc) == "solvability condition fails at triple (1, 2, 3): defect " + shown
 
 
 # -- bounded work ------------------------------------------------------------------

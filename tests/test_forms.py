@@ -8,7 +8,6 @@ from nctorus import (
     DescriptorMismatch,
     KForm,
     LieAlgebra,
-    d_element,
 )
 
 from conftest import random_element, random_form
@@ -50,7 +49,7 @@ def test_degree_above_dimension_is_zero(calc2, rng):
 
 def test_d_of_generator(calc3):
     u1 = calc3.algebra.gen(1)
-    du1 = d_element(calc3, u1)
+    du1 = KForm.of_element(calc3, u1).d()
     assert du1(1) == calc3.algebra.i() * u1
     assert du1(2).is_zero()
     assert du1.d().is_zero()
@@ -166,7 +165,7 @@ def test_d_squared_zero(calc3, calc2, rng):
 )
 def test_d_squared_zero_with_a_bracket():
     calc = Calculus.torus(3, brackets={(3, 1, 2): 1})
-    assert d_element(calc, calc.algebra.gen(3)).d().is_zero()
+    assert KForm.of_element(calc, calc.algebra.gen(3)).d().d().is_zero()
 
 
 def test_graded_leibniz(calc3, rng):
@@ -189,7 +188,7 @@ def test_one_form_bimodule_relation(calc3):
         for j in (1, 2, 3):
             if i == j:
                 continue
-            dui = d_element(calc3, alg.gen(i))
+            dui = KForm.of_element(calc3, alg.gen(i)).d()
             lhs = dui * alg.gen(j)
             qij = alg.q(i, j) if i < j else alg.q(j, i, -1)
             rhs = qij * alg.gen(j) * dui
@@ -200,7 +199,7 @@ def test_one_form_bimodule_relation(calc3):
 def test_dual_basis_from_generators(calc3):
     alg = calc3.algebra
     for j in (1, 2, 3):
-        theta = alg.scalar(0, -1) * alg.gen(j, -1) * d_element(calc3, alg.gen(j))
+        theta = alg.scalar(0, -1) * alg.gen(j, -1) * KForm.of_element(calc3, alg.gen(j)).d()
         for a in (1, 2, 3):
             expected = alg.one() if a == j else alg.zero()
             assert theta(a) == expected

@@ -19,17 +19,15 @@ from nctorus import (
     build_levi_civita,
     compute_F,
     invert_metric,
-    is_weakly_symmetric,
     solvability_check,
     solve_R,
     symmetry_form,
     verify_levi_civita,
     weak_symmetry_defect,
 )
-from nctorus.algebra import matmul
-
 from conftest import (
     block_metric,
+    congruence_metric,
     random_block_metric,
     random_diagonal_metric,
     random_element,
@@ -514,29 +512,6 @@ def test_build_rejects_non_weakly_symmetric(calc3):
     assert not info.value.component.is_zero()
 
 
-def congruence_metric(calc, x):
-    """n = 3, D = diag(2, 3, 1), E = I + x e_12: lower = E* D E and
-    upper = E^-1 D^-1 E^-*, passed as an explicit pair."""
-    alg = calc.algebra
-
-    def diag(values):
-        return [
-            [alg.scalar(values[i]) if i == j else alg.zero() for j in range(3)]
-            for i in range(3)
-        ]
-
-    def adjoint(m):
-        return [[m[j][i].star() for j in range(3)] for i in range(3)]
-
-    step, step_inv = diag((1, 1, 1)), diag((1, 1, 1))
-    step[0][1], step_inv[0][1] = x, -x
-    lower = matmul(matmul(adjoint(step), diag((2, 3, 1))), step)
-    upper = matmul(
-        matmul(step_inv, diag((Fraction(1, 2), Fraction(1, 3), 1))), adjoint(step_inv)
-    )
-    return HermitianMetric(calc, upper, lower)
-
-
 WEAK_NOT_STRONG = {
     "U1": lambda alg: alg.gen(1),
     "U1*U2": lambda alg: alg.gen(1) * alg.gen(2),
@@ -547,23 +522,24 @@ WEAK_NOT_STRONG = {
 @pytest.mark.parametrize("name", sorted(WEAK_NOT_STRONG))
 def test_weakly_but_not_strongly_symmetric_metric_builds(calc3, name):
     # x non-hermitian and free of U3: rho != 0 but d(rho) = 0
-    metric = congruence_metric(calc3, WEAK_NOT_STRONG[name](calc3.algebra))
+    metric = congruence_metric(calc3, (1, 2, WEAK_NOT_STRONG[name](calc3.algebra)))
     assert not symmetry_form(metric).is_zero()
-    assert is_weakly_symmetric(metric)
+    assert weak_symmetry_defect(metric).is_zero()
     conn = build_levi_civita(metric)
     assert verify_levi_civita(conn, metric).passed
 
 
 def test_congruence_metric_beyond_elimination(calc3):
     # the explicit lower matrix is the only way in for this x
-    metric = congruence_metric(calc3, WEAK_NOT_STRONG["U1 + i*U2^-1"](calc3.algebra))
+    x = WEAK_NOT_STRONG["U1 + i*U2^-1"](calc3.algebra)
+    metric = congruence_metric(calc3, (1, 2, x))
     with pytest.raises(NotInvertibleByElimination):
         invert_metric(calc3, metric.upper)
 
 
 def test_congruence_metric_with_u3_is_not_weakly_symmetric(calc3):
-    metric = congruence_metric(calc3, calc3.algebra.gen(3))
-    assert not is_weakly_symmetric(metric)
+    metric = congruence_metric(calc3, (1, 2, calc3.algebra.gen(3)))
+    assert not weak_symmetry_defect(metric).is_zero()
     with pytest.raises(NotWeaklySymmetric):
         build_levi_civita(metric)
 
@@ -643,6 +619,30 @@ def test_antihermitian_param_breaking_torsion_raises(calc3):
         build_levi_civita(metric, params)
     assert str(info.value) == (
         "antihermitian parameter A breaks torsion freedom: T^1(d_1, d_3) = U2"
+    )
+
+
+def test_torsion_breaking_a_with_many_terms_is_cut_in_the_message(calc3):
+    # over the identity metric gamma = A, so T^1(d_1, d_2) is A^12_1 itself
+    alg = calc3.algebra
+    x = alg.zero()
+    for k in range(20):
+        x = x + alg.gen(3, k)
+    z = alg.zero()
+    anti = [[[z for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    anti[0][0][1] = x
+    anti[0][1][0] = -x.star()
+    params = SolverParams(
+        tuple(tuple(z for _ in range(3)) for _ in range(3)),
+        {},
+        tuple(tuple(tuple(row) for row in plane) for plane in anti),
+    )
+    with pytest.raises(ParamViolation) as info:
+        build_levi_civita(identity_metric(calc3), params)
+    assert str(info.value) == (
+        "antihermitian parameter A breaks torsion freedom: T^1(d_1, d_2) = "
+        + " + ".join(["1", "U3"] + ["U3^%d" % k for k in range(2, 16)])
+        + " + ... (20 terms)"
     )
 
 

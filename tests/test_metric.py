@@ -12,7 +12,6 @@ from nctorus import (
     NotInverse,
     NotInvertibleByElimination,
     invert_metric,
-    is_weakly_symmetric,
     symmetry_form,
     validate,
     weak_symmetry_defect,
@@ -307,12 +306,12 @@ def test_symmetry_form_evaluation_swaps_under_star(rng, calc3):
 def test_weak_symmetry_diagonal(rng, calc3):
     metric = random_diagonal_metric(rng, calc3)
     assert weak_symmetry_defect(metric).is_zero()
-    assert is_weakly_symmetric(metric)
+    assert weak_symmetry_defect(metric).is_zero()
 
 
 def test_weak_symmetry_block_u2(calc3):
     metric = block_metric(calc3, calc3.algebra.gen(2))
-    assert is_weakly_symmetric(metric)
+    assert weak_symmetry_defect(metric).is_zero()
 
 
 def test_weak_symmetry_block_u1_fails(calc3):
@@ -321,7 +320,7 @@ def test_weak_symmetry_block_u1_fails(calc3):
     defect = weak_symmetry_defect(metric)
     # d_1 of (h0^-1)* - h0^-1 with h0 = U1 gives i U1 + i U1^-1
     assert defect(1, 2, 3) == alg.i() * alg.gen(1) + alg.i() * alg.gen(1, -1)
-    assert not is_weakly_symmetric(metric)
+    assert not weak_symmetry_defect(metric).is_zero()
 
 
 def test_dimension_two_always_weakly_symmetric(rng, calc2):
@@ -333,7 +332,7 @@ def test_dimension_two_always_weakly_symmetric(rng, calc2):
     h0 = alg.gen(1)
     off = HermitianMetric(calc2, [[z, h0], [h0.star(), z]])
     assert symmetry_form(off)(1, 2) == h0.invert().star() - h0.invert()
-    assert is_weakly_symmetric(off)
+    assert weak_symmetry_defect(off).is_zero()
 
 
 def test_drho_matches_generator_expression(rng, calc3):

@@ -4,7 +4,8 @@ The three descriptors (``TorusAlgebra``, ``LieAlgebra``, ``Calculus``)
 are immutable, compare and hash by their fields and print as
 ``Name(field=value, ...)``; error messages embed that text.
 ``SolverParams`` and ``LCVerification`` compare field-wise, and the CLI's
-``ProblemConfig`` and ``Report`` stay mutable.
+``ProblemConfig`` stays mutable; ``run`` returns its report as a plain
+dict holding only the sections the command reached.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from nctorus import (
     build_levi_civita,
     verify_levi_civita,
 )
-from nctorus.cli import Report, load_config
+from nctorus.cli import load_config, run
 
 from conftest import block_metric
 
@@ -40,8 +41,8 @@ def test_descriptor_equality_and_hash():
     assert len({TorusAlgebra(3), TorusAlgebra(3), TorusAlgebra(3, True)}) == 2
 
     heis = {(3, 1, 2): 1}
-    assert LieAlgebra.abelian(3) == LieAlgebra.abelian(3)
-    assert LieAlgebra.from_struct(3, heis) != LieAlgebra.abelian(3)
+    assert LieAlgebra.from_struct(3, {}) == LieAlgebra.from_struct(3, {})
+    assert LieAlgebra.from_struct(3, heis) != LieAlgebra.from_struct(3, {})
     lie = LieAlgebra.from_struct(3, heis)
     assert hash(lie) == hash((lie.n, lie.brackets))
 
@@ -57,7 +58,7 @@ def test_descriptor_repr_text():
     assert repr(TorusAlgebra(3)) == "TorusAlgebra(n=3, commutative=False)"
     assert repr(TorusAlgebra(2, True)) == "TorusAlgebra(n=2, commutative=True)"
     lie = "LieAlgebra(n=1, brackets=(((%s,),),))" % ZERO
-    assert repr(LieAlgebra.abelian(1)) == lie
+    assert repr(LieAlgebra.from_struct(1, {})) == lie
     assert repr(Calculus.torus(1)) == (
         "Calculus(algebra=TorusAlgebra(n=1, commutative=False), lie=%s)" % lie
     )
@@ -74,7 +75,7 @@ def test_descriptor_repr_text():
         (TorusAlgebra(3), "n"),
         (TorusAlgebra(3), "commutative"),
         (TorusAlgebra(3), "_slots"),
-        (LieAlgebra.abelian(2), "brackets"),
+        (LieAlgebra.from_struct(2, {}), "brackets"),
         (Calculus.torus(2), "algebra"),
         (Calculus.torus(2), "lie"),
     ],
@@ -119,7 +120,7 @@ def test_construction_errors():
             "Jacobi identity fails at indices (1, 2, 3, 2)",
         ),
         (
-            lambda: Calculus(TorusAlgebra(2), LieAlgebra.abelian(3)),
+            lambda: Calculus(TorusAlgebra(2), LieAlgebra.from_struct(3, {})),
             DescriptorMismatch,
             "algebra has 2 generators but Lie algebra has dimension 3",
         ),
@@ -157,13 +158,11 @@ def test_cli_records_stay_mutable():
     config.command = "check-weak-symmetry"
     assert config.command == "check-weak-symmetry"
     assert config != load_config(BLOCK_CFG)
-    report = Report("build-lc", "ok", 3, False)
-    assert report.error is None and report.gamma is None
-    report.status = "error"
-    assert report.as_dict() == {
-        "schema": 1,
-        "command": "build-lc",
-        "status": "error",
-        "n": 3,
-        "commutative": False,
+    assert set(run(config)) == {
+        "schema",
+        "command",
+        "status",
+        "n",
+        "commutative",
+        "weak_symmetry",
     }
