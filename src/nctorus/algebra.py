@@ -14,7 +14,12 @@ then the q-exponents of the pairs (1,2), (1,3), ..., (n-1,n); a
 commutative algebra has no q block.  In normal form no numerator is
 zero, gcd(den, every numerator) = 1, and the zero element is ({}, 1).
 Products, sums, the star, derivations and inverses are integer
-arithmetic on keys and numerators with one gcd pass per result.  An
+arithmetic on keys and numerators with one gcd pass per result.
+
+Each algebra has one zero: ``zero()`` and every operation whose result
+is zero return the same instance.  Zero entries of arrays are therefore
+shared and cost one attribute test (``x.terms`` is empty) or one identity
+test (tuple equality compares identical entries without ``__eq__``).  An
 operation with a zero operand returns at once, after the same descriptor
 and index checks, without building or normalising anything.  This module
 alone knows the layout; ``canonical_terms`` hands the terms to the
@@ -36,7 +41,14 @@ from .records import FrozenRecord
 from .scalars import GaussianRational
 
 _SCALARS = (int, Fraction, GaussianRational)
-_plus, _times = operator.add, operator.mul
+_plus, _minus, _times = operator.add, operator.sub, operator.mul
+
+
+def _picker(indices):
+    """A function from a key to the tuple of its entries at ``indices``."""
+    if len(indices) == 1:
+        return operator.itemgetter(slice(indices[0], indices[0] + 1))
+    return operator.itemgetter(*indices) if indices else operator.itemgetter(slice(0))
 
 
 class TorusAlgebra(FrozenRecord):
@@ -57,18 +69,23 @@ class TorusAlgebra(FrozenRecord):
         )
         # The key layout: the generator pairs (a, b), a < b, of the q block
         # in key order, and for each its (key position, a - 1, b - 1).  Both
-        # are empty for a commutative algebra.
+        # are empty for a commutative algebra.  The two pickers read the
+        # U-exponents k_a and k_b of every pair from a key, for ``__mul__``.
         self.__dict__.update(
             n=n,
             commutative=commutative,
             _pairs=pairs,
             _slots=tuple((n + p, a - 1, b - 1) for p, (a, b) in enumerate(pairs)),
+            _first_of_pair=_picker([a - 1 for a, _ in pairs]),
+            _second_of_pair=_picker([b - 1 for _, b in pairs]),
+            _zero=AlgebraElement(self, {}, 1),
         )
 
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {}, 1)
+        """The zero element; the same instance on every call."""
+        return self._zero
 
     def one(self) -> "AlgebraElement":
         return self.scalar(1)
@@ -176,17 +193,22 @@ class AlgebraElement:
             return self.algebra.scalar(value)
         return None
 
-    def _normal(self, acc: dict, den: int) -> "AlgebraElement":
-        """The element acc / den over this algebra, brought to normal form."""
-        terms = {key: (re, im) for key, (re, im) in acc.items() if re or im}
-        if not terms:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *chain.from_iterable(terms.values()))
+    def _normal(self, acc: dict, den: int, nonzero: bool = False) -> "AlgebraElement":
+        """The element acc / den over this algebra, brought to normal form;
+        ``acc`` maps keys to ``(re, im)`` tuples and is not copied.  With
+        ``nonzero`` the caller vouches that no numerator is zero (a product
+        or sum of nonzero Gaussian integers in which no two terms merged),
+        and the zero filter is skipped."""
+        if not nonzero:
+            acc = {key: value for key, value in acc.items() if value[0] or value[1]}
+        if not acc:
+            return self.algebra._zero
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(acc.values()))
             if g != 1:
                 den //= g
-                terms = {key: (re // g, im // g) for key, (re, im) in terms.items()}
-        return AlgebraElement(self.algebra, terms, den)
+                acc = {key: (re // g, im // g) for key, (re, im) in acc.items()}
+        return AlgebraElement(self.algebra, acc, den)
 
     def _reversed_key(self, k):
         """Key of the reversed inverse monomial U_n^{-k_n} ... U_1^{-k_1}.
@@ -244,7 +266,7 @@ class AlgebraElement:
         for key, (re, im) in right.items():
             old = acc.get(key)
             acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
-        return self._normal(acc, den)
+        return self._normal(acc, den, len(acc) == len(left) + len(right))
 
     __radd__ = __add__
 
@@ -278,12 +300,15 @@ class AlgebraElement:
                 if not self.terms:
                     return self
                 cr, ci, cd = _gaussian_parts(other)
+                if not (cr or ci):
+                    return self.algebra._zero
                 return self._normal(
                     {
                         key: (re * cr - im * ci, re * ci + im * cr)
                         for key, (re, im) in self.terms.items()
                     },
                     self.den * cd,
+                    True,
                 )
             if not isinstance(other, AlgebraElement):
                 return NotImplemented
@@ -297,30 +322,25 @@ class AlgebraElement:
         n = alg.n
         acc: dict = {}
         get = acc.get
-        slots = alg._slots
+        first, second = alg._first_of_pair, alg._second_of_pair
         # Normal-ordering U^k U^l moves U_a^{l_a} of the right factor
         # leftwards past U_b^{k_b}, b > a: the pair (a, b) picks up the
-        # q-exponent -k_b * l_a.  A commutative algebra has no slots, so
+        # q-exponent -k_b * l_a.  A commutative algebra has no pairs, so
         # its key is the sum of the U exponents alone.
-        right = [
-            (l[:n], l[n:], [l[a] for _, a, _ in slots], lr, li)
-            for l, (lr, li) in other.terms.items()
-        ]
+        right = [(l[:n], l[n:], first(l), lr, li) for l, (lr, li) in other.terms.items()]
         for k, (kr, ki) in self.terms.items():
-            ku, kq = k[:n], k[n:]
-            kb = [-k[b] for _, _, b in slots]
+            ku, kq, kb = k[:n], k[n:], second(k)
             for lu, lq, la, lr, li in right:
                 key = (
                     *map(_plus, ku, lu),
-                    *map(_plus, map(_plus, kq, lq), map(_times, kb, la)),
+                    *map(_minus, map(_plus, kq, lq), map(_times, kb, la)),
                 )
+                re, im = kr * lr - ki * li, kr * li + ki * lr
                 old = get(key)
-                if old is None:
-                    acc[key] = [kr * lr - ki * li, kr * li + ki * lr]
-                else:
-                    old[0] += kr * lr - ki * li
-                    old[1] += kr * li + ki * lr
-        return self._normal(acc, self.den * other.den)
+                acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        return self._normal(
+            acc, self.den * other.den, len(acc) == len(self.terms) * len(right)
+        )
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -364,6 +384,7 @@ class AlgebraElement:
         return self._normal(
             {k: (-im * k[t], re * k[t]) for k, (re, im) in self.terms.items() if k[t]},
             self.den,
+            True,
         )
 
     def invert(self) -> "AlgebraElement":
@@ -375,7 +396,9 @@ class AlgebraElement:
         ((k, (re, im)),) = self.terms.items()
         # 1 / ((re + i im) / den) = den (re - i im) / (re^2 + im^2)
         return self._normal(
-            {self._reversed_key(k): (self.den * re, -self.den * im)}, re * re + im * im
+            {self._reversed_key(k): (self.den * re, -self.den * im)},
+            re * re + im * im,
+            True,
         )
 
     # -- predicates ---------------------------------------------------------------
@@ -416,22 +439,23 @@ def matmul(left, right):
 
     Entry (i, k) is the sum over j of left[i][j] * right[j][k], summed in
     increasing j.  A pair with a zero factor contributes nothing and is
-    skipped without multiplying, so sparse matrices (block and diagonal
-    metrics, most Christoffel arrays) cost only their nonzero pairs.
-    Exact arithmetic makes the result independent of which pairs are
-    skipped.  Returns a tuple of row tuples.
+    skipped without multiplying: the nonzero entries of each right row are
+    listed once per call, so sparse matrices (block and diagonal metrics,
+    most Christoffel arrays) cost only their nonzero pairs.  Exact
+    arithmetic makes the result independent of which pairs are skipped.
+    Returns a tuple of row tuples.
     """
     if not right or not right[0]:
         return tuple(() for _ in left)
     zero = right[0][0].algebra.zero()
+    width = len(right[0])
+    nonzero_rows = [[(k, y) for k, y in enumerate(row) if y.terms] for row in right]
     out = []
     for row in left:
-        acc = [zero] * len(right[0])
-        for x, right_row in zip(row, right):
-            if x.is_zero():
-                continue
-            for k, y in enumerate(right_row):
-                if not y.is_zero():
+        acc = [zero] * width
+        for x, nonzero in zip(row, nonzero_rows):
+            if x.terms:
+                for k, y in nonzero:
                     acc[k] = acc[k] + x * y
         out.append(tuple(acc))
     return tuple(out)

@@ -8,6 +8,9 @@ extended to arbitrary module elements by the Leibniz rule.  On the
 dual-basis module every operator needed here (index swap in the two
 derivation slots, symmetrization, antisymmetrization, pairing against the
 metric) acts on such finite component arrays, and each is defined once.
+The operators visit only nonzero entries: a zero entry is skipped after
+one ``x.terms`` test, and a zero result is the algebra's shared zero.
+``entrywise`` therefore requires an additive ``op``, with op(0, 0) = 0.
 With T_h the metric pairing operator, s the symmetrizer, wedge the
 antisymmetrizer and d the exterior derivative as an array
 (``forms.d_array``, d^i_ab = -c^i_ab):
@@ -95,9 +98,9 @@ def torsion(conn: Connection):
     for i in range(calc.n):
         comps = {}
         for a, b in combinations(range(calc.n), 2):
-            value = gamma[a][i][b] - gamma[b][i][a] - dop[a][i][b]
-            if not value.is_zero():
-                comps[(a + 1, b + 1)] = value
+            x, y, d = gamma[a][i][b], gamma[b][i][a], dop[a][i][b]
+            if x.terms or y.terms or d.terms:
+                comps[(a + 1, b + 1)] = x - y - d  # KForm drops a zero
         forms.append(KForm(calc, 2, comps))
     return tuple(forms)
 
@@ -165,9 +168,17 @@ def torsion_free_from(base: Connection, symmetric_part=None) -> Connection:
 
 
 def entrywise(op, left, right):
-    """op applied entry by entry to two arrays of the same shape."""
+    """op applied entry by entry to two arrays of the same shape.
+
+    ``op(0, 0)`` must be 0, as it is for every sum, difference and scaled
+    sum used here: a pair of zero entries gives the left zero without
+    calling ``op``.
+    """
     return tuple(
-        tuple(tuple(map(op, row_l, row_r)) for row_l, row_r in zip(plane_l, plane_r))
+        tuple(
+            tuple([op(x, y) if x.terms or y.terms else x for x, y in zip(row_l, row_r)])
+            for row_l, row_r in zip(plane_l, plane_r)
+        )
         for plane_l, plane_r in zip(left, right)
     )
 
@@ -194,17 +205,25 @@ def antisymmetrize(array):
 
 
 def metric_pairing_operator(array, metric: HermitianMetric):
-    """T_h(alpha)^ij_a = alpha^i_ak h^kj + (alpha^j_ak h^ki)*."""
+    """T_h(alpha)^ij_a = alpha^i_ak h^kj + (alpha^j_ak h^ki)*.
+
+    T_h(alpha)^ji_a is the star of T_h(alpha)^ij_a, so each plane is formed
+    on i <= j and mirrored.
+    """
     n = metric.calculus.n
+    zero = metric.calculus.algebra.zero()
     out = []
     for plane in array:
         product = matmul(plane, metric.upper)
-        out.append(
-            tuple(
-                tuple(product[i][j] + product[j][i].star() for j in range(n))
-                for i in range(n)
-            )
-        )
+        rows = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                x, y = product[i][j], product[j][i]
+                if x.terms or y.terms:
+                    rows[i][j] = value = x + y.star()
+                    if j != i:
+                        rows[j][i] = value.star()
+        out.append(tuple(map(tuple, rows)))
     return tuple(out)
 
 

@@ -335,6 +335,8 @@ def _joined(terms) -> str:
 
 def render_element(x: AlgebraElement) -> str:
     """Render ``x`` in canonical normal form; inverse of ``parse_element``."""
+    if not x.terms:
+        return "0"
     return _joined(x.canonical_terms())
 
 

@@ -314,8 +314,10 @@ class KForm:
             total = zero
             for pos, b in enumerate(key):
                 rest = key[:pos] + key[pos + 1 :]  # increasing: a stored key
-                term = self.comps.get(rest, zero).derive(b)
-                total = total + term if pos % 2 == 0 else total - term
+                value = self.comps.get(rest)
+                if value is not None:
+                    term = value.derive(b)
+                    total = total + term if pos % 2 == 0 else total - term
             if not abelian:
                 for pi, pj in combinations(range(k + 1), 2):
                     rest = tuple(
@@ -327,7 +329,7 @@ class KForm:
                         if c:
                             term = self(e, *rest) * c
                             total = total + term if sign > 0 else total - term
-            if not total.is_zero():
+            if total.terms:
                 comps[key] = total
         return KForm(calc, k + 1, comps)
 

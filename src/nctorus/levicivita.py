@@ -157,8 +157,9 @@ class RSet:
 def compute_F(metric: HermitianMetric) -> FTensor:
     """F_cab = -(i/2) d_a h_cb + (i/2) d_b h_ca - i h_ce d^e_ab.
 
-    d^e_ab is ``d_array``, zero for an abelian Lie algebra; zero entries
-    are skipped.  The cyclic defect of this tensor reproduces i d(rho)
+    d^e_ab is ``d_array``, zero for an abelian Lie algebra; its nonzero
+    entries, times i, are listed once per call, and zero entries of h are
+    skipped.  The cyclic defect of this tensor reproduces i d(rho)
     componentwise.  Since d^e_ab = -d^e_ba, F is antisymmetric in (a, b):
     each pair a < b is computed once, F_cba = -F_cab, and F_caa = 0.
     """
@@ -166,16 +167,23 @@ def compute_F(metric: HermitianMetric) -> FTensor:
     n = calc.n
     zero = calc.algebra.zero()
     dop = d_array(calc)
+    pairs = [
+        (a, b, [(e, dop[a][e][b] * UNIT_I) for e in range(n) if dop[a][e][b].terms])
+        for a, b in combinations(range(n), 2)
+    ]
     entries = []
     for h_c in metric.lower:
         plane = [[zero] * n for _ in range(n)]
-        for a, b in combinations(range(n), 2):
-            value = (h_c[a].derive(b + 1) - h_c[b].derive(a + 1)) * HALF_I
-            for e in range(n):
-                if not dop[a][e][b].is_zero():
-                    value = value - h_c[e] * dop[a][e][b] * UNIT_I
-            plane[a][b] = value
-            plane[b][a] = -value
+        for a, b, brackets in pairs:
+            x, y = h_c[a], h_c[b]
+            dx = x.derive(b + 1) if x.terms else x
+            dy = y.derive(a + 1) if y.terms else y
+            value = (dx - dy) * HALF_I if dx.terms or dy.terms else zero
+            for e, d_i in brackets:
+                if h_c[e].terms:
+                    value = value - h_c[e] * d_i
+            if value.terms:
+                plane[a][b], plane[b][a] = value, -value
         entries.append(plane)
     return FTensor(calc, entries)
 
@@ -188,9 +196,10 @@ def solvability_check(tensor: FTensor):
         for b in range(a + 1, n + 1):
             for c in range(b + 1, n + 1):
                 cyclic = tensor[a, b, c] + tensor[b, c, a] + tensor[c, a, b]
-                defect = cyclic + cyclic.star()
-                if not defect.is_zero():
-                    return (a, b, c), defect
+                if cyclic.terms:
+                    defect = cyclic + cyclic.star()
+                    if defect.terms:
+                        return (a, b, c), defect
     return None
 
 
@@ -239,7 +248,8 @@ def solve_R(tensor: FTensor, params: SolverParams) -> RSet:
     result = RSet(calc, R)
     lhs = antisymmetrize(result.matrices)  # (R_a)_cb - (R_b)_ca at [a][c][b]
     for a, b, c in product(range(n), repeat=3):
-        if lhs[a][c][b] != tensor.entries[c][a][b]:
+        x, y = lhs[a][c][b], tensor.entries[c][a][b]
+        if x is not y and x != y:
             raise InternalVerificationFailure(
                 "R equation fails at (a=%d, b=%d, c=%d)" % (a + 1, b + 1, c + 1)
             )
@@ -291,8 +301,8 @@ def verify_levi_civita(conn: Connection, metric: HermitianMetric) -> LCVerificat
         torsion_forms=torsion_forms,
         compat=defect,
         torsion_zero=all(form.is_zero() for form in torsion_forms),
-        compat_zero=all(
-            entry.is_zero() for plane in defect for row in plane for entry in row
+        compat_zero=not any(
+            entry.terms for plane in defect for row in plane for entry in row
         ),
         characterization=lc_characterization_check(conn, metric),
     )
@@ -323,7 +333,7 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
         raise SolvabilityViolated(*violation)
     rset = solve_R(tensor, params)
     antiherm = tuple(
-        tuple(tuple(u * UNIT_I for u in row) for row in plane)
+        tuple(tuple([u * UNIT_I if u.terms else u for u in row]) for row in plane)
         for plane in assemble_U(metric, rset)
     )
     if params.antiherm is not None:

@@ -91,7 +91,10 @@ class HermitianMetric:
         """The n matrices d_a h^ij (a = 1..n), derived on first use."""
         if self._d_upper is None:
             self._d_upper = tuple(
-                tuple(tuple(entry.derive(a) for entry in row) for row in self.upper)
+                tuple(
+                    tuple([entry.derive(a) if entry.terms else entry for entry in row])
+                    for row in self.upper
+                )
                 for a in range(1, self.calculus.n + 1)
             )
         return self._d_upper

@@ -29,6 +29,7 @@ from nctorus import (
     parse_element,
     render_element,
     solve_R,
+    symmetry_form,
     verify_levi_civita,
     weak_symmetry_defect,
 )
@@ -427,6 +428,23 @@ def test_classical_christoffel_oracle_on_non_constant_metrics():
         assert conn.gamma == classical_form_christoffel(metric)
 
 
+def test_classical_christoffel_oracle_on_random_congruence_metrics():
+    # n = 5, three random steps each; a non-hermitian step can make rho
+    # nonzero, and the classical formula needs a real symmetric metric
+    calc = Calculus.torus(5, commutative=True)
+    rng = random.Random(929)
+    built = 0
+    for _ in range(6):
+        metric = congruence_metric(calc, *random_congruence_steps(rng, calc.algebra, 3))
+        if not symmetry_form(metric).is_zero():
+            continue
+        conn = build_levi_civita(metric)
+        assert conn != Connection.zero(calc)
+        assert conn.gamma == classical_form_christoffel(metric)
+        built += 1
+    assert built >= 4
+
+
 def specialised(element, target):
     """The image of ``element`` under q -> 1 in the algebra ``target``: the
     q key of every term is dropped and equal U-monomials are merged."""
@@ -483,7 +501,7 @@ def build_lc_config(metric):
 
 
 @pytest.mark.parametrize("commutative", [False, True], ids=["q", "commutative"])
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_congruence_round_trip(tmp_path, n, commutative):
     # the gate refuses exactly the metrics with d(rho) != 0, every build
     # verifies, and the CLI on the rendered metric prints the same gamma

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from nctorus import (
+    AlgebraElement,
     Calculus,
     Connection,
     FTensor,
@@ -17,6 +18,7 @@ from nctorus import (
     SolverParams,
     assemble_U,
     build_levi_civita,
+    compat_defect,
     compute_F,
     invert_metric,
     solvability_check,
@@ -786,3 +788,91 @@ def test_build_error_precedence(calc3, monkeypatch):
     monkeypatch.setattr(lc, "solvability_check", lambda tensor: ((1, 2, 3), tensor[1, 2, 3]))
     with pytest.raises(SolvabilityViolated):
         build_levi_civita(block_metric(calc3, calc3.algebra.gen(2)))
+
+
+# -- zero entries ------------------------------------------------------------------
+
+ELEMENT_OPERATIONS = ("__mul__", "__add__", "__sub__", "__neg__", "star", "derive", "__eq__")
+
+
+def count_all_zero_calls(monkeypatch):
+    """Wrap the element operations; the returned dict counts, per name, the
+    calls whose element operands (self and any element argument) are all
+    zero.  Scalar factors and derivation indices are not operands."""
+    counts = dict.fromkeys(ELEMENT_OPERATIONS, 0)
+    for name in ELEMENT_OPERATIONS:
+        original = getattr(AlgebraElement, name)
+
+        def wrapper(self, *args, _name=name, _original=original):
+            if not self.terms and not any(
+                x.terms for x in args if isinstance(x, AlgebraElement)
+            ):
+                counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(AlgebraElement, name, wrapper)
+    return counts
+
+
+def seeded_block_metric_6():
+    """n = 6, q-deformed: three 2 x 2 blocks h^pq = h0, h^qp = h0*, each h0
+    a monomial in U_p and U_q only (so d(rho) = 0), one with a q-phase."""
+    rng = random.Random("zero-walk/block/6")
+    calc = Calculus.torus(6)
+    alg = calc.algebra
+    upper = [[alg.zero()] * 6 for _ in range(6)]
+    order = list(range(6))
+    rng.shuffle(order)
+    for k in range(3):
+        p, q = order[2 * k], order[2 * k + 1]
+        exponents = [0] * 6
+        exponents[p], exponents[q] = rng.choice((-2, -1, 1, 2)), rng.choice((-1, 1))
+        h0 = alg.monomial(Fraction(rng.randint(1, 3), rng.randint(1, 3)), exponents)
+        if k == 0:
+            h0 = h0 * alg.q(min(p, q) + 1, max(p, q) + 1)
+        upper[p][q], upper[q][p] = h0, h0.star()
+    return HermitianMetric(calc, upper)
+
+
+def bracket_diagonal_metric_5():
+    """n = 5 over c^3_12 = 1 with rational constants on the diagonal."""
+    calc = Calculus.torus(5, brackets={(3, 1, 2): 1})
+    alg = calc.algebra
+    upper = [[alg.zero()] * 5 for _ in range(5)]
+    for k, value in enumerate((2, Fraction(1, 3), -1, 3, Fraction(-2, 3))):
+        upper[k][k] = alg.scalar(value)
+    return HermitianMetric(calc, upper)
+
+
+# Element calls with only zero operands during one build_levi_civita.  Those
+# left are in the parameter and pair checks, the d(rho) gate, the cyclic
+# sums and the closed-form R entries, which do not skip zeros.  A change
+# that walks zero entries again raises these counts (walking every zero
+# entry gives 6,416 and 3,721).
+ALL_ZERO_CALLS = {
+    "block-6": {
+        "__mul__": 60, "__add__": 234, "__sub__": 74, "__neg__": 260,
+        "star": 494, "derive": 0, "__eq__": 432,
+    },
+    "bracket-5": {
+        "__mul__": 40, "__add__": 113, "__sub__": 44, "__neg__": 155,
+        "star": 295, "derive": 0, "__eq__": 268,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_ZERO_CALLS))
+def test_build_skips_zero_entries(name, monkeypatch):
+    make = {"block-6": seeded_block_metric_6, "bracket-5": bracket_diagonal_metric_5}
+    metric = make[name]()
+    zero = metric.calculus.algebra.zero()
+    counts = count_all_zero_calls(monkeypatch)
+    conn = build_levi_civita(metric)
+    assert counts == ALL_ZERO_CALLS[name]
+    monkeypatch.undo()
+    assert verify_levi_civita(conn, metric).passed
+    # every zero entry of the solver's arrays is the algebra's one zero
+    for array in (conn.gamma, compute_F(metric).entries, compat_defect(conn, metric)):
+        entries = [x for plane in array for row in plane for x in row]
+        assert all(x is zero for x in entries if not x.terms)
+        assert any(x is zero for x in entries)

@@ -9,7 +9,12 @@ n = 3..5 over an abelian, a bracket (c^3_12 = 1) and a commutative
 calculus; the compatibility operators also run at n = 2, where the two
 bracket families take two-dimensional constants.  The adjoint identity
 h_ij h^jk = (h^kj h_ji)* for hermitian pairs, on which metric validation
-rests, is checked on pairs that are not inverses.
+rests, is checked on pairs that are not inverses.  The passes that skip
+zero entries also meet the edge shapes of that skipping: all-zero arrays,
+arrays whose only nonzero entry is the last one, arrays with a zero row,
+n = 1 and 2, and an so(3)-type calculus whose metric has a row that is
+zero off the diagonal; there every zero they return is the algebra's one
+zero.
 """
 
 from fractions import Fraction
@@ -26,6 +31,7 @@ from nctorus import (
     NotInvertibleByElimination,
     RSet,
     SolverParams,
+    antisymmetrize,
     assemble_U,
     build_levi_civita,
     compat_defect,
@@ -33,6 +39,7 @@ from nctorus import (
     compute_F,
     metric_pairing_operator,
     solve_R,
+    symmetrize,
     torsion,
     torsion_free_from,
 )
@@ -489,3 +496,118 @@ def test_compatible_connection_at_rank_two_matches_index_sum(family, with_antihe
     assert as_lists(conn.gamma) == oracle_gamma(metric, antiherm)
     defect = compat_defect(conn, metric)
     assert all(x.is_zero() for plane in defect for row in plane for x in row)
+
+
+# -- edge shapes of the zero-skipping passes -------------------------------------
+
+EDGE_CASES = (
+    [(family, 1) for family in ("abelian", "commutative")]
+    + [(family, 2) for family in FAMILIES]
+    + [("so3", 3)]
+)
+EDGE_SHAPES = ("zero", "last", "zero-row")
+
+
+def edge_matrix(rng, alg, n, shape):
+    """n x n: all zero; zero but for the last entry; or sparse with a zero
+    first row."""
+    m = [[alg.zero()] * n for _ in range(n)]
+    if shape == "last":
+        m[-1][-1] = random_monomial(rng, alg, 1)
+    elif shape == "zero-row":
+        m[1:] = [[sparse_element(rng, alg) for _ in range(n)] for _ in range(n - 1)]
+    return m
+
+
+def edge_array(rng, calc, shape):
+    """n x n x n of ``edge_matrix`` planes; with "last", only the last plane
+    has its last entry."""
+    n = calc.n
+    shapes = ["zero"] * (n - 1) + [shape] if shape == "last" else [shape] * n
+    return tuple(
+        tuple(map(tuple, edge_matrix(rng, calc.algebra, n, plane_shape)))
+        for plane_shape in shapes
+    )
+
+
+def edge_metric(rng, calc, shape):
+    """A constant diagonal ("zero": every d_a h is zero); the pair
+    h^{n-1,n} = W, h^{n,n-1} = W* on the last two indices and 1 elsewhere
+    ("last"); a dense corner whose last row is zero off the diagonal
+    ("zero-row")."""
+    alg, n = calc.algebra, calc.n
+    if shape == "zero-row":
+        return dense_metric(rng, calc, max(n - 1, 1))
+    upper = [
+        [alg.scalar(rng.choice((1, 2, 3))) if i == j else alg.zero() for j in range(n)]
+        for i in range(n)
+    ]
+    if shape == "last" and n > 1:
+        w = alg.monomial(1, [0] * (n - 2) + [1, -1]) * rng.choice((1, 2))
+        upper[-2][-2] = upper[-1][-1] = alg.zero()
+        upper[-2][-1], upper[-1][-2] = w, w.star()
+    return HermitianMetric(calc, upper)
+
+
+def literal_matmul(left, right):
+    zero = right[0][0].algebra.zero()
+    columns = range(len(right[0]))
+    return [
+        [sum((x * right[j][k] for j, x in enumerate(row)), zero) for k in columns]
+        for row in left
+    ]
+
+
+def literal_swap_sum(array, sign):
+    """alpha^i_ab + sign * alpha^i_ba, entry by entry."""
+    n = len(array)
+    return [
+        [[array[a][i][b] + array[b][i][a] * sign for b in range(n)] for i in range(n)]
+        for a in range(n)
+    ]
+
+
+def zeros_are_shared(array, alg):
+    flat = list(array)
+    while flat and isinstance(flat[0], (tuple, list)):
+        flat = [x for part in flat for x in part]
+    return all(x is alg.zero() for x in flat if not x.terms)
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@pytest.mark.parametrize("family,n", EDGE_CASES)
+def test_matmul_matches_literal_sum_on_edge_shapes(family, n, shape):
+    rng = case_rng("matmul/" + shape, family, n)
+    alg = make_calculus(family, n).algebra
+    left, right = (edge_matrix(rng, alg, n, shape) for _ in range(2))
+    dense = random_hermitian_matrix(rng, alg, n)
+    for a, b in ((left, right), (left, dense), (dense, right), ([dense[0]], right)):
+        product = matmul(a, b)
+        assert [list(row) for row in product] == literal_matmul(a, b)
+        assert zeros_are_shared(product, alg)
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@pytest.mark.parametrize("family,n", EDGE_CASES)
+def test_pairing_and_symmetrizers_match_index_sums_on_edge_shapes(family, n, shape):
+    rng = case_rng("pairing/" + shape, family, n)
+    calc = make_calculus(family, n)
+    metric = edge_metric(rng, calc, shape)
+    for array in (edge_array(rng, calc, shape), sparse_array(rng, calc)):
+        for result, expected in (
+            (metric_pairing_operator(array, metric), oracle_pairing(array, metric.upper)),
+            (symmetrize(array), literal_swap_sum(array, 1)),
+            (antisymmetrize(array), literal_swap_sum(array, -1)),
+        ):
+            assert as_lists(result) == expected
+            assert zeros_are_shared(result, calc.algebra)
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@pytest.mark.parametrize("family,n", EDGE_CASES)
+def test_compute_F_matches_literal_loop_on_edge_shapes(family, n, shape):
+    rng = case_rng("compute_F/" + shape, family, n)
+    metric = edge_metric(rng, make_calculus(family, n), shape)
+    entries = compute_F(metric).entries
+    assert as_lists(entries) == oracle_F(metric)
+    assert zeros_are_shared(entries, metric.calculus.algebra)
