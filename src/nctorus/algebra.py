@@ -21,9 +21,13 @@ is zero return the same instance.  Zero entries of arrays are therefore
 shared and cost one attribute test (``x.terms`` is empty) or one identity
 test (tuple equality compares identical entries without ``__eq__``).  An
 operation with a zero operand returns at once, after the same descriptor
-and index checks, without building or normalising anything.  This module
-alone knows the layout; ``canonical_terms`` hands the terms to the
-renderer.
+and index checks, without building or normalising anything.  The array
+checkers follow suit: ``_frozen`` returns input that is already frozen
+unchanged and tests its leaves in one pass, and ``_first_unpaired``
+skips a pair of two zero elements, because every relation it is given
+(hermitian, antihermitian, antisymmetric, equal) holds on (0, 0).  This
+module alone knows the layout; ``canonical_terms`` hands the terms to
+the renderer.
 
 The standard derivations act by d_a(U^k) = i k_a U^k; each d_a is
 hermitian and the family commutes.
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import gcd
 
 from .errors import DescriptorMismatch, NotMonomial, ZeroElement
@@ -42,6 +46,7 @@ from .scalars import GaussianRational
 
 _SCALARS = (int, Fraction, GaussianRational)
 _plus, _minus, _times = operator.add, operator.sub, operator.mul
+_algebra_of = operator.attrgetter("algebra")
 
 
 def _picker(indices):
@@ -463,7 +468,8 @@ def matmul(left, right):
 
 def _frozen(x, shape, name, dims="", algebra=None, errors=(ValueError, TypeError)):
     """The nested sequence ``x`` as nested tuples of ``shape``; with an
-    empty shape, ``x`` is the one leaf.
+    empty shape, ``x`` is the one leaf.  A level that is already a tuple
+    of the right length is kept, so a frozen input is returned as it is.
 
     Another shape raises ``errors[0]``, worded from ``name`` and ``dims``
     (the shape in symbols, such as "n x n x n").  With ``algebra``, the
@@ -472,21 +478,26 @@ def _frozen(x, shape, name, dims="", algebra=None, errors=(ValueError, TypeError
     DescriptorMismatch, each naming the leaf as ``name[i][j]...``, 1-based.
     """
 
+    last = len(shape) - 1
+
     def freeze(part, depth):
-        if depth == len(shape):
-            return part
-        items = tuple(part) if hasattr(part, "__iter__") else None
+        items = tuple(part) if hasattr(part, "__iter__") else None  # a tuple is kept
         if items is None or len(items) != shape[depth]:
             raise errors[0]("%s must be an %s array" % (name, dims))
-        return tuple([freeze(item, depth + 1) for item in items])
+        if depth == last:
+            return items
+        frozen = [freeze(item, depth + 1) for item in items]
+        return items if all(map(operator.is_, frozen, items)) else tuple(frozen)
 
-    out = freeze(x, 0)
+    out = freeze(x, 0) if shape else x
     if algebra is None:
         return out
     leaves = [out]
     for _ in shape:
         leaves = list(chain.from_iterable(leaves))
-    if all(y.__class__ is AlgebraElement and y.algebra is algebra for y in leaves):
+    if set(map(type, leaves)) == {AlgebraElement} and all(
+        map(operator.is_, map(_algebra_of, leaves), repeat(algebra))
+    ):
         return out
     for index, y in zip(product(*[range(1, k + 1) for k in shape]), leaves):
         where = name + "".join("[%d]" % k for k in index)
@@ -504,6 +515,8 @@ def _first_unpaired(x, related, ndim):
     ``x`` has ``ndim`` axes, the last two of equal length.  For a relation
     that holds at (i, j) exactly when it holds at (j, i), such as hermitian
     or antisymmetric pairing, no earlier index of the full search fails.
+    Every relation passed here holds on two zero elements, so such a pair
+    is skipped without calling ``related``.
     """
     if ndim > 2:
         for k, part in enumerate(x, 1):
@@ -513,6 +526,9 @@ def _first_unpaired(x, related, ndim):
         return None
     for i, row in enumerate(x):
         for j in range(i, len(x)):
-            if not related(row[j], x[j][i]):
+            u, v = row[j], x[j][i]
+            if u.__class__ is v.__class__ is AlgebraElement and not (u.terms or v.terms):
+                continue
+            if not related(u, v):
                 return (i + 1, j + 1)
     return None

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .algebra import _first_unpaired, _frozen, matmul
 from .errors import AntihermitianViolation, DescriptorMismatch
@@ -136,7 +136,9 @@ def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
         antiherm = _frozen(antiherm, (calc.n,) * 3, "antiherm", "n x n x n", calc.algebra)
         check_antihermitian(antiherm)
         coeffs = entrywise(lambda dh, x: dh * HALF + x, metric.d_upper, antiherm)
-    return Connection(calc, [matmul(coeff, metric.lower) for coeff in coeffs])
+    n = calc.n
+    rows = matmul(tuple(chain.from_iterable(coeffs)), metric.lower)
+    return Connection(calc, [rows[start : start + n] for start in range(0, n * n, n)])
 
 
 def torsion_free_from(base: Connection, symmetric_part=None) -> Connection:
@@ -185,13 +187,7 @@ def entrywise(op, left, right):
 
 def sigma_swap(array):
     """sigma(alpha)^i_ab = alpha^i_ba: transpose the two derivation slots."""
-    n = len(array)
-    return tuple(
-        tuple(
-            tuple(array[b][i][a] for b in range(n)) for i in range(len(array[0]))
-        )
-        for a in range(n)
-    )
+    return tuple(zip(*[tuple(zip(*rows)) for rows in zip(*array)]))
 
 
 def symmetrize(array):
@@ -208,13 +204,15 @@ def metric_pairing_operator(array, metric: HermitianMetric):
     """T_h(alpha)^ij_a = alpha^i_ak h^kj + (alpha^j_ak h^ki)*.
 
     T_h(alpha)^ji_a is the star of T_h(alpha)^ij_a, so each plane is formed
-    on i <= j and mirrored.
+    on i <= j and mirrored.  The n plane products are one matrix product
+    of the stacked rows.
     """
     n = metric.calculus.n
     zero = metric.calculus.algebra.zero()
+    products = matmul(tuple(chain.from_iterable(array)), metric.upper)
     out = []
-    for plane in array:
-        product = matmul(plane, metric.upper)
+    for start in range(0, len(products), n):
+        product = products[start : start + n]
         rows = [[zero] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):

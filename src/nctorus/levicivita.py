@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .algebra import AlgebraElement, _first_unpaired, _frozen, matmul
 from .connections import (
@@ -112,7 +112,7 @@ class SolverParams(Record):
         X = _frozen(self.X, (n, n), "X", "n x n", alg, errors)
         for a, row in enumerate(X, 1):
             for b, x in enumerate(row, 1):
-                if not x.is_hermitian():
+                if x.terms and not x.is_hermitian():
                     raise ParamViolation("X[%d][%d] is not hermitian" % (a, b))
         triples = {}
         keys = set(combinations(range(1, n + 1), 3))
@@ -236,6 +236,10 @@ def solve_R(tensor: FTensor, params: SolverParams) -> RSet:
                 f_abc = tensor[a, b, c]
                 f_bca = tensor[b, c, a]
                 f_cab = tensor[c, a, b]
+                if not (f_abc.terms or f_bca.terms or f_cab.terms or h.terms):
+                    for i, j, k in permutations((a, b, c)):
+                        R[i - 1][j - 1][k - 1] = zero
+                    continue
                 r_a = (f_abc - f_bca + f_cab.star()) * HALF + h
                 r_b = (f_abc.star() - f_bca.star() - f_cab) * HALF + h
                 r_c = -((f_abc + f_bca + f_cab.star()) * HALF) + h
@@ -247,6 +251,8 @@ def solve_R(tensor: FTensor, params: SolverParams) -> RSet:
                 R[c - 1][b - 1][a - 1] = r_c.star()
     result = RSet(calc, R)
     lhs = antisymmetrize(result.matrices)  # (R_a)_cb - (R_b)_ca at [a][c][b]
+    if lhs == tuple(zip(*tensor.entries)):
+        return result
     for a, b, c in product(range(n), repeat=3):
         x, y = lhs[a][c][b], tensor.entries[c][a][b]
         if x is not y and x != y:

@@ -53,8 +53,8 @@ def invert_metric(calculus: Calculus, upper):
             work[col], work[pivot_row] = work[pivot_row], work[col]
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         inv = work[col][col].invert()
-        work[col] = [inv * entry for entry in work[col]]
-        aug[col] = [inv * entry for entry in aug[col]]
+        work[col] = [inv * entry if entry.terms else entry for entry in work[col]]
+        aug[col] = [inv * entry if entry.terms else entry for entry in aug[col]]
         for r in range(n):
             if r == col:
                 continue
@@ -62,9 +62,9 @@ def invert_metric(calculus: Calculus, upper):
             if factor.is_zero():
                 continue
             work[r] = [
-                work[r][c] - factor * work[col][c] for c in range(n)
+                x - factor * p if p.terms else x for x, p in zip(work[r], work[col])
             ]
-            aug[r] = [aug[r][c] - factor * aug[col][c] for c in range(n)]
+            aug[r] = [x - factor * p if p.terms else x for x, p in zip(aug[r], aug[col])]
     return tuple(tuple(row) for row in aug)
 
 
@@ -155,9 +155,9 @@ def symmetry_form(metric: HermitianMetric) -> KForm:
     comps = {}
     for a in range(1, calc.n + 1):
         for b in range(a + 1, calc.n + 1):
-            value = metric.lower[a - 1][b - 1] - metric.lower[a - 1][b - 1].star()
-            if not value.is_zero():
-                comps[(a, b)] = value
+            x = metric.lower[a - 1][b - 1]
+            if x.terms:
+                comps[(a, b)] = x - x.star()  # KForm drops a zero
     return KForm(calc, 2, comps)
 
 

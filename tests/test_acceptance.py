@@ -455,6 +455,13 @@ def specialised(element, target):
     return total
 
 
+def specialised_array(array, target):
+    """``specialised`` applied to every entry of a nested tuple."""
+    if isinstance(array, tuple):
+        return tuple(specialised_array(part, target) for part in array)
+    return specialised(array, target)
+
+
 def test_q_to_one_commutes_with_the_solver():
     # q -> 1 is a *-homomorphism onto the commutative torus that commutes
     # with every derivation, so it commutes with each stage of the build
@@ -462,9 +469,7 @@ def test_q_to_one_commutes_with_the_solver():
     flat = Calculus.torus(3, commutative=True)
 
     def spec(array):
-        if isinstance(array, tuple):
-            return tuple(spec(part) for part in array)
-        return specialised(array, flat.algebra)
+        return specialised_array(array, flat.algebra)
 
     draws = monomial_draws(calc.algebra, 929, 8)
     # x = c W + c W* gives rho = 0; x = c W gives rho != 0, and d(rho) = 0
@@ -480,6 +485,30 @@ def test_q_to_one_commutes_with_the_solver():
         assert spec(build_levi_civita(metric).gamma) == build_levi_civita(image).gamma
         built += 1
     assert built >= 12
+
+
+@pytest.mark.parametrize("seed", [4101, 4102, 4103, 4104])
+def test_q_to_one_commutes_with_the_solver_on_random_congruence_metrics(seed):
+    # dense metrics from three random steps at n = 4; the first weakly
+    # symmetric draw with a q-phase in h^ij is built on both sides of q -> 1
+    calc = Calculus.torus(4)
+    flat = Calculus.torus(4, commutative=True)
+    rng = random.Random(seed)
+    for _ in range(8):
+        metric = congruence_metric(calc, *random_congruence_steps(rng, calc.algebra, 3))
+        upper = specialised_array(metric.upper, flat.algebra)
+        image = HermitianMetric(flat, upper, specialised_array(metric.lower, flat.algebra))
+        deformed = any(
+            q for row in metric.upper for x in row for _, q, _, _ in x.canonical_terms()
+        )
+        if deformed and weak_symmetry_defect(metric).is_zero():
+            break
+    else:
+        pytest.fail("no weakly symmetric q-deformed metric in 8 draws")
+    assert weak_symmetry_defect(image).is_zero()
+    gamma = build_levi_civita(metric).gamma
+    assert any(entry.terms for plane in gamma for row in plane for entry in row)
+    assert specialised_array(gamma, flat.algebra) == build_levi_civita(image).gamma
 
 
 def build_lc_config(metric):

@@ -11,6 +11,10 @@ name, and never escape as an AttributeError, a bare TypeError from
 components of a ``KForm`` go through the same leaf check.
 """
 
+from fractions import Fraction
+from itertools import product
+import operator
+
 import pytest
 
 from nctorus import (
@@ -20,6 +24,7 @@ from nctorus import (
     FTensor,
     HermitianMetric,
     KForm,
+    LieAlgebra,
     ParamViolation,
     RSet,
     SolverParams,
@@ -33,6 +38,7 @@ from nctorus import (
     solve_R,
     torsion_free_from,
 )
+from nctorus.algebra import _first_unpaired, _frozen
 
 CALC = Calculus.torus(3)
 ALG = CALC.algebra
@@ -205,3 +211,188 @@ def test_module_of_another_size_is_refused():
         HermitianMetric(CALC, two)
     with pytest.raises(ValueError, match=r"^gamma must be an n x n x n array$"):
         Connection(CALC, zeros(N, 2, 2))
+
+
+# -- the pair checker and the freezer against literal searches -------------------
+
+# Every relation the package hands to ``_first_unpaired``, with a map that
+# makes a partner entry for which the relation holds.
+RELATIONS = {
+    "hermitian": (lambda x, y: x.star() == y, lambda x: x.star()),
+    "antihermitian": (lambda x, y: x.star() == -y, lambda x: -x.star()),
+    "antisymmetric": (lambda x, y: x == -y, operator.neg),
+    "equal": (operator.eq, lambda x: x),
+}
+
+
+def full_search(x, related, ndim):
+    """The first index (..., i, j) in index order, over every i and j, at
+    which ``related(x[..][i][j], x[..][j][i])`` is false, or None."""
+    n = len(x) if ndim == 2 else len(x[0])
+    for index in product(*[range(len(x))] * (ndim - 2), range(n), range(n)):
+        part = x
+        for k in index[:-2]:
+            part = part[k]
+        i, j = index[-2:]
+        if not related(part[i][j], part[j][i]):
+            return tuple(k + 1 for k in index)
+    return None
+
+
+def paired_array(alg, n, ndim, related_pairs, bad):
+    """An n x ... x n array of zeros, with entry (.., i, j) and its partner
+    (.., j, i) set for each ``(index, value, partner)`` of ``related_pairs``,
+    then the entries of ``bad`` (index -> value) overwritten."""
+    zero = alg.zero()
+
+    def zeros_of(depth):
+        if depth == ndim:
+            return zero
+        return [zeros_of(depth + 1) for _ in range(n)]
+
+    array = zeros_of(0)
+
+    def put(index, value):
+        part = array
+        for k in index[:-1]:
+            part = part[k]
+        part[index[-1]] = value
+
+    for index, value, partner in related_pairs:
+        put(index, value)
+        put(index[:-2] + (index[-1], index[-2]), partner)
+    for index, value in bad.items():
+        put(index, value)
+    return array
+
+
+def edge_cases(alg, partner):
+    """(name, n, ndim, related pairs, bad entries) for the edge shapes."""
+    u1, u2 = alg.gen(1), alg.gen(2) * alg.scalar(2, 1)
+    ok = lambda index, x: (index, x, partner(x))  # noqa: E731
+    yield "all-zero-1", 1, 2, [], {}
+    yield "all-zero-2", 2, 3, [], {}
+    yield "all-zero-4", 4, 3, [], {}
+    yield "n1-diagonal", 1, 2, [], {(0, 0): u1}
+    yield "n1-planes", 1, 3, [], {(0, 0, 0): u2}
+    yield "n2-off-diagonal", 2, 2, [ok((0, 0), u1 + u1.star())], {(1, 0): u2}
+    yield "n2-last-plane", 2, 3, [ok((0, 0, 1), u1)], {(1, 0, 1): u2}
+    yield "after-zeros", 4, 3, [ok((3, 0, 1), u2)], {(3, 1, 3): u1}
+    yield "after-pairs", 4, 3, [ok((a, 0, 3), u1) for a in range(4)], {(2, 2, 3): u2}
+    yield "last-pair", 4, 3, [ok((0, 1, 2), u1)], {(3, 3, 3): u1}
+    yield "last-off-diagonal", 4, 2, [ok((0, 3), u2)], {(3, 2): u1}
+
+
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+def test_first_unpaired_matches_full_search_on_edge_shapes(relation):
+    related, partner = RELATIONS[relation]
+    found = set()
+    for alg in (ALG, TorusAlgebra(4, commutative=True), TorusAlgebra(2)):
+        for name, n, ndim, pairs, bad in edge_cases(alg, partner):
+            if n > alg.n or any(max(index) >= alg.n for index, _, _ in pairs):
+                continue
+            array = _frozen(paired_array(alg, n, ndim, pairs, bad), (n,) * ndim, "x", "")
+            expected = full_search(array, related, ndim)
+            assert _first_unpaired(array, related, ndim) == expected, name
+            found.add(expected is None)
+    assert found == {True, False}
+
+
+def test_first_unpaired_on_fraction_structure_constants():
+    # the Lie checker passes Fractions, which have no terms to test
+    related = RELATIONS["antisymmetric"][0]
+    zero = Fraction(0)
+    for n, entries, bad in [
+        (1, {}, {(0, 0, 0): Fraction(1)}),
+        (2, {(0, 0, 1): Fraction(3, 2)}, {(1, 1, 0): Fraction(1)}),
+        (3, {(2, 0, 1): Fraction(1)}, {(2, 2, 1): Fraction(-1, 3)}),
+        (3, {(e, 0, 1): Fraction(e + 1) for e in range(3)}, {(2, 1, 2): Fraction(2)}),
+        (3, {}, {}),
+    ]:
+        c = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for (e, a, b), value in entries.items():
+            c[e][a][b], c[e][b][a] = value, -value
+        for (e, a, b), value in bad.items():
+            c[e][a][b] = value
+        frozen = _frozen(c, (n, n, n), "c", "")
+        expected = full_search(frozen, related, 3)
+        assert _first_unpaired(frozen, related, 3) == expected
+        if expected is None:
+            LieAlgebra(n, c)
+            continue
+        with pytest.raises(ValueError) as info:
+            LieAlgebra(n, c)
+        assert str(info.value) == (
+            "structure constants not antisymmetric at c^%d_{%d%d}" % expected
+        )
+
+
+def test_public_pair_checks_name_the_full_search_index():
+    # one failing pair behind valid nonzero pairs, through each checker
+    u = ALG.gen(1) * ALG.gen(3, -1)
+    cases = [
+        ("antisymmetric", lambda x: FTensor(CALC, x), "F is not antisymmetric at (%d, %d, %d)"),
+        ("hermitian", lambda x: RSet(CALC, x), "R_%d is not hermitian at (%d, %d)"),
+        (
+            "antihermitian",
+            lambda x: compatible_connection(METRIC, x),
+            "entry (a=%d, i=%d, j=%d) violates (A^ij_a)* = -A^ji_a",
+        ),
+    ]
+    for relation, call, words in cases:
+        related, partner = RELATIONS[relation]
+        pairs = [((a, 0, 2), u, partner(u)) for a in range(N)]
+        array = paired_array(ALG, N, 3, pairs, {(1, 1, 2): u})
+        expected = full_search(_frozen(array, (N,) * 3, "x", ""), related, 3)
+        assert expected == (2, 2, 3)
+        with pytest.raises(Exception) as info:
+            call(array)
+        assert str(info.value) == words % expected
+
+
+def test_frozen_returns_frozen_input_as_it_is():
+    plane = tuple(tuple(row) for row in identity())
+    array = (plane, plane, plane)
+    assert _frozen(array, (N, N, N), "F", "n x n x n", ALG) is array
+    assert _frozen(plane, (N, N), "upper", "n x n", ALG) is plane
+    one = ALG.one()
+    assert _frozen(one, (), "value", "", ALG) is one
+    constants = (((Fraction(0),) * N,) * N,) * N
+    assert _frozen(constants, (N, N, N), "c", "n x n x n") is constants
+    # a list is rebuilt as a tuple, and its tuple rows are kept
+    rows = [plane[0], plane[1], plane[2]]
+    out = _frozen(rows, (N, N), "upper", "n x n", ALG)
+    assert out == plane and type(out) is tuple
+    assert all(a is b for a, b in zip(out, rows))
+    # a level of the wrong length is refused even when it is a tuple
+    with pytest.raises(ValueError, match=r"^F must be an n x n x n array$"):
+        _frozen((plane, plane, plane[:2]), (N, N, N), "F", "n x n x n", ALG)
+
+
+@pytest.mark.parametrize("frozen", (False, True), ids=("lists", "tuples"))
+def test_frozen_names_the_same_leaf_for_lists_and_tuples(frozen):
+    def shaped(array):
+        if not frozen or not isinstance(array, list):
+            return array
+        return tuple(shaped(part) for part in array)
+
+    ragged = identity()
+    ragged[2] = ragged[2][:2]
+    with pytest.raises(ValueError, match=r"^upper must be an n x n array$"):
+        _frozen(shaped(ragged), (N, N), "upper", "n x n", ALG)
+    gamma = zeros(N, N, N)
+    gamma[1][2][0] = FOREIGN
+    with pytest.raises(DescriptorMismatch) as info:
+        _frozen(shaped(gamma), (N, N, N), "gamma", "n x n x n", ALG)
+    assert str(info.value) == (
+        "gamma[2][3][1] lives over %r, not %r" % (FOREIGN.algebra, ALG)
+    )
+    upper = identity()
+    upper[2][1] = Fraction(1, 2)
+    upper[2][2] = 7
+    with pytest.raises(TypeError) as info:
+        _frozen(shaped(upper), (N, N), "upper", "n x n", ALG)
+    assert str(info.value) == "upper[3][2] has type Fraction, not AlgebraElement"
+    with pytest.raises(ParamViolation) as info:
+        _frozen(shaped(upper), (N, N), "X", "n x n", ALG, (ParamViolation, ParamViolation))
+    assert str(info.value) == "X[3][2] has type Fraction, not AlgebraElement"

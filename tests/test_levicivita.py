@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -845,18 +846,19 @@ def bracket_diagonal_metric_5():
 
 
 # Element calls with only zero operands during one build_levi_civita.  Those
-# left are in the parameter and pair checks, the d(rho) gate, the cyclic
-# sums and the closed-form R entries, which do not skip zeros.  A change
-# that walks zero entries again raises these counts (walking every zero
-# entry gives 6,416 and 3,721).
+# left are in the d(rho) gate, the cyclic sums of the solvability check, the
+# forced entries (R_a)_ab and the scaled d_array terms, which do not skip
+# zeros.  A change that walks zero entries again raises these counts
+# (walking every zero entry gives 6,416 and 3,721; skipping zeros everywhere
+# but in the pair checks and the closed-form R entries gives 1,554 and 915).
 ALL_ZERO_CALLS = {
     "block-6": {
-        "__mul__": 60, "__add__": 234, "__sub__": 74, "__neg__": 260,
-        "star": 494, "derive": 0, "__eq__": 432,
+        "__mul__": 0, "__add__": 114, "__sub__": 2, "__neg__": 0,
+        "star": 30, "derive": 0, "__eq__": 0,
     },
     "bracket-5": {
-        "__mul__": 40, "__add__": 113, "__sub__": 44, "__neg__": 155,
-        "star": 295, "derive": 0, "__eq__": 268,
+        "__mul__": 13, "__add__": 59, "__sub__": 7, "__neg__": 0,
+        "star": 28, "derive": 0, "__eq__": 0,
     },
 }
 
@@ -876,3 +878,44 @@ def test_build_skips_zero_entries(name, monkeypatch):
         entries = [x for plane in array for row in plane for x in row]
         assert all(x is zero for x in entries if not x.terms)
         assert any(x is zero for x in entries)
+
+
+# -- the R-equation check ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "perturbed",
+    [[(0, 0, 0)], [(2, 2, 2)], [(0, 1, 1), (0, 2, 0)]],
+    ids=("first", "last", "two"),
+)
+def test_r_equation_failure_names_the_literal_search_index(calc3, monkeypatch, perturbed):
+    # antisymmetrize(R)[a][c][b] = (R_a)_cb - (R_b)_ca must equal F_cab; an
+    # entry of the left side made wrong is named as the index loop over
+    # (a, b, c) names it
+    import nctorus.levicivita as lc
+
+    alg = calc3.algebra
+    x = alg.gen(1) * alg.gen(3) * 2
+    tensor = compute_F(congruence_metric(calc3, (1, 2, x + x.star())))
+    seen = []
+
+    def wrong(array):
+        lhs = [[list(row) for row in plane] for plane in lc_antisymmetrize(array)]
+        for a, c, b in perturbed:
+            lhs[a][c][b] = lhs[a][c][b] + alg.one()
+        seen.append(lhs)
+        return tuple(tuple(map(tuple, plane)) for plane in lhs)
+
+    lc_antisymmetrize = lc.antisymmetrize
+    monkeypatch.setattr(lc, "antisymmetrize", wrong)
+    with pytest.raises(InternalVerificationFailure) as info:
+        solve_R(tensor, SolverParams.zeros(calc3))
+    (lhs,) = seen
+    a, b, c = next(
+        (a, b, c)
+        for a, b, c in itertools.product(range(3), repeat=3)
+        if lhs[a][c][b] != tensor.entries[c][a][b]
+    )
+    assert str(info.value) == "R equation fails at (a=%d, b=%d, c=%d)" % (a + 1, b + 1, c + 1)
+    # the loop runs over (a, b, c), and the left side is indexed [a][c][b]
+    assert (a, c, b) == min(perturbed, key=lambda index: (index[0], index[2], index[1]))
