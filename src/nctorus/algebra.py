@@ -25,9 +25,20 @@ and index checks, without building or normalising anything.  The array
 checkers follow suit: ``_frozen`` returns input that is already frozen
 unchanged and tests its leaves in one pass, and ``_first_unpaired``
 skips a pair of two zero elements, because every relation it is given
-(hermitian, antihermitian, antisymmetric, equal) holds on (0, 0).  This
-module alone knows the layout; ``canonical_terms`` hands the terms to
-the renderer.
+(hermitian, antihermitian, antisymmetric, equal) holds on (0, 0).
+
+An element keeps its adjoint once formed: ``star()`` stores the result in
+the element's ``_star`` slot and returns that instance on later calls, so
+a matrix whose hermiticity is checked twice, or whose entries are starred
+again when rho is formed, pays for each adjoint once.  This is safe
+because elements are immutable, and the link goes one way (the adjoint
+does not point back), so it makes no reference cycle.
+
+This module alone knows the layout.  Each algebra builds the label of
+every factor (``q[a,b]``, ``U1``) once, in written order, and
+``written_terms`` hands the renderer each term as its written factors and
+integer coefficient; ``canonical_terms`` lists the terms in the same order
+as structured tuples.
 
 The standard derivations act by d_a(U^k) = i k_a U^k; each d_a is
 hermitian and the family commutes.
@@ -76,6 +87,8 @@ class TorusAlgebra(FrozenRecord):
         # in key order, and for each its (key position, a - 1, b - 1).  Both
         # are empty for a commutative algebra.  The two pickers read the
         # U-exponents k_a and k_b of every pair from a key, for ``__mul__``.
+        # The labels are (key position, factor label) in written order,
+        # every q[a,b] before U_1, ..., U_n, for ``written_terms``.
         self.__dict__.update(
             n=n,
             commutative=commutative,
@@ -83,6 +96,8 @@ class TorusAlgebra(FrozenRecord):
             _slots=tuple((n + p, a - 1, b - 1) for p, (a, b) in enumerate(pairs)),
             _first_of_pair=_picker([a - 1 for a, _ in pairs]),
             _second_of_pair=_picker([b - 1 for _, b in pairs]),
+            _labels=tuple((n + p, "q[%d,%d]" % pair) for p, pair in enumerate(pairs))
+            + tuple((j, "U%d" % (j + 1)) for j in range(n)),
             _zero=AlgebraElement(self, {}, 1),
         )
 
@@ -171,15 +186,17 @@ class AlgebraElement:
     form; the constructor trusts its arguments.  Instances are immutable
     by convention: an operation may return one of its operands unchanged
     (``x - 0`` returns ``x`` itself, a product with a zero factor returns
-    that factor), so nothing may mutate ``terms`` or ``den``.
+    that factor), so nothing may mutate ``terms`` or ``den``.  ``_star``
+    holds the adjoint once ``star()`` has formed it.
     """
 
-    __slots__ = ("algebra", "terms", "den")
+    __slots__ = ("algebra", "terms", "den", "_star")
 
     def __init__(self, algebra: TorusAlgebra, terms: dict, den: int):
         self.algebra = algebra
         self.terms = terms
         self.den = den
+        self._star = None
 
     # -- helpers ---------------------------------------------------------------
 
@@ -227,6 +244,36 @@ class AlgebraElement:
             + [-k[i] - k[a] * k[b] for i, a, b in self.algebra._slots]
         )
 
+    def written_terms(self):
+        """The terms in the order of ``canonical_terms``, as (factors, re,
+        im): ``factors`` lists the written monomial factors (``q[1,2]^-1``,
+        ``U1``, ``U2^3``), every q[a,b] before U_1, ..., U_n, and
+        (re + i im) / ``den`` is the coefficient, not reduced.  The factor
+        labels come from the algebra's table; this is what the renderer
+        writes."""
+        n = self.algebra.n
+        labels = self.algebra._labels
+        items = sorted(self.terms.items())
+        if self.algebra._pairs and len({k[:n] for k in self.terms}) < len(items):
+            # Two terms share their U exponents: order those by the q
+            # exponents as a sparse ((position, e), ...) tuple, which orders
+            # like the ((a, b), e) pairs of ``canonical_terms``, not the
+            # dense q block of the key.
+            items.sort(
+                key=lambda item: (
+                    item[0][:n],
+                    tuple((p, e) for p, e in enumerate(item[0][n:]) if e),
+                )
+            )
+        return [
+            (
+                [label if k[p] == 1 else "%s^%d" % (label, k[p]) for p, label in labels if k[p]],
+                re,
+                im,
+            )
+            for k, (re, im) in items
+        ]
+
     def canonical_terms(self):
         """The terms as (U exponents, q key, re, im), sorted by U exponents
         and then by q key, the order in which elements are rendered.
@@ -252,6 +299,28 @@ class AlgebraElement:
 
     # -- ring structure ----------------------------------------------------------
 
+    def _merged(self, other, negate: bool) -> "AlgebraElement":
+        """self + other, or self - other with ``negate``: one pass over the
+        numerators of ``other``.  Both operands are nonzero and live over
+        the same algebra."""
+        dx, dy = self.den, other.den
+        if dx == dy:
+            den, left, right = dx, self.terms, other.terms
+        else:
+            den = dx * dy // gcd(dx, dy)
+            left, right = _scaled(self.terms, den // dx), _scaled(other.terms, den // dy)
+        acc = dict(left)
+        get = acc.get
+        if negate:
+            for key, (re, im) in right.items():
+                old = get(key)
+                acc[key] = (-re, -im) if old is None else (old[0] - re, old[1] - im)
+        else:
+            for key, (re, im) in right.items():
+                old = get(key)
+                acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        return self._normal(acc, den, len(acc) == len(left) + len(right))
+
     def __add__(self, other):
         if other.__class__ is not AlgebraElement or other.algebra is not self.algebra:
             other = self._coerce(other)
@@ -261,17 +330,7 @@ class AlgebraElement:
             return self
         if not self.terms:
             return other
-        dx, dy = self.den, other.den
-        if dx == dy:
-            den, left, right = dx, self.terms, other.terms
-        else:
-            den = dx * dy // gcd(dx, dy)
-            left, right = _scaled(self.terms, den // dx), _scaled(other.terms, den // dy)
-        acc = dict(left)
-        for key, (re, im) in right.items():
-            old = acc.get(key)
-            acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
-        return self._normal(acc, den, len(acc) == len(left) + len(right))
+        return self._merged(other, False)
 
     __radd__ = __add__
 
@@ -291,13 +350,15 @@ class AlgebraElement:
                 return NotImplemented
         if not other.terms:
             return self
-        return self + (-other)
+        if not self.terms:
+            return -other
+        return self._merged(other, True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if other.__class__ is not AlgebraElement:
@@ -370,14 +431,21 @@ class AlgebraElement:
     # -- star structure and derivations -----------------------------------------
 
     def star(self) -> "AlgebraElement":
-        """The adjoint: antilinear, reverses products, U_j -> U_j^-1."""
-        if not self.terms:
-            return self
-        return AlgebraElement(
-            self.algebra,
-            {self._reversed_key(k): (re, -im) for k, (re, im) in self.terms.items()},
-            self.den,
-        )
+        """The adjoint: antilinear, reverses products, U_j -> U_j^-1.
+
+        Formed on the first call and kept, so every later call returns the
+        same instance; the zero element is its own adjoint.
+        """
+        adjoint = self._star
+        if adjoint is None:
+            if not self.terms:
+                return self
+            adjoint = self._star = AlgebraElement(
+                self.algebra,
+                {self._reversed_key(k): (re, -im) for k, (re, im) in self.terms.items()},
+                self.den,
+            )
+        return adjoint
 
     def derive(self, a: int) -> "AlgebraElement":
         """Apply the standard derivation d_a: d_a(c U^k) = i k_a c U^k."""

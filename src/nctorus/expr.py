@@ -14,9 +14,11 @@ of the stored symbol q[b,a].  Rendering emits the canonical normal form
 with terms sorted lexicographically by monomial exponent, then by the
 phase key as a sorted list of ((a, b), e) pairs (so ``q[1,2]`` comes before
 ``q[1,3]^-1``), and ``parse_element(alg, render_element(x)) == x`` holds
-exactly.  Terms come from ``AlgebraElement.canonical_terms``, which
-yields each coefficient as reduced integer numerators and denominators;
-they are formatted directly, without building scalar objects.
+exactly.  Terms come from ``AlgebraElement.written_terms``, in the order
+of ``canonical_terms``, with their factors already written from the
+algebra's label table and each coefficient as integer numerators over the
+element's denominator; only the coefficient is formatted here, without
+building scalar objects.
 
 The work of one parse is bounded by ``MAX_TERM_PAIRS``: every product
 ``x * y`` is charged len(x) * len(y) term pairs before it is computed,
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .algebra import AlgebraElement, TorusAlgebra
 from .errors import NotMonomial, ParseError, ZeroElement
@@ -284,52 +287,35 @@ def parse_element(algebra: TorusAlgebra, text: str) -> AlgebraElement:
     return _Parser(algebra, text).parse()
 
 
-def _rational(part) -> str:
-    num, den = part
-    return "%d" % num if den == 1 else "%d/%d" % (num, den)
+def _rational(num, den) -> str:
+    """num / den in lowest terms, den > 0."""
+    g = gcd(num, den)
+    return "%d" % (num // g) if g == den else "%d/%d" % (num // g, den // g)
 
 
-def _imaginary(num, den) -> str:
-    """The magnitude of an imaginary part, num > 0: i or num/den*i."""
-    return "i" if num == den == 1 else "%s*i" % _rational((num, den))
+def _coefficient(re, im, den):
+    """The sign and the factor text of the coefficient (re + i im) / den;
+    the text is empty for a coefficient of magnitude one that is real."""
+    if not im:
+        text = "" if re == den or re == -den else _rational(abs(re), den)
+        return "-" if re < 0 else "+", text
+    sign = "-" if im < 0 else "+"
+    text = "i" if im == den or im == -den else _rational(abs(im), den) + "*i"
+    if not re:
+        return sign, text
+    return "+", "(%s%s%s)" % (_rational(re, den), sign, text)
 
 
-def _coeff_parts(re, im):
-    """Split a coefficient into (sign, factor string); empty string means 1.
-
-    ``re`` and ``im`` are (numerator, denominator) pairs in lowest terms.
-    """
-    if im[0] == 0:
-        sign = "-" if re[0] < 0 else "+"
-        mag = (abs(re[0]), re[1])
-        return sign, "" if mag == (1, 1) else _rational(mag)
-    im_sign = "-" if im[0] < 0 else "+"
-    im_str = _imaginary(abs(im[0]), im[1])
-    if re[0] == 0:
-        return im_sign, im_str
-    return "+", "(%s%s%s)" % (_rational(re), im_sign, im_str)
-
-
-def _term_string(uexp, qkey, re, im):
-    factors = []
-    for (a, b), e in qkey:
-        factors.append("q[%d,%d]" % (a, b) + ("^%d" % e if e != 1 else ""))
-    for pos, k in enumerate(uexp):
-        if k:
-            factors.append("U%d" % (pos + 1) + ("^%d" % k if k != 1 else ""))
-    sign, coeff_str = _coeff_parts(re, im)
-    if coeff_str:
-        factors.insert(0, coeff_str)
-    if not factors:
-        factors = ["1"]
-    return sign, "*".join(factors)
-
-
-def _joined(terms) -> str:
-    """The signed terms joined by spaces, the leading ``+ `` dropped."""
-    text = " ".join("%s %s" % _term_string(*term) for term in terms)
-    if not text:
-        return "0"
+def _joined(terms, den) -> str:
+    """Terms of ``written_terms`` over the denominator ``den``, joined by
+    spaces, the leading ``+ `` dropped."""
+    out = []
+    for factors, re, im in terms:
+        sign, text = _coefficient(re, im, den)
+        if text:
+            factors.insert(0, text)
+        out.append("%s %s" % (sign, "*".join(factors) or "1"))
+    text = " ".join(out)
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
@@ -337,12 +323,12 @@ def render_element(x: AlgebraElement) -> str:
     """Render ``x`` in canonical normal form; inverse of ``parse_element``."""
     if not x.terms:
         return "0"
-    return _joined(x.canonical_terms())
+    return _joined(x.written_terms(), x.den)
 
 
 def render_short(x: AlgebraElement) -> str:
     """``render_element(x)`` cut after MAX_SHOWN_TERMS terms, for error messages."""
     if len(x.terms) <= MAX_SHOWN_TERMS:
         return render_element(x)
-    terms = x.canonical_terms()
-    return "%s + ... (%d terms)" % (_joined(terms[:MAX_SHOWN_TERMS]), len(terms))
+    terms = x.written_terms()
+    return "%s + ... (%d terms)" % (_joined(terms[:MAX_SHOWN_TERMS], x.den), len(terms))

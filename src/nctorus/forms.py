@@ -63,7 +63,8 @@ class LieAlgebra(FrozenRecord):
     [d_a, d_b] = sum_e c^e_{ab} d_e, stored as a nested tuple indexed
     [e][a][b] (0-based).  Antisymmetry and the Jacobi identity are
     validated at construction.  Immutable; equal and hashed by
-    (n, brackets).
+    (n, brackets).  Whether the bracket is abelian is decided once here,
+    outside the fields, for ``KForm.d``.
     """
 
     _fields = ("n", "brackets")
@@ -72,7 +73,11 @@ class LieAlgebra(FrozenRecord):
         if n < 1:
             raise ValueError("need dimension at least 1")
         c = _frozen(brackets, (n, n, n), "structure constants", "n x n x n")
-        self.__dict__.update(n=n, brackets=c)
+        self.__dict__.update(
+            n=n,
+            brackets=c,
+            _abelian=not any(v for plane in c for row in plane for v in row),
+        )
         bad = _first_unpaired(c, lambda x, y: x == -y, 3)
         if bad is not None:
             raise ValueError("structure constants not antisymmetric at c^%d_{%d%d}" % bad)
@@ -105,9 +110,7 @@ class LieAlgebra(FrozenRecord):
         return self.brackets[e - 1][a - 1][b - 1]
 
     def is_abelian(self) -> bool:
-        return all(
-            not v for plane in self.brackets for row in plane for v in row
-        )
+        return self._abelian
 
 
 class Calculus(FrozenRecord):

@@ -195,7 +195,10 @@ def solvability_check(tensor: FTensor):
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             for c in range(b + 1, n + 1):
-                cyclic = tensor[a, b, c] + tensor[b, c, a] + tensor[c, a, b]
+                x, y, z = tensor[a, b, c], tensor[b, c, a], tensor[c, a, b]
+                if not (x.terms or y.terms or z.terms):
+                    continue
+                cyclic = x + y + z
                 if cyclic.terms:
                     defect = cyclic + cyclic.star()
                     if defect.terms:
@@ -225,9 +228,13 @@ def solve_R(tensor: FTensor, params: SolverParams) -> RSet:
         for y in range(1, n + 1):
             if x == y:
                 continue
-            value = params.X[y - 1][x - 1] + tensor[x, x, y]
-            R[x - 1][x - 1][y - 1] = value
-            R[x - 1][y - 1][x - 1] = value.star()
+            diagonal, forced = params.X[y - 1][x - 1], tensor[x, x, y]
+            if diagonal.terms or forced.terms:
+                value = diagonal + forced
+                R[x - 1][x - 1][y - 1] = value
+                R[x - 1][y - 1][x - 1] = value.star()
+            else:
+                R[x - 1][x - 1][y - 1] = R[x - 1][y - 1][x - 1] = diagonal
     zero = calc.algebra.zero()
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):

@@ -28,17 +28,20 @@ def invert_metric(calculus: Calculus, upper):
 
     Every pivot must be an invertible monomial; when a column offers no
     monomial pivot the procedure raises NotInvertibleByElimination and the
-    caller has to supply the lower matrix explicitly.
+    caller has to supply the lower matrix explicitly.  Elimination knows
+    the pivot column before it computes it: the scaled pivot is one and
+    every other row is zero there, so that column is written, not
+    multiplied, and each row operation touches only the columns right of
+    the pivot in the work matrix (those left of it are zero already).
     """
     alg, n = calculus.algebra, calculus.n
     upper = _frozen(upper, (n, n), "upper", "n x n", alg)
     bad = _first_unpaired(upper, _adjoint, 2)
     if bad is not None:
         raise NotHermitian(bad)
+    one, zero = alg.one(), alg.zero()
     work = [list(row) for row in upper]
-    aug = [
-        [alg.one() if r == c else alg.zero() for c in range(n)] for r in range(n)
-    ]
+    aug = [[one if r == c else zero for c in range(n)] for r in range(n)]
     for col in range(n):
         pivot_row = None
         for r in range(col, n):
@@ -52,18 +55,20 @@ def invert_metric(calculus: Calculus, upper):
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = work[col][col].invert()
-        work[col] = [inv * entry if entry.terms else entry for entry in work[col]]
-        aug[col] = [inv * entry if entry.terms else entry for entry in aug[col]]
+        pivot = work[col]
+        inv = pivot[col].invert()
+        pivot[col + 1 :] = [inv * p if p.terms else p for p in pivot[col + 1 :]]
+        pivot[col] = one
+        aug[col] = [inv * p if p.terms else p for p in aug[col]]
+        rest = [(c, p) for c, p in enumerate(pivot[col + 1 :], col + 1) if p.terms]
         for r in range(n):
-            if r == col:
-                continue
             factor = work[r][col]
-            if factor.is_zero():
+            if r == col or not factor.terms:
                 continue
-            work[r] = [
-                x - factor * p if p.terms else x for x, p in zip(work[r], work[col])
-            ]
+            row = work[r]
+            for c, p in rest:
+                row[c] = row[c] - factor * p
+            row[col] = zero
             aug[r] = [x - factor * p if p.terms else x for x, p in zip(aug[r], aug[col])]
     return tuple(tuple(row) for row in aug)
 
@@ -150,14 +155,20 @@ def pair(metric: HermitianMetric, left, right) -> AlgebraElement:
 
 
 def symmetry_form(metric: HermitianMetric) -> KForm:
-    """The two-form rho with rho(d_a, d_b) = h_ab - (h_ab)*."""
+    """The two-form rho with rho(d_a, d_b) = h_ab - (h_ab)*.
+
+    ``validate`` has proved the lower matrix hermitian, so (h_ab)* is the
+    stored entry h_ba and is read, not formed; h_ab and h_ba are zero
+    together.
+    """
     calc = metric.calculus
+    lower = metric.lower
     comps = {}
-    for a in range(1, calc.n + 1):
-        for b in range(a + 1, calc.n + 1):
-            x = metric.lower[a - 1][b - 1]
+    for a in range(calc.n):
+        for b in range(a + 1, calc.n):
+            x = lower[a][b]
             if x.terms:
-                comps[(a, b)] = x - x.star()  # KForm drops a zero
+                comps[(a + 1, b + 1)] = x - lower[b][a]  # KForm drops a zero
     return KForm(calc, 2, comps)
 
 

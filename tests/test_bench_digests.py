@@ -3,12 +3,13 @@
 ``bench/expected.json`` holds, per stratum of the benchmark's workloads,
 the SHA-256 of the rendered output each pool candidate produced when the
 pool was recorded.  These tests rebuild every pool candidate of every
-``solve`` and ``gate`` stratum (288 in all) and both demo configs with the
-benchmark's own generators (``bench/workloads.py``, loaded read-only) and
-check the digest, so a change to any rendered normal form fails here and
-not only in a benchmark run.  The whole pool is replayed because the
-element operations take shortcuts on zero operands, which depend on each
-candidate's sparsity pattern.
+``solve`` and ``gate`` stratum (288 in all) and every ``cli`` config (both
+demos and the 80 generated ones, run through ``nctorus.cli.main`` in this
+process) with the benchmark's own generators (``bench/workloads.py``,
+loaded read-only) and check the digest, so a change to any rendered normal
+form or report fails here and not only in a benchmark run.  The whole pool
+is replayed because the element operations take shortcuts on zero
+operands, which depend on each candidate's sparsity pattern.
 """
 
 import importlib.util
@@ -58,9 +59,16 @@ def test_gate_digest(stratum):
     assert mismatched == []
 
 
-@pytest.mark.parametrize("stratum", sorted(wl.DEMO_FILES))
-def test_demo_config_digest(stratum):
-    (entry,) = EXPECTED["cli"][stratum]
-    stdout, code = wl.run_cli_in_process(nctorus, wl.DEMO_DIR / wl.DEMO_FILES[stratum])
-    assert code == entry["exit"]
-    assert wl.digest(wl.cli_output(stdout, code)) == entry["digest"]
+@pytest.mark.parametrize("stratum", wl.CLI_STRATA)
+def test_cli_digest(stratum, tmp_path):
+    calculi = {}
+    mismatched = []
+    entries = EXPECTED["cli"][stratum]
+    assert len(entries) == (1 if stratum in wl.DEMO_FILES else wl.POOL_SIZE)
+    for entry in entries:
+        path = tmp_path / ("%s-%d.cfg" % (stratum, entry["cand"]))
+        path.write_text(wl.cli_config_text(nctorus, stratum, entry, calculi), encoding="utf-8")
+        stdout, code = wl.run_cli_in_process(nctorus, path)
+        if (code, wl.digest(wl.cli_output(stdout, code))) != (entry["exit"], entry["digest"]):
+            mismatched.append(entry["cand"])
+    assert mismatched == []

@@ -1,9 +1,11 @@
 from fractions import Fraction
+import random
 import time
 
 import pytest
 
 from nctorus import (
+    GaussianRational,
     NotWeaklySymmetric,
     ParseError,
     SolvabilityViolated,
@@ -131,6 +133,147 @@ def test_errors_cut_long_elements_and_keep_them_whole(alg):
     exc = SolvabilityViolated((1, 2, 3), long)
     assert exc.defect is long
     assert str(exc) == "solvability condition fails at triple (1, 2, 3): defect " + shown
+
+
+# -- the renderer against the formatter it replaced ------------------------------
+#
+# The reference formats ``canonical_terms`` term by term, as the renderer
+# did before it wrote terms from the algebra's label table.
+
+
+def _reference_rational(part):
+    num, den = part
+    return "%d" % num if den == 1 else "%d/%d" % (num, den)
+
+
+def _reference_coeff_parts(re, im):
+    if im[0] == 0:
+        sign = "-" if re[0] < 0 else "+"
+        mag = (abs(re[0]), re[1])
+        return sign, "" if mag == (1, 1) else _reference_rational(mag)
+    im_sign = "-" if im[0] < 0 else "+"
+    mag = (abs(im[0]), im[1])
+    im_str = "i" if mag == (1, 1) else "%s*i" % _reference_rational(mag)
+    if re[0] == 0:
+        return im_sign, im_str
+    return "+", "(%s%s%s)" % (_reference_rational(re), im_sign, im_str)
+
+
+def _reference_term_string(uexp, qkey, re, im):
+    factors = []
+    for (a, b), e in qkey:
+        factors.append("q[%d,%d]" % (a, b) + ("^%d" % e if e != 1 else ""))
+    for pos, k in enumerate(uexp):
+        if k:
+            factors.append("U%d" % (pos + 1) + ("^%d" % k if k != 1 else ""))
+    sign, coeff_str = _reference_coeff_parts(re, im)
+    if coeff_str:
+        factors.insert(0, coeff_str)
+    if not factors:
+        factors = ["1"]
+    return sign, "*".join(factors)
+
+
+def _reference_joined(terms):
+    text = " ".join("%s %s" % _reference_term_string(*term) for term in terms)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def reference_render(x):
+    return _reference_joined(x.canonical_terms())
+
+
+def reference_render_short(x):
+    terms = x.canonical_terms()
+    if len(terms) <= expr.MAX_SHOWN_TERMS:
+        return _reference_joined(terms)
+    return "%s + ... (%d terms)" % (
+        _reference_joined(terms[: expr.MAX_SHOWN_TERMS]),
+        len(terms),
+    )
+
+
+RENDER_ALGEBRAS = [
+    TorusAlgebra(n, commutative) for n in range(1, 7) for commutative in (False, True)
+]
+
+
+def random_render_coefficient(rng):
+    """Integers, fractions, pure imaginary and mixed values of either sign."""
+    num = rng.choice((1, 1, 2, 3, 6, 10))
+    den = rng.choice((1, 1, 2, 3, 4, 9))
+    value = Fraction(rng.choice((-1, 1)) * num, den)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return GaussianRational(value)
+    if kind == 1:
+        return GaussianRational(0, value)
+    return GaussianRational(value, Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), den))
+
+
+def random_render_element(rng, alg):
+    """A sum with constants, q-only terms, negative exponents and terms that
+    share their U exponents but not their phases."""
+    n = alg.n
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    x = alg.zero()
+    exponents = []
+    for _ in range(rng.randint(1, 9)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            uexp = (0,) * n  # a constant, or a q-only term
+        elif kind == 1 and exponents:
+            uexp = rng.choice(exponents)  # shares the U exponents of an earlier term
+        else:
+            uexp = tuple(rng.choice((-3, -2, -1, 0, 0, 1, 2, 3)) for _ in range(n))
+        exponents.append(uexp)
+        term = alg.monomial(random_render_coefficient(rng), uexp)
+        for _ in range(rng.randint(0, 3) if pairs else 0):
+            term = term * alg.q(*rng.choice(pairs), rng.choice((-2, -1, 1, 2)))
+        x = x + term
+    return x
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    RENDER_ALGEBRAS,
+    ids=["n%d-%s" % (a.n, "comm" if a.commutative else "q") for a in RENDER_ALGEBRAS],
+)
+def test_render_matches_reference_formatter(algebra):
+    rng = random.Random("render/%d/%s" % (algebra.n, algebra.commutative))
+    seen = set()
+    for _ in range(60):
+        x = random_render_element(rng, algebra)
+        text = render_element(x)
+        assert text == reference_render(x)
+        assert expr.render_short(x) == reference_render_short(x)
+        assert parse_element(algebra, text) == x
+        terms = x.canonical_terms()
+        for uexp, qkey, re, im in terms:
+            features = {
+                "constant": not any(uexp) and not qkey,
+                "q-only": not any(uexp) and qkey,
+                "negative exponent": min(uexp) < 0,
+                "denominator": re[1] > 1 or im[1] > 1,
+                "imaginary": im[0] and not re[0],
+                "negative": re[0] < 0 or im[0] < 0,
+            }
+            seen.update(name for name, present in features.items() if present)
+        if len({uexp for uexp, _, _, _ in terms}) < len(terms):
+            seen.add("shared U exponents")
+    # a long element goes through the cut of render_short
+    total = random_render_element(rng, algebra) + random_render_element(rng, algebra)
+    for k in range(-10, 10):
+        total = total + algebra.monomial(random_render_coefficient(rng), (k,) * algebra.n)
+    assert len(total.terms) > expr.MAX_SHOWN_TERMS
+    assert expr.render_short(total) == reference_render_short(total)
+    assert render_element(total) == reference_render(total)
+    expected = {"constant", "negative exponent", "denominator", "imaginary", "negative"}
+    if not algebra.commutative and algebra.n > 1:
+        expected |= {"q-only", "shared U exponents"}
+    assert expected <= seen
 
 
 # -- bounded work ------------------------------------------------------------------

@@ -10,6 +10,7 @@ symbol is 1.
 
 from fractions import Fraction
 from math import gcd
+import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -284,6 +285,89 @@ def test_zero_operands_keep_checks(alg):
         assert (zero == c) is True
         assert (x == c) is False
     assert (zero == "0") is False
+
+
+# -- the adjoint cache and direct subtraction, over seeded elements ---------------
+
+KERNEL_ALGEBRAS = [
+    TorusAlgebra(n, commutative) for n in (1, 2, 3, 4, 5) for commutative in (False, True)
+]
+KERNEL_IDS = ["n%d-%s" % (alg.n, "comm" if alg.commutative else "q") for alg in KERNEL_ALGEBRAS]
+
+
+def random_spec(rng, n, max_terms=4):
+    """A seeded spec in the format of ``spec_strategy``; n = 1 has no phases."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    spec = []
+    for _ in range(rng.randint(0, max_terms)):
+        coeff = (0, 1, 0, 1)
+        while not (coeff[0] or coeff[2]):
+            coeff = (rng.randint(-6, 6), rng.randint(1, 6), rng.randint(-6, 6), rng.randint(1, 6))
+        uexp = tuple(rng.randint(-2, 2) for _ in range(n))
+        phases = rng.randint(0, 2) if pairs else 0
+        phase = [(rng.choice(pairs), rng.randint(-2, 2)) for _ in range(phases)]
+        spec.append((coeff, uexp, phase))
+    return spec
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+def test_star_is_kept_and_matches_oracle(alg):
+    rng = random.Random("star/%d/%s" % (alg.n, alg.commutative))
+    for _ in range(40):
+        x, ox = build(alg, random_spec(rng, alg.n))
+        adjoint = x.star()
+        assert x.star() is adjoint
+        check(alg, adjoint, o_star(alg, ox))
+        # the adjoint keeps no link back to x, so the cache makes no cycle
+        again = adjoint.star()
+        assert again == x and (again is not x or not x.terms)
+        assert adjoint.star() is again
+        # an operation on x reads x itself, not its kept adjoint
+        check(alg, x * x, o_mul(alg, ox, ox))
+        check(alg, x + adjoint, _accumulate(list(ox.items()) + list(o_star(alg, ox).items())))
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+def test_star_of_zero_and_constants(alg):
+    zero = alg.zero()
+    assert zero.star() is zero and zero.star().star() is zero
+    for c in (1, Fraction(-2, 3), GaussianRational(Fraction(1, 2), -3), GaussianRational(0, 5)):
+        x = alg.scalar(c)
+        conjugate = GaussianRational.coerce(c)
+        expected = alg.scalar(GaussianRational(conjugate.re, -conjugate.im))
+        assert x.star() == expected
+        assert x.star() is x.star()
+        assert x.star().star() == x
+        assert x.is_hermitian() == (conjugate.im == 0)
+
+
+@pytest.mark.parametrize("alg", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+def test_difference_merges_like_sum_with_negation(alg):
+    rng = random.Random("difference/%d/%s" % (alg.n, alg.commutative))
+    zero = alg.zero()
+    other_denominators = 0
+    for _ in range(40):
+        spec_x, spec_y = random_spec(rng, alg.n), random_spec(rng, alg.n)
+        x, ox = build(alg, spec_x)
+        y, oy = build(alg, spec_y)
+        check(alg, x - y, _accumulate(list(ox.items()) + list(o_neg(oy).items())))
+        assert x - y == x + (-y)
+        # a difference that cancels is the shared zero
+        copy, _ = build(alg, spec_x)
+        assert x - copy is zero
+        assert (x + y) - y == x
+        # operands over different denominators
+        w = y * Fraction(1, rng.choice((2, 3, 5, 7))) + x * Fraction(rng.randint(1, 4), 3)
+        other_denominators += x.den != w.den
+        difference = x - w
+        assert_normal_form(difference)
+        assert difference == x + (-w)
+        assert difference + w == x
+        # scalars on either side
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        assert x - c == x + (-alg.scalar(c))
+        assert c - x == -(x - c)
+    assert other_denominators >= 20
 
 
 def test_scalar_multiples_stay_normal(t3):

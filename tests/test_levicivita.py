@@ -846,19 +846,22 @@ def bracket_diagonal_metric_5():
 
 
 # Element calls with only zero operands during one build_levi_civita.  Those
-# left are in the d(rho) gate, the cyclic sums of the solvability check, the
-# forced entries (R_a)_ab and the scaled d_array terms, which do not skip
-# zeros.  A change that walks zero entries again raises these counts
+# left are in the d(rho) gate (KForm.d), the stars of the pairing operator,
+# the scaled d_array terms and partial sums inside a triple or a cyclic sum
+# that has a nonzero entry; the solvability check skips a triple whose three
+# F entries are zero, and solve_R a forced entry (R_a)_ab whose X and F terms
+# are zero.  A change that walks zero entries again raises these counts
 # (walking every zero entry gives 6,416 and 3,721; skipping zeros everywhere
-# but in the pair checks and the closed-form R entries gives 1,554 and 915).
+# but in the pair checks and the closed-form R entries gives 1,554 and 915;
+# everywhere but in those cyclic sums and forced entries, 146 and 107).
 ALL_ZERO_CALLS = {
     "block-6": {
-        "__mul__": 0, "__add__": 114, "__sub__": 2, "__neg__": 0,
-        "star": 30, "derive": 0, "__eq__": 0,
+        "__mul__": 0, "__add__": 10, "__sub__": 2, "__neg__": 0,
+        "star": 6, "derive": 0, "__eq__": 0,
     },
     "bracket-5": {
-        "__mul__": 13, "__add__": 59, "__sub__": 7, "__neg__": 0,
-        "star": 28, "derive": 0, "__eq__": 0,
+        "__mul__": 13, "__add__": 3, "__sub__": 7, "__neg__": 0,
+        "star": 8, "derive": 0, "__eq__": 0,
     },
 }
 

@@ -114,6 +114,63 @@ def test_invert_random_metrics_two_sided(rng, calc3):
         validate(metric)
 
 
+def swapping_metric_4():
+    """A seeded n = 4 metric P L D L* P with dense monomial entries in L, whose
+    elimination has to swap rows: column 1 starts with a three-term entry and
+    a two-term entry, and its first monomial is in row 3."""
+    calc = Calculus.torus(4)
+    alg = calc.algebra
+    rng = random.Random("elimination/swap/4")
+    z, one = alg.zero(), alg.one()
+
+    def monomial():
+        x = alg.monomial(
+            Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)),
+            [rng.randint(-1, 1) for _ in range(4)],
+        )
+        return x * alg.q(1, 2) if rng.random() < 0.5 else x
+
+    lt = [[one if i == j else (monomial() if j < i else z) for j in range(4)] for i in range(4)]
+    lt[1][0] = monomial() + monomial()
+    lt[2][0] = z
+    d = [alg.scalar(Fraction(rng.randint(1, 3), rng.randint(1, 3))) for _ in range(4)]
+    h = [
+        [sum((lt[i][k] * d[k] * lt[j][k].star() for k in range(4)), z) for j in range(4)]
+        for i in range(4)
+    ]
+    perm = (1, 0, 2, 3)
+    return calc, [[h[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
+
+
+def test_elimination_writes_the_pivot_column(monkeypatch):
+    calc, upper = swapping_metric_4()
+    assert [len(row[0].terms) for row in upper] == [3, 2, 1, 3]
+    calls = counting(monkeypatch, AlgebraElement, "__mul__")
+    lower = invert_metric(calc, upper)
+    # Scaling the pivot rows and the row operations right of the pivot, in
+    # the work and the augmented matrix.  Forming the pivot column as well,
+    # inv * pivot and x - factor * 1, takes 71.
+    assert len(calls) == 56
+    monkeypatch.undo()
+    validate(HermitianMetric(calc, upper, lower))
+
+
+def test_symmetry_form_reads_the_transposed_entry(rng, calc3, monkeypatch):
+    metric = random_block_metric(rng, calc3, weakly_symmetric=False)
+    lower = metric.lower
+    expected = {
+        (a + 1, b + 1): lower[a][b] - lower[a][b].star()
+        for a in range(3)
+        for b in range(a + 1, 3)
+        if lower[a][b] != lower[a][b].star()
+    }
+    assert expected
+    calls = counting(monkeypatch, AlgebraElement, "star")
+    rho = symmetry_form(metric)
+    assert calls == []
+    assert rho.comps == expected
+
+
 def first_hermitian_failure(matrix):
     """The NotHermitian message for the first (i, j) over all i, j where
     (h_ij)* != h_ji, or None."""
