@@ -50,7 +50,6 @@ from .levicivita import (
     assemble_U,
     build_levi_civita,
     compute_F,
-    solvability_check,
     solve_R,
     verify_levi_civita,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "parse_element",
     "render_element",
     "sigma_swap",
-    "solvability_check",
     "solve_R",
     "symmetrize",
     "symmetry_form",

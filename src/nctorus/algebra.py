@@ -534,16 +534,17 @@ def matmul(left, right):
     return tuple(out)
 
 
-def _frozen(x, shape, name, dims="", algebra=None, errors=(ValueError, TypeError)):
+def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
     """The nested sequence ``x`` as nested tuples of ``shape``; with an
     empty shape, ``x`` is the one leaf.  A level that is already a tuple
     of the right length is kept, so a frozen input is returned as it is.
 
-    Another shape raises ``errors[0]``, worded from ``name`` and ``dims``
-    (the shape in symbols, such as "n x n x n").  With ``algebra``, the
-    first leaf in index order that is not an AlgebraElement raises
-    ``errors[1]``, and the first over an algebra not equal to it
-    DescriptorMismatch, each naming the leaf as ``name[i][j]...``, 1-based.
+    Another shape raises ``errors[0]``, worded from ``name`` and the rank
+    of ``shape``: "an n-entry", "an n x n" or "an n x n x n array".  With
+    ``algebra``, the first leaf in index order that is not an
+    AlgebraElement raises ``errors[1]``, and the first over an algebra not
+    equal to it DescriptorMismatch, each naming the leaf as
+    ``name[i][j]...``, 1-based.
     """
 
     last = len(shape) - 1
@@ -551,6 +552,7 @@ def _frozen(x, shape, name, dims="", algebra=None, errors=(ValueError, TypeError
     def freeze(part, depth):
         items = tuple(part) if hasattr(part, "__iter__") else None  # a tuple is kept
         if items is None or len(items) != shape[depth]:
+            dims = "n-entry" if last == 0 else " x ".join("n" * (last + 1))
             raise errors[0]("%s must be an %s array" % (name, dims))
         if depth == last:
             return items

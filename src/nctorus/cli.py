@@ -55,8 +55,10 @@ Powers of a single term (``U1^-20000000``, ``q[1,2]^7``) are not
 charged, so exponent sizes themselves are not bounded.
 
 Reports are deterministic: algebra elements appear only as canonical
-strings, so two runs of the same config are byte-identical.  Exit codes:
-0 ok, 2 not weakly symmetric or solvability violated, 1 any other error.
+strings, so two runs of the same config are byte-identical.  The status
+is ``ok``, ``verification_failed``, ``not_weakly_symmetric`` or
+``error``; exit codes: 0 ok or verification failed, 2 not weakly
+symmetric, 1 any other error.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from .errors import (
     NCTorusError,
     NotWeaklySymmetric,
     ParseError,
-    SolvabilityViolated,
 )
 from .expr import parse_element, render_element
 from .forms import Calculus, KForm
@@ -431,8 +432,6 @@ def run(config: ProblemConfig) -> dict:
         report["verification"] = _verification_dict(verify_levi_civita(conn, metric))
     except NotWeaklySymmetric as exc:
         report.update(status="not_weakly_symmetric", error=str(exc))
-    except SolvabilityViolated as exc:
-        report.update(status="solvability_violated", error=str(exc))
     except (NCTorusError, ValueError, IndexError) as exc:
         report.update(status="error", error="%s: %s" % (type(exc).__name__, exc))
     return report
@@ -464,7 +463,6 @@ STATUS_EXIT_CODES = {
     "ok": 0,
     "verification_failed": 0,
     "not_weakly_symmetric": 2,
-    "solvability_violated": 2,
     "error": 1,
 }
 

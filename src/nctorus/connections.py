@@ -47,9 +47,7 @@ class Connection:
 
     def __init__(self, calculus: Calculus, gamma):
         self.calculus = calculus
-        self.gamma = _frozen(
-            gamma, (calculus.n,) * 3, "gamma", "n x n x n", calculus.algebra
-        )
+        self.gamma = _frozen(gamma, (calculus.n,) * 3, "gamma", calculus.algebra)
 
     @classmethod
     def zero(cls, calculus: Calculus) -> "Connection":
@@ -80,7 +78,7 @@ def apply_connection(conn: Connection, a: int, coeffs):
     calc = conn.calculus
     if not 1 <= a <= calc.n:
         raise IndexError("derivation index out of range: %d" % a)
-    coeffs = _frozen(coeffs, (calc.n,), "coeffs", "n-entry", calc.algebra)
+    coeffs = _frozen(coeffs, (calc.n,), "coeffs", calc.algebra)
     (product,) = matmul((coeffs,), conn.gamma[a - 1])
     return tuple(f.derive(a) + p for f, p in zip(coeffs, product))
 
@@ -133,7 +131,7 @@ def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
     if antiherm is None:
         coeffs = [[[x * HALF for x in row] for row in plane] for plane in metric.d_upper]
     else:
-        antiherm = _frozen(antiherm, (calc.n,) * 3, "antiherm", "n x n x n", calc.algebra)
+        antiherm = _frozen(antiherm, (calc.n,) * 3, "antiherm", calc.algebra)
         check_antihermitian(antiherm)
         coeffs = entrywise(lambda dh, x: dh * HALF + x, metric.d_upper, antiherm)
     n = calc.n
@@ -151,7 +149,7 @@ def torsion_free_from(base: Connection, symmetric_part=None) -> Connection:
     calc = base.calculus
     if symmetric_part is not None:
         symmetric_part = _frozen(
-            symmetric_part, (calc.n,) * 3, "symmetric_part", "n x n x n", calc.algebra
+            symmetric_part, (calc.n,) * 3, "symmetric_part", calc.algebra
         )
         # the planes [a][b] of each i pair the two derivation slots
         bad = _first_unpaired(tuple(zip(*symmetric_part)), operator.eq, 3)

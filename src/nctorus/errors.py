@@ -52,7 +52,11 @@ class AntihermitianViolation(ParamViolation):
 
 
 class SolvabilityViolated(NCTorusError):
-    """The cyclic solvability condition on the F tensor fails."""
+    """The cyclic solvability condition on the F tensor fails.
+
+    The condition is d(rho) = 0 in another form, so after the d(rho) gate
+    only ``solve_R`` on an F tensor of the caller's own raises this.
+    """
 
     def __init__(self, triple, defect):
         from .expr import render_short

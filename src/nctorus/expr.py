@@ -60,45 +60,35 @@ _TOKEN_RE = re.compile(
   | (?P<ugen>U\d+)
   | (?P<name>[A-Za-z]+)
   | (?P<sym>[()\[\],+\-*^])
+  | (?P<end>\Z)
     """,
     re.VERBOSE,
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return "_Token(%r, %r)" % (self.kind, self.text)
+def _error(message, text, pos) -> ParseError:
+    """A ParseError at the character offset ``pos`` of ``text``, with its
+    1-based line and column."""
+    return ParseError(
+        message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    )
 
 
 def _tokenize(text):
+    """The tokens of ``text`` as regex matches ``m``, whitespace left out:
+    a token's kind is ``m.lastgroup``, its text ``m[0]`` and its offset
+    ``m.start()``.  The last token is the empty ``end`` match."""
     tokens = []
-    line, col = 1, 1
     pos = 0
-    while pos < len(text):
+    while True:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError("unexpected character %r" % text[pos], line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
+            raise _error("unexpected character %r" % text[pos], text, pos)
+        if m.lastgroup != "ws":
+            tokens.append(m)
+            if m.lastgroup == "end":
+                return tokens
         pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
 
 
 def _power_pairs(terms: int, k: int, limit: int) -> int:
@@ -119,63 +109,66 @@ def _power_pairs(terms: int, k: int, limit: int) -> int:
 class _Parser:
     def __init__(self, algebra: TorusAlgebra, text: str):
         self.algebra = algebra
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.budget = MAX_TERM_PAIRS
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> re.Match:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> re.Match:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message, tok: re.Match) -> ParseError:
+        """A ParseError at the token ``tok``."""
+        return _error(message, self.text, tok.start())
 
-    def charge(self, pairs: int, tok: _Token):
+    def fail(self, message):
+        raise self.error(message, self.peek())
+
+    def charge(self, pairs: int, tok: re.Match):
         """Spend ``pairs`` of the term-pair budget on the operator ``tok``."""
         self.budget -= pairs
         if self.budget < 0:
-            raise ParseError(
+            raise self.error(
                 "expression multiplies more than MAX_TERM_PAIRS = %d term pairs"
                 % MAX_TERM_PAIRS,
-                tok.line,
-                tok.col,
+                tok,
             )
 
     def expect(self, text):
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == text:
+        if tok.lastgroup == "sym" and tok[0] == text:
             return self.advance()
         self.fail("expected %r" % text)
 
     def parse(self) -> AlgebraElement:
         value = self.expr()
-        if self.peek().kind != "end":
+        if self.peek().lastgroup != "end":
             self.fail("unexpected trailing input")
         return value
 
     def expr(self) -> AlgebraElement:
         tok = self.peek()
         negate = False
-        if tok.kind == "sym" and tok.text in "+-":
+        if tok.lastgroup == "sym" and tok[0] in "+-":
             self.advance()
-            negate = tok.text == "-"
+            negate = tok[0] == "-"
         value = self.term()
         if negate:
             value = -value
         while True:
             tok = self.peek()
-            if tok.kind == "sym" and tok.text in "+-":
+            if tok.lastgroup == "sym" and tok[0] in "+-":
                 self.advance()
-                if self.peek().kind == "end":
-                    self.fail("dangling operator %r" % tok.text)
+                if self.peek().lastgroup == "end":
+                    self.fail("dangling operator %r" % tok[0])
                 rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
+                value = value + rhs if tok[0] == "+" else value - rhs
             else:
                 return value
 
@@ -183,7 +176,7 @@ class _Parser:
         value = self.factor()
         while True:
             tok = self.peek()
-            if tok.kind == "sym" and tok.text == "*":
+            if tok.lastgroup == "sym" and tok[0] == "*":
                 self.advance()
                 rhs = self.factor()
                 self.charge(len(value.terms) * len(rhs.terms), tok)
@@ -194,7 +187,7 @@ class _Parser:
     def factor(self) -> AlgebraElement:
         value = self.atom()
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == "^":
+        if tok.lastgroup == "sym" and tok[0] == "^":
             self.advance()
             k = self.signed_int()
             if k > 0 and len(value.terms) > 1:
@@ -202,36 +195,34 @@ class _Parser:
             try:
                 value = value ** k
             except (NotMonomial, ZeroElement) as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
+                raise self.error(str(exc), tok) from None
         return value
 
     def signed_int(self) -> int:
         sign = 1
         tok = self.peek()
-        if tok.kind == "sym" and tok.text in "+-":
+        if tok.lastgroup == "sym" and tok[0] in "+-":
             self.advance()
-            sign = -1 if tok.text == "-" else 1
+            sign = -1 if tok[0] == "-" else 1
         tok = self.peek()
-        if tok.kind != "number" or "/" in tok.text:
+        if tok.lastgroup != "number" or "/" in tok[0]:
             self.fail("expected an integer exponent")
         self.advance()
-        return sign * int(tok.text)
+        return sign * int(tok[0])
 
     def integer(self) -> int:
         tok = self.peek()
-        if tok.kind != "number" or "/" in tok.text:
+        if tok.lastgroup != "number" or "/" in tok[0]:
             self.fail("expected an integer")
         self.advance()
-        return int(tok.text)
+        return int(tok[0])
 
-    def nested(self, paren: _Token) -> AlgebraElement:
+    def nested(self, paren: re.Match) -> AlgebraElement:
         """The expression after the opening parenthesis ``paren``, and its ``)``."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(
-                "parentheses nest deeper than MAX_DEPTH = %d" % MAX_DEPTH,
-                paren.line,
-                paren.col,
+            raise self.error(
+                "parentheses nest deeper than MAX_DEPTH = %d" % MAX_DEPTH, paren
             )
         inner = self.expr()
         self.expect(")")
@@ -241,27 +232,25 @@ class _Parser:
     def atom(self) -> AlgebraElement:
         alg = self.algebra
         tok = self.peek()
-        if tok.kind == "number":
+        if tok.lastgroup == "number":
             self.advance()
             try:
-                return alg.scalar(Fraction(tok.text))
+                return alg.scalar(Fraction(tok[0]))
             except ZeroDivisionError:
-                raise ParseError("zero denominator", tok.line, tok.col) from None
-        if tok.kind == "ugen":
+                raise self.error("zero denominator", tok) from None
+        if tok.lastgroup == "ugen":
             self.advance()
-            j = int(tok.text[1:])
+            j = int(tok[0][1:])
             if not 1 <= j <= alg.n:
-                raise ParseError(
-                    "generator index %d out of range 1..%d" % (j, alg.n),
-                    tok.line,
-                    tok.col,
+                raise self.error(
+                    "generator index %d out of range 1..%d" % (j, alg.n), tok
                 )
             return alg.gen(j)
-        if tok.kind == "name":
-            if tok.text == "i":
+        if tok.lastgroup == "name":
+            if tok[0] == "i":
                 self.advance()
                 return alg.i()
-            if tok.text == "q":
+            if tok[0] == "q":
                 self.advance()
                 self.expect("[")
                 a = self.integer()
@@ -269,15 +258,13 @@ class _Parser:
                 b = self.integer()
                 self.expect("]")
                 if a == b or not (1 <= a <= alg.n and 1 <= b <= alg.n):
-                    raise ParseError(
-                        "bad phase symbol q[%d,%d]" % (a, b), tok.line, tok.col
-                    )
+                    raise self.error("bad phase symbol q[%d,%d]" % (a, b), tok)
                 return alg.q(a, b)
-            if tok.text == "adj":
+            if tok[0] == "adj":
                 self.advance()
                 return self.nested(self.expect("(")).star()
-            self.fail("unknown name %r" % tok.text)
-        if tok.kind == "sym" and tok.text == "(":
+            self.fail("unknown name %r" % tok[0])
+        if tok.lastgroup == "sym" and tok[0] == "(":
             return self.nested(self.advance())
         self.fail("expected an atom")
 

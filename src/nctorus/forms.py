@@ -72,7 +72,7 @@ class LieAlgebra(FrozenRecord):
     def __init__(self, n: int, brackets: tuple):
         if n < 1:
             raise ValueError("need dimension at least 1")
-        c = _frozen(brackets, (n, n, n), "structure constants", "n x n x n")
+        c = _frozen(brackets, (n, n, n), "structure constants")
         self.__dict__.update(
             n=n,
             brackets=c,
@@ -187,7 +187,7 @@ class KForm:
                     raise ValueError("component tuples must be strictly increasing")
                 # the checker's own identity test first: this runs per component
                 if value.__class__ is not AlgebraElement or value.algebra is not calculus.algebra:
-                    value = _frozen(value, (), "component %s" % (key,), "", calculus.algebra)
+                    value = _frozen(value, (), "component %s" % (key,), calculus.algebra)
                 if not value.is_zero():
                     clean[key] = value
         self.calculus = calculus
@@ -320,7 +320,8 @@ class KForm:
                 value = self.comps.get(rest)
                 if value is not None:
                     term = value.derive(b)
-                    total = total + term if pos % 2 == 0 else total - term
+                    if term.terms:
+                        total = total + term if pos % 2 == 0 else total - term
             if not abelian:
                 for pi, pj in combinations(range(k + 1), 2):
                     rest = tuple(
@@ -330,8 +331,10 @@ class KForm:
                     for e in range(1, n + 1):
                         c = lie.bracket(e, key[pi], key[pj])
                         if c:
-                            term = self(e, *rest) * c
-                            total = total + term if sign > 0 else total - term
+                            term = self(e, *rest)
+                            if term.terms:
+                                term = term * c
+                                total = total + term if sign > 0 else total - term
             if total.terms:
                 comps[key] = total
         return KForm(calc, k + 1, comps)

@@ -1,9 +1,9 @@
 """Construction and verification of Levi-Civita connections.
 
-Pipeline: from a validated metric build the antisymmetric F tensor,
+Pipeline: from a validated metric that passes the d(rho) gate, build
+the antisymmetric F tensor
 F_cab = (i/2) (d_b h_ca - d_a h_cb) - i h_ce d^e_ab with d = ``d_array``,
-check the cyclic solvability condition (equivalent to d(rho) = 0), solve
-the hermitian matrix equations (R_a)_cb - (R_b)_ca = F_cab, that is
+solve the hermitian matrix equations (R_a)_cb - (R_b)_ca = F_cab, that is
 antisymmetrize(R) = F, conjugate by the metric to obtain the U array,
 and assemble the Christoffel entries
 
@@ -65,7 +65,7 @@ class FTensor:
 
     def __init__(self, calculus: Calculus, entries):
         n = calculus.n
-        entries = _frozen(entries, (n, n, n), "F", "n x n x n", calculus.algebra)
+        entries = _frozen(entries, (n, n, n), "F", calculus.algebra)
         bad = _first_unpaired(entries, lambda x, y: x == -y, 3)
         if bad is not None:
             raise ValueError("F is not antisymmetric at (%d, %d, %d)" % bad)
@@ -109,7 +109,7 @@ class SolverParams(Record):
         n = calculus.n
         alg = calculus.algebra
         errors = (ParamViolation, ParamViolation)
-        X = _frozen(self.X, (n, n), "X", "n x n", alg, errors)
+        X = _frozen(self.X, (n, n), "X", alg, errors)
         for a, row in enumerate(X, 1):
             for b, x in enumerate(row, 1):
                 if x.terms and not x.is_hermitian():
@@ -122,13 +122,13 @@ class SolverParams(Record):
                     "triple key %r must be three strictly increasing indices in 1..%d"
                     % (key, n)
                 )
-            value = _frozen(value, (), "triple parameter %s" % (key,), "", alg, errors)
+            value = _frozen(value, (), "triple parameter %s" % (key,), alg, errors)
             if not value.is_hermitian():
                 raise ParamViolation("triple parameter %s is not hermitian" % (key,))
             triples[key] = value
         antiherm = self.antiherm
         if antiherm is not None:
-            antiherm = _frozen(antiherm, (n, n, n), "A", "n x n x n", alg, errors)
+            antiherm = _frozen(antiherm, (n, n, n), "A", alg, errors)
             check_antihermitian(antiherm)
         return SolverParams(X, triples, antiherm)
 
@@ -140,7 +140,7 @@ class RSet:
 
     def __init__(self, calculus: Calculus, matrices):
         n = calculus.n
-        matrices = _frozen(matrices, (n, n, n), "R", "n x n x n", calculus.algebra)
+        matrices = _frozen(matrices, (n, n, n), "R", calculus.algebra)
         bad = _first_unpaired(matrices, lambda x, y: x.star() == y, 3)
         if bad is not None:
             raise ValueError("R_%d is not hermitian at (%d, %d)" % bad)
@@ -190,7 +190,10 @@ def compute_F(metric: HermitianMetric) -> FTensor:
 
 def solvability_check(tensor: FTensor):
     """None when solvable; otherwise ((a, b, c), defect) for the first
-    strictly increasing triple where the cyclic hermitian condition fails."""
+    strictly increasing triple where the cyclic hermitian condition fails.
+
+    For the F of a metric the defect is i d(rho)_abc, so this names the
+    first nonzero triple of ``weak_symmetry_defect``."""
     n = tensor.n
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
@@ -325,9 +328,13 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     """Construct a torsion-free metric-compatible connection.
 
     Raises NotWeaklySymmetric when d(rho) != 0 (no such connection
-    exists).  The default parameters are all zero.  A nonzero
-    antihermitian array keeps compatibility but in general breaks torsion
-    freeness; the unconditional re-verification reports that as a
+    exists).  That gate is the one existence verdict: F's cyclic
+    solvability condition is the same condition, since
+    cyc + cyc* = i d(rho)_abc with cyc = F_abc + F_bca + F_cab, so the
+    solvability checks after the gate pass and SolvabilityViolated does
+    not come out of a build.  The default parameters are all zero.  A
+    nonzero antihermitian array keeps compatibility but in general breaks
+    torsion freeness; the unconditional re-verification reports that as a
     ParamViolation naming the first (i, a, b) with T^i(d_a, d_b) != 0, and
     any other failure (an internal convention bug) as
     InternalVerificationFailure.

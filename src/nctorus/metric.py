@@ -35,7 +35,7 @@ def invert_metric(calculus: Calculus, upper):
     the pivot in the work matrix (those left of it are zero already).
     """
     alg, n = calculus.algebra, calculus.n
-    upper = _frozen(upper, (n, n), "upper", "n x n", alg)
+    upper = _frozen(upper, (n, n), "upper", alg)
     bad = _first_unpaired(upper, _adjoint, 2)
     if bad is not None:
         raise NotHermitian(bad)
@@ -80,11 +80,11 @@ class HermitianMetric:
 
     def __init__(self, calculus: Calculus, upper, lower=None):
         shape = (calculus.n,) * 2
-        upper = _frozen(upper, shape, "upper", "n x n", calculus.algebra)
+        upper = _frozen(upper, shape, "upper", calculus.algebra)
         if lower is None:
             lower = invert_metric(calculus, upper)
         else:
-            lower = _frozen(lower, shape, "lower", "n x n", calculus.algebra)
+            lower = _frozen(lower, shape, "lower", calculus.algebra)
         self.calculus = calculus
         self.upper = upper
         self.lower = lower
@@ -145,8 +145,8 @@ def validate(metric: HermitianMetric) -> None:
 def pair(metric: HermitianMetric, left, right) -> AlgebraElement:
     """h(f_i theta^i, g_j theta^j) = sum f_i h^ij (g_j)*."""
     alg, n = metric.calculus.algebra, metric.calculus.n
-    left = _frozen(left, (n,), "left", "n-entry", alg)
-    right = _frozen(right, (n,), "right", "n-entry", alg)
+    left = _frozen(left, (n,), "left", alg)
+    right = _frozen(right, (n,), "right", alg)
     total = alg.zero()
     for i in range(n):
         for j in range(n):

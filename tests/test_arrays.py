@@ -291,7 +291,7 @@ def test_first_unpaired_matches_full_search_on_edge_shapes(relation):
         for name, n, ndim, pairs, bad in edge_cases(alg, partner):
             if n > alg.n or any(max(index) >= alg.n for index, _, _ in pairs):
                 continue
-            array = _frozen(paired_array(alg, n, ndim, pairs, bad), (n,) * ndim, "x", "")
+            array = _frozen(paired_array(alg, n, ndim, pairs, bad), (n,) * ndim, "x")
             expected = full_search(array, related, ndim)
             assert _first_unpaired(array, related, ndim) == expected, name
             found.add(expected is None)
@@ -314,7 +314,7 @@ def test_first_unpaired_on_fraction_structure_constants():
             c[e][a][b], c[e][b][a] = value, -value
         for (e, a, b), value in bad.items():
             c[e][a][b] = value
-        frozen = _frozen(c, (n, n, n), "c", "")
+        frozen = _frozen(c, (n, n, n), "c")
         expected = full_search(frozen, related, 3)
         assert _first_unpaired(frozen, related, 3) == expected
         if expected is None:
@@ -343,7 +343,7 @@ def test_public_pair_checks_name_the_full_search_index():
         related, partner = RELATIONS[relation]
         pairs = [((a, 0, 2), u, partner(u)) for a in range(N)]
         array = paired_array(ALG, N, 3, pairs, {(1, 1, 2): u})
-        expected = full_search(_frozen(array, (N,) * 3, "x", ""), related, 3)
+        expected = full_search(_frozen(array, (N,) * 3, "x"), related, 3)
         assert expected == (2, 2, 3)
         with pytest.raises(Exception) as info:
             call(array)
@@ -353,20 +353,20 @@ def test_public_pair_checks_name_the_full_search_index():
 def test_frozen_returns_frozen_input_as_it_is():
     plane = tuple(tuple(row) for row in identity())
     array = (plane, plane, plane)
-    assert _frozen(array, (N, N, N), "F", "n x n x n", ALG) is array
-    assert _frozen(plane, (N, N), "upper", "n x n", ALG) is plane
+    assert _frozen(array, (N, N, N), "F", ALG) is array
+    assert _frozen(plane, (N, N), "upper", ALG) is plane
     one = ALG.one()
-    assert _frozen(one, (), "value", "", ALG) is one
+    assert _frozen(one, (), "value", ALG) is one
     constants = (((Fraction(0),) * N,) * N,) * N
-    assert _frozen(constants, (N, N, N), "c", "n x n x n") is constants
+    assert _frozen(constants, (N, N, N), "c") is constants
     # a list is rebuilt as a tuple, and its tuple rows are kept
     rows = [plane[0], plane[1], plane[2]]
-    out = _frozen(rows, (N, N), "upper", "n x n", ALG)
+    out = _frozen(rows, (N, N), "upper", ALG)
     assert out == plane and type(out) is tuple
     assert all(a is b for a, b in zip(out, rows))
     # a level of the wrong length is refused even when it is a tuple
     with pytest.raises(ValueError, match=r"^F must be an n x n x n array$"):
-        _frozen((plane, plane, plane[:2]), (N, N, N), "F", "n x n x n", ALG)
+        _frozen((plane, plane, plane[:2]), (N, N, N), "F", ALG)
 
 
 @pytest.mark.parametrize("frozen", (False, True), ids=("lists", "tuples"))
@@ -379,11 +379,11 @@ def test_frozen_names_the_same_leaf_for_lists_and_tuples(frozen):
     ragged = identity()
     ragged[2] = ragged[2][:2]
     with pytest.raises(ValueError, match=r"^upper must be an n x n array$"):
-        _frozen(shaped(ragged), (N, N), "upper", "n x n", ALG)
+        _frozen(shaped(ragged), (N, N), "upper", ALG)
     gamma = zeros(N, N, N)
     gamma[1][2][0] = FOREIGN
     with pytest.raises(DescriptorMismatch) as info:
-        _frozen(shaped(gamma), (N, N, N), "gamma", "n x n x n", ALG)
+        _frozen(shaped(gamma), (N, N, N), "gamma", ALG)
     assert str(info.value) == (
         "gamma[2][3][1] lives over %r, not %r" % (FOREIGN.algebra, ALG)
     )
@@ -391,8 +391,8 @@ def test_frozen_names_the_same_leaf_for_lists_and_tuples(frozen):
     upper[2][1] = Fraction(1, 2)
     upper[2][2] = 7
     with pytest.raises(TypeError) as info:
-        _frozen(shaped(upper), (N, N), "upper", "n x n", ALG)
+        _frozen(shaped(upper), (N, N), "upper", ALG)
     assert str(info.value) == "upper[3][2] has type Fraction, not AlgebraElement"
     with pytest.raises(ParamViolation) as info:
-        _frozen(shaped(upper), (N, N), "X", "n x n", ALG, (ParamViolation, ParamViolation))
+        _frozen(shaped(upper), (N, N), "X", ALG, (ParamViolation, ParamViolation))
     assert str(info.value) == "X[3][2] has type Fraction, not AlgebraElement"

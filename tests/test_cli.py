@@ -12,6 +12,7 @@ from nctorus.cli import (
     COMMANDS,
     MAX_N,
     MAX_VALUE_CHARS,
+    STATUS_EXIT_CODES,
     emit_report,
     load_config,
     main,
@@ -325,6 +326,30 @@ def test_run_bad_lower_is_error(tmp_path):
     report = run(load_config(path))
     assert report["status"] == "error"
     assert "NotInverse" in report["error"]
+
+
+# a config that run() reports with each status: the demos, a verify-given
+# config with a wrong gamma, and a metric with no monomial pivot
+STATUS_CONFIGS = {
+    "ok": BLOCK_CFG.read_text(encoding="utf-8"),
+    "not_weakly_symmetric": BLOCK_U1_CFG.read_text(encoding="utf-8"),
+    "verification_failed": (
+        "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.3 = U2\nh.3.2 = adj(U2)\n\n"
+        "[connection]\ngamma.1.1.1 = U1\n\n[run]\ncommand = verify-given\n"
+    ),
+    "error": (
+        "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 2 + U1 + adj(U1)\nh.2.2 = 1\n"
+        "h.3.3 = 1\n\n[run]\ncommand = build-lc\n"
+    ),
+}
+
+
+def test_every_exit_status_is_reached(tmp_path):
+    # a status that no config reaches is dead code in run() and main()
+    assert sorted(STATUS_CONFIGS) == sorted(STATUS_EXIT_CODES)
+    for status, body in STATUS_CONFIGS.items():
+        report = run(load_config(write_cfg(tmp_path, body)))
+        assert report["status"] == status, report.get("error")
 
 
 def test_long_element_in_an_error_is_cut_to_its_first_terms(tmp_path, capsys):

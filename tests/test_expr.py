@@ -334,6 +334,26 @@ def test_nesting_depth_bound(alg, opener):
         parse_element(alg, opener * 300 + "U1" + ")" * 300)
 
 
+@pytest.mark.parametrize(
+    "text,line,col",
+    [
+        ("U1 +\n  U2 *\n U7", 3, 2),
+        ("U1\n + $", 2, 4),
+        ("U1 +\n", 2, 1),
+        ("(U1\n\t+ U2", 2, 6),
+        ("U1^2\n\n   * q[1,1]", 3, 6),
+        ("1/0\n", 1, 1),
+        ("  \n\n  U2 ^ (", 3, 8),
+    ],
+)
+def test_parse_errors_on_multiline_input(alg, text, line, col):
+    # the column counts from the start of the line the token is on
+    with pytest.raises(ParseError) as info:
+        parse_element(alg, text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value).endswith(" at line %d, column %d" % (line, col))
+
+
 def test_nesting_depth_counts_open_parentheses_only(alg):
     # many sibling groups at depth one are not nested
     assert parse_element(alg, " + ".join(["(1)"] * 200)) == alg.scalar(200)

@@ -22,16 +22,17 @@ from nctorus import (
     compat_defect,
     compute_F,
     invert_metric,
-    solvability_check,
     solve_R,
     symmetry_form,
     verify_levi_civita,
     weak_symmetry_defect,
 )
+from nctorus.levicivita import solvability_check
 from conftest import (
     block_metric,
     congruence_metric,
     random_block_metric,
+    random_congruence_steps,
     random_diagonal_metric,
     random_element,
     random_hermitian,
@@ -124,31 +125,60 @@ def cyclic_defect(tensor, a, b, c):
     return cyc + cyc.star()
 
 
-def test_f_cyclic_defect_equals_i_drho(rng, calc3):
-    alg = calc3.algebra
-    for _ in range(10):
-        metric = random_block_metric(rng, calc3, weakly_symmetric=False)
+# Calculi on which the solvability condition must be the d(rho) gate: both
+# algebra kinds and the bracket c^3_12 = 1 at n = 3..5, and an so(3)-type
+# bracket with a nonzero constant in every slot at n = 3.
+CYCLIC_CALCULI = {
+    **{"q-%d" % n: (n, False, None) for n in (3, 4, 5)},
+    **{"commutative-%d" % n: (n, True, None) for n in (3, 4, 5)},
+    **{"bracket-%d" % n: (n, False, {(3, 1, 2): 1}) for n in (3, 4, 5)},
+    "so3-3": (3, False, {(3, 1, 2): 1, (1, 2, 3): 1, (2, 3, 1): 1}),
+}
+
+
+def cyclic_defect_metrics(name):
+    """Seeded metrics for ``name``: 12 congruence metrics of 3 steps each
+    over a calculus of ``CYCLIC_CALCULI``; 10 n = 3 block metrics, most not
+    weakly symmetric ("block"); one Heisenberg metric ("heisenberg")."""
+    rng = random.Random("cyclic-defect/" + name)
+    if name == "block":
+        calc = Calculus.torus(3)
+        return [
+            random_block_metric(rng, calc, weakly_symmetric=False) for _ in range(10)
+        ]
+    if name == "heisenberg":
+        heis = Calculus.torus(3, brackets={(3, 1, 2): 1})
+        alg = heis.algebra
+        z, one = alg.zero(), alg.one()
+        h0 = alg.gen(1) * alg.gen(3)
+        return [HermitianMetric(heis, [[one, z, z], [z, z, h0], [z, h0.star(), z]])]
+    n, commutative, brackets = CYCLIC_CALCULI[name]
+    calc = Calculus.torus(n, commutative=commutative, brackets=brackets)
+    return [
+        congruence_metric(calc, *random_congruence_steps(rng, calc.algebra, 3))
+        for _ in range(12)
+    ]
+
+
+@pytest.mark.parametrize("name", ["block", "heisenberg", *CYCLIC_CALCULI])
+def test_f_cyclic_defect_equals_i_drho(name):
+    # cyc + cyc* = i d(rho)_abc, so the cyclic solvability condition on F is
+    # the d(rho) gate: solvability_check passes exactly when d(rho) = 0, and
+    # otherwise names d(rho)'s first nonzero triple.  Triples that are not
+    # strictly increasing follow from the antisymmetry of F and of d(rho).
+    for metric in cyclic_defect_metrics(name):
+        n = metric.calculus.n
+        i = metric.calculus.algebra.i()
         tensor = compute_F(metric)
         drho = weak_symmetry_defect(metric)
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                for c in (1, 2, 3):
-                    assert cyclic_defect(tensor, a, b, c) == alg.i() * drho(a, b, c)
-
-
-def test_f_cyclic_defect_equals_i_drho_nonabelian(rng):
-    heis = Calculus.torus(3, brackets={(3, 1, 2): 1})
-    alg = heis.algebra
-    z, one = alg.zero(), alg.one()
-    h0 = alg.gen(1) * alg.gen(3)
-    upper = [[one, z, z], [z, z, h0], [z, h0.star(), z]]
-    metric = HermitianMetric(heis, upper)
-    tensor = compute_F(metric)
-    drho = weak_symmetry_defect(metric)
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            for c in (1, 2, 3):
-                assert cyclic_defect(tensor, a, b, c) == alg.i() * drho(a, b, c)
+        for a, b, c in itertools.combinations(range(1, n + 1), 3):
+            assert cyclic_defect(tensor, a, b, c) == i * drho(a, b, c)
+        violation = solvability_check(tensor)
+        if drho.is_zero():
+            assert violation is None
+        else:
+            key = sorted(drho.comps)[0]
+            assert violation == (key, i * drho.comps[key])
 
 
 # -- solvability ------------------------------------------------------------------
@@ -846,21 +876,22 @@ def bracket_diagonal_metric_5():
 
 
 # Element calls with only zero operands during one build_levi_civita.  Those
-# left are in the d(rho) gate (KForm.d), the stars of the pairing operator,
-# the scaled d_array terms and partial sums inside a triple or a cyclic sum
-# that has a nonzero entry; the solvability check skips a triple whose three
-# F entries are zero, and solve_R a forced entry (R_a)_ab whose X and F terms
-# are zero.  A change that walks zero entries again raises these counts
-# (walking every zero entry gives 6,416 and 3,721; skipping zeros everywhere
-# but in the pair checks and the closed-form R entries gives 1,554 and 915;
-# everywhere but in those cyclic sums and forced entries, 146 and 107).
+# left are the stars of the pairing operator, the scaled d_array terms and
+# partial sums inside a triple or a cyclic sum that has a nonzero entry; the
+# d(rho) gate (KForm.d) skips a zero derivative or bracket term, the
+# solvability check a triple whose three F entries are zero, and solve_R a
+# forced entry (R_a)_ab whose X and F terms are zero.  A change that walks
+# zero entries again raises these counts (walking every zero entry gives
+# 6,416 and 3,721; skipping zeros everywhere but in the pair checks and the
+# closed-form R entries gives 1,554 and 915; everywhere but in those cyclic
+# sums and forced entries, 146 and 107; everywhere but in KForm.d, 18 and 31).
 ALL_ZERO_CALLS = {
     "block-6": {
-        "__mul__": 0, "__add__": 10, "__sub__": 2, "__neg__": 0,
+        "__mul__": 0, "__add__": 0, "__sub__": 0, "__neg__": 0,
         "star": 6, "derive": 0, "__eq__": 0,
     },
     "bracket-5": {
-        "__mul__": 13, "__add__": 3, "__sub__": 7, "__neg__": 0,
+        "__mul__": 10, "__add__": 3, "__sub__": 4, "__neg__": 0,
         "star": 8, "derive": 0, "__eq__": 0,
     },
 }
