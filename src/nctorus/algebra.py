@@ -14,7 +14,8 @@ then the q-exponents of the pairs (1,2), (1,3), ..., (n-1,n); a
 commutative algebra has no q block.  In normal form no numerator is
 zero, gcd(den, every numerator) = 1, and the zero element is ({}, 1).
 Products, sums, the star, derivations and inverses are integer
-arithmetic on keys and numerators with one gcd pass per result.
+arithmetic on keys and numerators with one gcd pass per result; a
+matrix product or elimination step x +- f * p is one result, not two.
 
 Each algebra has one zero: ``zero()`` and every operation whose result
 is zero return the same instance.  Zero entries of arrays are therefore
@@ -86,7 +87,7 @@ class TorusAlgebra(FrozenRecord):
         # The key layout: the generator pairs (a, b), a < b, of the q block
         # in key order, and for each its (key position, a - 1, b - 1).  Both
         # are empty for a commutative algebra.  The two pickers read the
-        # U-exponents k_a and k_b of every pair from a key, for ``__mul__``.
+        # U-exponents k_a and k_b of every pair from a key, for ``_product_into``.
         # The labels are (key position, factor label) in written order,
         # every q[a,b] before U_1, ..., U_n, for ``written_terms``.
         self.__dict__.update(
@@ -378,35 +379,16 @@ class AlgebraElement:
                 )
             if not isinstance(other, AlgebraElement):
                 return NotImplemented
-        alg = self.algebra
-        if other.algebra is not alg:
+        if other.algebra is not self.algebra:
             self._check_same(other)
         if not self.terms:
             return self
         if not other.terms:
             return other
-        n = alg.n
         acc: dict = {}
-        get = acc.get
-        first, second = alg._first_of_pair, alg._second_of_pair
-        # Normal-ordering U^k U^l moves U_a^{l_a} of the right factor
-        # leftwards past U_b^{k_b}, b > a: the pair (a, b) picks up the
-        # q-exponent -k_b * l_a.  A commutative algebra has no pairs, so
-        # its key is the sum of the U exponents alone.
-        right = [(l[:n], l[n:], first(l), lr, li) for l, (lr, li) in other.terms.items()]
-        for k, (kr, ki) in self.terms.items():
-            ku, kq, kb = k[:n], k[n:], second(k)
-            for lu, lq, la, lr, li in right:
-                key = (
-                    *map(_plus, ku, lu),
-                    *map(_minus, map(_plus, kq, lq), map(_times, kb, la)),
-                )
-                re, im = kr * lr - ki * li, kr * li + ki * lr
-                old = get(key)
-                acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
-        return self._normal(
-            acc, self.den * other.den, len(acc) == len(self.terms) * len(right)
-        )
+        _product_into(acc, self, other, 1)
+        nonzero = len(acc) == len(self.terms) * len(other.terms)
+        return self._normal(acc, self.den * other.den, nonzero)
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -507,15 +489,52 @@ class AlgebraElement:
         return render_element(self)
 
 
+def _product_into(acc: dict, x, y, scale: int) -> None:
+    """Add the numerators of scale * x * y into ``acc``; x and y are nonzero."""
+    alg, get = x.algebra, acc.get
+    n, first, second = alg.n, alg._first_of_pair, alg._second_of_pair
+    # Normal-ordering U^k U^l moves U_a^{l_a} of the right factor
+    # leftwards past U_b^{k_b}, b > a: the pair (a, b) picks up the
+    # q-exponent -k_b * l_a.  A commutative algebra has no pairs, so
+    # its key is the sum of the U exponents alone.
+    right = [(l[:n], l[n:], first(l), lr * scale, li * scale) for l, (lr, li) in y.terms.items()]
+    for k, (kr, ki) in x.terms.items():
+        ku, kq, kb = k[:n], k[n:], second(k)
+        for lu, lq, la, lr, li in right:
+            key = (
+                *map(_plus, ku, lu),
+                *map(_minus, map(_plus, kq, lq), map(_times, kb, la)),
+            )
+            re, im = kr * lr - ki * li, kr * li + ki * lr
+            old = get(key)
+            acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+
+
+def _plus_product(x, f, p, sign: int = 1):
+    """x + sign * f * p (sign 1 or -1), adding the term pairs of f * p into
+    x's numerators at their common denominator, normalised once."""
+    if not (x.algebra is f.algebra is p.algebra):
+        x._check_same(f)
+        f._check_same(p)
+    if not (f.terms and p.terms):
+        return x
+    den, xd = f.den * p.den, x.den
+    common = xd * den // gcd(xd, den)
+    acc = dict(x.terms) if common == xd else _scaled(x.terms, common // xd)
+    _product_into(acc, f, p, sign * (common // den))
+    return f._normal(acc, common, len(acc) == len(x.terms) + len(f.terms) * len(p.terms))
+
+
 def matmul(left, right):
     """The exact matrix product (left . right) of two matrices of elements.
 
     Entry (i, k) is the sum over j of left[i][j] * right[j][k], summed in
-    increasing j.  A pair with a zero factor contributes nothing and is
-    skipped without multiplying: the nonzero entries of each right row are
-    listed once per call, so sparse matrices (block and diagonal metrics,
-    most Christoffel arrays) cost only their nonzero pairs.  Exact
-    arithmetic makes the result independent of which pairs are skipped.
+    increasing j by ``_plus_product``, which forms no product on its own.
+    A pair with a zero factor contributes nothing and is skipped without
+    multiplying: the nonzero entries of each right row are listed once per
+    call, so sparse matrices (block and diagonal metrics, most Christoffel
+    arrays) cost only their nonzero pairs.  Exact arithmetic makes the
+    result independent of which pairs are skipped.
     Returns a tuple of row tuples.
     """
     if not right or not right[0]:
@@ -529,7 +548,7 @@ def matmul(left, right):
         for x, nonzero in zip(row, nonzero_rows):
             if x.terms:
                 for k, y in nonzero:
-                    acc[k] = acc[k] + x * y
+                    acc[k] = _plus_product(acc[k], x, y)
         out.append(tuple(acc))
     return tuple(out)
 

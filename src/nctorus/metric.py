@@ -12,7 +12,7 @@ compatible connection; d(rho) = 0 is the exact existence criterion.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, _first_unpaired, _frozen, matmul
+from .algebra import AlgebraElement, _first_unpaired, _frozen, _plus_product, matmul
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
 from .expr import render_short
 from .forms import Calculus, KForm
@@ -28,11 +28,11 @@ def invert_metric(calculus: Calculus, upper):
 
     Every pivot must be an invertible monomial; when a column offers no
     monomial pivot the procedure raises NotInvertibleByElimination and the
-    caller has to supply the lower matrix explicitly.  Elimination knows
-    the pivot column before it computes it: the scaled pivot is one and
-    every other row is zero there, so that column is written, not
-    multiplied, and each row operation touches only the columns right of
-    the pivot in the work matrix (those left of it are zero already).
+    caller has to supply the lower matrix explicitly.  Elimination writes
+    the pivot column (one at the pivot, zero in every other row) instead
+    of multiplying it, and each row operation touches only the columns
+    right of the pivot in the work matrix (those left of it are zero
+    already); each update x - factor * p is one ``_plus_product``.
     """
     alg, n = calculus.algebra, calculus.n
     upper = _frozen(upper, (n, n), "upper", alg)
@@ -67,9 +67,9 @@ def invert_metric(calculus: Calculus, upper):
                 continue
             row = work[r]
             for c, p in rest:
-                row[c] = row[c] - factor * p
+                row[c] = _plus_product(row[c], factor, p, -1)
             row[col] = zero
-            aug[r] = [x - factor * p if p.terms else x for x, p in zip(aug[r], aug[col])]
+            aug[r] = [_plus_product(x, factor, p, -1) for x, p in zip(aug[r], aug[col])]
     return tuple(tuple(row) for row in aug)
 
 

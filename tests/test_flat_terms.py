@@ -22,6 +22,7 @@ from nctorus import (
     parse_element,
     render_element,
 )
+from nctorus.algebra import _plus_product, matmul
 
 # -- the oracle ----------------------------------------------------------------
 
@@ -399,3 +400,86 @@ def test_parse_render_round_trip_with_denominators(t3):
     y = parse_element(t3, "(1/2 - 3/4*i)*U2^-1 - 5/6*i*q[2,3]^-2*U1*U3")
     assert render_element(y) == "(1/2-3/4*i)*U2^-1 - 5/6*i*q[2,3]^-2*U1*U3"
     assert parse_element(t3, render_element(y)) == y
+
+
+# -- the fused x + sign * f * p, and matmul built on it ----------------------------
+
+
+def o_plus_product(alg, ox, of, op, sign):
+    product = o_mul(alg, of, op)
+    return _accumulate(list(ox.items()) + list((product if sign == 1 else o_neg(product)).items()))
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_plus_product_matches_oracle(alg):
+    zero = alg.zero()
+    rescaled = []
+
+    @seed(alg.n * 10 + alg.commutative + 400)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec_strategy(alg.n),
+        spec_strategy(alg.n, min_terms=1),
+        spec_strategy(alg.n, min_terms=1),
+        st.sampled_from((1, -1)),
+    )
+    def inner(sx, sf, sp, sign):
+        x, ox = build(alg, sx)
+        f, of = build(alg, sf)
+        p, op = build(alg, sp)
+        rescaled.append(bool(x.terms) and x.den % (f.den * p.den) != 0)
+        result = _plus_product(x, f, p, sign)
+        check(alg, result, o_plus_product(alg, ox, of, op, sign))
+        assert result == (x + f * p if sign == 1 else x - f * p)
+        # a full cancellation is the shared zero; a partial one leaves x
+        assert _plus_product(f * p * -sign, f, p, sign) is zero
+        check(alg, _plus_product(x - f * p * sign, f, p, sign), ox)
+        # a zero factor returns x itself
+        assert _plus_product(x, zero, p, sign) is x
+        assert _plus_product(x, f, zero, sign) is x
+
+    inner()
+    assert sum(rescaled) >= 10
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_matmul_matches_oracle_sum(alg):
+    # entry (i, k) against the oracle's sum over j of left[i][j] * right[j][k],
+    # over seeded matrices with zero entries and mixed denominators
+    rng = random.Random("matmul/%d/%s" % (alg.n, alg.commutative))
+    zero = alg.zero()
+    mixed = 0
+    for _ in range(12):
+        m, inner, width = (rng.randint(1, 3) for _ in range(3))
+        left = [[build(alg, random_spec(rng, alg.n, 3)) for _ in range(inner)] for _ in range(m)]
+        right = [[build(alg, random_spec(rng, alg.n, 3)) for _ in range(width)] for _ in range(inner)]
+        product = matmul(
+            [[x for x, _ in row] for row in left], [[y for y, _ in row] for row in right]
+        )
+        assert len(product) == m and all(len(row) == width for row in product)
+        for i, row in enumerate(product):
+            for k, entry in enumerate(row):
+                pairs = [(left[i][j], right[j][k]) for j in range(inner)]
+                terms = [
+                    term for (_, ox), (_, oy) in pairs for term in o_mul(alg, ox, oy).items()
+                ]
+                check(alg, entry, _accumulate(terms))
+                assert entry.terms or entry is zero
+                dens = {x.den * y.den for (x, _), (y, _) in pairs if x.terms and y.terms}
+                mixed += len(dens) > 1
+    assert mixed >= 5
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_matmul_and_plus_product_keep_the_descriptor_check(alg):
+    n = alg.n
+    x = alg.gen(1) * GaussianRational(1, 2) + alg.q(1, 2)
+    for other_alg in (TorusAlgebra(n, not alg.commutative), TorusAlgebra(n + 1, alg.commutative)):
+        y = other_alg.gen(1) + other_alg.one()
+        for left, right in (([[x, x]], [[y], [y]]), ([[y]], [[x]]), ([[x, y]], [[x], [x]])):
+            with pytest.raises(DescriptorMismatch):
+                matmul(left, right)
+        other = other_alg.zero()
+        for args in ((x, x, y), (x, y, x), (y, x, x), (other, x, x), (x, x, other), (x, other, x)):
+            with pytest.raises(DescriptorMismatch):
+                _plus_product(*args)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import nctorus.algebra as algebra_module
 import nctorus.metric as metric_module
 from nctorus import (
     AlgebraElement,
@@ -145,11 +146,11 @@ def swapping_metric_4():
 def test_elimination_writes_the_pivot_column(monkeypatch):
     calc, upper = swapping_metric_4()
     assert [len(row[0].terms) for row in upper] == [3, 2, 1, 3]
-    calls = counting(monkeypatch, AlgebraElement, "__mul__")
+    calls = counting(monkeypatch, algebra_module, "_product_into")
     lower = invert_metric(calc, upper)
-    # Scaling the pivot rows and the row operations right of the pivot, in
-    # the work and the augmented matrix.  Forming the pivot column as well,
-    # inv * pivot and x - factor * 1, takes 71.
+    # Products formed: scaling the pivot rows and the row operations right
+    # of the pivot, in the work and the augmented matrix.  Forming the pivot
+    # column as well, inv * pivot and x - factor * 1, takes 71.
     assert len(calls) == 56
     monkeypatch.undo()
     validate(HermitianMetric(calc, upper, lower))
@@ -262,7 +263,7 @@ def test_validate_stops_at_the_first_failing_row(calc3, monkeypatch):
     )
     assert expected >= 3
     got = upper[0][0] * lower[0][0] + upper[0][1] * lower[1][0]
-    calls = counting(monkeypatch, AlgebraElement, "__mul__")
+    calls = counting(monkeypatch, algebra_module, "_product_into")
     with pytest.raises(NotInverse) as info:
         HermitianMetric(calc3, upper, lower)
     assert str(info.value) == "h^ij h_jk fails at (1, 1): got %r" % got
