@@ -413,7 +413,7 @@ def o_plus_product(alg, ox, of, op, sign):
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_plus_product_matches_oracle(alg):
     zero = alg.zero()
-    rescaled = []
+    rescaled = []  # examples in which x's numerators move to a larger denominator
 
     @seed(alg.n * 10 + alg.commutative + 400)
     @settings(max_examples=40, deadline=None)
@@ -450,16 +450,16 @@ def test_matmul_matches_oracle_sum(alg):
     zero = alg.zero()
     mixed = 0
     for _ in range(12):
-        m, inner, width = (rng.randint(1, 3) for _ in range(3))
-        left = [[build(alg, random_spec(rng, alg.n, 3)) for _ in range(inner)] for _ in range(m)]
-        right = [[build(alg, random_spec(rng, alg.n, 3)) for _ in range(width)] for _ in range(inner)]
+        m, depth, width = (rng.randint(1, 3) for _ in range(3))
+        left = [[build(alg, random_spec(rng, alg.n, 3)) for _ in range(depth)] for _ in range(m)]
+        right = [[build(alg, random_spec(rng, alg.n, 3)) for _ in range(width)] for _ in range(depth)]
         product = matmul(
             [[x for x, _ in row] for row in left], [[y for y, _ in row] for row in right]
         )
         assert len(product) == m and all(len(row) == width for row in product)
         for i, row in enumerate(product):
             for k, entry in enumerate(row):
-                pairs = [(left[i][j], right[j][k]) for j in range(inner)]
+                pairs = [(left[i][j], right[j][k]) for j in range(depth)]
                 terms = [
                     term for (_, ox), (_, oy) in pairs for term in o_mul(alg, ox, oy).items()
                 ]
