@@ -67,6 +67,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import combinations
 
 from .connections import Connection, check_antihermitian
 from .errors import (
@@ -77,7 +78,7 @@ from .errors import (
     ParseError,
 )
 from .expr import parse_element, render_element
-from .forms import Calculus, KForm
+from .forms import Calculus
 from .levicivita import (
     SolverParams,
     assemble_U,
@@ -348,34 +349,16 @@ def _render_array(array):
     return [_render_matrix(plane) for plane in array]
 
 
-def _weak_symmetry_dict(defect: KForm, n: int) -> dict:
-    drho = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for c in range(b + 1, n + 1):
-                drho["%d,%d,%d" % (a, b, c)] = render_element(defect(a, b, c))
-    return {"holds": defect.is_zero(), "drho": drho}
-
-
-def _f_dict(tensor) -> dict:
-    n = tensor.n
-    out = {}
-    for c in range(1, n + 1):
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                out["%d,%d,%d" % (c, a, b)] = render_element(tensor[c, a, b])
-    return out
+def _by_index(element, indices) -> dict:
+    """Map each index tuple, keyed "i,j,...", to the rendered element(*index)."""
+    return {",".join(map(str, i)): render_element(element(*i)) for i in indices}
 
 
 def _verification_dict(report) -> dict:
-    n = len(report.compat)
-    torsion = {}
-    for i, form in enumerate(report.torsion_forms, start=1):
-        entries = {}
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                entries["%d,%d" % (a, b)] = render_element(form(a, b))
-        torsion[str(i)] = entries
+    pairs = list(combinations(range(1, len(report.compat) + 1), 2))
+    torsion = {
+        str(i): _by_index(form, pairs) for i, form in enumerate(report.torsion_forms, 1)
+    }
     return {
         "torsion": torsion,
         "compat": _render_array(report.compat),
@@ -402,7 +385,11 @@ def run(config: ProblemConfig) -> dict:
     try:
         metric = HermitianMetric(calc, config.upper, config.lower)
         defect = weak_symmetry_defect(metric)
-        report["weak_symmetry"] = _weak_symmetry_dict(defect, calc.n)
+        indices = range(1, calc.n + 1)
+        report["weak_symmetry"] = {
+            "holds": defect.is_zero(),
+            "drho": _by_index(defect, combinations(indices, 3)),
+        }
 
         if config.command == "check-weak-symmetry":
             if not defect.is_zero():
@@ -425,7 +412,10 @@ def run(config: ProblemConfig) -> dict:
         tensor = compute_F(metric)
         rset = solve_R(tensor, config.params.validated(calc))
         u_array = assemble_U(metric, rset)
-        report["f"] = _f_dict(tensor)
+        report["f"] = _by_index(
+            lambda *cab: tensor[cab],
+            ((c, *ab) for c in indices for ab in combinations(indices, 2)),
+        )
         report["r"] = [_render_matrix(m) for m in rset.matrices]
         report["u"] = _render_array(u_array)
         report["gamma"] = _render_array(conn.gamma)

@@ -36,14 +36,15 @@ from .algebra import _first_unpaired, _frozen, matmul
 from .errors import AntihermitianViolation, DescriptorMismatch
 from .forms import Calculus, KForm, d_array
 from .metric import HermitianMetric
+from .records import Record
 
 HALF = Fraction(1, 2)
 
 
-class Connection:
+class Connection(Record):
     """Christoffel data gamma[a][i][j] over a calculus, an n x n x n array."""
 
-    __slots__ = ("calculus", "gamma")
+    __slots__ = _fields = ("calculus", "gamma")
 
     def __init__(self, calculus: Calculus, gamma):
         self.calculus = calculus
@@ -53,11 +54,6 @@ class Connection:
     def zero(cls, calculus: Calculus) -> "Connection":
         n = calculus.n
         return cls(calculus, [[[calculus.algebra.zero()] * n] * n] * n)
-
-    def __eq__(self, other):
-        if not isinstance(other, Connection):
-            return NotImplemented
-        return self.calculus == other.calculus and self.gamma == other.gamma
 
     def __repr__(self):
         from .expr import render_element

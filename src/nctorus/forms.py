@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .algebra import AlgebraElement, TorusAlgebra, _first_unpaired, _frozen
 from .errors import DescriptorMismatch
-from .records import FrozenRecord
+from .records import FrozenRecord, Record
 from .scalars import GaussianRational
 
 
@@ -162,7 +162,7 @@ def _sorted_signed(indices):
     return sign, tuple(items)
 
 
-class KForm:
+class KForm(Record):
     """A degree-k alternating form with algebra-element components.
 
     Components are stored on strictly increasing 1-based index tuples;
@@ -170,7 +170,7 @@ class KForm:
     dimension are identically zero.
     """
 
-    __slots__ = ("calculus", "degree", "comps")
+    __slots__ = _fields = ("calculus", "degree", "comps")
 
     def __init__(self, calculus: Calculus, degree: int, comps):
         if degree < 0:
@@ -343,15 +343,6 @@ class KForm:
 
     def is_zero(self) -> bool:
         return not self.comps
-
-    def __eq__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        return (
-            self.calculus == other.calculus
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
 
     def __repr__(self):
         if not self.comps:

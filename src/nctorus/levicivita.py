@@ -261,14 +261,12 @@ def solve_R(tensor: FTensor, params: SolverParams) -> RSet:
                 R[c - 1][b - 1][a - 1] = r_c.star()
     result = RSet(calc, R)
     lhs = antisymmetrize(result.matrices)  # (R_a)_cb - (R_b)_ca at [a][c][b]
-    if lhs == tuple(zip(*tensor.entries)):
-        return result
-    for a, b, c in product(range(n), repeat=3):
-        x, y = lhs[a][c][b], tensor.entries[c][a][b]
-        if x is not y and x != y:
-            raise InternalVerificationFailure(
-                "R equation fails at (a=%d, b=%d, c=%d)" % (a + 1, b + 1, c + 1)
-            )
+    if lhs != tuple(zip(*tensor.entries)):
+        for a, b, c in product(range(n), repeat=3):
+            if lhs[a][c][b] != tensor.entries[c][a][b]:
+                raise InternalVerificationFailure(
+                    "R equation fails at (a=%d, b=%d, c=%d)" % (a + 1, b + 1, c + 1)
+                )
     return result
 
 

@@ -16,6 +16,7 @@ from .algebra import AlgebraElement, _first_unpaired, _frozen, _plus_product, ma
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
 from .expr import render_short
 from .forms import Calculus, KForm
+from .records import Record
 
 
 def _adjoint(x, y):
@@ -28,11 +29,13 @@ def invert_metric(calculus: Calculus, upper):
 
     Every pivot must be an invertible monomial; when a column offers no
     monomial pivot the procedure raises NotInvertibleByElimination and the
-    caller has to supply the lower matrix explicitly.  Elimination writes
-    the pivot column (one at the pivot, zero in every other row) instead
-    of multiplying it, and each row operation touches only the columns
-    right of the pivot in the work matrix (those left of it are zero
-    already); each update x - factor * p is one ``_plus_product``.
+    caller has to supply the lower matrix explicitly.  Elimination runs on
+    one list per row, the augmented row [h^i1 ... h^in | e_i], and returns
+    the right halves.  Each row operation is written once for both halves:
+    it writes the pivot column (one at the pivot, zero in every other row)
+    instead of multiplying it and touches only the nonzero entries right
+    of the pivot (those left of it are zero already); each update
+    x - factor * p is one ``_plus_product``.
     """
     alg, n = calculus.algebra, calculus.n
     upper = _frozen(upper, (n, n), "upper", alg)
@@ -40,43 +43,35 @@ def invert_metric(calculus: Calculus, upper):
     if bad is not None:
         raise NotHermitian(bad)
     one, zero = alg.one(), alg.zero()
-    work = [list(row) for row in upper]
-    aug = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    identity = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    rows = [[*row, *e_r] for row, e_r in zip(upper, identity)]
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if work[r][col].is_monomial():
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if rows[r][col].is_monomial()), None)
         if pivot_row is None:
             raise NotInvertibleByElimination(
                 "no invertible monomial pivot in column %d" % (col + 1)
             )
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = work[col]
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot = rows[col]
         inv = pivot[col].invert()
         pivot[col + 1 :] = [inv * p if p.terms else p for p in pivot[col + 1 :]]
         pivot[col] = one
-        aug[col] = [inv * p if p.terms else p for p in aug[col]]
         rest = [(c, p) for c, p in enumerate(pivot[col + 1 :], col + 1) if p.terms]
-        for r in range(n):
-            factor = work[r][col]
-            if r == col or not factor.terms:
+        for row in rows:
+            factor = row[col]
+            if row is pivot or not factor.terms:
                 continue
-            row = work[r]
             for c, p in rest:
                 row[c] = _plus_product(row[c], factor, p, -1)
             row[col] = zero
-            aug[r] = [_plus_product(x, factor, p, -1) for x, p in zip(aug[r], aug[col])]
-    return tuple(tuple(row) for row in aug)
+    return tuple(tuple(row[n:]) for row in rows)
 
 
-class HermitianMetric:
+class HermitianMetric(Record):
     """A validated metric: hermitian upper matrix with two-sided inverse."""
 
     __slots__ = ("calculus", "upper", "lower", "_d_upper")
+    _fields = ("calculus", "upper", "lower")
 
     def __init__(self, calculus: Calculus, upper, lower=None):
         shape = (calculus.n,) * 2
@@ -103,15 +98,6 @@ class HermitianMetric:
                 for a in range(1, self.calculus.n + 1)
             )
         return self._d_upper
-
-    def __eq__(self, other):
-        if not isinstance(other, HermitianMetric):
-            return NotImplemented
-        return (
-            self.calculus == other.calculus
-            and self.upper == other.upper
-            and self.lower == other.lower
-        )
 
     def __repr__(self):
         return "HermitianMetric(n=%d)" % self.calculus.n

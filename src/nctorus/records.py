@@ -7,7 +7,8 @@ mutable and unhashable.  ``FrozenRecord`` also hashes the field tuple
 and refuses assignment and deletion after construction, so its
 ``__init__`` stores the fields through ``self.__dict__``.  Attributes
 outside ``_fields`` (caches derived from the fields) take no part in
-equality, hashing or the repr.
+equality, hashing or the repr.  Both bases have empty ``__slots__``, so
+a slotted subclass (``HermitianMetric``, ``KForm``) has no ``__dict__``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 class Record:
     """Base of the mutable value classes."""
 
+    __slots__ = ()
     _fields: tuple = ()
 
     def _values(self) -> tuple:
@@ -37,6 +39,8 @@ class Record:
 
 class FrozenRecord(Record):
     """Base of the immutable, hashable value classes."""
+
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)

@@ -11,6 +11,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -509,6 +510,112 @@ def test_q_to_one_commutes_with_the_solver_on_random_congruence_metrics(seed):
     gamma = build_levi_civita(metric).gamma
     assert any(entry.terms for plane in gamma for row in plane for entry in row)
     assert specialised_array(gamma, flat.algebra) == build_levi_civita(image).gamma
+
+
+# -- relabelling the generators and the parameter family -----------------------
+
+
+def relabelled(element, sigma):
+    """The image of ``element`` under U_a -> U_sigma(a) and
+    q[a,b] -> q[sigma(a),sigma(b)], with sigma(a) = sigma[a - 1]: each term
+    c q^e U_1^k1 ... U_n^kn is rebuilt as
+    c prod q[sigma a, sigma b]^e U_sigma1^k1 ... U_sigman^kn by the
+    library's own product, which brings it back to normal order."""
+    alg = element.algebra
+    total = alg.zero()
+    for exponents, qkey, re, im in element.canonical_terms():
+        term = alg.scalar(GaussianRational(Fraction(*re), Fraction(*im)))
+        for (a, b), e in qkey:
+            term = term * alg.q(sigma[a - 1], sigma[b - 1], e)
+        for a, k in enumerate(exponents, 1):
+            term = term * alg.gen(sigma[a - 1], k)
+        total = total + term
+    return total
+
+
+def relabelled_array(array, sigma):
+    """``relabelled`` on every entry of a nested tuple, each of whose axes
+    is indexed by generators or derivations: entry [i][j]... moves to
+    [sigma i][sigma j]...."""
+    if not isinstance(array, tuple):
+        return relabelled(array, sigma)
+    out = [None] * len(array)
+    for i, part in enumerate(array):
+        out[sigma[i] - 1] = relabelled_array(part, sigma)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("commutative", [False, True], ids=["q", "commutative"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_relabelling_the_generators_commutes_with_the_solver(n, commutative):
+    # sigma is a *-isomorphism with sigma d_a = d_sigma(a) sigma, so it maps
+    # the Levi-Civita connection of h at zero parameters to that of sigma h;
+    # this pins the triple order, F's antisymmetry and every index slot
+    calc = Calculus.torus(n, commutative)
+    alg = calc.algebra
+    rng = random.Random(7100 + 10 * n + commutative)
+    x, y = random_element(rng, alg), random_element(rng, alg)
+    built = 0
+    for _ in range(5):
+        sigma = list(range(1, n + 1))
+        while sigma == sorted(sigma):
+            rng.shuffle(sigma)
+        # the relabelling itself is a homomorphism that intertwines d_a
+        assert relabelled(x * y, sigma) == relabelled(x, sigma) * relabelled(y, sigma)
+        assert relabelled(x.star(), sigma) == relabelled(x, sigma).star()
+        assert relabelled(x.derive(1), sigma) == relabelled(x, sigma).derive(sigma[0])
+        metric = congruence_metric(calc, *random_congruence_steps(rng, alg, 3))
+        if not weak_symmetry_defect(metric).is_zero():
+            continue
+        image = HermitianMetric(
+            calc,
+            relabelled_array(metric.upper, sigma),
+            relabelled_array(metric.lower, sigma),
+        )
+        gamma = build_levi_civita(metric).gamma
+        assert any(entry.terms for plane in gamma for row in plane for entry in row)
+        assert build_levi_civita(image).gamma == relabelled_array(gamma, sigma)
+        built += 1
+    assert built >= 2
+
+
+def random_params(rng, calc):
+    """Seeded hermitian X, a third of its entries nonzero, and one hermitian
+    parameter per triple."""
+    alg, n = calc.algebra, calc.n
+
+    def entry():
+        return random_hermitian(rng, alg, 1, 1) if rng.random() < 1 / 3 else alg.zero()
+
+    X = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+    triples = {key: random_hermitian(rng, alg, 1, 1) for key in combinations(range(1, n + 1), 3)}
+    return SolverParams(X, triples)
+
+
+def params_sum(p, r):
+    """p + r for two ``random_params``, which both hold every triple."""
+    X = tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(p.X, r.X))
+    return SolverParams(X, {key: p.triples[key] + r.triples[key] for key in p.triples})
+
+
+def test_the_connection_is_affine_in_the_parameters():
+    # torsion freedom and compatibility are real-affine conditions, so
+    # gamma(p1 + p2) - gamma(p2) = gamma(p1) - gamma(0) without a reference
+    rng = random.Random(7200)
+    for calc in (Calculus.torus(3), Calculus.torus(3, commutative=True), Calculus.torus(4)):
+        metric = None
+        while metric is None or not weak_symmetry_defect(metric).is_zero():
+            metric = congruence_metric(calc, *random_congruence_steps(rng, calc.algebra, 2))
+        base = build_levi_civita(metric).gamma
+        p1, p2 = random_params(rng, calc), random_params(rng, calc)
+        first, second, both = (
+            build_levi_civita(metric, params).gamma for params in (p1, p2, params_sum(p1, p2))
+        )
+        assert first != base
+        for planes in zip(both, second, first, base):
+            for rows in zip(*planes):
+                for s, t, u, v in zip(*rows):
+                    assert s - t == u - v
 
 
 def build_lc_config(metric):

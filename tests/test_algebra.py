@@ -59,6 +59,43 @@ def test_add_requires_same_descriptor(t2, t3):
         TorusAlgebra(3).gen(1) * TorusAlgebra(3, commutative=True).gen(1)
 
 
+def test_add_coerces_an_equal_descriptor_and_refuses_other_types(t3):
+    twin = TorusAlgebra(3)
+    assert twin is not t3
+    total = t3.gen(1) + twin.gen(2)
+    assert total == t3.monomial(1, (1, 0, 0)) + t3.monomial(1, (0, 1, 0))
+    assert total.algebra is t3
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \+: "):
+        t3.gen(1) + object()
+
+
+def test_equal_elements_hash_equal(t3):
+    twin = TorusAlgebra(3)
+    x = t3.gen(1) * Fraction(1, 2) + t3.q(1, 2) * t3.gen(3, -1)
+    y = twin.gen(3, -1) * twin.q(1, 2) + twin.gen(1) * Fraction(1, 2)
+    assert x == y and x is not y
+    assert hash(x) == hash(y)
+    assert len({x, y, t3.gen(1)}) == 2
+
+
+# -- descriptor lookups ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda t: t.gen(0), IndexError, "generator index out of range: 0"),
+        (lambda t: t.q(0, 1), IndexError, "phase indices out of range: (0, 1)"),
+        (lambda t: t.monomial(1, (1, 2)), ValueError, "exponent vector must have length 3"),
+    ],
+    ids=("gen", "q", "monomial"),
+)
+def test_bad_generator_phase_or_exponents_are_refused(t3, build, error, message):
+    with pytest.raises(error) as info:
+        build(t3)
+    assert type(info.value) is error and str(info.value) == message
+
+
 # -- multiplication -------------------------------------------------------------
 
 

@@ -296,6 +296,17 @@ def test_run_verify_given(tmp_path):
     assert report["verification"]["pass"] is True
 
 
+def test_verify_given_without_a_connection_is_an_error(capsys):
+    config = load_config(BLOCK_CFG)
+    config.command = "verify-given"
+    report = run(config)
+    assert report["status"] == "error"
+    assert report["error"] == "ParseError: verify-given needs a [connection] section"
+    assert "verification" not in report
+    assert main(["--config", str(BLOCK_CFG), "--command", "verify-given"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == report["error"]
+
+
 def test_run_verify_given_failing(tmp_path):
     path = write_cfg(
         tmp_path,

@@ -281,6 +281,20 @@ def test_unknown_plain_key_is_rejected(tmp_path, capsys, section, line, key):
     assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
 
 
+@pytest.mark.parametrize(
+    "section,line,message",
+    [
+        ("algebra", " = 1", "empty key"),
+        ("algebra", "commutative = maybe", "commutative must be true or false"),
+    ],
+    ids=["empty-key", "commutative"],
+)
+def test_bad_plain_line_is_rejected(tmp_path, capsys, section, line, message):
+    text, lineno = config_text({section: [line]})
+    full = "%s at line %d, column 1" % (message, lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
+
+
 def test_header_with_trailing_comment_is_rejected(tmp_path, capsys):
     text, _ = config_text({})
     text += "[params]  # all optional\n"

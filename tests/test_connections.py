@@ -76,6 +76,21 @@ def test_apply_leibniz(calc3, rng):
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("a", (0, 4))
+def test_apply_refuses_a_derivation_out_of_range(calc3, a):
+    conn = Connection.zero(calc3)
+    with pytest.raises(IndexError) as info:
+        apply_connection(conn, a, (calc3.algebra.one(),) * 3)
+    assert str(info.value) == "derivation index out of range: %d" % a
+
+
+def test_connection_repr_lists_the_nonzero_entries(calc3):
+    alg = calc3.algebra
+    assert repr(Connection.zero(calc3)) == "Connection(0)"
+    conn = connection_with(calc3, {(1, 2, 3): alg.i(), (3, 1, 1): alg.gen(1) * 2})
+    assert repr(conn) == "Connection(gamma[1,2,3]=i; gamma[3,1,1]=2*U1)"
+
+
 # -- torsion ---------------------------------------------------------------------
 
 

@@ -354,6 +354,20 @@ def test_parse_errors_on_multiline_input(alg, text, line, col):
     assert str(info.value).endswith(" at line %d, column %d" % (line, col))
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 2", "unexpected trailing input at line 1, column 3"),
+        ("q[x,1]", "expected an integer at line 1, column 3"),
+    ],
+    ids=["trailing", "phase-index"],
+)
+def test_parse_error_names_the_token(alg, text, message):
+    with pytest.raises(ParseError) as info:
+        parse_element(alg, text)
+    assert type(info.value) is ParseError and str(info.value) == message
+
+
 def test_nesting_depth_counts_open_parentheses_only(alg):
     # many sibling groups at depth one are not nested
     assert parse_element(alg, " + ".join(["(1)"] * 200)) == alg.scalar(200)

@@ -6,6 +6,7 @@ import pytest
 from nctorus import (
     Calculus,
     DescriptorMismatch,
+    GaussianRational,
     KForm,
     LieAlgebra,
 )
@@ -121,6 +122,46 @@ def test_form_mismatch_raises(calc2, calc3):
         calc2.zero_form(1) + calc3.zero_form(1)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda c: KForm(c, -1, {}), ValueError, "degree must be nonnegative"),
+        (lambda c: KForm(c, 1, {(4,): c.algebra.one()}), IndexError, "bad component tuple (4,)"),
+        (lambda c: KForm(c, 2, {(1,): c.algebra.one()}), IndexError, "bad component tuple (1,)"),
+        (
+            lambda c: KForm(c, 2, {(2, 1): c.algebra.one()}),
+            ValueError,
+            "component tuples must be strictly increasing",
+        ),
+        (
+            lambda c: c.theta(1) + c.theta(1) * c.theta(2),
+            ValueError,
+            "cannot add forms of different degree",
+        ),
+        (lambda c: c.theta(0), IndexError, "basis index out of range: 0"),
+    ],
+    ids=("negative-degree", "index-range", "length", "order", "add-degrees", "theta-0"),
+)
+def test_bad_form_is_refused(calc3, build, error, message):
+    with pytest.raises(error) as info:
+        build(calc3)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    [2, Fraction(1, 2), GaussianRational(Fraction(1, 3), -1)],
+    ids=("int", "fraction", "gaussian"),
+)
+def test_scalar_factors_scale_every_component(calc3, rng, scalar):
+    om = random_form(rng, calc3, 2)
+    assert om.comps
+    expected = {key: value * scalar for key, value in om.comps.items()}
+    assert (scalar * om).comps == expected
+    assert (om * scalar).comps == expected
+    assert (scalar * om).degree == (om * scalar).degree == 2
+
+
 # -- star ------------------------------------------------------------------------
 
 
@@ -152,7 +193,7 @@ def test_d_commutes_with_star(calc3, rng):
 
 
 def test_d_squared_zero(calc3, calc2, rng):
-    for calc in (calc2, calc3):
+    for calc in (calc2, calc3, Calculus.torus(3, commutative=True), Calculus.torus(4)):
         for degree in range(calc.n):
             om = random_form(rng, calc, degree)
             assert om.d().d().is_zero()
@@ -161,7 +202,7 @@ def test_d_squared_zero(calc3, calc2, rng):
 @pytest.mark.xfail(
     strict=True,
     reason="the torus derivations commute, so they do not represent a nonzero "
-    "bracket and d(d x) != 0 there; ROADMAP item 3 (d o d = 0) mends this",
+    "bracket and d(d x) != 0 there; ROADMAP item 5 (d o d = 0) mends this",
 )
 def test_d_squared_zero_with_a_bracket():
     calc = Calculus.torus(3, brackets={(3, 1, 2): 1})

@@ -223,6 +223,7 @@ def test_solve_r_block_u2(calc3):
     hinv = h0.invert()
     half_i = alg.scalar(0, Fraction(1, 2))
     assert rset.entry(1, 1, 1) == x11
+    assert rset[2] is rset.matrices[1] and rset[2][1][2] is rset.entry(2, 2, 3)
     # (R_2)_23 = -(i/2) d_2 (h0^-1)*  and its conjugate below the diagonal
     assert rset.entry(2, 2, 3) == -(half_i * hinv.star().derive(2))
     assert rset.entry(2, 3, 2) == half_i * hinv.derive(2)

@@ -3,7 +3,9 @@
 The three descriptors (``TorusAlgebra``, ``LieAlgebra``, ``Calculus``)
 are immutable, compare and hash by their fields and print as
 ``Name(field=value, ...)``; error messages embed that text.
-``SolverParams`` and ``LCVerification`` compare field-wise, and the CLI's
+``SolverParams`` and ``LCVerification`` compare field-wise, as do the
+slotted ``HermitianMetric``, ``Connection`` and ``KForm``, which take
+their equality from ``Record`` and keep no ``__dict__``; the CLI's
 ``ProblemConfig`` stays mutable; ``run`` returns its report as a plain
 dict holding only the sections the command reached.
 """
@@ -15,7 +17,9 @@ import pytest
 
 from nctorus import (
     Calculus,
+    Connection,
     DescriptorMismatch,
+    KForm,
     LieAlgebra,
     SolverParams,
     TorusAlgebra,
@@ -23,6 +27,7 @@ from nctorus import (
     verify_levi_civita,
 )
 from nctorus.cli import load_config, run
+from nctorus.records import Record
 
 from conftest import block_metric
 
@@ -120,6 +125,22 @@ def test_construction_errors():
             "Jacobi identity fails at indices (1, 2, 3, 2)",
         ),
         (
+            lambda: LieAlgebra.from_struct(3, {(4, 1, 2): 1}),
+            IndexError,
+            "structure constant index out of range: (4, 1, 2)",
+        ),
+        (
+            lambda: LieAlgebra.from_struct(3, {(1, 2, 2): 1}),
+            ValueError,
+            "structure constant c^e_{aa} must vanish",
+        ),
+        (
+            # c^1_21 = -1 is filled in from c^1_12 = 1 and contradicts the 2
+            lambda: LieAlgebra.from_struct(2, {(1, 1, 2): 1, (1, 2, 1): 2}),
+            ValueError,
+            "conflicting structure constants at (1, 2, 1)",
+        ),
+        (
             lambda: Calculus(TorusAlgebra(2), LieAlgebra.from_struct(3, {})),
             DescriptorMismatch,
             "algebra has 2 generators but Lie algebra has dimension 3",
@@ -128,7 +149,7 @@ def test_construction_errors():
     for build, error, message in cases:
         with pytest.raises(error) as info:
             build()
-        assert str(info.value) == message
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_solver_records_compare_fieldwise(calc3):
@@ -150,6 +171,35 @@ def test_solver_records_compare_fieldwise(calc3):
     assert first == second and first is not second
     second.characterization = False
     assert first != second and not second.passed
+
+
+def test_slotted_values_compare_through_record(calc3):
+    alg = calc3.algebra
+    metric = block_metric(calc3, alg.gen(2))
+    twin = block_metric(Calculus.torus(3), alg.gen(2))
+    assert metric == twin and metric is not twin
+    metric.d_upper  # the derived cache takes no part in equality
+    assert metric == twin
+    assert metric != block_metric(calc3, alg.gen(1))
+    assert repr(metric) == "HermitianMetric(n=3)"
+
+    conn = build_levi_civita(metric)
+    assert conn == build_levi_civita(twin)
+    assert conn != Connection.zero(calc3)
+    assert repr(Connection.zero(calc3)) == "Connection(0)"
+
+    form = KForm(calc3, 1, {(2,): alg.gen(1)})
+    assert form == KForm(Calculus.torus(3), 1, {(2,): alg.gen(1)})
+    assert form != KForm(calc3, 2, {}) and form != KForm(calc3, 1, {})
+    assert form != alg.gen(1) and form != calc3.theta(2)
+    assert repr(form) == "KForm(degree=1, {(2,): U1})"
+
+    for value in (metric, conn, form):
+        cls = type(value)
+        assert "__eq__" not in vars(cls) and isinstance(value, Record)
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_cli_records_stay_mutable():

@@ -1,0 +1,117 @@
+"""Source hygiene of ``src/nctorus``, read with ``ast`` only.
+
+Every module but ``__init__`` (whose imports are the public re-exports)
+must use each name it imports, and every module-level private name
+(``_x``) and private method must be referenced somewhere in the package
+outside its own definition.  A leftover helper or import fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nctorus"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def references(tree):
+    """(name, line) of every name read or imported: loaded names,
+    loaded attributes and the names of ``from ... import`` lists."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def imported_names(tree):
+    """The names bound by the module's imports, ``__future__`` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(tree):
+    """(name, first line, last line) of each module-level private function,
+    class or assignment and each private method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if private(node.name):
+                yield node.name, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and private(item.name):
+                        yield item.name, item.lineno, item.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and private(target.id):
+                    yield target.id, node.lineno, node.end_lineno
+
+
+TREES = {path.name: parse(path) for path in MODULES}
+REFERENCES = {name: list(references(tree)) for name, tree in TREES.items()}
+
+
+def unused_imports(tree):
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(set(imported_names(tree)) - loaded)
+
+
+def unreferenced_privates(module, tree):
+    """The private definitions of ``tree``, read as the package's module
+    ``module``, that no line of the package references outside them."""
+    refs = {**REFERENCES, module: list(references(tree))}
+    return [
+        "%s:%d %s" % (module, first, name)
+        for name, first, last in private_definitions(tree)
+        if not any(
+            ref == name and (other != module or not first <= line <= last)
+            for other, pairs in refs.items()
+            for ref, line in pairs
+        )
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    assert unused_imports(TREES[module]) == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_private_name_is_referenced(module):
+    assert unreferenced_privates(module, TREES[module]) == []
+
+
+def test_the_checks_catch_a_leftover():
+    leftover = ast.parse(
+        "from .forms import Calculus, KForm\n"
+        "\n"
+        "def _weak_symmetry_dict(defect, n):\n"
+        "    return _weak_symmetry_dict(defect, n - 1) if n else {}\n"
+        "\n"
+        "def run(calc: Calculus):\n"
+        "    return calc\n"
+    )
+    assert unused_imports(leftover) == ["KForm"]
+    assert unreferenced_privates("cli.py", leftover) == ["cli.py:3 _weak_symmetry_dict"]
