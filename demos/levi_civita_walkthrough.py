@@ -34,11 +34,11 @@ h0 = alg.gen(2)
 metric = HermitianMetric(calc, [[one, z, z], [z, z, h0], [z, h0.star(), z]])
 
 print("== the solver pipeline, stage by stage ==")
-tensor = compute_F(metric)
-print("F[2,2,3] =", tensor[2, 2, 3])
-rset = solve_R(tensor, SolverParams.zeros(calc))
-print("(R_2)_23 =", rset.entry(2, 2, 3))
-u = assemble_U(metric, rset)
+F = compute_F(metric)
+print("F[2,2,3] =", F[1][1][2])
+R = solve_R(calc, F, SolverParams.zeros(calc))
+print("(R_2)_23 =", R[1][1][2])
+u = assemble_U(metric, R)
 print("(U_2)^23 =", u[1][1][2])
 
 print()

@@ -43,9 +43,7 @@ from .errors import (
 from .expr import parse_element, render_element
 from .forms import Calculus, KForm, LieAlgebra
 from .levicivita import (
-    FTensor,
     LCVerification,
-    RSet,
     SolverParams,
     assemble_U,
     build_levi_civita,
@@ -69,7 +67,6 @@ __all__ = [
     "Calculus",
     "Connection",
     "DescriptorMismatch",
-    "FTensor",
     "GaussianRational",
     "HermitianMetric",
     "HermiticityError",
@@ -85,7 +82,6 @@ __all__ = [
     "NotWeaklySymmetric",
     "ParamViolation",
     "ParseError",
-    "RSet",
     "SolvabilityViolated",
     "SolverParams",
     "TorusAlgebra",

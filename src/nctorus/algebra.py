@@ -112,8 +112,12 @@ class TorusAlgebra(FrozenRecord):
         return self.scalar(1)
 
     def scalar(self, re, im=0) -> "AlgebraElement":
-        coeff = re if isinstance(re, GaussianRational) else GaussianRational(re, im)
-        return self.monomial(coeff, (0,) * self.n)
+        """The scalar re + im*i, or the GaussianRational ``re`` with no ``im``."""
+        if not isinstance(re, GaussianRational):
+            re = GaussianRational(re, im)
+        elif im != 0:
+            raise TypeError("scalar takes no im with a GaussianRational re")
+        return self.monomial(re, (0,) * self.n)
 
     def i(self) -> "AlgebraElement":
         return self.scalar(0, 1)

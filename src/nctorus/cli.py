@@ -341,12 +341,8 @@ def load_config(path) -> ProblemConfig:
 # -- running -------------------------------------------------------------------
 
 
-def _render_matrix(matrix):
-    return [[render_element(entry) for entry in row] for row in matrix]
-
-
 def _render_array(array):
-    return [_render_matrix(plane) for plane in array]
+    return [[[render_element(entry) for entry in row] for row in plane] for plane in array]
 
 
 def _by_index(element, indices) -> dict:
@@ -409,15 +405,14 @@ def run(config: ProblemConfig) -> dict:
 
         # build-lc
         conn = build_levi_civita(metric, config.params)
-        tensor = compute_F(metric)
-        rset = solve_R(tensor, config.params.validated(calc))
-        u_array = assemble_U(metric, rset)
+        F = compute_F(metric)
+        R = solve_R(calc, F, config.params.validated(calc))
         report["f"] = _by_index(
-            lambda *cab: tensor[cab],
+            lambda c, a, b: F[c - 1][a - 1][b - 1],
             ((c, *ab) for c in indices for ab in combinations(indices, 2)),
         )
-        report["r"] = [_render_matrix(m) for m in rset.matrices]
-        report["u"] = _render_array(u_array)
+        report["r"] = _render_array(R)
+        report["u"] = _render_array(assemble_U(metric, R))
         report["gamma"] = _render_array(conn.gamma)
         report["verification"] = _verification_dict(verify_levi_civita(conn, metric))
     except NotWeaklySymmetric as exc:
@@ -457,6 +452,17 @@ STATUS_EXIT_CODES = {
 }
 
 
+def _fail(exc) -> int:
+    """Print ``exc`` as the JSON error object on stderr; the exit code 1."""
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "status": "error",
+        "error": "%s: %s" % (type(exc).__name__, exc),
+    }
+    print(json.dumps(payload, sort_keys=True, indent=2), file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nctorus",
@@ -480,17 +486,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
     except (ParseError, IndexError, HermiticityError, OSError) as exc:
-        payload = json.dumps(
-            {
-                "schema": SCHEMA_VERSION,
-                "status": "error",
-                "error": "%s: %s" % (type(exc).__name__, exc),
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        print(payload, file=sys.stderr)
-        return 1
+        return _fail(exc)
 
     if args.command:
         config.command = args.command
@@ -500,8 +496,11 @@ def main(argv=None) -> int:
     report = run(config)
     text = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            return _fail(exc)
     else:
         sys.stdout.write(text)
     return STATUS_EXIT_CODES[report["status"]]

@@ -52,10 +52,12 @@ class AntihermitianViolation(ParamViolation):
 
 
 class SolvabilityViolated(NCTorusError):
-    """The cyclic solvability condition on the F tensor fails.
+    """The cyclic solvability condition on F fails; ``triple`` is the
+    first strictly increasing (a, b, c), 1-based, and ``defect`` the
+    element F_abc + F_bca + F_cab plus its star there.
 
     The condition is d(rho) = 0 in another form, so after the d(rho) gate
-    only ``solve_R`` on an F tensor of the caller's own raises this.
+    only ``solve_R`` on an F array of the caller's own raises this.
     """
 
     def __init__(self, triple, defect):

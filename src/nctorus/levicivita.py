@@ -9,6 +9,9 @@ and assemble the Christoffel entries
 
     gamma^i_ak = (1/2 d_a h^ij + i U^ij_a + A^ij_a) h_jk.
 
+F, R and U are 0-based nested tuples like gamma; F is checked where
+``solve_R`` receives it and R where ``assemble_U`` receives it.
+
 The assembly is ``compatible_connection(metric, i U + A)``: i U is
 antihermitian because U is hermitian, so gamma is compatible by
 construction.  Both the conjugation, U_a = (h R_a) h, and the assembly,
@@ -28,9 +31,9 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
-from .algebra import AlgebraElement, _first_unpaired, _frozen, matmul
+from .algebra import _first_unpaired, _frozen, matmul
 from .connections import (
     Connection,
     antisymmetrize,
@@ -56,29 +59,6 @@ from .scalars import GaussianRational
 HALF = Fraction(1, 2)
 HALF_I = GaussianRational(0, HALF)
 UNIT_I = GaussianRational(0, 1)
-
-
-class FTensor:
-    """The n x n x n array F_cab, antisymmetric in its last two indices."""
-
-    __slots__ = ("calculus", "entries")
-
-    def __init__(self, calculus: Calculus, entries):
-        n = calculus.n
-        entries = _frozen(entries, (n, n, n), "F", calculus.algebra)
-        bad = _first_unpaired(entries, lambda x, y: x == -y, 3)
-        if bad is not None:
-            raise ValueError("F is not antisymmetric at (%d, %d, %d)" % bad)
-        self.calculus = calculus
-        self.entries = entries
-
-    def __getitem__(self, key):
-        c, a, b = key
-        return self.entries[c - 1][a - 1][b - 1]
-
-    @property
-    def n(self) -> int:
-        return self.calculus.n
 
 
 class SolverParams(Record):
@@ -133,29 +113,9 @@ class SolverParams(Record):
         return SolverParams(X, triples, antiherm)
 
 
-class RSet:
-    """n hermitian n x n matrices over the algebra."""
-
-    __slots__ = ("calculus", "matrices")
-
-    def __init__(self, calculus: Calculus, matrices):
-        n = calculus.n
-        matrices = _frozen(matrices, (n, n, n), "R", calculus.algebra)
-        bad = _first_unpaired(matrices, lambda x, y: x.star() == y, 3)
-        if bad is not None:
-            raise ValueError("R_%d is not hermitian at (%d, %d)" % bad)
-        self.calculus = calculus
-        self.matrices = matrices
-
-    def __getitem__(self, a: int):
-        return self.matrices[a - 1]
-
-    def entry(self, a: int, b: int, c: int) -> AlgebraElement:
-        return self.matrices[a - 1][b - 1][c - 1]
-
-
-def compute_F(metric: HermitianMetric) -> FTensor:
-    """F_cab = -(i/2) d_a h_cb + (i/2) d_b h_ca - i h_ce d^e_ab.
+def compute_F(metric: HermitianMetric) -> tuple:
+    """F[c][a][b] = F_{c+1,a+1,b+1} as 0-based nested tuples, with
+    F_cab = -(i/2) d_a h_cb + (i/2) d_b h_ca - i h_ce d^e_ab.
 
     d^e_ab is ``d_array``, zero for an abelian Lie algebra; its nonzero
     entries, times i, are listed once per call, and zero entries of h are
@@ -171,7 +131,7 @@ def compute_F(metric: HermitianMetric) -> FTensor:
         (a, b, [(e, dop[a][e][b] * UNIT_I) for e in range(n) if dop[a][e][b].terms])
         for a, b in combinations(range(n), 2)
     ]
-    entries = []
+    F = []
     for h_c in metric.lower:
         plane = [[zero] * n for _ in range(n)]
         for a, b, brackets in pairs:
@@ -184,102 +144,95 @@ def compute_F(metric: HermitianMetric) -> FTensor:
                     value = value - h_c[e] * d_i
             if value.terms:
                 plane[a][b], plane[b][a] = value, -value
-        entries.append(plane)
-    return FTensor(calc, entries)
+        F.append(tuple(map(tuple, plane)))
+    return tuple(F)
 
 
-def solvability_check(tensor: FTensor):
+def solvability_check(F):
     """None when solvable; otherwise ((a, b, c), defect) for the first
-    strictly increasing triple where the cyclic hermitian condition fails.
+    strictly increasing triple, 1-based, where the cyclic hermitian
+    condition on F (0-based, as ``compute_F`` returns it) fails.
 
     For the F of a metric the defect is i d(rho)_abc, so this names the
     first nonzero triple of ``weak_symmetry_defect``."""
-    n = tensor.n
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for c in range(b + 1, n + 1):
-                x, y, z = tensor[a, b, c], tensor[b, c, a], tensor[c, a, b]
-                if not (x.terms or y.terms or z.terms):
-                    continue
-                cyclic = x + y + z
-                if cyclic.terms:
-                    defect = cyclic + cyclic.star()
-                    if defect.terms:
-                        return (a, b, c), defect
+    for a, b, c in combinations(range(len(F)), 3):
+        x, y, z = F[a][b][c], F[b][c][a], F[c][a][b]
+        if not (x.terms or y.terms or z.terms):
+            continue
+        cyclic = x + y + z
+        if cyclic.terms:
+            defect = cyclic + cyclic.star()
+            if defect.terms:
+                return (a + 1, b + 1, c + 1), defect
     return None
 
 
-def solve_R(tensor: FTensor, params: SolverParams) -> RSet:
-    """General hermitian solution of (R_a)_cb - (R_b)_ca = F_cab.
+def solve_R(calculus: Calculus, F, params: SolverParams) -> tuple:
+    """The general hermitian solution of (R_a)_cb - (R_b)_ca = F_cab as
+    0-based nested tuples R[a][b][c] = (R_{a+1})_{b+1,c+1}.
 
-    Diagonals are the free X parameters; entries (R_a)_ab are forced;
-    for each strictly increasing triple the three remaining entries follow
-    the closed-form solution with one free hermitian parameter.  The
-    transposed entries are filled by hermitian conjugation.
+    Checked in this order: F's shape and leaves, F's antisymmetry
+    (ValueError), solvability (SolvabilityViolated), the parameters
+    (ParamViolation).  Diagonals are the free X parameters, entries
+    (R_a)_ab are forced, and each strictly increasing triple adds the
+    closed-form entries with one free hermitian parameter; the transposed
+    entries are their stars.
     """
-    calc = tensor.calculus
-    n = tensor.n
-    violation = solvability_check(tensor)
+    n = calculus.n
+    F = _frozen(F, (n, n, n), "F", calculus.algebra)
+    bad = _first_unpaired(F, lambda x, y: x == -y, 3)
+    if bad is not None:
+        raise ValueError("F is not antisymmetric at (%d, %d, %d)" % bad)
+    violation = solvability_check(F)
     if violation is not None:
         raise SolvabilityViolated(*violation)
-    params = params.validated(calc)
-    R = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            R[a][b][b] = params.X[a][b]
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if x == y:
-                continue
-            diagonal, forced = params.X[y - 1][x - 1], tensor[x, x, y]
+    params = params.validated(calculus)
+    zero = calculus.algebra.zero()
+    R = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for a, b in product(range(n), repeat=2):
+        R[a][b][b] = params.X[a][b]
+        if a != b:
+            diagonal, forced = params.X[b][a], F[a][a][b]
             if diagonal.terms or forced.terms:
                 value = diagonal + forced
-                R[x - 1][x - 1][y - 1] = value
-                R[x - 1][y - 1][x - 1] = value.star()
-            else:
-                R[x - 1][x - 1][y - 1] = R[x - 1][y - 1][x - 1] = diagonal
-    zero = calc.algebra.zero()
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for c in range(b + 1, n + 1):
-                h = params.triples.get((a, b, c), zero)
-                f_abc = tensor[a, b, c]
-                f_bca = tensor[b, c, a]
-                f_cab = tensor[c, a, b]
-                if not (f_abc.terms or f_bca.terms or f_cab.terms or h.terms):
-                    for i, j, k in permutations((a, b, c)):
-                        R[i - 1][j - 1][k - 1] = zero
-                    continue
-                r_a = (f_abc - f_bca + f_cab.star()) * HALF + h
-                r_b = (f_abc.star() - f_bca.star() - f_cab) * HALF + h
-                r_c = -((f_abc + f_bca + f_cab.star()) * HALF) + h
-                R[a - 1][b - 1][c - 1] = r_a
-                R[a - 1][c - 1][b - 1] = r_a.star()
-                R[b - 1][c - 1][a - 1] = r_b
-                R[b - 1][a - 1][c - 1] = r_b.star()
-                R[c - 1][a - 1][b - 1] = r_c
-                R[c - 1][b - 1][a - 1] = r_c.star()
-    result = RSet(calc, R)
-    lhs = antisymmetrize(result.matrices)  # (R_a)_cb - (R_b)_ca at [a][c][b]
-    if lhs != tuple(zip(*tensor.entries)):
+                R[a][a][b], R[a][b][a] = value, value.star()
+    for a, b, c in combinations(range(n), 3):
+        h = params.triples.get((a + 1, b + 1, c + 1), zero)
+        f_abc, f_bca, f_cab = F[a][b][c], F[b][c][a], F[c][a][b]
+        if f_abc.terms or f_bca.terms or f_cab.terms or h.terms:
+            r_a = (f_abc - f_bca + f_cab.star()) * HALF + h
+            r_b = (f_abc.star() - f_bca.star() - f_cab) * HALF + h
+            r_c = -((f_abc + f_bca + f_cab.star()) * HALF) + h
+            R[a][b][c], R[a][c][b] = r_a, r_a.star()
+            R[b][c][a], R[b][a][c] = r_b, r_b.star()
+            R[c][a][b], R[c][b][a] = r_c, r_c.star()
+    R = tuple(tuple(map(tuple, plane)) for plane in R)
+    lhs = antisymmetrize(R)  # (R_a)_cb - (R_b)_ca at [a][c][b]
+    if lhs != tuple(zip(*F)):
         for a, b, c in product(range(n), repeat=3):
-            if lhs[a][c][b] != tensor.entries[c][a][b]:
+            if lhs[a][c][b] != F[c][a][b]:
                 raise InternalVerificationFailure(
                     "R equation fails at (a=%d, b=%d, c=%d)" % (a + 1, b + 1, c + 1)
                 )
-    return result
+    return R
 
 
-def assemble_U(metric: HermitianMetric, rset: RSet):
+def assemble_U(metric: HermitianMetric, R):
     """U^ij_a = h^ib (R_a)_bc h^cj; satisfies (U^ij_a)* = U^ji_a.
 
+    R is ``solve_R``'s R[a][b][c] = (R_{a+1})_{b+1,c+1}, checked first:
+    its shape and leaves, then the hermiticity of each R_a (ValueError).
     Each plane is two matrix products, U_a = (h R_a) h: O(n^3) element
     multiplications per plane and O(n^4) in all, instead of the O(n^5) of
     the double index sum, and pairs with a zero factor are skipped.
     """
-    return tuple(
-        matmul(matmul(metric.upper, r_a), metric.upper) for r_a in rset.matrices
-    )
+    calc = metric.calculus
+    n = calc.n
+    R = _frozen(R, (n, n, n), "R", calc.algebra)
+    bad = _first_unpaired(R, lambda x, y: x.star() == y, 3)
+    if bad is not None:
+        raise ValueError("R_%d is not hermitian at (%d, %d)" % bad)
+    return tuple(matmul(matmul(metric.upper, r_a), metric.upper) for r_a in R)
 
 
 class LCVerification(Record):
@@ -345,14 +298,14 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     if not defect.is_zero():
         key = sorted(defect.comps)[0]
         raise NotWeaklySymmetric(key, defect.comps[key])
-    tensor = compute_F(metric)
-    violation = solvability_check(tensor)
+    F = compute_F(metric)
+    violation = solvability_check(F)
     if violation is not None:
         raise SolvabilityViolated(*violation)
-    rset = solve_R(tensor, params)
+    R = solve_R(calc, F, params)
     antiherm = tuple(
         tuple(tuple([u * UNIT_I if u.terms else u for u in row]) for row in plane)
-        for plane in assemble_U(metric, rset)
+        for plane in assemble_U(metric, R)
     )
     if params.antiherm is not None:
         antiherm = entrywise(operator.add, antiherm, params.antiherm)

@@ -14,11 +14,17 @@ from fractions import Fraction
 
 
 class GaussianRational:
-    """A complex number re + im*i with exact rational parts."""
+    """A complex number re + im*i with exact parts, each an int or a Fraction."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(
+                    "a GaussianRational part must be int or Fraction, not %s"
+                    % type(part).__name__
+                )
         self.re = Fraction(re)
         self.im = Fraction(im)
 

@@ -19,9 +19,9 @@ import pytest
 from nctorus import (
     Calculus,
     Connection,
-    FTensor,
     GaussianRational,
     HermitianMetric,
+    LieAlgebra,
     NotWeaklySymmetric,
     SolverParams,
     assemble_U,
@@ -110,8 +110,8 @@ def test_criterion_02_r_and_u_matrices():
         alg = calc.algebra
         h0 = alg.gen(2) * alg.gen(3)
         metric = block_metric(calc, h0)
-        rset = solve_R(compute_F(metric), SolverParams.zeros(calc))
-        u = assemble_U(metric, rset)
+        R = solve_R(calc, compute_F(metric), SolverParams.zeros(calc))
+        u = assemble_U(metric, R)
 
         hinv = h0.invert()
         hs = h0.star()
@@ -154,7 +154,7 @@ def test_criterion_02_r_and_u_matrices():
         for a in range(3):
             for b in range(3):
                 for c in range(3):
-                    assert rset.matrices[a][b][c] == r_expected[a][b][c], (
+                    assert R[a][b][c] == r_expected[a][b][c], (
                         "R",
                         a + 1,
                         b + 1,
@@ -162,8 +162,8 @@ def test_criterion_02_r_and_u_matrices():
                     )
                     assert u[a][b][c] == u_expected[a][b][c], ("U", a + 1, b + 1, c + 1)
         # the derivative-free entries really vanish and the others do not
-        assert rset.entry(2, 1, 3).is_zero()
-        assert not rset.entry(2, 2, 3).is_zero()
+        assert R[1][0][2].is_zero()
+        assert not R[1][1][2].is_zero()
         assert not u[1][1][2].is_zero()
 
 
@@ -256,14 +256,14 @@ def test_criterion_06_drho_consistency():
         for metric in metrics:
             direct = weak_symmetry_defect(metric)
             assert direct == drho_via_generators(metric)
-            tensor = compute_F(metric)
-            for a in (1, 2, 3):
-                for b in (1, 2, 3):
-                    for c in (1, 2, 3):
-                        cyc = tensor[a, b, c] + tensor[b, c, a] + tensor[c, a, b]
+            F = compute_F(metric)
+            for a in range(3):
+                for b in range(3):
+                    for c in range(3):
+                        cyc = F[a][b][c] + F[b][c][a] + F[c][a][b]
                         defect = cyc + cyc.star()
                         # defect = i * drho, so drho = -i * defect
-                        assert direct(a, b, c) == -(alg.i() * defect)
+                        assert direct(a + 1, b + 1, c + 1) == -(alg.i() * defect)
 
 
 # -- criterion 7: R-solver round trip ------------------------------------------------------------
@@ -285,27 +285,23 @@ def test_criterion_07_r_round_trip():
                         m[b][c] = entry
                         m[c][b] = entry.star()
                 source.append(m)
-            entries = [
+            F = [
                 [
                     [source[a][c][b] - source[b][c][a] for b in range(3)]
                     for a in range(3)
                 ]
                 for c in range(3)
             ]
-            tensor = FTensor(calc, entries)
             x = tuple(tuple(source[a][b][b] for b in range(3)) for a in range(3))
             h123 = source[2][0][1] + (
-                tensor[1, 2, 3] + tensor[2, 3, 1] + tensor[3, 1, 2].star()
+                F[0][1][2] + F[1][2][0] + F[2][0][1].star()
             ) * Fraction(1, 2)
-            rset = solve_R(tensor, SolverParams(x, {(1, 2, 3): h123}))
-            for a in (1, 2, 3):
-                for b in (1, 2, 3):
-                    for c in (1, 2, 3):
-                        assert (
-                            rset.entry(a, c, b) - rset.entry(b, c, a)
-                            == tensor[c, a, b]
-                        )
-                        assert rset.entry(a, b, c).star() == rset.entry(a, c, b)
+            R = solve_R(calc, F, SolverParams(x, {(1, 2, 3): h123}))
+            for a in range(3):
+                for b in range(3):
+                    for c in range(3):
+                        assert R[a][c][b] - R[b][c][a] == F[c][a][b]
+                        assert R[a][b][c].star() == R[a][c][b]
 
 
 # -- criterion 8: end-to-end random verification ------------------------------------------------------
@@ -545,38 +541,71 @@ def relabelled_array(array, sigma):
     return tuple(out)
 
 
+# the most congruence metrics drawn per case over the bracket calculus
+BRACKET_DRAWS = 20
+
+
+def draw_relabelling(rng, n):
+    """A seeded permutation sigma of 1..n, sigma(a) = sigma[a - 1], other
+    than the identity."""
+    sigma = list(range(1, n + 1))
+    while sigma == sorted(sigma):
+        rng.shuffle(sigma)
+    return sigma
+
+
+def assert_relabelling_commutes(metric, sigma, image_calculus):
+    """build(sigma h) == sigma(build(h)) at zero parameters, with sigma h
+    over ``image_calculus``, and the connection of h not zero."""
+    image = HermitianMetric(
+        image_calculus,
+        relabelled_array(metric.upper, sigma),
+        relabelled_array(metric.lower, sigma),
+    )
+    gamma = build_levi_civita(metric).gamma
+    assert any(entry.terms for plane in gamma for row in plane for entry in row)
+    assert build_levi_civita(image).gamma == relabelled_array(gamma, sigma)
+
+
 @pytest.mark.parametrize("commutative", [False, True], ids=["q", "commutative"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_relabelling_the_generators_commutes_with_the_solver(n, commutative):
     # sigma is a *-isomorphism with sigma d_a = d_sigma(a) sigma, so it maps
-    # the Levi-Civita connection of h at zero parameters to that of sigma h;
-    # this pins the triple order, F's antisymmetry and every index slot
+    # the Levi-Civita connection of h at zero parameters to that of sigma h,
+    # over the calculus whose brackets are relabelled as well,
+    # c^sigma(e)_sigma(a)sigma(b) = c^e_ab; this pins the triple order, F's
+    # antisymmetry, every index slot and F's bracket term
     calc = Calculus.torus(n, commutative)
     alg = calc.algebra
     rng = random.Random(7100 + 10 * n + commutative)
     x, y = random_element(rng, alg), random_element(rng, alg)
     built = 0
     for _ in range(5):
-        sigma = list(range(1, n + 1))
-        while sigma == sorted(sigma):
-            rng.shuffle(sigma)
+        sigma = draw_relabelling(rng, n)
         # the relabelling itself is a homomorphism that intertwines d_a
         assert relabelled(x * y, sigma) == relabelled(x, sigma) * relabelled(y, sigma)
         assert relabelled(x.star(), sigma) == relabelled(x, sigma).star()
         assert relabelled(x.derive(1), sigma) == relabelled(x, sigma).derive(sigma[0])
         metric = congruence_metric(calc, *random_congruence_steps(rng, alg, 3))
-        if not weak_symmetry_defect(metric).is_zero():
-            continue
-        image = HermitianMetric(
-            calc,
-            relabelled_array(metric.upper, sigma),
-            relabelled_array(metric.lower, sigma),
-        )
-        gamma = build_levi_civita(metric).gamma
-        assert any(entry.terms for plane in gamma for row in plane for entry in row)
-        assert build_levi_civita(image).gamma == relabelled_array(gamma, sigma)
-        built += 1
+        if weak_symmetry_defect(metric).is_zero():
+            assert_relabelling_commutes(metric, sigma, calc)
+            built += 1
     assert built >= 2
+    # the bracket c^3_12 = 1 over the same algebra; few of its congruence
+    # metrics are weakly symmetric, so draw until two are built
+    bracket = Calculus(alg, LieAlgebra.from_struct(n, {(3, 1, 2): 1}))
+    rng = random.Random(7300 + 10 * n + commutative)
+    built = 0
+    for _ in range(BRACKET_DRAWS):
+        sigma = draw_relabelling(rng, n)
+        metric = congruence_metric(bracket, *random_congruence_steps(rng, alg, 3))
+        if weak_symmetry_defect(metric).is_zero():
+            image_lie = LieAlgebra.from_struct(n, {(sigma[2], sigma[0], sigma[1]): 1})
+            assert_relabelling_commutes(metric, sigma, Calculus(alg, image_lie))
+            built += 1
+            if built == 2:
+                break
+    assert built == 2
 
 
 def random_params(rng, calc):

@@ -87,8 +87,28 @@ def test_equal_elements_hash_equal(t3):
         (lambda t: t.gen(0), IndexError, "generator index out of range: 0"),
         (lambda t: t.q(0, 1), IndexError, "phase indices out of range: (0, 1)"),
         (lambda t: t.monomial(1, (1, 2)), ValueError, "exponent vector must have length 3"),
+        (
+            lambda t: t.scalar(0.1),
+            TypeError,
+            "a GaussianRational part must be int or Fraction, not float",
+        ),
+        (
+            lambda t: t.scalar("1/3"),
+            TypeError,
+            "a GaussianRational part must be int or Fraction, not str",
+        ),
+        (
+            lambda t: t.scalar(1, 0.5),
+            TypeError,
+            "a GaussianRational part must be int or Fraction, not float",
+        ),
+        (
+            lambda t: t.scalar(GaussianRational(1), 1),
+            TypeError,
+            "scalar takes no im with a GaussianRational re",
+        ),
     ],
-    ids=("gen", "q", "monomial"),
+    ids=("gen", "q", "monomial", "scalar-float", "scalar-str", "scalar-float-im", "scalar-im"),
 )
 def test_bad_generator_phase_or_exponents_are_refused(t3, build, error, message):
     with pytest.raises(error) as info:

@@ -21,15 +21,14 @@ from nctorus import (
     Calculus,
     Connection,
     DescriptorMismatch,
-    FTensor,
     HermitianMetric,
     KForm,
     LieAlgebra,
     ParamViolation,
-    RSet,
     SolverParams,
     TorusAlgebra,
     apply_connection,
+    assemble_U,
     build_levi_civita,
     compatible_connection,
     compute_F,
@@ -64,7 +63,7 @@ def build_with(params):
 
 
 def solve_with(params):
-    return solve_R(compute_F(METRIC), params)
+    return solve_R(CALC, compute_F(METRIC), params)
 
 
 def params(X=None, triples=None, antiherm=None):
@@ -90,8 +89,9 @@ ENTRIES = {
         "symmetric_part",
         None,
     ),
-    "FTensor": (lambda: zeros(N, N, N), lambda x: FTensor(CALC, x), "F", None),
-    "RSet": (lambda: zeros(N, N, N), lambda x: RSet(CALC, x), "R", None),
+    # the F tensor and the R set, checked where solve_R and assemble_U take them
+    "FTensor": (lambda: zeros(N, N, N), lambda x: solve_R(CALC, x, params()), "F", None),
+    "RSet": (lambda: zeros(N, N, N), lambda x: assemble_U(METRIC, x), "R", None),
     "apply_connection": (
         lambda: zeros(N),
         lambda x: apply_connection(Connection.zero(CALC), 1, x),
@@ -331,8 +331,12 @@ def test_public_pair_checks_name_the_full_search_index():
     # one failing pair behind valid nonzero pairs, through each checker
     u = ALG.gen(1) * ALG.gen(3, -1)
     cases = [
-        ("antisymmetric", lambda x: FTensor(CALC, x), "F is not antisymmetric at (%d, %d, %d)"),
-        ("hermitian", lambda x: RSet(CALC, x), "R_%d is not hermitian at (%d, %d)"),
+        (
+            "antisymmetric",
+            lambda x: solve_R(CALC, x, params()),
+            "F is not antisymmetric at (%d, %d, %d)",
+        ),
+        ("hermitian", lambda x: assemble_U(METRIC, x), "R_%d is not hermitian at (%d, %d)"),
         (
             "antihermitian",
             lambda x: compatible_connection(METRIC, x),

@@ -521,6 +521,18 @@ def test_cli_out_file(tmp_path):
     assert json.loads(target.read_text())["status"] == "ok"
 
 
+def test_unwritable_out_is_reported_as_an_error_object(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert main(["--config", str(BLOCK_CFG), "--out", str(target)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and not target.exists()
+    payload = json.loads(out.err)
+    assert sorted(payload) == ["error", "schema", "status"]
+    assert (payload["schema"], payload["status"]) == (1, "error")
+    assert payload["error"].startswith("FileNotFoundError: ")
+    assert str(target) in payload["error"]
+
+
 def test_cli_command_override():
     out = run_cli("--config", str(BLOCK_CFG), "--command", "check-weak-symmetry")
     payload = json.loads(out.stdout)

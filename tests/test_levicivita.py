@@ -8,13 +8,11 @@ from nctorus import (
     AlgebraElement,
     Calculus,
     Connection,
-    FTensor,
     HermitianMetric,
     InternalVerificationFailure,
     NotInvertibleByElimination,
     NotWeaklySymmetric,
     ParamViolation,
-    RSet,
     SolvabilityViolated,
     SolverParams,
     assemble_U,
@@ -52,25 +50,25 @@ def params_with_x11(calc, x11):
 
 
 def test_f_identity_metric_vanishes(calc3):
-    tensor = compute_F(identity_metric(calc3))
-    for c in (1, 2, 3):
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                assert tensor[c, a, b].is_zero()
+    F = compute_F(identity_metric(calc3))
+    for c in range(3):
+        for a in range(3):
+            for b in range(3):
+                assert F[c][a][b].is_zero()
 
 
 def test_f_block_entries(calc3):
     alg = calc3.algebra
     h0 = alg.gen(1)
     metric = block_metric(calc3, h0)
-    tensor = compute_F(metric)
+    F = compute_F(metric)
     hinv = h0.invert()
     half_i = alg.scalar(0, Fraction(1, 2))
     # F_312 = -(i/2) d_1 h_32 = -(i/2) d_1 (h0^-1)
-    assert tensor[3, 1, 2] == -(half_i * hinv.derive(1))
+    assert F[2][0][1] == -(half_i * hinv.derive(1))
     # F_231 = (i/2) d_1 h_23 = (i/2) d_1 (h0^-1)*
-    assert tensor[2, 3, 1] == half_i * hinv.star().derive(1)
-    assert tensor[1, 2, 3].is_zero()
+    assert F[1][2][0] == half_i * hinv.star().derive(1)
+    assert F[0][1][2].is_zero()
 
 
 def test_f_antisymmetry_validated(calc3):
@@ -79,11 +77,11 @@ def test_f_antisymmetry_validated(calc3):
     bad = [[[z for _ in range(3)] for _ in range(3)] for _ in range(3)]
     bad[0][0][1] = alg.one()
     with pytest.raises(ValueError):
-        FTensor(calc3, bad)
+        solve_R(calc3, bad, SolverParams.zeros(calc3))
 
 
 def first_antisymmetry_failure(entries):
-    """The FTensor message for the first (c, a, b) over all a, b where
+    """solve_R's message for the first (c, a, b) over all a, b where
     F_cab != -F_cba, or None."""
     n = len(entries)
     for c in range(n):
@@ -113,15 +111,19 @@ def test_f_antisymmetry_names_first_failing_entry(calc3):
             entries[c][a][b] = entries[c][a][b] + random_monomial(rng, alg, 1)
         expected = first_antisymmetry_failure(entries)
         if expected is None:
-            FTensor(calc3, entries)
+            # F passes the antisymmetry check; a random F may still be unsolvable
+            try:
+                solve_R(calc3, entries, SolverParams.zeros(calc3))
+            except SolvabilityViolated:
+                pass
             continue
         with pytest.raises(ValueError) as info:
-            FTensor(calc3, entries)
+            solve_R(calc3, entries, SolverParams.zeros(calc3))
         assert str(info.value) == expected
 
 
-def cyclic_defect(tensor, a, b, c):
-    cyc = tensor[a, b, c] + tensor[b, c, a] + tensor[c, a, b]
+def cyclic_defect(F, a, b, c):
+    cyc = F[a][b][c] + F[b][c][a] + F[c][a][b]
     return cyc + cyc.star()
 
 
@@ -169,11 +171,11 @@ def test_f_cyclic_defect_equals_i_drho(name):
     for metric in cyclic_defect_metrics(name):
         n = metric.calculus.n
         i = metric.calculus.algebra.i()
-        tensor = compute_F(metric)
+        F = compute_F(metric)
         drho = weak_symmetry_defect(metric)
-        for a, b, c in itertools.combinations(range(1, n + 1), 3):
-            assert cyclic_defect(tensor, a, b, c) == i * drho(a, b, c)
-        violation = solvability_check(tensor)
+        for a, b, c in itertools.combinations(range(n), 3):
+            assert cyclic_defect(F, a, b, c) == i * drho(a + 1, b + 1, c + 1)
+        violation = solvability_check(F)
         if drho.is_zero():
             assert violation is None
         else:
@@ -206,12 +208,11 @@ def test_solvability_block_u1_violates(calc3):
 
 
 def test_solve_r_zero(calc3):
-    tensor = compute_F(identity_metric(calc3))
-    rset = solve_R(tensor, SolverParams.zeros(calc3))
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            for c in (1, 2, 3):
-                assert rset.entry(a, b, c).is_zero()
+    R = solve_R(calc3, compute_F(identity_metric(calc3)), SolverParams.zeros(calc3))
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                assert R[a][b][c].is_zero()
 
 
 def test_solve_r_block_u2(calc3):
@@ -219,44 +220,43 @@ def test_solve_r_block_u2(calc3):
     h0 = alg.gen(2)
     metric = block_metric(calc3, h0)
     x11 = alg.gen(1) + alg.gen(1, -1)
-    rset = solve_R(compute_F(metric), params_with_x11(calc3, x11))
+    R = solve_R(calc3, compute_F(metric), params_with_x11(calc3, x11))
     hinv = h0.invert()
     half_i = alg.scalar(0, Fraction(1, 2))
-    assert rset.entry(1, 1, 1) == x11
-    assert rset[2] is rset.matrices[1] and rset[2][1][2] is rset.entry(2, 2, 3)
+    assert R[0][0][0] == x11
     # (R_2)_23 = -(i/2) d_2 (h0^-1)*  and its conjugate below the diagonal
-    assert rset.entry(2, 2, 3) == -(half_i * hinv.star().derive(2))
-    assert rset.entry(2, 3, 2) == half_i * hinv.derive(2)
+    assert R[1][1][2] == -(half_i * hinv.star().derive(2))
+    assert R[1][2][1] == half_i * hinv.derive(2)
     # every other entry vanishes for this metric
     zero_entries = [
         (a, b, c)
-        for a in (1, 2, 3)
-        for b in (1, 2, 3)
-        for c in (1, 2, 3)
-        if (a, b, c) not in ((1, 1, 1), (2, 2, 3), (2, 3, 2))
+        for a in range(3)
+        for b in range(3)
+        for c in range(3)
+        if (a, b, c) not in ((0, 0, 0), (1, 1, 2), (1, 2, 1))
     ]
-    for key in zero_entries:
-        assert rset.entry(*key).is_zero(), key
+    for a, b, c in zero_entries:
+        assert R[a][b][c].is_zero(), (a, b, c)
 
 
 def test_solve_r_rejects_unsolvable(calc3):
     metric = block_metric(calc3, calc3.algebra.gen(1))
     with pytest.raises(SolvabilityViolated):
-        solve_R(compute_F(metric), SolverParams.zeros(calc3))
+        solve_R(calc3, compute_F(metric), SolverParams.zeros(calc3))
 
 
 def test_solve_r_rejects_bad_params(calc3):
-    tensor = compute_F(identity_metric(calc3))
+    F = compute_F(identity_metric(calc3))
     with pytest.raises(ParamViolation):
-        solve_R(tensor, params_with_x11(calc3, calc3.algebra.i()))
+        solve_R(calc3, F, params_with_x11(calc3, calc3.algebra.i()))
     bad_h = SolverParams.zeros(calc3)
     bad_h.triples[(1, 2, 3)] = calc3.algebra.i()
     with pytest.raises(ParamViolation):
-        solve_R(tensor, bad_h)
+        solve_R(calc3, F, bad_h)
     bad_key = SolverParams.zeros(calc3)
     bad_key.triples[(2, 1, 3)] = calc3.algebra.one()
     with pytest.raises(ParamViolation):
-        solve_R(tensor, bad_key)
+        solve_R(calc3, F, bad_key)
 
 
 def random_hermitian_matrices(rng, calc):
@@ -275,7 +275,7 @@ def random_hermitian_matrices(rng, calc):
 
 
 def first_rset_failure(matrices):
-    """The RSet message for the first (a, b, c) over all b, c where
+    """assemble_U's message for the first (a, b, c) over all b, c where
     ((R_a)_bc)* != (R_a)_cb, or None."""
     n = len(matrices)
     for a in range(n):
@@ -298,10 +298,10 @@ def test_rset_hermiticity_names_first_failing_entry(calc3):
             matrices[a][b][c] = matrices[a][b][c] + extra
         expected = first_rset_failure(matrices)
         if expected is None:
-            RSet(calc3, matrices)
+            assemble_U(identity_metric(calc3), matrices)
             continue
         with pytest.raises(ValueError) as info:
-            RSet(calc3, matrices)
+            assemble_U(identity_metric(calc3), matrices)
         assert str(info.value) == expected
 
 
@@ -311,33 +311,30 @@ def test_solve_r_round_trip(rng, calc3):
     extracted parameters the original matrices are reproduced exactly."""
     for _ in range(10):
         source = random_hermitian_matrices(rng, calc3)
-        # entries[c][a][b] = (R_a)_cb - (R_b)_ca
-        entries = [
+        # F[c][a][b] = (R_a)_cb - (R_b)_ca
+        F = [
             [
                 [source[a][c][b] - source[b][c][a] for b in range(3)]
                 for a in range(3)
             ]
             for c in range(3)
         ]
-        tensor = FTensor(calc3, entries)
-        assert solvability_check(tensor) is None
+        assert solvability_check(F) is None
         x = tuple(
             tuple(source[a][b][b] for b in range(3)) for a in range(3)
         )
         h123 = source[2][0][1] + (
-            tensor[1, 2, 3] + tensor[2, 3, 1] + tensor[3, 1, 2].star()
+            F[0][1][2] + F[1][2][0] + F[2][0][1].star()
         ) * Fraction(1, 2)
         assert h123.is_hermitian()
         params = SolverParams(x, {(1, 2, 3): h123})
-        rset = solve_R(tensor, params)
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                for c in (1, 2, 3):
-                    assert (
-                        rset.entry(a, c, b) - rset.entry(b, c, a) == tensor[c, a, b]
-                    )
-                    assert rset.entry(a, b, c).star() == rset.entry(a, c, b)
-                    assert rset.entry(a, b, c) == source[a - 1][b - 1][c - 1]
+        R = solve_R(calc3, F, params)
+        for a in range(3):
+            for b in range(3):
+                for c in range(3):
+                    assert R[a][c][b] - R[b][c][a] == F[c][a][b]
+                    assert R[a][b][c].star() == R[a][c][b]
+                    assert R[a][b][c] == source[a][b][c]
 
 
 def displayed_general_solution(metric, X, H):
@@ -394,12 +391,12 @@ def test_solve_r_matches_displayed_general_solution(rng, calc3):
             for _ in range(3)
         )
         h123 = random_hermitian(rng, alg, max_terms=1)
-        rset = solve_R(compute_F(metric), SolverParams(x, {(1, 2, 3): h123}))
+        R = solve_R(calc3, compute_F(metric), SolverParams(x, {(1, 2, 3): h123}))
         display = displayed_general_solution(metric, x, h123)
         for a in range(3):
             for b in range(3):
                 for c in range(3):
-                    assert rset.matrices[a][b][c] == display[a][b][c], (a, b, c)
+                    assert R[a][b][c] == display[a][b][c], (a, b, c)
 
 
 # -- assemble_U -----------------------------------------------------------------------
@@ -407,8 +404,8 @@ def test_solve_r_matches_displayed_general_solution(rng, calc3):
 
 def test_assemble_u_zero(calc3):
     metric = identity_metric(calc3)
-    rset = solve_R(compute_F(metric), SolverParams.zeros(calc3))
-    u = assemble_U(metric, rset)
+    R = solve_R(calc3, compute_F(metric), SolverParams.zeros(calc3))
+    u = assemble_U(metric, R)
     assert all(u[a][i][j].is_zero() for a in range(3) for i in range(3) for j in range(3))
 
 
@@ -416,8 +413,8 @@ def test_assemble_u_block_entry(calc3):
     alg = calc3.algebra
     h0 = alg.gen(2) * alg.gen(3)
     metric = block_metric(calc3, h0)
-    rset = solve_R(compute_F(metric), SolverParams.zeros(calc3))
-    u = assemble_U(metric, rset)
+    R = solve_R(calc3, compute_F(metric), SolverParams.zeros(calc3))
+    u = assemble_U(metric, R)
     hinv = h0.invert()
     half_i = alg.scalar(0, Fraction(1, 2))
     # (U_2)^12 = -(i/2) d_1(h0^-1) h0* which is zero for this h0,
@@ -430,8 +427,8 @@ def test_assemble_u_block_entry(calc3):
 def test_assemble_u_hermitian_pair(rng, calc3):
     for _ in range(10):
         metric = random_block_metric(rng, calc3)
-        rset = solve_R(compute_F(metric), SolverParams.zeros(calc3))
-        u = assemble_U(metric, rset)
+        R = solve_R(calc3, compute_F(metric), SolverParams.zeros(calc3))
+        u = assemble_U(metric, R)
         for a in range(3):
             for i in range(3):
                 for j in range(3):
@@ -447,8 +444,8 @@ def test_assemble_u_inverts_defining_contraction(rng, calc3):
             tuple(random_hermitian(rng, alg, max_terms=1) for _ in range(3))
             for _ in range(3)
         )
-        rset = solve_R(compute_F(metric), SolverParams(x, {}))
-        u = assemble_U(metric, rset)
+        R = solve_R(calc3, compute_F(metric), SolverParams(x, {}))
+        u = assemble_U(metric, R)
         for a in range(3):
             for b in range(3):
                 for c in range(3):
@@ -458,7 +455,7 @@ def test_assemble_u_inverts_defining_contraction(rng, calc3):
                             total = total + (
                                 metric.lower[b][i] * u[a][i][j] * metric.lower[j][c]
                             )
-                    assert total == rset.matrices[a][b][c]
+                    assert total == R[a][b][c]
 
 
 def displayed_block_connection(calc, h0, x11):
@@ -748,27 +745,24 @@ def test_solve_r_round_trip_rank_four(rng):
                     m[b][c] = x
                     m[c][b] = x.star()
             source.append(m)
-        entries = [
+        F = [
             [[source[a][c][b] - source[b][c][a] for b in range(n)] for a in range(n)]
             for c in range(n)
         ]
-        tensor = FTensor(calc, entries)
         x_params = tuple(tuple(source[a][b][b] for b in range(n)) for a in range(n))
         triples = {}
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                for c in range(b + 1, n + 1):
-                    h = source[c - 1][a - 1][b - 1] + (
-                        tensor[a, b, c] + tensor[b, c, a] + tensor[c, a, b].star()
-                    ) * Fraction(1, 2)
-                    assert h.is_hermitian()
-                    triples[(a, b, c)] = h
-        rset = solve_R(tensor, SolverParams(x_params, triples))
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                for c in range(1, n + 1):
-                    assert rset.entry(a, c, b) - rset.entry(b, c, a) == tensor[c, a, b]
-                    assert rset.entry(a, b, c) == source[a - 1][b - 1][c - 1]
+        for a, b, c in itertools.combinations(range(n), 3):
+            h = source[c][a][b] + (
+                F[a][b][c] + F[b][c][a] + F[c][a][b].star()
+            ) * Fraction(1, 2)
+            assert h.is_hermitian()
+            triples[(a + 1, b + 1, c + 1)] = h
+        R = solve_R(calc, F, SolverParams(x_params, triples))
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    assert R[a][c][b] - R[b][c][a] == F[c][a][b]
+                    assert R[a][b][c] == source[a][b][c]
 
 
 def test_build_rank_four_block():
@@ -817,7 +811,7 @@ def test_build_error_precedence(calc3, monkeypatch):
     with pytest.raises(NotWeaklySymmetric):
         build_levi_civita(unsymmetric, SolverParams.zeros(calc3))
     # with the d(rho) gate passed, a solvability failure is still reported
-    monkeypatch.setattr(lc, "solvability_check", lambda tensor: ((1, 2, 3), tensor[1, 2, 3]))
+    monkeypatch.setattr(lc, "solvability_check", lambda F: ((1, 2, 3), F[0][1][2]))
     with pytest.raises(SolvabilityViolated):
         build_levi_civita(block_metric(calc3, calc3.algebra.gen(2)))
 
@@ -909,7 +903,7 @@ def test_build_skips_zero_entries(name, monkeypatch):
     monkeypatch.undo()
     assert verify_levi_civita(conn, metric).passed
     # every zero entry of the solver's arrays is the algebra's one zero
-    for array in (conn.gamma, compute_F(metric).entries, compat_defect(conn, metric)):
+    for array in (conn.gamma, compute_F(metric), compat_defect(conn, metric)):
         entries = [x for plane in array for row in plane for x in row]
         assert all(x is zero for x in entries if not x.terms)
         assert any(x is zero for x in entries)
@@ -931,7 +925,7 @@ def test_r_equation_failure_names_the_literal_search_index(calc3, monkeypatch, p
 
     alg = calc3.algebra
     x = alg.gen(1) * alg.gen(3) * 2
-    tensor = compute_F(congruence_metric(calc3, (1, 2, x + x.star())))
+    F = compute_F(congruence_metric(calc3, (1, 2, x + x.star())))
     seen = []
 
     def wrong(array):
@@ -944,12 +938,12 @@ def test_r_equation_failure_names_the_literal_search_index(calc3, monkeypatch, p
     lc_antisymmetrize = lc.antisymmetrize
     monkeypatch.setattr(lc, "antisymmetrize", wrong)
     with pytest.raises(InternalVerificationFailure) as info:
-        solve_R(tensor, SolverParams.zeros(calc3))
+        solve_R(calc3, F, SolverParams.zeros(calc3))
     (lhs,) = seen
     a, b, c = next(
         (a, b, c)
         for a, b, c in itertools.product(range(3), repeat=3)
-        if lhs[a][c][b] != tensor.entries[c][a][b]
+        if lhs[a][c][b] != F[c][a][b]
     )
     assert str(info.value) == "R equation fails at (a=%d, b=%d, c=%d)" % (a + 1, b + 1, c + 1)
     # the loop runs over (a, b, c), and the left side is indexed [a][c][b]

@@ -29,7 +29,6 @@ from nctorus import (
     NotHermitian,
     NotInverse,
     NotInvertibleByElimination,
-    RSet,
     SolverParams,
     antisymmetrize,
     assemble_U,
@@ -371,7 +370,7 @@ def test_hermiticity_is_checked_before_elimination():
 def test_compute_F_matches_literal_loop(family, n):
     rng = case_rng("compute_F", family, n)
     metric = dense_metric(rng, make_calculus(family, n))
-    assert as_lists(compute_F(metric).entries) == oracle_F(metric)
+    assert as_lists(compute_F(metric)) == oracle_F(metric)
 
 
 @pytest.mark.parametrize("family,n", CASES)
@@ -380,7 +379,7 @@ def test_assemble_U_matches_double_sum(family, n):
     calc = make_calculus(family, n)
     metric = dense_metric(rng, calc)
     matrices = sparse_hermitian_matrices(rng, calc)
-    assert as_lists(assemble_U(metric, RSet(calc, matrices))) == oracle_U(
+    assert as_lists(assemble_U(metric, matrices)) == oracle_U(
         metric.upper, matrices
     )
 
@@ -423,11 +422,11 @@ def test_build_gamma_matches_index_sum(family, n):
         tuple(tuple(row) for row in X), {(1, 2, 3): random_hermitian(rng, alg, 1, 1)}
     )
     conn = build_levi_civita(metric, params)
-    rset = solve_R(compute_F(metric), params)
+    R = solve_R(calc, compute_F(metric), params)
     unit_i = alg.scalar(0, 1)
     i_u = [
         [[unit_i * entry for entry in row] for row in plane]
-        for plane in oracle_U(metric.upper, rset.matrices)
+        for plane in oracle_U(metric.upper, R)
     ]
     assert as_lists(conn.gamma) == oracle_gamma(metric, i_u)
 
@@ -608,6 +607,6 @@ def test_pairing_and_symmetrizers_match_index_sums_on_edge_shapes(family, n, sha
 def test_compute_F_matches_literal_loop_on_edge_shapes(family, n, shape):
     rng = case_rng("compute_F/" + shape, family, n)
     metric = edge_metric(rng, make_calculus(family, n), shape)
-    entries = compute_F(metric).entries
+    entries = compute_F(metric)
     assert as_lists(entries) == oracle_F(metric)
     assert zeros_are_shared(entries, metric.calculus.algebra)

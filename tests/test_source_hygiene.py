@@ -1,18 +1,20 @@
-"""Source hygiene of ``src/nctorus``, read with ``ast`` only.
+"""Source hygiene of ``src/nctorus``, read with ``ast`` and ``re`` only.
 
 Every module but ``__init__`` (whose imports are the public re-exports)
 must use each name it imports, and every module-level private name
 (``_x``) and private method must be referenced somewhere in the package
-outside its own definition.  A leftover helper or import fails here.
+outside its own definition.  Every name a docstring quotes in double
+backticks must occur in the package's code.  A leftover helper or
+import, or a docstring naming code that is gone, fails here.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nctorus"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def parse(path):
@@ -65,7 +67,8 @@ def private_definitions(tree):
                     yield target.id, node.lineno, node.end_lineno
 
 
-TREES = {path.name: parse(path) for path in MODULES}
+PACKAGE = {path.name: parse(path) for path in sorted(SRC.glob("*.py"))}
+TREES = {name: tree for name, tree in PACKAGE.items() if name != "__init__.py"}
 REFERENCES = {name: list(references(tree)) for name, tree in TREES.items()}
 
 
@@ -115,3 +118,72 @@ def test_the_checks_catch_a_leftover():
     )
     assert unused_imports(leftover) == ["KForm"]
     assert unreferenced_privates("cli.py", leftover) == ["cli.py:3 _weak_symmetry_dict"]
+
+
+def docstrings(tree):
+    """The string constants that are docstrings of ``tree``: the first
+    statement of the module, a class or a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                yield first.value
+
+
+def code_words(tree):
+    """Every word of the code of ``tree``: def and class names, names,
+    attributes, arguments, imported names and modules, and the words of
+    string constants that are not docstrings."""
+    docs = set(map(id, docstrings(tree)))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docs:
+                yield from re.findall(r"\w+", node.value)
+
+
+# a quoted name; tokens with digits (``U1``, ``h.1.1``) or spaces are not names
+QUOTED_NAME = re.compile(r"[A-Za-z_][A-Za-z_.]*")
+
+
+def unresolved_references(trees):
+    """``module:line token`` for each double-backticked name in a docstring
+    of ``trees`` with a dotted part that occurs nowhere in their code."""
+    words = set().union(*(code_words(tree) for tree in trees.values()))
+    return [
+        "%s:%d %s" % (module, node.lineno, token)
+        for module, tree in trees.items()
+        for node in docstrings(tree)
+        for token in re.findall(r"``(.+?)``", node.value)
+        if QUOTED_NAME.fullmatch(token) and not set(filter(None, token.split("."))) <= words
+    ]
+
+
+def test_docstring_references_resolve():
+    assert unresolved_references(PACKAGE) == []
+
+
+def test_the_docstring_check_catches_a_stale_name():
+    stale = ast.parse(
+        "def compute_F(metric):\n"
+        '    """An ``FTensor`` from ``metric.lower``, entry ``U1``."""\n'
+        "    return metric.lower\n"
+    )
+    assert unresolved_references({"levicivita.py": stale}) == ["levicivita.py:2 FTensor"]
