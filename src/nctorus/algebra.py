@@ -89,7 +89,8 @@ class TorusAlgebra(FrozenRecord):
         # are empty for a commutative algebra.  The two pickers read the
         # U-exponents k_a and k_b of every pair from a key, for ``_product_into``.
         # The labels are (key position, factor label) in written order,
-        # every q[a,b] before U_1, ..., U_n, for ``written_terms``.
+        # every q[a,b] before U_1, ..., U_n, for ``written_terms``.  The
+        # all-zero key is the one key of every nonzero constant.
         self.__dict__.update(
             n=n,
             commutative=commutative,
@@ -100,6 +101,7 @@ class TorusAlgebra(FrozenRecord):
             _labels=tuple((n + p, "q[%d,%d]" % pair) for p, pair in enumerate(pairs))
             + tuple((j, "U%d" % (j + 1)) for j in range(n)),
             _zero=AlgebraElement(self, {}, 1),
+            _one_key=(0,) * (n + len(pairs)),
         )
 
     # -- element constructors -------------------------------------------------
@@ -485,7 +487,13 @@ class AlgebraElement:
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.den, frozenset(self.terms.items())))
+        # a constant, zero included, equals its GaussianRational value, so it
+        # hashes as that value
+        terms, den = self.terms, self.den
+        if not terms or (len(terms) == 1 and self.algebra._one_key in terms):
+            re, im = terms.get(self.algebra._one_key, (0, 0))
+            return hash(GaussianRational(Fraction(re, den), Fraction(im, den)))
+        return hash((self.algebra, den, frozenset(terms.items())))
 
     def __repr__(self):
         from .expr import render_element
@@ -494,8 +502,28 @@ class AlgebraElement:
 
 
 def _product_into(acc: dict, x, y, scale: int) -> None:
-    """Add the numerators of scale * x * y into ``acc``; x and y are nonzero."""
+    """Add the numerators of scale * x * y into ``acc``; x and y are nonzero.
+
+    When either factor is a constant c (one term, at the algebra's
+    all-zero key), each term of the other factor is added at its own key
+    with its numerator times scale * c, in the order the general loop
+    would add it; no key is sliced or built.
+    """
     alg, get = x.algebra, acc.get
+    xt, yt, one = x.terms, y.terms, alg._one_key
+    if len(yt) == 1 and one in yt:
+        (cr, ci), other = yt[one], xt
+    elif len(xt) == 1 and one in xt:
+        (cr, ci), other = xt[one], yt
+    else:
+        other = None
+    if other is not None:
+        cr, ci = cr * scale, ci * scale
+        for key, (re, im) in other.items():
+            re, im = re * cr - im * ci, re * ci + im * cr
+            old = get(key)
+            acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        return
     n, first, second = alg.n, alg._first_of_pair, alg._second_of_pair
     # Normal-ordering U^k U^l moves U_a^{l_a} of the right factor
     # leftwards past U_b^{k_b}, b > a: the pair (a, b) picks up the

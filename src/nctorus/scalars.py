@@ -86,7 +86,9 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction (and an integral one its int),
+        # so it hashes as that Fraction
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)
