@@ -28,6 +28,18 @@ unchanged and tests its leaves in one pass, and ``_first_unpaired``
 skips a pair of two zero elements, because every relation it is given
 (hermitian, antihermitian, antisymmetric, equal) holds on (0, 0).
 
+A constant factor keeps the other factor's keys.  A nonzero constant c
+has one term, at the all-zero key, which each algebra builds once.
+U^0 commutes with every monomial and picks up no phase, so c * x and
+x * c have the keys of x, each numerator times c.  ``_product_into``
+adds them so, in the order of its general loop, without slicing or
+building a key; the constant diagonals of block and diagonal metrics,
+the constant pivots of L D L* metrics, the identity half of the
+augmented elimination and scalar parameters all take this path.  A
+q-phase such as q[1,2] has a nonzero key and takes the general loop.
+A constant equals its int, Fraction or GaussianRational value and hashes
+as that value.
+
 An element keeps its adjoint once formed: ``star()`` stores the result in
 the element's ``_star`` slot and returns that instance on later calls, so
 a matrix whose hermiticity is checked twice, or whose entries are starred

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +77,42 @@ def test_equal_elements_hash_equal(t3):
     assert x == y and x is not y
     assert hash(x) == hash(y)
     assert len({x, y, t3.gen(1)}) == 2
+
+
+@pytest.mark.parametrize("commutative", (False, True), ids=("q", "comm"))
+def test_constants_hash_as_their_value(commutative):
+    # a constant element equals its int, Fraction and GaussianRational value,
+    # so it must hash like them: set and dict lookups then agree with ==
+    rng = random.Random("constant-hash/%s" % commutative)
+    for n in (1, 2, 3):
+        alg = TorusAlgebra(n, commutative)
+        values = [0, 1, -1, Fraction(0), GaussianRational(0), GaussianRational(0, -1)]
+        for _ in range(20):
+            re = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            im = rng.choice((0, Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+            values += [re, GaussianRational(re, im)]
+            if re.denominator == 1:
+                values.append(int(re))
+        elements = [alg.scalar(value) for value in values]
+        everything = values + elements
+        for a in everything:
+            for b in everything:
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+        for value, element in zip(values, elements):
+            assert {value: "v"}.get(element) == "v"
+            assert {element: "v"}.get(value) == "v"
+            assert len({element, value}) == 1
+        classes = {(g.re, g.im) for g in map(GaussianRational.coerce, values)}
+        assert len(set(everything)) == len(classes)
+        assert len({alg.zero(), 0}) == 1
+        assert {alg.scalar(2): "v"}.get(2) == "v"
+        # a non-constant element is found by no constant
+        others = [alg.gen(n), alg.gen(1) + 1]
+        if n > 1 and not commutative:
+            others.append(alg.q(1, 2))
+        table = dict.fromkeys(others, "x")
+        assert all(table.get(value) is None for value in everything)
 
 
 # -- descriptor lookups ----------------------------------------------------------

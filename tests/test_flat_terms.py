@@ -483,3 +483,114 @@ def test_matmul_and_plus_product_keep_the_descriptor_check(alg):
         for args in ((x, x, y), (x, y, x), (y, x, x), (other, x, x), (x, x, other), (x, other, x)):
             with pytest.raises(DescriptorMismatch):
                 _plus_product(*args)
+
+
+# -- constant factors keep the other factor's keys ----------------------------------
+
+CONSTANT_ALGEBRAS = KERNEL_ALGEBRAS[:8]  # n = 1..4
+CONSTANT_IDS = KERNEL_IDS[:8]
+UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def random_constant(rng, alg):
+    """A seeded nonzero constant and its oracle: +-1 or +-i a third of the
+    time, else a Gaussian rational with denominators."""
+    if rng.random() < 1 / 3:
+        re, im = map(Fraction, rng.choice(UNITS))
+    else:
+        re, im = Fraction(0), Fraction(0)
+        while not (re or im):
+            re = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            im = Fraction(rng.randint(-6, 6), rng.randint(1, 6)) * rng.randint(0, 1)
+    return alg.scalar(GaussianRational(re, im)), {((0,) * alg.n, ()): (re, im)}
+
+
+def phase_factors(alg):
+    """q[1,2] and i*q[1,2] with their oracles (n >= 2): one term each, at a
+    key that is not all zero unless the algebra is commutative."""
+    phase = [((1, 2), 1)]
+    return [build(alg, [(coeff, (0,) * alg.n, phase)]) for coeff in ((1, 1, 0, 1), (0, 1, 1, 1))]
+
+
+def o_matmul(alg, left, right):
+    """The oracle matrix product: entry (i, k) sums o_mul(left[i][j], right[j][k])."""
+    return [
+        [
+            _accumulate([term for x, y in zip(row, column) for term in o_mul(alg, x, y).items()])
+            for column in zip(*right)
+        ]
+        for row in left
+    ]
+
+
+@pytest.mark.parametrize("alg", CONSTANT_ALGEBRAS, ids=CONSTANT_IDS)
+def test_constant_factors_match_oracle(alg):
+    # a constant (one term, at the all-zero key) on either side of random
+    # elements, through __mul__, _plus_product and matmul
+    rng = random.Random("constant/%d/%s" % (alg.n, alg.commutative))
+    zero = alg.zero()
+    for _ in range(30):
+        c, oc = random_constant(rng, alg)
+        d, od = random_constant(rng, alg)
+        x, ox = build(alg, random_spec(rng, alg.n))
+        y, oy = build(alg, random_spec(rng, alg.n))
+        factors = [(c, oc), (d, od), (x, ox)] + (phase_factors(alg) if alg.n > 1 else [])
+        for f, of in factors:
+            check(alg, c * f, o_mul(alg, oc, of))
+            check(alg, f * c, o_mul(alg, of, oc))
+            for sign in (1, -1):
+                check(alg, _plus_product(y, c, f, sign), o_plus_product(alg, oy, oc, of, sign))
+                check(alg, _plus_product(y, f, c, sign), o_plus_product(alg, oy, of, oc, sign))
+                if f.terms:
+                    # a full cancellation is the shared zero
+                    assert _plus_product(f * c * -sign, c, f, sign) is zero
+                    assert _plus_product(f * c * -sign, f, c, sign) is zero
+        # a constant diagonal with random entries off it, and the identity
+        m = rng.randint(1, 3)
+        cells = [[build(alg, random_spec(rng, alg.n, 2)) for _ in range(m)] for _ in range(m)]
+        diagonal = [random_constant(rng, alg) for _ in range(m)]
+        for i in range(m):
+            cells[i][i] = diagonal[i]
+        one = (alg.one(), {((0,) * alg.n, ()): (Fraction(1), Fraction(0))})
+        identity = [[one if i == j else (zero, {}) for j in range(m)] for i in range(m)]
+        other = [[build(alg, random_spec(rng, alg.n, 3)) for _ in range(m)] for _ in range(m)]
+        for left, right in ((cells, other), (other, cells), (identity, other), (other, identity)):
+            product = matmul(
+                [[v for v, _ in row] for row in left], [[v for v, _ in row] for row in right]
+            )
+            expected = o_matmul(
+                alg, [[o for _, o in row] for row in left], [[o for _, o in row] for row in right]
+            )
+            for row, expected_row in zip(product, expected):
+                for entry, oracle in zip(row, expected_row):
+                    check(alg, entry, oracle)
+                    assert entry.terms or entry is zero
+
+
+@pytest.mark.parametrize("alg", CONSTANT_ALGEBRAS, ids=CONSTANT_IDS)
+def test_constant_factors_read_no_pair_exponents(alg, monkeypatch):
+    # the general term-pair loop reads the U-exponents of every pair through
+    # the algebra's two pickers; a product with a constant factor must not
+    x = alg.gen(1, -2) * GaussianRational(Fraction(2, 3), 1) + alg.gen(alg.n)
+    if alg.n > 1:
+        x = x * alg.q(1, 2) + alg.gen(2)
+    c = alg.scalar(GaussianRational(Fraction(-5, 4), Fraction(1, 3)))
+    zero, one = alg.zero(), alg.one()
+    picked = []
+    for name in ("_first_of_pair", "_second_of_pair"):
+        picker = alg.__dict__[name]
+        monkeypatch.setitem(
+            alg.__dict__, name, lambda key, picker=picker: picked.append(key) or picker(key)
+        )
+    for result, expected in (
+        (c * x, x * c),
+        (one * x, x),
+        (c * c, c * c),
+        (_plus_product(x, c, x, -1), x - c * x),
+        (_plus_product(x, x, one), x + x),
+        (matmul([[c, zero], [zero, one]], [[x, c], [c, x]]), ((c * x, c * c), (c, x))),
+    ):
+        assert result == expected
+    assert picked == []
+    x * x
+    assert picked
