@@ -38,7 +38,10 @@ the constant pivots of L D L* metrics, the identity half of the
 augmented elimination and scalar parameters all take this path.  A
 q-phase such as q[1,2] has a nonzero key and takes the general loop.
 A constant equals its int, Fraction or GaussianRational value and hashes
-as that value.
+as that value; two constants over different algebras compare by value
+too, so equality stays transitive.  Other elements over different
+algebras are unequal, and arithmetic across algebras raises
+DescriptorMismatch.
 
 An element keeps its adjoint once formed: ``star()`` stores the result in
 the element's ``_star`` slot and returns that instance on later calls, so
@@ -492,20 +495,33 @@ class AlgebraElement:
                 other = self.algebra.scalar(other)
             elif not isinstance(other, AlgebraElement):
                 return NotImplemented
+        if self.algebra is other.algebra or self.algebra == other.algebra:
+            return self.den == other.den and self.terms == other.terms
+        # constants of different algebras compare by value, as they hash, so
+        # that equality stays transitive through the bare numbers they equal
+        parts = self._constant_parts()
         return (
-            (self.algebra is other.algebra or self.algebra == other.algebra)
+            parts is not None
+            and parts == other._constant_parts()
             and self.den == other.den
-            and self.terms == other.terms
         )
 
     def __hash__(self):
         # a constant, zero included, equals its GaussianRational value, so it
         # hashes as that value
-        terms, den = self.terms, self.den
-        if not terms or (len(terms) == 1 and self.algebra._one_key in terms):
-            re, im = terms.get(self.algebra._one_key, (0, 0))
+        parts = self._constant_parts()
+        if parts is not None:
+            (re, im), den = parts, self.den
             return hash(GaussianRational(Fraction(re, den), Fraction(im, den)))
-        return hash((self.algebra, den, frozenset(terms.items())))
+        return hash((self.algebra, self.den, frozenset(self.terms.items())))
+
+    def _constant_parts(self):
+        """The numerator ``(re, im)`` of a constant, (0, 0) for zero, and
+        None for an element that is not constant."""
+        terms = self.terms
+        if not terms:
+            return (0, 0)
+        return terms.get(self.algebra._one_key) if len(terms) == 1 else None
 
     def __repr__(self):
         from .expr import render_element

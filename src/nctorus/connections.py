@@ -19,6 +19,14 @@ antisymmetrizer and d the exterior derivative as an array
     compatibility defect   C(gamma) = d h - T_h(gamma)
     torsion-free part      P(gamma) = (d + s(gamma)) / 2
 
+The operators that swap the two derivation slots form each pair a <= b
+once and mirror it: s(alpha) is symmetric in (a, b), so entry (b, i, a)
+is the element of entry (a, i, b); wedge(alpha) is antisymmetric, so it
+is that element negated, on a zero diagonal; and P, where d^i_ab = 0,
+holds one element s^i_ab / 2 at both.  The characterization tests
+T_h(P) = dh, the paper's T_h(s) = 2 dh - T_h(d) halved (T_h is
+real-linear), so it forms one pairing and no T_h(d).
+
 ``torsion``, ``compat_defect``, ``torsion_free_from`` and the
 characterization check are built from these identities, and
 ``compatible_connection`` reads d_a h^ij from ``HermitianMetric.d_upper``.
@@ -185,13 +193,44 @@ def sigma_swap(array):
 
 
 def symmetrize(array):
-    """s(alpha) = alpha + sigma(alpha)."""
-    return entrywise(operator.add, array, sigma_swap(array))
+    """s(alpha) = alpha + sigma(alpha), formed once per pair a <= b: entry
+    (b, i, a) is the element of entry (a, i, b)."""
+    return _swap_combination(array, True)
 
 
 def antisymmetrize(array):
-    """wedge(alpha) = alpha - sigma(alpha)."""
-    return entrywise(operator.sub, array, sigma_swap(array))
+    """wedge(alpha) = alpha - sigma(alpha), formed once per pair a < b:
+    entry (b, i, a) is the negation of entry (a, i, b), and the diagonal
+    is the shared zero."""
+    return _swap_combination(array, False)
+
+
+def _swap_combination(array, symmetric: bool):
+    """alpha^i_ab + alpha^i_ba, or alpha^i_ab - alpha^i_ba, for all a, i, b.
+
+    The sum is symmetric in (a, b) and the difference antisymmetric, so
+    each pair a <= b is combined once and mirrored: the sum's mirror is
+    the same element, the difference's its negation (no normalisation),
+    and the difference's diagonal is zero.  A pair of zero entries is left
+    at the shared zero without a call.
+    """
+    n = len(array)
+    zero = array[0][0][0].algebra.zero()
+    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        plane_a, out_a = array[a], out[a]
+        for b in range(a if symmetric else a + 1, n):
+            plane_b, out_b = array[b], out[b]
+            for i in range(n):
+                x, y = plane_a[i][b], plane_b[i][a]
+                if x.terms or y.terms:
+                    if symmetric:
+                        out_a[i][b] = out_b[i][a] = x + y
+                    else:
+                        value = x - y
+                        if value.terms:
+                            out_a[i][b], out_b[i][a] = value, -value
+    return tuple(tuple(map(tuple, plane)) for plane in out)
 
 
 def metric_pairing_operator(array, metric: HermitianMetric):
@@ -220,27 +259,47 @@ def metric_pairing_operator(array, metric: HermitianMetric):
 
 
 def _projection(dop, sym):
-    """The torsion-free projection (d + s(gamma)) / 2, from d_array and s(gamma)."""
-    return entrywise(lambda d, s: (d + s) * HALF, dop, sym)
+    """The torsion-free projection (d + s(gamma)) / 2, from d_array and s(gamma).
+
+    Formed once per pair a <= b, like the symmetrizer: where d^i_ab = 0
+    (always on abelian calculi, and on every diagonal) both entries are
+    the one element s^i_ab / 2; otherwise they are (s + d) / 2 at (a, i, b)
+    and (s - d) / 2 at (b, i, a), because s is symmetric and d^i_ba =
+    -d^i_ab.
+    """
+    n = len(dop)
+    zero = dop[0][0][0].algebra.zero()
+    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        dop_a, sym_a, out_a = dop[a], sym[a], out[a]
+        for b in range(a, n):
+            out_b = out[b]
+            for i in range(n):
+                d, s = dop_a[i][b], sym_a[i][b]
+                if d.terms:
+                    out_a[i][b] = (s + d) * HALF
+                    out_b[i][a] = (s - d) * HALF
+                elif s.terms:
+                    out_a[i][b] = out_b[i][a] = s * HALF
+    return tuple(tuple(map(tuple, plane)) for plane in out)
 
 
 def lc_characterization_check(conn: Connection, metric: HermitianMetric) -> bool:
     """Both component identities a Levi-Civita connection must satisfy.
 
-    First, the pairing of the symmetrized connection equals
-    2 dh - T_h(d).  Second, the fixed-point identity: the torsion-free
-    projection (d + s(conn)) / 2 returns conn itself.  The conjunction
-    holds exactly when conn is torsion free and compatible.
+    The fixed-point identity: the torsion-free projection
+    P = (d + s(conn)) / 2 returns conn itself.  The paper's pairing
+    identity, T_h(s(conn)) = 2 dh - T_h(d), is tested in its halved form
+    T_h(P) = dh: T_h is real-linear, so T_h(P) = T_h(d) / 2 + T_h(s) / 2,
+    which equals dh exactly when the paper's identity holds.  The
+    identity that forms no product goes first.  The conjunction holds
+    exactly when conn is torsion free and compatible.
     """
     calc = conn.calculus
     if calc != metric.calculus:
         raise DescriptorMismatch("connection and metric live over different calculi")
-    sym = symmetrize(conn.gamma)
-    dop = d_array(calc)
-    rhs = entrywise(
-        lambda dh, t: dh * 2 - t, metric.d_upper, metric_pairing_operator(dop, metric)
-    )
+    projection = _projection(d_array(calc), symmetrize(conn.gamma))
     return (
-        metric_pairing_operator(sym, metric) == rhs
-        and _projection(dop, sym) == conn.gamma
+        projection == conn.gamma
+        and metric_pairing_operator(projection, metric) == metric.d_upper
     )

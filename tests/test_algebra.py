@@ -115,6 +115,42 @@ def test_constants_hash_as_their_value(commutative):
         assert all(table.get(value) is None for value in everything)
 
 
+def test_equality_is_transitive_across_algebras():
+    # constants of different algebras equal the same bare numbers, so they
+    # must equal each other; non-constants of different algebras stay unequal
+    rng = random.Random("transitive-equality")
+    algebras = [TorusAlgebra(n, kind) for n in (1, 2, 3) for kind in (False, True)]
+    values = [0, 2, -1, Fraction(2), Fraction(-1, 3), GaussianRational(2)]
+    values += [GaussianRational(0), GaussianRational(Fraction(1, 2), -1)]
+    values.append(GaussianRational(0, 1))
+    pool = list(values)
+    for alg in algebras:
+        pool += [alg.zero(), alg.one(), alg.scalar(2), alg.scalar(Fraction(-1, 3))]
+        pool += [alg.scalar(Fraction(1, 2), -1), alg.i(), alg.gen(1), alg.gen(1) + 2]
+        pool += [random_element(rng, alg, max_terms=2) for _ in range(2)]
+        if alg.n > 1 and not alg.commutative:
+            pool.append(alg.q(1, 2))
+    for a in pool:
+        for b in pool:
+            if a == b:
+                assert b == a and hash(a) == hash(b), (a, b)
+                for c in pool:
+                    if b == c:
+                        assert a == c, (a, b, c)
+    # a set's size does not depend on insertion order
+    sizes = set()
+    for _ in range(20):
+        rng.shuffle(pool)
+        sizes.add(len(set(pool)))
+    assert len(sizes) == 1
+    x, y = TorusAlgebra(3).scalar(2), TorusAlgebra(3, True).scalar(2)
+    assert x == y and len({2, x, y}) == len({x, y, 2}) == 1
+    # equality across algebras is not arithmetic across them
+    with pytest.raises(DescriptorMismatch):
+        x + y
+    assert TorusAlgebra(3).gen(1) != TorusAlgebra(3, True).gen(1)
+
+
 # -- descriptor lookups ----------------------------------------------------------
 
 

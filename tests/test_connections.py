@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -19,15 +20,21 @@ from nctorus import (
     torsion,
     torsion_free_from,
 )
-from nctorus.algebra import matmul
+from nctorus.algebra import AlgebraElement, matmul
+from nctorus.connections import _projection, entrywise, metric_pairing_operator
 from nctorus.forms import Calculus, d_array
+from nctorus.levicivita import SolverParams, build_levi_civita
+from nctorus.metric import weak_symmetry_defect
 
 from conftest import (
     block_metric,
+    congruence_metric,
     random_antihermitian_array,
     random_block_metric,
     random_diagonal_metric,
+    random_congruence_steps,
     random_element,
+    random_hermitian,
 )
 from test_metric import identity_metric
 
@@ -431,3 +438,167 @@ def test_characterization_rejects_torsion_free_but_incompatible(calc3):
     assert all(form.is_zero() for form in torsion(conn))
     assert compat_defect(conn, metric) != Connection.zero(calc3).gamma
     assert not lc_characterization_check(conn, metric)
+
+
+# -- the pair loops and the characterization against literal formulas -----------------
+
+
+def dense_array(rng, calc, zeros=()):
+    """An n x n x n array with a nonzero entry everywhere, diagonal included,
+    except at the given (a, i, b), which are the algebra's zero."""
+    alg, n = calc.algebra, calc.n
+    out = []
+    for a in range(n):
+        plane = []
+        for i in range(n):
+            row = []
+            for b in range(n):
+                x = alg.zero()
+                while not x.terms and (a, i, b) not in zeros:
+                    x = random_element(rng, alg, max_terms=2, max_exp=1)
+                row.append(x)
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return tuple(out)
+
+
+PAIR_CALCULI = {
+    "q-deformed-3": (3, False, None),
+    "commutative-3": (3, True, None),
+    "bracket-4": (4, False, HEISENBERG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CALCULI))
+def test_pair_loops_match_literal_entries(name):
+    n, commutative, brackets = PAIR_CALCULI[name]
+    calc = Calculus.torus(n, commutative=commutative, brackets=brackets)
+    zero = calc.algebra.zero()
+    rng = random.Random("pair-loops/" + name)
+    dop = d_array(calc)
+    # both entries of one pair zero, one of them zero, and a zero diagonal entry
+    holes = {(0, 1, 2), (2, 1, 0), (1, 0, 2), (1, 1, 1)}
+    arrays = [dense_array(rng, calc), dense_array(rng, calc, holes)]
+    for arr in arrays:
+        sym, anti = symmetrize(arr), antisymmetrize(arr)
+        proj = _projection(dop, sym)
+        for a in range(n):
+            for i in range(n):
+                for b in range(n):
+                    x, y, d = arr[a][i][b], arr[b][i][a], dop[a][i][b]
+                    assert sym[a][i][b] == x + y
+                    assert anti[a][i][b] == x - y
+                    assert proj[a][i][b] == (d + x + y) * Fraction(1, 2)
+                    # the mechanism: one element per symmetric pair, and
+                    # one per projected pair where d vanishes
+                    assert sym[b][i][a] is sym[a][i][b]
+                    if not d.terms:
+                        assert proj[b][i][a] is proj[a][i][b]
+            for i in range(n):
+                assert anti[a][i][a] is zero
+        for result in (sym, anti, proj):
+            entries = [x for plane in result for row in plane for x in row]
+            assert all(x is zero for x in entries if not x.terms)
+    if brackets:
+        assert any(x.terms for plane in dop for row in plane for x in row)
+
+
+def test_pair_loops_combine_each_pair_once(monkeypatch, calc3):
+    # s forms n * n(n+1)/2 sums, wedge n * n(n-1)/2 differences and as many
+    # negations, and a pair of two zeros costs no call
+    arr = dense_array(random.Random("pair-calls"), calc3, {(0, 0, 1), (1, 0, 0)})
+    counts = {"__add__": 0, "__sub__": 0, "__neg__": 0}
+    for name in counts:
+        original = getattr(AlgebraElement, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(AlgebraElement, name, spy)
+    symmetrize(arr)
+    assert counts == {"__add__": 3 * 6 - 1, "__sub__": 0, "__neg__": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    antisymmetrize(arr)
+    assert counts == {"__add__": 0, "__sub__": 3 * 3 - 1, "__neg__": 3 * 3 - 1}
+
+
+def seed_characterization(conn, metric):
+    """The two identities as first written, each on its own: the pairing
+    identity T_h(s) = 2 dh - T_h(d) and the fixed point (d + s) / 2 = gamma,
+    from entrywise sums over sigma_swap."""
+    dop = d_array(conn.calculus)
+    sym = entrywise(operator.add, conn.gamma, sigma_swap(conn.gamma))
+    rhs = entrywise(
+        lambda dh, t: dh * 2 - t, metric.d_upper, metric_pairing_operator(dop, metric)
+    )
+    pairing = metric_pairing_operator(sym, metric) == rhs
+    fixed = entrywise(lambda d, s: (d + s) * Fraction(1, 2), dop, sym) == conn.gamma
+    return pairing, fixed
+
+
+def quadrant_connections(calc, rng):
+    """(metric, connections) over one weakly symmetric 2-step congruence
+    metric: random arrays, compatible connections with a random A,
+    torsion-free projections of random arrays and built connections."""
+    alg, n = calc.algebra, calc.n
+    metric = congruence_metric(calc, *random_congruence_steps(rng, alg, 2))
+    while not weak_symmetry_defect(metric).is_zero():
+        metric = congruence_metric(calc, *random_congruence_steps(rng, alg, 2))
+    z = alg.zero()
+    x = [[z] * n for _ in range(n)]
+    x[0][1] = random_hermitian(rng, alg, max_terms=1, max_exp=1)
+    conns = [
+        Connection(calc, dense_array(rng, calc)),
+        compatible_connection(metric, random_antihermitian_array(rng, calc)),
+        torsion_free_from(Connection(calc, dense_array(rng, calc))),
+        build_levi_civita(metric),
+        build_levi_civita(metric, SolverParams(tuple(map(tuple, x)), {})),
+    ]
+    return metric, conns
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("name", ("q-deformed", "commutative", "bracket"))
+def test_characterization_matches_the_seed_identities(name, n):
+    brackets = HEISENBERG if name == "bracket" else None
+    calc = Calculus.torus(n, commutative=name == "commutative", brackets=brackets)
+    rng = random.Random("characterization/%s/%d" % (name, n))
+    metric, conns = quadrant_connections(calc, rng)
+    seen = set()
+    for conn in conns:
+        pairing, fixed = seed_characterization(conn, metric)
+        torsion_zero = all(form.is_zero() for form in torsion(conn))
+        compat_zero = not any(
+            x.terms for plane in compat_defect(conn, metric) for row in plane for x in row
+        )
+        # the fixed point is zero torsion; given it, the pairing is compatibility
+        assert fixed == torsion_zero
+        if fixed:
+            assert pairing == compat_zero
+        verdict = lc_characterization_check(conn, metric)
+        assert verdict == (pairing and fixed) == (torsion_zero and compat_zero)
+        seen.add((torsion_zero, compat_zero))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_characterization_tests_the_fixed_point_first(monkeypatch, calc3):
+    # the identity that forms no product goes first: a torsionful connection
+    # is refused before any pairing is formed
+    import nctorus.connections as connections
+
+    calls = []
+    pairing = connections.metric_pairing_operator
+
+    def spy(array, metric):
+        calls.append(array)
+        return pairing(array, metric)
+
+    metric = block_metric(calc3, calc3.algebra.gen(2))
+    conn = build_levi_civita(metric)
+    monkeypatch.setattr(connections, "metric_pairing_operator", spy)
+    torsionful = connection_with(calc3, {(1, 2, 3): calc3.algebra.one()})
+    assert not lc_characterization_check(torsionful, metric)
+    assert calls == []
+    assert lc_characterization_check(conn, metric)
+    assert calls == [conn.gamma]

@@ -274,8 +274,11 @@ def test_zero_operands_keep_checks(alg):
             for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
                 with pytest.raises(DescriptorMismatch):
                     op(left, right)
-        assert (zero == other) is False
-        assert (other == zero) is False
+        # zeros compare by value across algebras, as they hash; other
+        # elements over different algebras stay unequal
+        assert (zero == other) is True
+        assert (other == zero) is True
+        assert (x == other_alg.gen(1)) is False
     for a in (0, n + 1):
         with pytest.raises(IndexError):
             zero.derive(a)
