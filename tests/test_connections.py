@@ -523,7 +523,7 @@ def test_pair_loops_combine_each_pair_once(monkeypatch, calc3):
     assert counts == {"__add__": 0, "__sub__": 3 * 3 - 1, "__neg__": 3 * 3 - 1}
 
 
-def seed_characterization(conn, metric):
+def literal_characterization(conn, metric):
     """The two identities as first written, each on its own: the pairing
     identity T_h(s) = 2 dh - T_h(d) and the fixed point (d + s) / 2 = gamma,
     from entrywise sums over sigma_swap."""
@@ -560,14 +560,14 @@ def quadrant_connections(calc, rng):
 
 @pytest.mark.parametrize("n", (3, 4))
 @pytest.mark.parametrize("name", ("q-deformed", "commutative", "bracket"))
-def test_characterization_matches_the_seed_identities(name, n):
+def test_characterization_matches_the_literal_identities(name, n):
     brackets = HEISENBERG if name == "bracket" else None
     calc = Calculus.torus(n, commutative=name == "commutative", brackets=brackets)
     rng = random.Random("characterization/%s/%d" % (name, n))
     metric, conns = quadrant_connections(calc, rng)
     seen = set()
     for conn in conns:
-        pairing, fixed = seed_characterization(conn, metric)
+        pairing, fixed = literal_characterization(conn, metric)
         torsion_zero = all(form.is_zero() for form in torsion(conn))
         compat_zero = not any(
             x.terms for plane in compat_defect(conn, metric) for row in plane for x in row
