@@ -14,15 +14,12 @@ from .algebra import AlgebraElement, TorusAlgebra
 from .connections import (
     Connection,
     antisymmetrize,
-    apply_connection,
     compat_defect,
     compatible_connection,
     lc_characterization_check,
     metric_pairing_operator,
-    sigma_swap,
     symmetrize,
     torsion,
-    torsion_free_from,
 )
 from .errors import (
     AntihermitianViolation,
@@ -54,7 +51,6 @@ from .levicivita import (
 from .metric import (
     HermitianMetric,
     invert_metric,
-    pair,
     symmetry_form,
     validate,
     weak_symmetry_defect,
@@ -87,7 +83,6 @@ __all__ = [
     "TorusAlgebra",
     "ZeroElement",
     "antisymmetrize",
-    "apply_connection",
     "assemble_U",
     "build_levi_civita",
     "compat_defect",
@@ -96,15 +91,12 @@ __all__ = [
     "invert_metric",
     "lc_characterization_check",
     "metric_pairing_operator",
-    "pair",
     "parse_element",
     "render_element",
-    "sigma_swap",
     "solve_R",
     "symmetrize",
     "symmetry_form",
     "torsion",
-    "torsion_free_from",
     "validate",
     "verify_levi_civita",
     "weak_symmetry_defect",

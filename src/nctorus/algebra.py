@@ -53,8 +53,8 @@ does not point back), so it makes no reference cycle.
 This module alone knows the layout.  Each algebra builds the label of
 every factor (``q[a,b]``, ``U1``) once, in written order, and
 ``written_terms`` hands the renderer each term as its written factors and
-integer coefficient; ``canonical_terms`` lists the terms in the same order
-as structured tuples.
+integer coefficient, sorted by U exponents and then by the nonzero phase
+exponents as ((a, b), e) pairs in increasing (a, b).
 
 The standard derivations act by d_a(U^k) = i k_a U^k; each d_a is
 hermitian and the family commutes.
@@ -192,12 +192,6 @@ def _scaled(terms: dict, factor: int) -> dict:
     return {key: (re * factor, im * factor) for key, (re, im) in terms.items()}
 
 
-def _reduced(num: int, den: int):
-    """num / den as a (numerator, denominator) pair in lowest terms."""
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 class AlgebraElement:
     """An element of the torus algebra in canonical normal form.
 
@@ -267,19 +261,20 @@ class AlgebraElement:
         )
 
     def written_terms(self):
-        """The terms in the order of ``canonical_terms``, as (factors, re,
-        im): ``factors`` lists the written monomial factors (``q[1,2]^-1``,
-        ``U1``, ``U2^3``), every q[a,b] before U_1, ..., U_n, and
-        (re + i im) / ``den`` is the coefficient, not reduced.  The factor
-        labels come from the algebra's table; this is what the renderer
-        writes."""
+        """The terms in rendering order, as (factors, re, im): sorted by U
+        exponents, then by the nonzero phase exponents as ((a, b), e)
+        pairs in increasing (a, b).  ``factors`` lists the written monomial
+        factors (``q[1,2]^-1``, ``U1``, ``U2^3``), every q[a,b] before
+        U_1, ..., U_n, and (re + i im) / ``den`` is the coefficient, not
+        reduced.  The factor labels come from the algebra's table; this is
+        what the renderer writes."""
         n = self.algebra.n
         labels = self.algebra._labels
         items = sorted(self.terms.items())
         if self.algebra._pairs and len({k[:n] for k in self.terms}) < len(items):
             # Two terms share their U exponents: order those by the q
             # exponents as a sparse ((position, e), ...) tuple, which orders
-            # like the ((a, b), e) pairs of ``canonical_terms``, not the
+            # like the ((a, b), e) pairs the positions stand for, not the
             # dense q block of the key.
             items.sort(
                 key=lambda item: (
@@ -295,29 +290,6 @@ class AlgebraElement:
             )
             for k, (re, im) in items
         ]
-
-    def canonical_terms(self):
-        """The terms as (U exponents, q key, re, im), sorted by U exponents
-        and then by q key, the order in which elements are rendered.
-
-        The q key is a tuple of ((a, b), e) with a < b and e != 0 in
-        increasing (a, b); ``re`` and ``im`` are the coefficient's real
-        and imaginary parts as (numerator, denominator) in lowest terms.
-        """
-        n = self.algebra.n
-        pairs = self.algebra._pairs
-        den = self.den
-        out = [
-            (
-                k[:n],
-                tuple((pair, e) for pair, e in zip(pairs, k[n:]) if e),
-                _reduced(re, den),
-                _reduced(im, den),
-            )
-            for k, (re, im) in self.terms.items()
-        ]
-        out.sort()
-        return out
 
     # -- ring structure ----------------------------------------------------------
 
@@ -619,7 +591,7 @@ def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
     of the right length is kept, so a frozen input is returned as it is.
 
     Another shape raises ``errors[0]``, worded from ``name`` and the rank
-    of ``shape``: "an n-entry", "an n x n" or "an n x n x n array".  With
+    of ``shape``: "an n x n" or "an n x n x n array".  With
     ``algebra``, the first leaf in index order that is not an
     AlgebraElement raises ``errors[1]``, and the first over an algebra not
     equal to it DescriptorMismatch, each naming the leaf as
@@ -631,7 +603,7 @@ def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
     def freeze(part, depth):
         items = tuple(part) if hasattr(part, "__iter__") else None  # a tuple is kept
         if items is None or len(items) != shape[depth]:
-            dims = "n-entry" if last == 0 else " x ".join("n" * (last + 1))
+            dims = " x ".join("n" * (last + 1))
             raise errors[0]("%s must be an %s array" % (name, dims))
         if depth == last:
             return items

@@ -5,8 +5,8 @@ A connection is the array gamma[a][i][j] of algebra elements with
     nabla_{d_a} theta^i = gamma[a][i][j] theta^j   (sum over j),
 
 extended to arbitrary module elements by the Leibniz rule.  On the
-dual-basis module every operator needed here (index swap in the two
-derivation slots, symmetrization, antisymmetrization, pairing against the
+dual-basis module every operator needed here (symmetrization and
+antisymmetrization in the two derivation slots, pairing against the
 metric) acts on such finite component arrays, and each is defined once.
 The operators visit only nonzero entries: a zero entry is skipped after
 one ``x.terms`` test, and a zero result is the algebra's shared zero.
@@ -27,9 +27,9 @@ holds one element s^i_ab / 2 at both.  The characterization tests
 T_h(P) = dh, the paper's T_h(s) = 2 dh - T_h(d) halved (T_h is
 real-linear), so it forms one pairing and no T_h(d).
 
-``torsion``, ``compat_defect``, ``torsion_free_from`` and the
-characterization check are built from these identities, and
-``compatible_connection`` reads d_a h^ij from ``HermitianMetric.d_upper``.
+``torsion``, ``compat_defect`` and the characterization check are built
+from these identities, and ``compatible_connection`` reads d_a h^ij from
+``HermitianMetric.d_upper``.
 The F tensor of ``levicivita`` reads its bracket term, -i h_ce d^e_ab,
 from the same array.
 """
@@ -75,16 +75,6 @@ class Connection(Record):
                             "gamma[%d,%d,%d]=%s" % (a, i, j, render_element(entry))
                         )
         return "Connection(%s)" % ("; ".join(nonzero) if nonzero else "0")
-
-
-def apply_connection(conn: Connection, a: int, coeffs):
-    """Coefficients of nabla_{d_a}(f_i theta^i) in the theta basis."""
-    calc = conn.calculus
-    if not 1 <= a <= calc.n:
-        raise IndexError("derivation index out of range: %d" % a)
-    coeffs = _frozen(coeffs, (calc.n,), "coeffs", calc.algebra)
-    (product,) = matmul((coeffs,), conn.gamma[a - 1])
-    return tuple(f.derive(a) + p for f, p in zip(coeffs, product))
 
 
 def torsion(conn: Connection):
@@ -137,35 +127,12 @@ def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
     else:
         antiherm = _frozen(antiherm, (calc.n,) * 3, "antiherm", calc.algebra)
         check_antihermitian(antiherm)
-        coeffs = entrywise(lambda dh, x: dh * HALF + x, metric.d_upper, antiherm)
+        coeffs = entrywise(
+            lambda dh, x: dh * HALF + x if dh.terms else x, metric.d_upper, antiherm
+        )
     n = calc.n
     rows = matmul(tuple(chain.from_iterable(coeffs)), metric.lower)
     return Connection(calc, [rows[start : start + n] for start in range(0, n * n, n)])
-
-
-def torsion_free_from(base: Connection, symmetric_part=None) -> Connection:
-    """The torsion-free connection (d + symmetrization of base) / 2 + beta.
-
-    The optional ``symmetric_part`` beta must be symmetric in its two
-    derivation slots (equivalently, its antisymmetrization vanishes);
-    every such choice keeps the result torsion free.
-    """
-    calc = base.calculus
-    if symmetric_part is not None:
-        symmetric_part = _frozen(
-            symmetric_part, (calc.n,) * 3, "symmetric_part", calc.algebra
-        )
-        # the planes [a][b] of each i pair the two derivation slots
-        bad = _first_unpaired(tuple(zip(*symmetric_part)), operator.eq, 3)
-        if bad is not None:
-            raise ValueError(
-                "symmetric_part must be symmetric in the derivation "
-                "slots; entry (a=%d, i=%d, b=%d) is not" % (bad[1], bad[0], bad[2])
-            )
-    gamma = _projection(d_array(calc), symmetrize(base.gamma))
-    if symmetric_part is not None:
-        gamma = entrywise(operator.add, gamma, symmetric_part)
-    return Connection(calc, gamma)
 
 
 # -- operators on component arrays gamma[a][i][b] (dual basis) -----------------
@@ -187,21 +154,16 @@ def entrywise(op, left, right):
     )
 
 
-def sigma_swap(array):
-    """sigma(alpha)^i_ab = alpha^i_ba: transpose the two derivation slots."""
-    return tuple(zip(*[tuple(zip(*rows)) for rows in zip(*array)]))
-
-
 def symmetrize(array):
-    """s(alpha) = alpha + sigma(alpha), formed once per pair a <= b: entry
-    (b, i, a) is the element of entry (a, i, b)."""
+    """s(alpha)^i_ab = alpha^i_ab + alpha^i_ba, formed once per pair a <= b:
+    entry (b, i, a) is the element of entry (a, i, b)."""
     return _swap_combination(array, True)
 
 
 def antisymmetrize(array):
-    """wedge(alpha) = alpha - sigma(alpha), formed once per pair a < b:
-    entry (b, i, a) is the negation of entry (a, i, b), and the diagonal
-    is the shared zero."""
+    """wedge(alpha)^i_ab = alpha^i_ab - alpha^i_ba, formed once per pair
+    a < b: entry (b, i, a) is the negation of entry (a, i, b), and the
+    diagonal is the shared zero."""
     return _swap_combination(array, False)
 
 

@@ -14,11 +14,10 @@ of the stored symbol q[b,a].  Rendering emits the canonical normal form
 with terms sorted lexicographically by monomial exponent, then by the
 phase key as a sorted list of ((a, b), e) pairs (so ``q[1,2]`` comes before
 ``q[1,3]^-1``), and ``parse_element(alg, render_element(x)) == x`` holds
-exactly.  Terms come from ``AlgebraElement.written_terms``, in the order
-of ``canonical_terms``, with their factors already written from the
-algebra's label table and each coefficient as integer numerators over the
-element's denominator; only the coefficient is formatted here, without
-building scalar objects.
+exactly.  Terms come from ``AlgebraElement.written_terms``, already in
+that order, with their factors written from the algebra's label table and
+each coefficient as integer numerators over the element's denominator;
+only the coefficient is formatted here, without building scalar objects.
 
 The work of one parse is bounded by ``MAX_TERM_PAIRS``: every product
 ``x * y`` is charged len(x) * len(y) term pairs before it is computed,

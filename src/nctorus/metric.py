@@ -12,7 +12,7 @@ compatible connection; d(rho) = 0 is the exact existence criterion.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, _first_unpaired, _frozen, _plus_product, matmul
+from .algebra import _first_unpaired, _frozen, _plus_product, matmul
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
 from .expr import render_short
 from .forms import Calculus, KForm
@@ -126,18 +126,6 @@ def validate(metric: HermitianMetric) -> None:
                     "h^ij h_jk fails at (%d, %d): got %s"
                     % (i + 1, k + 1, render_short(total))
                 )
-
-
-def pair(metric: HermitianMetric, left, right) -> AlgebraElement:
-    """h(f_i theta^i, g_j theta^j) = sum f_i h^ij (g_j)*."""
-    alg, n = metric.calculus.algebra, metric.calculus.n
-    left = _frozen(left, (n,), "left", alg)
-    right = _frozen(right, (n,), "right", alg)
-    total = alg.zero()
-    for i in range(n):
-        for j in range(n):
-            total = total + left[i] * metric.upper[i][j] * right[j].star()
-    return total
 
 
 def symmetry_form(metric: HermitianMetric) -> KForm:

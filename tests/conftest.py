@@ -6,6 +6,7 @@ exponents) because the point is exact law checking, not stress testing.
 """
 
 from fractions import Fraction
+from itertools import combinations
 import os
 from pathlib import Path
 import random
@@ -58,6 +59,22 @@ def calc3():
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def canonical_terms(x):
+    """The terms of ``x`` as (U exponents, q key, re, im), sorted, which is
+    the order of the rendered form.  Read from the flat key (the n
+    U-exponents, then the q-exponents of (1,2), (1,3), ..., (n-1,n)): the
+    q key lists ((a, b), e) with e != 0 in increasing (a, b), and ``re``
+    and ``im`` are (numerator, denominator) in lowest terms."""
+    alg, n = x.algebra, x.algebra.n
+    pairs = list(combinations(range(1, n + 1), 2))  # no q block when commutative
+    out = []
+    for key, (re, im) in x.terms.items():
+        qkey = tuple((pair, e) for pair, e in zip(pairs, key[n:]) if e)
+        re, im = (Fraction(v, x.den).as_integer_ratio() for v in (re, im))
+        out.append((key[:n], qkey, re, im))
+    return sorted(out)
 
 
 def random_coeff(rng, allow_zero=False):

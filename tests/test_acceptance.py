@@ -38,6 +38,7 @@ from nctorus.cli import emit_report, load_config, run
 
 from conftest import (
     block_metric,
+    canonical_terms,
     congruence_metric,
     drho_via_generators,
     random_block_metric,
@@ -446,7 +447,7 @@ def specialised(element, target):
     """The image of ``element`` under q -> 1 in the algebra ``target``: the
     q key of every term is dropped and equal U-monomials are merged."""
     total = target.zero()
-    for exponents, _, re, im in element.canonical_terms():
+    for exponents, _, re, im in canonical_terms(element):
         coeff = GaussianRational(Fraction(*re), Fraction(*im))
         total = total + target.monomial(coeff, exponents)
     return total
@@ -496,7 +497,7 @@ def test_q_to_one_commutes_with_the_solver_on_random_congruence_metrics(seed):
         upper = specialised_array(metric.upper, flat.algebra)
         image = HermitianMetric(flat, upper, specialised_array(metric.lower, flat.algebra))
         deformed = any(
-            q for row in metric.upper for x in row for _, q, _, _ in x.canonical_terms()
+            q for row in metric.upper for x in row for _, q, _, _ in canonical_terms(x)
         )
         if deformed and weak_symmetry_defect(metric).is_zero():
             break
@@ -519,7 +520,7 @@ def relabelled(element, sigma):
     library's own product, which brings it back to normal order."""
     alg = element.algebra
     total = alg.zero()
-    for exponents, qkey, re, im in element.canonical_terms():
+    for exponents, qkey, re, im in canonical_terms(element):
         term = alg.scalar(GaussianRational(Fraction(*re), Fraction(*im)))
         for (a, b), e in qkey:
             term = term * alg.q(sigma[a - 1], sigma[b - 1], e)

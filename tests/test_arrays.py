@@ -1,10 +1,10 @@
 """Every public array argument goes through one checker.
 
 Each entry below takes a nested list of algebra elements: a metric
-matrix, a Christoffel or parameter array, the F tensor, the R matrices
-or a vector of module coefficients.  Four defects are put into a valid
-array in turn: one row one entry short, an int leaf, a leaf over another
-algebra, and an int in place of the whole array.  Each must be refused
+matrix, a Christoffel or parameter array, the F tensor or the R
+matrices.  Four defects are put into a valid array in turn: one row one
+entry short, an int leaf, a leaf over another algebra, and an int in
+place of the whole array.  Each must be refused
 with the package's error for it, in words that start with the argument's
 name, and never escape as an AttributeError, a bare TypeError from
 ``len`` or an unpacking ValueError from deeper in the code.  The
@@ -27,15 +27,12 @@ from nctorus import (
     ParamViolation,
     SolverParams,
     TorusAlgebra,
-    apply_connection,
     assemble_U,
     build_levi_civita,
     compatible_connection,
     compute_F,
     invert_metric,
-    pair,
     solve_R,
-    torsion_free_from,
 )
 from nctorus.algebra import _first_unpaired, _frozen
 
@@ -83,23 +80,9 @@ ENTRIES = {
         "antiherm",
         None,
     ),
-    "torsion_free_from": (
-        lambda: zeros(N, N, N),
-        lambda x: torsion_free_from(Connection.zero(CALC), x),
-        "symmetric_part",
-        None,
-    ),
     # the F tensor and the R set, checked where solve_R and assemble_U take them
     "FTensor": (lambda: zeros(N, N, N), lambda x: solve_R(CALC, x, params()), "F", None),
     "RSet": (lambda: zeros(N, N, N), lambda x: assemble_U(METRIC, x), "R", None),
-    "apply_connection": (
-        lambda: zeros(N),
-        lambda x: apply_connection(Connection.zero(CALC), 1, x),
-        "coeffs",
-        None,
-    ),
-    "pair-left": (lambda: zeros(N), lambda x: pair(METRIC, x, zeros(N)), "left", None),
-    "pair-right": (lambda: zeros(N), lambda x: pair(METRIC, zeros(N), x), "right", None),
 }
 for run in (build_with, solve_with):
     ENTRIES["%s-X" % run.__name__] = (

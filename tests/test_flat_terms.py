@@ -24,6 +24,8 @@ from nctorus import (
 )
 from nctorus.algebra import _plus_product, matmul
 
+from conftest import canonical_terms
+
 # -- the oracle ----------------------------------------------------------------
 
 # An oracle element is a dict {(U exponents, q key): (re, im)} with Fraction
@@ -149,7 +151,7 @@ def build(alg, spec):
 def as_oracle(x):
     return {
         (uexp, qkey): (Fraction(*re), Fraction(*im))
-        for uexp, qkey, re, im in x.canonical_terms()
+        for uexp, qkey, re, im in canonical_terms(x)
     }
 
 

@@ -871,16 +871,16 @@ def bracket_diagonal_metric_5():
 
 
 # Element calls with only zero operands during one build_levi_civita.  Those
-# left are the stars of the pairing operator, the halved zero d h entries
-# beside a nonzero A in compatible_connection (bracket-5's six __mul__;
-# forming the characterization's 2 dh - T_h(d) again adds four), and
-# partial sums inside a torsion entry, a triple or a cyclic sum that has a
-# nonzero entry; the d(rho) gate (KForm.d) skips a zero derivative or
-# bracket term, the solvability check a triple whose three F entries are
-# zero, and solve_R a forced entry (R_a)_ab whose X and F terms are zero.
-# A change that walks zero entries again raises these counts (walking every
-# zero entry gives 6,416 and 3,721; skipping zeros everywhere but in the pair
-# checks and the closed-form R entries gives 1,554 and 915; everywhere but in
+# left are the stars of the pairing operator and partial sums inside a
+# torsion entry, a triple or a cyclic sum that has a nonzero entry.  The
+# d(rho) gate (KForm.d) skips a zero derivative or bracket term, the
+# solvability check a triple whose three F entries are zero, solve_R a
+# forced entry (R_a)_ab whose X and F terms are zero, and
+# compatible_connection a zero d h entry beside a nonzero A (halving it
+# gave bracket-5 six __mul__).  A change that walks zero entries again
+# raises these counts (with those six halvings: walking every zero entry
+# gives 6,416 and 3,721; skipping zeros everywhere but in the pair checks
+# and the closed-form R entries gives 1,554 and 915; everywhere but in
 # those cyclic sums and forced entries, 146 and 107; everywhere but in
 # KForm.d, 18 and 31).
 ALL_ZERO_CALLS = {
@@ -889,7 +889,7 @@ ALL_ZERO_CALLS = {
         "star": 6, "derive": 0, "__eq__": 0,
     },
     "bracket-5": {
-        "__mul__": 6, "__add__": 3, "__sub__": 4, "__neg__": 0,
+        "__mul__": 0, "__add__": 3, "__sub__": 4, "__neg__": 0,
         "star": 8, "derive": 0, "__eq__": 0,
     },
 }

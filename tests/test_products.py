@@ -40,9 +40,10 @@ from nctorus import (
     solve_R,
     symmetrize,
     torsion,
-    torsion_free_from,
 )
 from nctorus.algebra import matmul
+from nctorus.connections import _projection
+from nctorus.forms import d_array
 
 from conftest import (
     random_antihermitian_array,
@@ -235,8 +236,8 @@ def oracle_gamma(metric, extra):
     return out
 
 
-def oracle_torsion_free(base, beta):
-    """(gamma^i_ab + gamma^i_ba - c^i_ab) / 2 + beta^i_ab, entry by entry."""
+def oracle_projection(base):
+    """(gamma^i_ab + gamma^i_ba - c^i_ab) / 2, entry by entry."""
     calc = base.calculus
     n = calc.n
     out = []
@@ -249,10 +250,7 @@ def oracle_torsion_free(base, beta):
                 c = calc.lie.bracket(i, a, b)
                 if c:
                     value = value - calc.algebra.scalar(c)
-                value = value * HALF
-                if beta is not None:
-                    value = value + beta[a - 1][i - 1][b - 1]
-                row.append(value)
+                row.append(value * HALF)
             plane.append(row)
         out.append(plane)
     return out
@@ -432,20 +430,12 @@ def test_build_gamma_matches_index_sum(family, n):
 
 
 @pytest.mark.parametrize("family,n", CASES)
-@pytest.mark.parametrize("with_beta", (False, True))
-def test_torsion_free_from_matches_literal_loop(family, n, with_beta):
-    rng = case_rng("torsion_free/%s" % with_beta, family, n)
+def test_projection_matches_literal_loop(family, n):
+    rng = case_rng("projection", family, n)
     calc = make_calculus(family, n)
     base = Connection(calc, sparse_array(rng, calc))
-    beta = None
-    if with_beta:
-        half = sparse_array(rng, calc)
-        beta = tuple(
-            tuple(tuple(half[a][i][b] + half[b][i][a] for b in range(n)) for i in range(n))
-            for a in range(n)
-        )
-    conn = torsion_free_from(base, beta)
-    assert as_lists(conn.gamma) == oracle_torsion_free(base, beta)
+    conn = Connection(calc, _projection(d_array(calc), symmetrize(base.gamma)))
+    assert as_lists(conn.gamma) == oracle_projection(base)
     assert all(form.is_zero() for form in torsion(conn))
 
 

@@ -3,9 +3,12 @@
 Every module but ``__init__`` (whose imports are the public re-exports)
 must use each name it imports, and every module-level private name
 (``_x``) and private method must be referenced somewhere in the package
-outside its own definition.  Every name a docstring quotes in double
-backticks must occur in the package's code.  A leftover helper or
-import, or a docstring naming code that is gone, fails here.
+outside its own definition.  Every public name must have a caller
+outside the tests: another module imports it, its own module reads it
+outside its definition, or the benchmark or a demo uses it.  Every name
+a docstring quotes in double backticks must occur in the package's code.
+A leftover helper, import or public function, or a docstring naming code
+that is gone, fails here.
 """
 
 import ast
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nctorus"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "nctorus"
 
 
 def parse(path):
@@ -118,6 +122,106 @@ def test_the_checks_catch_a_leftover():
     )
     assert unused_imports(leftover) == ["KForm"]
     assert unreferenced_privates("cli.py", leftover) == ["cli.py:3 _weak_symmetry_dict"]
+
+
+def public_owners(init):
+    """{name: module file} for each name of ``__all__`` in the tree
+    ``init`` of ``__init__``, from the relative import that brings it in."""
+    owners = {
+        alias.name: node.module + ".py"
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    (exported,) = [
+        ast.literal_eval(node.value) for node in init.body if isinstance(node, ast.Assign)
+    ]
+    return {name: owners[name] for name in exported}
+
+
+def from_imports(tree):
+    """The names of every ``from ... import`` list of ``tree``."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def read_outside_definition(tree, name):
+    """Whether ``tree`` loads the bare name ``name`` outside a module-level
+    def or class of that name."""
+    spans = [
+        (node.lineno, node.end_lineno)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+    ]
+    return any(
+        isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Load)
+        and node.id == name
+        and not any(first <= node.lineno <= last for first, last in spans)
+        for node in ast.walk(tree)
+    )
+
+
+def uncalled_public_names(owners, trees, users):
+    """``module name`` for each public name of ``owners`` that no other
+    module of ``trees`` imports, that its own module does not read outside
+    its definition, and that no tree of ``users`` imports or reads as an
+    attribute.  Bare words of other modules do not count: a local ``pair``
+    in one module is no caller of another module's ``pair``."""
+    used = set()
+    for tree in users:
+        used |= from_imports(tree)
+        used |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    imports = {module: from_imports(tree) for module, tree in trees.items()}
+    return [
+        "%s %s" % (module, name)
+        for name, module in sorted(owners.items())
+        if name not in used
+        and not read_outside_definition(trees[module], name)
+        and not any(name in names for other, names in imports.items() if other != module)
+    ]
+
+
+USERS = [
+    parse(path) for folder in ("bench", "demos") for path in sorted((REPO / folder).glob("*.py"))
+]
+
+
+def test_every_public_name_has_a_caller():
+    owners = public_owners(PACKAGE["__init__.py"])
+    assert uncalled_public_names(owners, TREES, USERS) == []
+
+
+def test_the_caller_check_catches_a_leftover():
+    trees = {
+        "metric.py": ast.parse(
+            "def pair(metric, left, right):\n"
+            "    return pair(metric, right, left) if left else right\n"
+            "\n"
+            "def validate(metric):\n"
+            "    return metric\n"
+            "\n"
+            "def symmetry_form(metric):\n"
+            "    return metric\n"
+        ),
+        "algebra.py": ast.parse(
+            "from .metric import validate\n"
+            "\n"
+            "def labels(pairs):\n"
+            "    return [validate(pair) for pair in pairs]\n"
+        ),
+    }
+    users = [ast.parse("import nctorus as nc\n\nnc.metric.symmetry_form(None)\n")]
+    owners = {name: "metric.py" for name in ("pair", "symmetry_form", "validate")}
+    assert uncalled_public_names(owners, trees, users) == ["metric.py pair"]
 
 
 def docstrings(tree):
