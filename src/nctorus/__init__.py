@@ -5,9 +5,12 @@ noncommutative n-torus with formal deformation phases, hermitian metrics
 on the free module of one-forms, and the constructive solver for
 torsion-free metric-compatible connections, all in exact arithmetic.
 
-Every value (scalars, algebra elements, forms, metrics, connections) is
-immutable after construction and every operation is a pure function, so
-values can be shared and sent between threads freely.
+Every operation is a pure function of its arguments.  The descriptors
+(``TorusAlgebra``, ``LieAlgebra``, ``Calculus``) enforce immutability;
+scalars and algebra elements are immutable by convention.  Forms, metrics
+and connections are records whose fields can be reassigned, which
+bypasses the validation their constructors ran (a metric's ``lower`` is
+not recomputed when ``upper`` is replaced): build a new value instead.
 """
 
 from .algebra import AlgebraElement, TorusAlgebra
@@ -18,7 +21,6 @@ from .connections import (
     compatible_connection,
     lc_characterization_check,
     metric_pairing_operator,
-    symmetrize,
     torsion,
 )
 from .errors import (
@@ -94,7 +96,6 @@ __all__ = [
     "parse_element",
     "render_element",
     "solve_R",
-    "symmetrize",
     "symmetry_form",
     "torsion",
     "validate",

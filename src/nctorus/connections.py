@@ -5,27 +5,27 @@ A connection is the array gamma[a][i][j] of algebra elements with
     nabla_{d_a} theta^i = gamma[a][i][j] theta^j   (sum over j),
 
 extended to arbitrary module elements by the Leibniz rule.  On the
-dual-basis module every operator needed here (symmetrization and
-antisymmetrization in the two derivation slots, pairing against the
+dual-basis module every operator needed here (antisymmetrization in the
+two derivation slots, the torsion-free projection, pairing against the
 metric) acts on such finite component arrays, and each is defined once.
 The operators visit only nonzero entries: a zero entry is skipped after
 one ``x.terms`` test, and a zero result is the algebra's shared zero.
 ``entrywise`` therefore requires an additive ``op``, with op(0, 0) = 0.
-With T_h the metric pairing operator, s the symmetrizer, wedge the
-antisymmetrizer and d the exterior derivative as an array
-(``forms.d_array``, d^i_ab = -c^i_ab):
+With T_h the metric pairing operator, s(alpha)^i_ab = alpha^i_ab +
+alpha^i_ba, wedge the antisymmetrizer and d the exterior derivative as an
+array (``forms.d_array``, d^i_ab = -c^i_ab):
 
     torsion                T(gamma) = wedge(gamma) - d
     compatibility defect   C(gamma) = d h - T_h(gamma)
     torsion-free part      P(gamma) = (d + s(gamma)) / 2
 
 The operators that swap the two derivation slots form each pair a <= b
-once and mirror it: s(alpha) is symmetric in (a, b), so entry (b, i, a)
-is the element of entry (a, i, b); wedge(alpha) is antisymmetric, so it
-is that element negated, on a zero diagonal; and P, where d^i_ab = 0,
-holds one element s^i_ab / 2 at both.  The characterization tests
-T_h(P) = dh, the paper's T_h(s) = 2 dh - T_h(d) halved (T_h is
-real-linear), so it forms one pairing and no T_h(d).
+once and mirror it: wedge(alpha) is antisymmetric, so entry (b, i, a) is
+the element of entry (a, i, b) negated, on a zero diagonal; P sums the
+pair of gamma entries once, and where d^i_ab = 0 holds one element
+s^i_ab / 2 at both.  The characterization tests T_h(P) = dh, the paper's
+T_h(s) = 2 dh - T_h(d) halved (T_h is real-linear), so it forms one
+pairing and no T_h(d).
 
 ``torsion``, ``compat_defect`` and the characterization check are built
 from these identities, and ``compatible_connection`` reads d_a h^ij from
@@ -154,44 +154,27 @@ def entrywise(op, left, right):
     )
 
 
-def symmetrize(array):
-    """s(alpha)^i_ab = alpha^i_ab + alpha^i_ba, formed once per pair a <= b:
-    entry (b, i, a) is the element of entry (a, i, b)."""
-    return _swap_combination(array, True)
-
-
 def antisymmetrize(array):
-    """wedge(alpha)^i_ab = alpha^i_ab - alpha^i_ba, formed once per pair
-    a < b: entry (b, i, a) is the negation of entry (a, i, b), and the
-    diagonal is the shared zero."""
-    return _swap_combination(array, False)
+    """wedge(alpha)^i_ab = alpha^i_ab - alpha^i_ba for all a, i, b.
 
-
-def _swap_combination(array, symmetric: bool):
-    """alpha^i_ab + alpha^i_ba, or alpha^i_ab - alpha^i_ba, for all a, i, b.
-
-    The sum is symmetric in (a, b) and the difference antisymmetric, so
-    each pair a <= b is combined once and mirrored: the sum's mirror is
-    the same element, the difference's its negation (no normalisation),
-    and the difference's diagonal is zero.  A pair of zero entries is left
-    at the shared zero without a call.
+    The difference is antisymmetric in (a, b), so each pair a < b is
+    formed once: entry (b, i, a) is its negation (no normalisation), and
+    the diagonal is the shared zero.  A pair of zero entries, or a zero
+    difference, is left at the shared zero without a negation.
     """
     n = len(array)
     zero = array[0][0][0].algebra.zero()
     out = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         plane_a, out_a = array[a], out[a]
-        for b in range(a if symmetric else a + 1, n):
+        for b in range(a + 1, n):
             plane_b, out_b = array[b], out[b]
             for i in range(n):
                 x, y = plane_a[i][b], plane_b[i][a]
                 if x.terms or y.terms:
-                    if symmetric:
-                        out_a[i][b] = out_b[i][a] = x + y
-                    else:
-                        value = x - y
-                        if value.terms:
-                            out_a[i][b], out_b[i][a] = value, -value
+                    value = x - y
+                    if value.terms:
+                        out_a[i][b], out_b[i][a] = value, -value
     return tuple(tuple(map(tuple, plane)) for plane in out)
 
 
@@ -220,24 +203,26 @@ def metric_pairing_operator(array, metric: HermitianMetric):
     return tuple(out)
 
 
-def _projection(dop, sym):
-    """The torsion-free projection (d + s(gamma)) / 2, from d_array and s(gamma).
+def _projection(dop, gamma):
+    """The torsion-free projection (d + gamma + gamma^T) / 2, read from
+    d_array and gamma, where gamma^T is gamma with its slots a, b swapped.
 
-    Formed once per pair a <= b, like the symmetrizer: where d^i_ab = 0
-    (always on abelian calculi, and on every diagonal) both entries are
-    the one element s^i_ab / 2; otherwise they are (s + d) / 2 at (a, i, b)
-    and (s - d) / 2 at (b, i, a), because s is symmetric and d^i_ba =
-    -d^i_ab.
+    Formed once per pair a <= b: s = gamma^i_ab + gamma^i_ba is symmetric,
+    so where d^i_ab = 0 (always on abelian calculi, and on every diagonal)
+    both entries are the one element s / 2; otherwise they are (s + d) / 2
+    at (a, i, b) and (s - d) / 2 at (b, i, a), because d^i_ba = -d^i_ab.
+    A pair of zero gamma entries forms no sum.
     """
     n = len(dop)
     zero = dop[0][0][0].algebra.zero()
     out = [[[zero] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        dop_a, sym_a, out_a = dop[a], sym[a], out[a]
+        dop_a, gamma_a, out_a = dop[a], gamma[a], out[a]
         for b in range(a, n):
-            out_b = out[b]
+            gamma_b, out_b = gamma[b], out[b]
             for i in range(n):
-                d, s = dop_a[i][b], sym_a[i][b]
+                d, x, y = dop_a[i][b], gamma_a[i][b], gamma_b[i][a]
+                s = x + y if x.terms or y.terms else zero
                 if d.terms:
                     out_a[i][b] = (s + d) * HALF
                     out_b[i][a] = (s - d) * HALF
@@ -260,7 +245,7 @@ def lc_characterization_check(conn: Connection, metric: HermitianMetric) -> bool
     calc = conn.calculus
     if calc != metric.calculus:
         raise DescriptorMismatch("connection and metric live over different calculi")
-    projection = _projection(d_array(calc), symmetrize(conn.gamma))
+    projection = _projection(d_array(calc), conn.gamma)
     return (
         projection == conn.gamma
         and metric_pairing_operator(projection, metric) == metric.d_upper

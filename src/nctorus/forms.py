@@ -4,11 +4,13 @@ A k-form assigns an algebra element to every k-tuple of basis derivations,
 antisymmetrically.  Components are stored on strictly increasing index
 tuples; evaluation at arbitrary tuples is the signed extension.  The
 exterior derivative follows the alternating-sum formula with bracket
-terms weighted by the structure constants, the product is the signed sum
-over (k,l)-shuffles, and the star acts componentwise because the basis
-derivations are hermitian.  The torus derivations commute, so they do
-not represent a nonzero bracket, and d(d x) = 0 holds only for abelian
-brackets: over c^3_12 = 1, d(d U3) = -i U3 theta^1 theta^2.
+terms weighted by the structure constants, the product multiplies pairs
+of stored components and signs each merged index tuple by the parity of
+its inversions (the signed sum over (k,l)-shuffles of nonzero factors),
+and the star acts componentwise because the basis derivations are
+hermitian.  The torus derivations commute, so they do not represent a
+nonzero bracket, and d(d x) = 0 holds only for abelian brackets: over
+c^3_12 = 1, d(d U3) = -i U3 theta^1 theta^2.
 
 Only this module reads the structure constants: ``KForm.d`` and
 ``d_array`` (d as a component array) fix d theta^i (d_a, d_b) = -c^i_ab
@@ -147,19 +149,12 @@ class Calculus(FrozenRecord):
 
 
 def _sorted_signed(indices):
-    """Sort an index tuple, returning (sign, sorted tuple); sign 0 on repeats."""
-    items = list(indices)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(items)):
-        if items[i - 1] == items[i]:
-            return 0, None
-    return sign, tuple(items)
+    """(sign, sorted tuple) of an index tuple: the sign is the parity of
+    its inversions, and 0 (with None) on a repeated index."""
+    if len(set(indices)) < len(indices):
+        return 0, None
+    inversions = sum(x > y for x, y in combinations(indices, 2))
+    return (-1) ** inversions, tuple(sorted(indices))
 
 
 class KForm(Record):
@@ -267,28 +262,14 @@ class KForm(Record):
         other = self._coerce_form(other)
         if other is None:
             return NotImplemented
-        k, l = self.degree, other.degree
-        n = self.calculus.n
-        if k + l > n:
-            return KForm(self.calculus, k + l, {})
         comps = {}
-        positions = tuple(range(k + l))
-        for key in combinations(range(1, n + 1), k + l):
-            total = self._zero_value()
-            for left_pos in combinations(positions, k):
-                right_pos = tuple(p for p in positions if p not in left_pos)
-                sign = (-1) ** sum(p - i for i, p in enumerate(left_pos))
-                left = self(*(key[p] for p in left_pos))
-                if left.is_zero():
-                    continue
-                right = other(*(key[p] for p in right_pos))
-                if right.is_zero():
-                    continue
-                prod = left * right
-                total = total + prod if sign > 0 else total - prod
-            if not total.is_zero():
-                comps[key] = total
-        return KForm(self.calculus, k + l, comps)
+        for left_key, left in self.comps.items():
+            for right_key, right in other.comps.items():
+                sign, key = _sorted_signed(left_key + right_key)
+                if sign:
+                    prod = left * right if sign > 0 else -(left * right)
+                    comps[key] = comps[key] + prod if key in comps else prod
+        return KForm(self.calculus, self.degree + other.degree, comps)
 
     def __rmul__(self, other):
         other = self._coerce_form(other)

@@ -13,7 +13,6 @@ from nctorus import (
     compat_defect,
     compatible_connection,
     lc_characterization_check,
-    symmetrize,
     torsion,
 )
 from nctorus.algebra import AlgebraElement, matmul
@@ -63,7 +62,7 @@ def pairing(metric, f, g):
 def projected(conn):
     """The torsion-free projection (d + s(gamma)) / 2 of ``conn``."""
     calc = conn.calculus
-    return Connection(calc, _projection(d_array(calc), symmetrize(conn.gamma)))
+    return Connection(calc, _projection(d_array(calc), conn.gamma))
 
 
 def swapped(array):
@@ -404,9 +403,11 @@ def test_sigma_involution_and_projections(rng, calc3):
         for j in (1, 2, 3)
     }
     arr = connection_with(calc3, entries).gamma
-    assert symmetrize(swapped(arr)) == symmetrize(arr)
-    assert symmetrize(antisymmetrize(arr)) == Connection.zero(calc3).gamma
-    assert antisymmetrize(symmetrize(arr)) == Connection.zero(calc3).gamma
+    # calc3 is abelian, so d = 0 and the projection P is s / 2
+    dop, zero = d_array(calc3), Connection.zero(calc3).gamma
+    assert _projection(dop, swapped(arr)) == _projection(dop, arr)
+    assert _projection(dop, antisymmetrize(arr)) == zero
+    assert antisymmetrize(_projection(dop, arr)) == zero
 
 
 # -- characterization -----------------------------------------------------------------
@@ -478,23 +479,20 @@ def test_pair_loops_match_literal_entries(name):
     holes = {(0, 1, 2), (2, 1, 0), (1, 0, 2), (1, 1, 1)}
     arrays = [dense_array(rng, calc), dense_array(rng, calc, holes)]
     for arr in arrays:
-        sym, anti = symmetrize(arr), antisymmetrize(arr)
-        proj = _projection(dop, sym)
+        anti, proj = antisymmetrize(arr), _projection(dop, arr)
         for a in range(n):
             for i in range(n):
                 for b in range(n):
                     x, y, d = arr[a][i][b], arr[b][i][a], dop[a][i][b]
-                    assert sym[a][i][b] == x + y
                     assert anti[a][i][b] == x - y
                     assert proj[a][i][b] == (d + x + y) * Fraction(1, 2)
-                    # the mechanism: one element per symmetric pair, and
-                    # one per projected pair where d vanishes
-                    assert sym[b][i][a] is sym[a][i][b]
+                    # the mechanism: one element per projected pair where
+                    # d vanishes
                     if not d.terms:
                         assert proj[b][i][a] is proj[a][i][b]
             for i in range(n):
                 assert anti[a][i][a] is zero
-        for result in (sym, anti, proj):
+        for result in (anti, proj):
             entries = [x for plane in result for row in plane for x in row]
             assert all(x is zero for x in entries if not x.terms)
     if brackets:
@@ -502,8 +500,9 @@ def test_pair_loops_match_literal_entries(name):
 
 
 def test_pair_loops_combine_each_pair_once(monkeypatch, calc3):
-    # s forms n * n(n+1)/2 sums, wedge n * n(n-1)/2 differences and as many
-    # negations, and a pair of two zeros costs no call
+    # on the abelian calc3 the projection forms n * n(n+1)/2 sums, wedge
+    # n * n(n-1)/2 differences and as many negations, and a pair of two
+    # zeros costs no call
     arr = dense_array(random.Random("pair-calls"), calc3, {(0, 0, 1), (1, 0, 0)})
     counts = {"__add__": 0, "__sub__": 0, "__neg__": 0}
     for name in counts:
@@ -514,7 +513,7 @@ def test_pair_loops_combine_each_pair_once(monkeypatch, calc3):
             return _original(self, *args)
 
         monkeypatch.setattr(AlgebraElement, name, spy)
-    symmetrize(arr)
+    _projection(d_array(calc3), arr)
     assert counts == {"__add__": 3 * 6 - 1, "__sub__": 0, "__neg__": 0}
     counts.update(dict.fromkeys(counts, 0))
     antisymmetrize(arr)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 import random
 
 import pytest
@@ -117,6 +118,41 @@ def test_wedge_associative(calc3, rng):
     assert (x * y) * z == x * (y * z)
 
 
+def shuffle_wedge(left, right):
+    """left * right as the signed sum over (k,l)-shuffles, evaluating both
+    factors at every increasing index tuple of length k + l."""
+    calc, k, l = left.calculus, left.degree, right.degree
+    positions = tuple(range(k + l))
+    comps = {}
+    for key in combinations(range(1, calc.n + 1), k + l):
+        total = calc.algebra.zero()
+        for left_pos in combinations(positions, k):
+            right_pos = tuple(p for p in positions if p not in left_pos)
+            sign = (-1) ** sum(p - i for i, p in enumerate(left_pos))
+            prod = left(*(key[p] for p in left_pos)) * right(*(key[p] for p in right_pos))
+            total = total + prod if sign > 0 else total - prod
+        comps[key] = total
+    return KForm(calc, k + l, comps)
+
+
+WEDGE_CALCULI = {
+    "q-deformed": {},
+    "commutative": {"commutative": True},
+    "bracket": {"brackets": HEISENBERG},
+}
+
+
+@pytest.mark.parametrize("k,l", [(0, 2), (1, 2), (2, 1), (2, 2), (1, 3)])
+@pytest.mark.parametrize("name", sorted(WEDGE_CALCULI))
+def test_wedge_matches_shuffle_sum(name, k, l):
+    calc = Calculus.torus(4, **WEDGE_CALCULI[name])
+    rng = random.Random("wedge/%s/%d%d" % (name, k, l))
+    for _ in range(3):
+        om = random_form(rng, calc, k, max_exp=1)
+        ta = random_form(rng, calc, l, max_exp=1)
+        assert om * ta == shuffle_wedge(om, ta)
+
+
 def test_form_mismatch_raises(calc2, calc3):
     with pytest.raises(DescriptorMismatch):
         calc2.zero_form(1) + calc3.zero_form(1)
@@ -192,8 +228,12 @@ def test_d_commutes_with_star(calc3, rng):
 # -- d squared and graded Leibniz ---------------------------------------------------
 
 
+def abelian_calculi(calc2, calc3):
+    return (calc2, calc3, Calculus.torus(3, commutative=True), Calculus.torus(4))
+
+
 def test_d_squared_zero(calc3, calc2, rng):
-    for calc in (calc2, calc3, Calculus.torus(3, commutative=True), Calculus.torus(4)):
+    for calc in abelian_calculi(calc2, calc3):
         for degree in range(calc.n):
             om = random_form(rng, calc, degree)
             assert om.d().d().is_zero()
@@ -209,14 +249,15 @@ def test_d_squared_zero_with_a_bracket():
     assert KForm.of_element(calc, calc.algebra.gen(3)).d().d().is_zero()
 
 
-def test_graded_leibniz(calc3, rng):
-    for kd, ld in ((0, 0), (0, 1), (1, 1), (1, 2), (0, 2)):
-        om = random_form(rng, calc3, kd)
-        ta = random_form(rng, calc3, ld)
-        sign = -1 if kd % 2 else 1
-        lhs = (om * ta).d()
-        rhs = om.d() * ta + (om * ta.d() if sign > 0 else -(om * ta.d()))
-        assert lhs == rhs
+def test_graded_leibniz(calc3, calc2, rng):
+    for calc in abelian_calculi(calc2, calc3):
+        for kd, ld in ((0, 0), (0, 1), (1, 1), (1, 2), (0, 2)):
+            om = random_form(rng, calc, kd)
+            ta = random_form(rng, calc, ld)
+            sign = -1 if kd % 2 else 1
+            lhs = (om * ta).d()
+            rhs = om.d() * ta + (om * ta.d() if sign > 0 else -(om * ta.d()))
+            assert lhs == rhs
 
 
 # -- torus-specific identities ---------------------------------------------------

@@ -38,7 +38,6 @@ from nctorus import (
     compute_F,
     metric_pairing_operator,
     solve_R,
-    symmetrize,
     torsion,
 )
 from nctorus.algebra import matmul
@@ -434,7 +433,7 @@ def test_projection_matches_literal_loop(family, n):
     rng = case_rng("projection", family, n)
     calc = make_calculus(family, n)
     base = Connection(calc, sparse_array(rng, calc))
-    conn = Connection(calc, _projection(d_array(calc), symmetrize(base.gamma)))
+    conn = Connection(calc, _projection(d_array(calc), base.gamma))
     assert as_lists(conn.gamma) == oracle_projection(base)
     assert all(form.is_zero() for form in torsion(conn))
 
@@ -547,11 +546,23 @@ def literal_matmul(left, right):
     ]
 
 
-def literal_swap_sum(array, sign):
-    """alpha^i_ab + sign * alpha^i_ba, entry by entry."""
+def literal_swap_difference(array):
+    """alpha^i_ab - alpha^i_ba, entry by entry."""
     n = len(array)
     return [
-        [[array[a][i][b] + array[b][i][a] * sign for b in range(n)] for i in range(n)]
+        [[array[a][i][b] - array[b][i][a] for b in range(n)] for i in range(n)]
+        for a in range(n)
+    ]
+
+
+def literal_projection(dop, array):
+    """(d^i_ab + alpha^i_ab + alpha^i_ba) / 2, entry by entry."""
+    n = len(array)
+    return [
+        [
+            [(dop[a][i][b] + array[a][i][b] + array[b][i][a]) * HALF for b in range(n)]
+            for i in range(n)
+        ]
         for a in range(n)
     ]
 
@@ -582,11 +593,12 @@ def test_pairing_and_symmetrizers_match_index_sums_on_edge_shapes(family, n, sha
     rng = case_rng("pairing/" + shape, family, n)
     calc = make_calculus(family, n)
     metric = edge_metric(rng, calc, shape)
+    dop = d_array(calc)
     for array in (edge_array(rng, calc, shape), sparse_array(rng, calc)):
         for result, expected in (
             (metric_pairing_operator(array, metric), oracle_pairing(array, metric.upper)),
-            (symmetrize(array), literal_swap_sum(array, 1)),
-            (antisymmetrize(array), literal_swap_sum(array, -1)),
+            (_projection(dop, array), literal_projection(dop, array)),
+            (antisymmetrize(array), literal_swap_difference(array)),
         ):
             assert as_lists(result) == expected
             assert zeros_are_shared(result, calc.algebra)

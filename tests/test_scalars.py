@@ -17,15 +17,6 @@ def test_gaussian_rational_field_ops():
     assert not (a - a)
 
 
-def test_gaussian_rational_conjugate_and_inverse():
-    a = GaussianRational(3, -4)
-    assert a.conjugate() == GaussianRational(3, 4)
-    assert a * a.inverse() == GaussianRational(1, 0)
-    assert GaussianRational(0, 2).inverse() == GaussianRational(0, Fraction(-1, 2))
-    with pytest.raises(ZeroDivisionError):
-        GaussianRational(0, 0).inverse()
-
-
 # q-phase coefficients are part of each term of an algebra element; these
 # check the phase laws on elements built from alg.q(a, b, e).
 
