@@ -39,6 +39,8 @@ Config files are flat sectioned key-value text.  Each line is a
 
 Only these sections and keys are read; any other is an error.  Each
 entry may be given once: ``h.1.1`` and ``h.01.1`` name the same entry.
+Sizes and key indices are ASCII digits with an optional sign, so
+``n = 1_2`` and a fullwidth ``n = ３`` are refused.
 
 Limits: ``n`` is at most ``MAX_N`` (16), because every term of an
 element carries n + n(n-1)/2 exponents, the solver's work grows with
@@ -100,6 +102,7 @@ MAX_VALUE_CHARS = 4096
 SECTIONS = ("algebra", "lie", "metric", "params", "connection", "run")
 # surrogateescape decoding turns each byte that is not UTF-8 into one of these
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
+_INTEGER = re.compile("[-+]?[0-9]+")
 _RATIONAL = re.compile(r"[-+]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")
 
 
@@ -179,12 +182,22 @@ def _plain_keys(sections, name, required, optional=()):
     return section
 
 
+def _integer(text):
+    """``text`` as an int when it is an optional sign and ASCII digits, else
+    None; so is a digit string longer than ``int`` converts."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def _size(name, text, lineno):
     """The size ``n`` or ``N``: an integer in 1..MAX_N."""
-    try:
-        size = int(text)
-    except ValueError:
-        raise ParseError("%s must be an integer" % name, lineno, 1) from None
+    size = _integer(text)
+    if size is None:
+        raise ParseError("%s must be an integer" % name, lineno, 1)
     if size < 1:
         raise ParseError("%s must be at least 1" % name, lineno, 1)
     if size > MAX_N:
@@ -202,10 +215,9 @@ def _index(key, prefix, bounds, what, lineno, entries):
             lineno,
             1,
         )
-    try:
-        index = tuple(int(p) for p in parts[1:])
-    except ValueError:
-        raise ParseError("non-integer index in key %r" % key, lineno, 1) from None
+    index = tuple(map(_integer, parts[1:]))
+    if None in index:
+        raise ParseError("non-integer index in key %r" % key, lineno, 1)
     for value, bound in zip(index, bounds):
         if not 1 <= value <= bound:
             raise IndexError(

@@ -24,8 +24,13 @@ once and mirror it: wedge(alpha) is antisymmetric, so entry (b, i, a) is
 the element of entry (a, i, b) negated, on a zero diagonal; P sums the
 pair of gamma entries once, and where d^i_ab = 0 holds one element
 s^i_ab / 2 at both.  The characterization tests T_h(P) = dh, the paper's
-T_h(s) = 2 dh - T_h(d) halved (T_h is real-linear), so it forms one
-pairing and no T_h(d).
+T_h(s) = 2 dh - T_h(d) halved (T_h is real-linear), and only once the
+fixed point P == gamma has held entry by entry.  Then T_h(P) = T_h(gamma)
+exactly: T_h reads nothing but the entries, and equal entries are
+identical normal forms.  So the compatibility defect and the
+characterization read one pairing T_h(gamma), which a connection keeps
+for the last metric it was paired with (``_gamma_pairing``), and no
+T_h(d) is formed.
 
 ``torsion``, ``compat_defect`` and the characterization check are built
 from these identities, and ``compatible_connection`` reads d_a h^ij from
@@ -50,13 +55,21 @@ HALF = Fraction(1, 2)
 
 
 class Connection(Record):
-    """Christoffel data gamma[a][i][j] over a calculus, an n x n x n array."""
+    """Christoffel data gamma[a][i][j] over a calculus, an n x n x n array.
 
-    __slots__ = _fields = ("calculus", "gamma")
+    ``_pairing`` keeps the last (metric, gamma, T_h(gamma)) that
+    ``_gamma_pairing`` formed; it is keyed by the identity of the metric
+    and of ``gamma``, so assigning ``gamma`` or pairing with another metric
+    forms T_h again.
+    """
+
+    __slots__ = ("calculus", "gamma", "_pairing")
+    _fields = ("calculus", "gamma")
 
     def __init__(self, calculus: Calculus, gamma):
         self.calculus = calculus
         self.gamma = _frozen(gamma, (calculus.n,) * 3, "gamma", calculus.algebra)
+        self._pairing = None
 
     @classmethod
     def zero(cls, calculus: Calculus) -> "Connection":
@@ -99,12 +112,16 @@ def torsion(conn: Connection):
 
 def compat_defect(conn: Connection, metric: HermitianMetric):
     """C^ij_a = d_a h^ij - T_h(gamma)^ij_a
-    = d_a h^ij - gamma^i_ak h^kj - (gamma^j_ak h^ki)*."""
+    = d_a h^ij - gamma^i_ak h^kj - (gamma^j_ak h^ki)*.
+
+    T_h(gamma) is read through the pairing the connection keeps for this
+    metric and gamma.  The characterization check reads the same one: it
+    pairs its projection P only once P == gamma entry by entry, and then
+    T_h(P) = T_h(gamma) exactly.
+    """
     if conn.calculus != metric.calculus:
         raise DescriptorMismatch("connection and metric live over different calculi")
-    return entrywise(
-        operator.sub, metric.d_upper, metric_pairing_operator(conn.gamma, metric)
-    )
+    return entrywise(operator.sub, metric.d_upper, _gamma_pairing(conn, metric))
 
 
 def check_antihermitian(array) -> None:
@@ -203,6 +220,16 @@ def metric_pairing_operator(array, metric: HermitianMetric):
     return tuple(out)
 
 
+def _gamma_pairing(conn: Connection, metric: HermitianMetric):
+    """T_h(conn.gamma), formed by ``metric_pairing_operator`` once per
+    metric and gamma and kept in ``conn._pairing``."""
+    kept = conn._pairing
+    if kept is None or kept[0] is not metric or kept[1] is not conn.gamma:
+        gamma = conn.gamma
+        kept = conn._pairing = (metric, gamma, metric_pairing_operator(gamma, metric))
+    return kept[2]
+
+
 def _projection(dop, gamma):
     """The torsion-free projection (d + gamma + gamma^T) / 2, read from
     d_array and gamma, where gamma^T is gamma with its slots a, b swapped.
@@ -239,14 +266,16 @@ def lc_characterization_check(conn: Connection, metric: HermitianMetric) -> bool
     identity, T_h(s(conn)) = 2 dh - T_h(d), is tested in its halved form
     T_h(P) = dh: T_h is real-linear, so T_h(P) = T_h(d) / 2 + T_h(s) / 2,
     which equals dh exactly when the paper's identity holds.  The
-    identity that forms no product goes first.  The conjunction holds
-    exactly when conn is torsion free and compatible.
+    identity that forms no product goes first.  Once it holds, P == gamma
+    entry by entry, so T_h(P) is T_h(gamma) exactly, and the pairing is
+    read through the one the connection keeps for this metric and gamma,
+    which ``compat_defect`` shares.  The conjunction holds exactly when
+    conn is torsion free and compatible.
     """
     calc = conn.calculus
     if calc != metric.calculus:
         raise DescriptorMismatch("connection and metric live over different calculi")
-    projection = _projection(d_array(calc), conn.gamma)
     return (
-        projection == conn.gamma
-        and metric_pairing_operator(projection, metric) == metric.d_upper
+        _projection(d_array(calc), conn.gamma) == conn.gamma
+        and _gamma_pairing(conn, metric) == metric.d_upper
     )

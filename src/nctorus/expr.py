@@ -55,8 +55,8 @@ MAX_SHOWN_TERMS = 16
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>\d+(?:/\d+)?)
-  | (?P<ugen>U\d+)
+  | (?P<number>[0-9]+(?:/[0-9]+)?)
+  | (?P<ugen>U[0-9]+)
   | (?P<name>[A-Za-z]+)
   | (?P<sym>[()\[\],+\-*^])
   | (?P<end>\Z)

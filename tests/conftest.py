@@ -36,6 +36,21 @@ def src_env():
     return env
 
 
+def pairing_spy(monkeypatch):
+    """The arrays passed to ``metric_pairing_operator`` from now on."""
+    import nctorus.connections as connections
+
+    calls = []
+    pairing = connections.metric_pairing_operator
+
+    def spy(array, metric):
+        calls.append(array)
+        return pairing(array, metric)
+
+    monkeypatch.setattr(connections, "metric_pairing_operator", spy)
+    return calls
+
+
 @pytest.fixture
 def t2():
     return TorusAlgebra(2)

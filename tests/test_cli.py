@@ -19,7 +19,7 @@ from nctorus.cli import (
     run,
 )
 
-from conftest import random_antihermitian_array, random_monomial, src_env
+from conftest import pairing_spy, random_antihermitian_array, random_monomial, src_env
 
 REPO = Path(__file__).resolve().parent.parent
 BLOCK_CFG = REPO / "demos" / "torus3-block.cfg"
@@ -265,6 +265,15 @@ def test_run_build_lc_block():
     gamma_111 = parse_element(alg, report["gamma"][0][0][0])
     assert gamma_111 == alg.i() * (alg.gen(1) + alg.gen(1, -1))
     assert report["gamma"][1][1][1] == "i"
+
+
+def test_run_build_lc_forms_one_pairing(monkeypatch):
+    # the build's verification and the report's second one read the one
+    # T_h(gamma) the connection keeps
+    calls = pairing_spy(monkeypatch)
+    report = run(load_config(BLOCK_CFG))
+    assert report["verification"]["pass"] is True
+    assert len(calls) == 1
 
 
 def test_run_not_weakly_symmetric():

@@ -97,17 +97,25 @@ MESSAGES = {
         ("metric", "h.1 = 1", ParseError, bad_key("h.1", "h", 2)),
         ("metric", "g.1.2 = 1", ParseError, bad_key("g.1.2", "h", 2)),
         ("metric", "h.1.y = 1", ParseError, non_integer("h.1.y")),
+        # indices are ASCII digits: no digit separator, no fullwidth digit
+        ("metric", "h.1_0.1 = 1", ParseError, non_integer("h.1_0.1")),
+        ("metric", "h.1.\uff12 = 1", ParseError, non_integer("h.1.\uff12")),
+        ("metric", "h. 1.1 = 1", ParseError, non_integer("h. 1.1")),
+        # a signed index is read, and is out of range
+        ("metric", "h.-1.1 = 1", IndexError, "metric index -1 out of range 1..3"),
         ("metric", "h.4.1 = 1", IndexError, "metric index 4 out of range 1..3"),
     ],
     # an hinv key is named as written
     "hinv": [
         ("metric", "hinv.1 = 1", ParseError, bad_key("hinv.1", "hinv", 2)),
         ("metric", "hinv.1.y = 1", ParseError, non_integer("hinv.1.y")),
+        ("metric", "hinv.1.0_1 = 1", ParseError, non_integer("hinv.1.0_1")),
         ("metric", "hinv.1.4 = 1", IndexError, "metric index 4 out of range 1..3"),
     ],
     "X": [
         ("params", "X.1 = 1", ParseError, bad_key("X.1", "X", 2)),
         ("params", "X.1.z = 1", ParseError, non_integer("X.1.z")),
+        ("params", "X.1.\u0661 = 1", ParseError, non_integer("X.1.\u0661")),
         ("params", "X.0.1 = 1", IndexError, "X index 0 out of range 1..3"),
         ("params", "X.1.2 = i", HermiticityError, "X.1.2 must be hermitian"),
         ("params", "Y.1.2 = 1", ParseError, "unknown key 'Y.1.2' in [params]"),
@@ -158,6 +166,15 @@ def test_indexed_key_errors(tmp_path, capsys, section, line, kind, message):
     assert_load_error(path, capsys, kind, full, lineno if kind is ParseError else None)
 
 
+def test_index_longer_than_int_converts_is_no_integer(tmp_path, capsys):
+    # keys have no length limit, and int() refuses a digit string longer
+    # than sys.get_int_max_str_digits() (4300 by default)
+    key = "h.%s.1" % ("9" * 5000)
+    text, lineno = config_text({"metric": [key + " = 1"]})
+    full = expected_message(ParseError, non_integer(key), lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
+
+
 # the module size N must equal n: refused over the 3-torus, read over the 2-torus
 RANK_2 = dict(BASE, metric=["N = 2", "h.1.1 = 1", "h.2.2 = 1"])
 SIZE_2 = dict(RANK_2, algebra=["n = 2"])
@@ -198,6 +215,12 @@ def test_smaller_rank_is_refused_at_its_line(tmp_path, capsys):
         ("N", "metric", "N = x", "N must be an integer"),
         ("N", "metric", "N = -1", "N must be at least 1"),
         ("N", "metric", "N = 17", "N = 17 exceeds MAX_N = 16"),
+        # a size is ASCII digits with an optional sign
+        ("n", "algebra", "n = 1_2", "n must be an integer"),
+        ("n", "algebra", "n = \uff13", "n must be an integer"),
+        ("n", "algebra", "n = \u0663", "n must be an integer"),
+        ("n", "algebra", "n = -3", "n must be at least 1"),
+        ("N", "metric", "N = 0_3", "N must be an integer"),
     ],
 )
 def test_size_errors(tmp_path, capsys, name, section, line, message):
@@ -224,15 +247,16 @@ def repeated(key, index):
     return "key %r repeats the entry %s of an earlier key" % (key, index)
 
 
-# Each pair names one entry twice; int() reads "01", "+1", "0_2" and a
-# non-ASCII digit such as U+0661 as the same integers.
+# Each pair names one entry twice: a leading zero or a plus sign spells the
+# same index.  "0_1" and a non-ASCII digit such as U+0661 are no index at
+# all (MESSAGES above).
 @pytest.mark.parametrize(
     "section,first,second,message",
     [
         ("lie", "c.3.1.2 = 1", "c.03.1.2 = 2", repeated("c.03.1.2", (3, 1, 2))),
         ("metric", "h.2.3 = U2", "h.2.+3 = 5", repeated("h.2.+3", (2, 3))),
-        ("metric", "hinv.1.1 = 1", "hinv.1.0_1 = 1", repeated("hinv.1.0_1", (1, 1))),
-        ("params", "X.1.1 = 1", "X.1.\u0661 = 2", repeated("X.1.\u0661", (1, 1))),
+        ("metric", "hinv.1.1 = 1", "hinv.1.+01 = 1", repeated("hinv.1.+01", (1, 1))),
+        ("params", "X.1.1 = 1", "X.01.1 = 2", repeated("X.01.1", (1, 1))),
         ("params", "H.1.2.3 = 1", "H.1.2.03 = 1", repeated("H.1.2.03", (1, 2, 3))),
         ("params", "A.1.1.1 = i", "A.+1.1.1 = 2*i", repeated("A.+1.1.1", (1, 1, 1))),
         (

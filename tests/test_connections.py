@@ -18,12 +18,13 @@ from nctorus import (
 from nctorus.algebra import AlgebraElement, matmul
 from nctorus.connections import _projection, entrywise, metric_pairing_operator
 from nctorus.forms import Calculus, d_array
-from nctorus.levicivita import SolverParams, build_levi_civita
+from nctorus.levicivita import SolverParams, build_levi_civita, verify_levi_civita
 from nctorus.metric import weak_symmetry_defect
 
 from conftest import (
     block_metric,
     congruence_metric,
+    pairing_spy,
     random_antihermitian_array,
     random_block_metric,
     random_diagonal_metric,
@@ -581,21 +582,51 @@ def test_characterization_matches_the_literal_identities(name, n):
 
 def test_characterization_tests_the_fixed_point_first(monkeypatch, calc3):
     # the identity that forms no product goes first: a torsionful connection
-    # is refused before any pairing is formed
-    import nctorus.connections as connections
-
-    calls = []
-    pairing = connections.metric_pairing_operator
-
-    def spy(array, metric):
-        calls.append(array)
-        return pairing(array, metric)
-
+    # is refused before any pairing is formed; a fresh connection keeps no
+    # pairing, so a passing one forms T_h(gamma) once
     metric = block_metric(calc3, calc3.algebra.gen(2))
-    conn = build_levi_civita(metric)
-    monkeypatch.setattr(connections, "metric_pairing_operator", spy)
+    conn = Connection(calc3, build_levi_civita(metric).gamma)
+    calls = pairing_spy(monkeypatch)
     torsionful = connection_with(calc3, {(1, 2, 3): calc3.algebra.one()})
     assert not lc_characterization_check(torsionful, metric)
     assert calls == []
     assert lc_characterization_check(conn, metric)
     assert calls == [conn.gamma]
+
+
+def test_build_forms_one_pairing(monkeypatch, calc3):
+    # the compatibility defect forms T_h(gamma) and the characterization
+    # reads it; verifying the built connection again against the same
+    # metric forms none
+    metric = block_metric(calc3, calc3.algebra.gen(2))
+    calls = pairing_spy(monkeypatch)
+    conn = build_levi_civita(metric)
+    assert calls == [conn.gamma]
+    assert verify_levi_civita(conn, metric).passed
+    assert len(calls) == 1
+
+
+def test_kept_pairing_follows_the_metric_and_gamma(calc3):
+    # one connection verified against two metrics, then with gamma
+    # reassigned, gives each metric's own verdict and defect, as a fresh
+    # connection and a directly formed pairing do
+    alg = calc3.algebra
+    first = block_metric(calc3, alg.gen(2))
+    second = block_metric(calc3, alg.gen(3))
+    conn = build_levi_civita(first)
+
+    def check(metric, passed):
+        report = verify_levi_civita(conn, metric)
+        fresh = verify_levi_civita(Connection(calc3, conn.gamma), metric)
+        assert report == fresh
+        assert report.passed is passed
+        assert report.compat == entrywise(
+            operator.sub, metric.d_upper, metric_pairing_operator(conn.gamma, metric)
+        )
+
+    check(first, True)
+    check(second, False)
+    check(first, True)
+    conn.gamma = build_levi_civita(second).gamma
+    check(first, False)
+    check(second, True)

@@ -359,8 +359,11 @@ def test_parse_errors_on_multiline_input(alg, text, line, col):
     [
         ("1 2", "unexpected trailing input at line 1, column 3"),
         ("q[x,1]", "expected an integer at line 1, column 3"),
+        # digits are ASCII: an Arabic-Indic or fullwidth digit is no digit
+        ("U\u0663", "unexpected character '\u0663' at line 1, column 2"),
+        ("2 * \uff13", "unexpected character '\uff13' at line 1, column 5"),
     ],
-    ids=["trailing", "phase-index"],
+    ids=["trailing", "phase-index", "arabic-indic-generator", "fullwidth-number"],
 )
 def test_parse_error_names_the_token(alg, text, message):
     with pytest.raises(ParseError) as info:

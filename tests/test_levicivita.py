@@ -871,26 +871,28 @@ def bracket_diagonal_metric_5():
 
 
 # Element calls with only zero operands during one build_levi_civita.  Those
-# left are the stars of the pairing operator and partial sums inside a
-# torsion entry, a triple or a cyclic sum that has a nonzero entry.  The
-# d(rho) gate (KForm.d) skips a zero derivative or bracket term, the
-# solvability check a triple whose three F entries are zero, solve_R a
-# forced entry (R_a)_ab whose X and F terms are zero, and
-# compatible_connection a zero d h entry beside a nonzero A (halving it
-# gave bracket-5 six __mul__).  A change that walks zero entries again
-# raises these counts (with those six halvings: walking every zero entry
-# gives 6,416 and 3,721; skipping zeros everywhere but in the pair checks
-# and the closed-form R entries gives 1,554 and 915; everywhere but in
-# those cyclic sums and forced entries, 146 and 107; everywhere but in
-# KForm.d, 18 and 31).
+# left are the stars of the one pairing T_h(gamma), which the compatibility
+# defect forms and the characterization reads (forming it in both gave 6
+# and 8 stars), and partial sums inside a torsion entry, a triple or a
+# cyclic sum that has a nonzero entry.  The d(rho) gate (KForm.d) skips a
+# zero derivative or bracket term, the solvability check a triple whose
+# three F entries are zero, solve_R a forced entry (R_a)_ab whose X and F
+# terms are zero, and compatible_connection a zero d h entry beside a
+# nonzero A (halving it gave bracket-5 six __mul__).  A change that walks
+# zero entries again raises these counts (measured with the pairing formed
+# twice and those six halvings: walking every zero entry gives 6,416 and
+# 3,721; skipping zeros everywhere but in the pair checks and the
+# closed-form R entries gives 1,554 and 915; everywhere but in those cyclic
+# sums and forced entries, 146 and 107; everywhere but in KForm.d, 18 and
+# 31).
 ALL_ZERO_CALLS = {
     "block-6": {
         "__mul__": 0, "__add__": 0, "__sub__": 0, "__neg__": 0,
-        "star": 6, "derive": 0, "__eq__": 0,
+        "star": 3, "derive": 0, "__eq__": 0,
     },
     "bracket-5": {
         "__mul__": 0, "__add__": 3, "__sub__": 4, "__neg__": 0,
-        "star": 8, "derive": 0, "__eq__": 0,
+        "star": 5, "derive": 0, "__eq__": 0,
     },
 }
 
