@@ -183,8 +183,8 @@ def _plain_keys(sections, name, required, optional=()):
 
 
 def _integer(text):
-    """``text`` as an int when it is an optional sign and ASCII digits, else
-    None; so is a digit string longer than ``int`` converts."""
+    """``text`` as an int when it is an optional sign and ASCII digits that
+    ``int`` converts (at most ``sys.get_int_max_str_digits()``), else None."""
     if _INTEGER.fullmatch(text):
         try:
             return int(text)

@@ -223,9 +223,8 @@ def metric_pairing_operator(array, metric: HermitianMetric):
 def _gamma_pairing(conn: Connection, metric: HermitianMetric):
     """T_h(conn.gamma), formed by ``metric_pairing_operator`` once per
     metric and gamma and kept in ``conn._pairing``."""
-    kept = conn._pairing
-    if kept is None or kept[0] is not metric or kept[1] is not conn.gamma:
-        gamma = conn.gamma
+    gamma, kept = conn.gamma, conn._pairing
+    if kept is None or kept[0] is not metric or kept[1] is not gamma:
         kept = conn._pairing = (metric, gamma, metric_pairing_operator(gamma, metric))
     return kept[2]
 

@@ -9,6 +9,8 @@ Grammar (whitespace between tokens is ignored)::
              | 'adj' '(' expr ')' | '(' expr ')'
     rational := digits ('/' digits)?
 
+In digits and int, a digit is ASCII 0-9: any other digit character,
+such as an Arabic-Indic or fullwidth one, is an unexpected character.
 ``adj`` is the star operation.  ``q[a,b]`` with a > b denotes the inverse
 of the stored symbol q[b,a].  Rendering emits the canonical normal form
 with terms sorted lexicographically by monomial exponent, then by the
