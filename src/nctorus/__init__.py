@@ -6,11 +6,11 @@ on the free module of one-forms, and the constructive solver for
 torsion-free metric-compatible connections, all in exact arithmetic.
 
 Every operation is a pure function of its arguments.  The descriptors
-(``TorusAlgebra``, ``LieAlgebra``, ``Calculus``) enforce immutability;
-scalars and algebra elements are immutable by convention.  Forms, metrics
-and connections are records whose fields can be reassigned, which
-bypasses the validation their constructors ran (a metric's ``lower`` is
-not recomputed when ``upper`` is replaced): build a new value instead.
+(``TorusAlgebra``, ``LieAlgebra``, ``Calculus``), forms, metrics,
+connections, solver parameters and verification reports are immutable
+records: assigning or deleting a field raises AttributeError, so each
+keeps the fields its constructor validated.  Scalars and algebra
+elements are immutable by convention.
 """
 
 from .algebra import AlgebraElement, TorusAlgebra

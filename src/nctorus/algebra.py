@@ -68,7 +68,7 @@ from itertools import chain, product, repeat
 from math import gcd
 
 from .errors import DescriptorMismatch, NotMonomial, ZeroElement
-from .records import FrozenRecord
+from .records import Record
 from .scalars import GaussianRational
 
 _SCALARS = (int, Fraction, GaussianRational)
@@ -83,7 +83,7 @@ def _picker(indices):
     return operator.itemgetter(*indices) if indices else operator.itemgetter(slice(0))
 
 
-class TorusAlgebra(FrozenRecord):
+class TorusAlgebra(Record):
     """Descriptor of the torus algebra: number of generators and q-mode.
 
     With ``commutative=True`` every commutation phase collapses to 1,
@@ -106,9 +106,8 @@ class TorusAlgebra(FrozenRecord):
         # The labels are (key position, factor label) in written order,
         # every q[a,b] before U_1, ..., U_n, for ``written_terms``.  The
         # all-zero key is the one key of every nonzero constant.
+        Record.__init__(self, n, commutative)
         self.__dict__.update(
-            n=n,
-            commutative=commutative,
             _pairs=pairs,
             _slots=tuple((n + p, a - 1, b - 1) for p, (a, b) in enumerate(pairs)),
             _first_of_pair=_picker([a - 1 for a, _ in pairs]),

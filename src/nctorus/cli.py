@@ -11,10 +11,9 @@ Config files are flat sectioned key-value text.  Each line is a
     [lie]
     c.3.1.2 = 1
 
-    # the module size N (optional, must equal n), the upper entries h^ij
-    # (missing entries are 0) and optional explicit inverse entries h_ij
+    # the upper entries h^ij (missing entries are 0) and optional
+    # explicit inverse entries h_ij of the n x n metric
     [metric]
-    N = 3
     h.1.1 = 1
     h.2.3 = U2
     h.3.2 = adj(U2)
@@ -40,7 +39,9 @@ Config files are flat sectioned key-value text.  Each line is a
 Only these sections and keys are read; any other is an error.  Each
 entry may be given once: ``h.1.1`` and ``h.01.1`` name the same entry.
 Sizes and key indices are ASCII digits with an optional sign, so
-``n = 1_2`` and a fullwidth ``n = ３`` are refused.
+``n = 1_2`` and a fullwidth ``n = ３`` are refused.  Whitespace is ASCII
+(space, tab, form feed, vertical tab): U+3000, U+00A0 or U+001C in a key
+or value is a ParseError naming its line and column.
 
 Limits: ``n`` is at most ``MAX_N`` (16), because every term of an
 element carries n + n(n-1)/2 exponents, the solver's work grows with
@@ -79,7 +80,7 @@ from .errors import (
     NotWeaklySymmetric,
     ParseError,
 )
-from .expr import parse_element, render_element
+from .expr import _BLANKS, parse_element, render_element
 from .forms import Calculus
 from .levicivita import (
     SolverParams,
@@ -111,22 +112,6 @@ class ProblemConfig(Record):
 
     _fields = ("calculus", "upper", "lower", "params", "gamma", "command")
 
-    def __init__(
-        self,
-        calculus: Calculus,
-        upper: tuple,
-        lower: tuple | None,
-        params: SolverParams,
-        gamma: tuple | None,
-        command: str,
-    ):
-        self.calculus = calculus
-        self.upper = upper
-        self.lower = lower
-        self.params = params
-        self.gamma = gamma
-        self.command = command
-
 
 # -- config loading ----------------------------------------------------------
 
@@ -139,11 +124,11 @@ def _read_sections(path):
             bad = _NOT_UTF8.search(raw)
             if bad:
                 raise ParseError("not valid UTF-8", lineno, bad.start() + 1)
-            line = raw.strip()
+            line = raw.strip(_BLANKS)
             if not line or line.startswith("#"):
                 continue
             if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
+                current = line[1:-1].strip(_BLANKS)
                 if current not in SECTIONS:
                     raise ParseError("unknown section [%s]" % current, lineno, 1)
                 sections.setdefault(current, {})
@@ -153,8 +138,8 @@ def _read_sections(path):
             if current is None:
                 raise ParseError("key outside of any [section]", lineno, 1)
             key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+            key = key.strip(_BLANKS)
+            value = value.strip(_BLANKS)
             if not key:
                 raise ParseError("empty key", lineno, 1)
             if len(value) > MAX_VALUE_CHARS:
@@ -193,15 +178,15 @@ def _integer(text):
     return None
 
 
-def _size(name, text, lineno):
-    """The size ``n`` or ``N``: an integer in 1..MAX_N."""
+def _size(text, lineno):
+    """The size ``n``: an integer in 1..MAX_N."""
     size = _integer(text)
     if size is None:
-        raise ParseError("%s must be an integer" % name, lineno, 1)
+        raise ParseError("n must be an integer", lineno, 1)
     if size < 1:
-        raise ParseError("%s must be at least 1" % name, lineno, 1)
+        raise ParseError("n must be at least 1", lineno, 1)
     if size > MAX_N:
-        raise ParseError("%s = %d exceeds MAX_N = %d" % (name, size, MAX_N), lineno, 1)
+        raise ParseError("n = %d exceeds MAX_N = %d" % (size, MAX_N), lineno, 1)
     return size
 
 
@@ -270,7 +255,7 @@ def load_config(path) -> ProblemConfig:
     sections = _read_sections(path)
 
     algebra_sec = _plain_keys(sections, "algebra", "n", ("commutative",))
-    n = _size("n", *algebra_sec["n"])
+    n = _size(*algebra_sec["n"])
     text, lineno = algebra_sec.get("commutative", ("false", None))
     if text not in ("true", "false"):
         raise ParseError("commutative must be true or false", lineno, 1)
@@ -293,12 +278,8 @@ def load_config(path) -> ProblemConfig:
         raise ParseError("bad [lie] section: %s" % exc) from exc
     zero = calculus.algebra.zero()
 
-    metric_sec = dict(sections.get("metric", {}))
-    text, lineno = metric_sec.pop("N", (str(n), None))
-    if _size("N", text, lineno) != n:
-        raise ParseError("N must equal n = %d (the dual-basis module)" % n, lineno, 1)
     upper, lower = {}, {}
-    for key, (value, lineno) in metric_sec.items():
+    for key, (value, lineno) in sections.get("metric", {}).items():
         entries, prefix = (lower, "hinv") if key.startswith("hinv.") else (upper, "h")
         index = _index(key, prefix, (n, n), "metric", lineno, entries)
         entries[index] = _parse_expr(calculus, value, lineno)
@@ -500,10 +481,10 @@ def main(argv=None) -> int:
     except (ParseError, IndexError, HermiticityError, OSError) as exc:
         return _fail(exc)
 
-    if args.command:
-        config.command = args.command
-    if args.params_zero:
-        config.params = SolverParams.zeros(config.calculus)
+    calc = config.calculus
+    params = SolverParams.zeros(calc) if args.params_zero else config.params
+    command = args.command or config.command
+    config = ProblemConfig(calc, config.upper, config.lower, params, config.gamma, command)
 
     report = run(config)
     text = emit_report(report, args.format)

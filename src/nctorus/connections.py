@@ -57,19 +57,19 @@ HALF = Fraction(1, 2)
 class Connection(Record):
     """Christoffel data gamma[a][i][j] over a calculus, an n x n x n array.
 
-    ``_pairing`` keeps the last (metric, gamma, T_h(gamma)) that
-    ``_gamma_pairing`` formed; it is keyed by the identity of the metric
-    and of ``gamma``, so assigning ``gamma`` or pairing with another metric
-    forms T_h again.
+    ``_pairing`` keeps the last (metric, T_h(gamma)) that
+    ``_gamma_pairing`` formed; ``gamma`` is fixed at construction, so the
+    pair is keyed by the identity of the metric alone, and pairing with
+    another metric forms T_h again.
     """
 
     __slots__ = ("calculus", "gamma", "_pairing")
     _fields = ("calculus", "gamma")
 
     def __init__(self, calculus: Calculus, gamma):
-        self.calculus = calculus
-        self.gamma = _frozen(gamma, (calculus.n,) * 3, "gamma", calculus.algebra)
-        self._pairing = None
+        gamma = _frozen(gamma, (calculus.n,) * 3, "gamma", calculus.algebra)
+        Record.__init__(self, calculus, gamma)
+        object.__setattr__(self, "_pairing", None)
 
     @classmethod
     def zero(cls, calculus: Calculus) -> "Connection":
@@ -115,7 +115,7 @@ def compat_defect(conn: Connection, metric: HermitianMetric):
     = d_a h^ij - gamma^i_ak h^kj - (gamma^j_ak h^ki)*.
 
     T_h(gamma) is read through the pairing the connection keeps for this
-    metric and gamma.  The characterization check reads the same one: it
+    metric.  The characterization check reads the same one: it
     pairs its projection P only once P == gamma entry by entry, and then
     T_h(P) = T_h(gamma) exactly.
     """
@@ -222,11 +222,12 @@ def metric_pairing_operator(array, metric: HermitianMetric):
 
 def _gamma_pairing(conn: Connection, metric: HermitianMetric):
     """T_h(conn.gamma), formed by ``metric_pairing_operator`` once per
-    metric and gamma and kept in ``conn._pairing``."""
-    gamma, kept = conn.gamma, conn._pairing
-    if kept is None or kept[0] is not metric or kept[1] is not gamma:
-        kept = conn._pairing = (metric, gamma, metric_pairing_operator(gamma, metric))
-    return kept[2]
+    metric and kept in ``conn._pairing``."""
+    kept = conn._pairing
+    if kept is None or kept[0] is not metric:
+        kept = (metric, metric_pairing_operator(conn.gamma, metric))
+        object.__setattr__(conn, "_pairing", kept)
+    return kept[1]
 
 
 def _projection(dop, gamma):
@@ -267,8 +268,8 @@ def lc_characterization_check(conn: Connection, metric: HermitianMetric) -> bool
     which equals dh exactly when the paper's identity holds.  The
     identity that forms no product goes first.  Once it holds, P == gamma
     entry by entry, so T_h(P) is T_h(gamma) exactly, and the pairing is
-    read through the one the connection keeps for this metric and gamma,
-    which ``compat_defect`` shares.  The conjunction holds exactly when
+    read through the one the connection keeps for this metric, which
+    ``compat_defect`` shares.  The conjunction holds exactly when
     conn is torsion free and compatible.
     """
     calc = conn.calculus

@@ -11,6 +11,8 @@ Grammar (whitespace between tokens is ignored)::
 
 In digits and int, a digit is ASCII 0-9: any other digit character,
 such as an Arabic-Indic or fullwidth one, is an unexpected character.
+Whitespace is ASCII too (space, tab, newline, carriage return, form
+feed, vertical tab): U+3000, U+00A0 or U+001C is an unexpected character.
 ``adj`` is the star operation.  ``q[a,b]`` with a > b denotes the inverse
 of the stored symbol q[b,a].  Rendering emits the canonical normal form
 with terms sorted lexicographically by monomial exponent, then by the
@@ -54,15 +56,20 @@ MAX_DEPTH = 64
 # Terms of an element that an error message shows, see ``render_short``.
 MAX_SHOWN_TERMS = 16
 
+# Whitespace, between tokens here and around config keys and values in
+# ``cli``: the ASCII set that \s matches under ``re.ASCII``.
+_BLANKS = " \t\n\r\f\v"
+
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
+    (?P<ws>[%s]+)
   | (?P<number>[0-9]+(?:/[0-9]+)?)
   | (?P<ugen>U[0-9]+)
   | (?P<name>[A-Za-z]+)
   | (?P<sym>[()\[\],+\-*^])
   | (?P<end>\Z)
-    """,
+    """
+    % re.escape(_BLANKS),
     re.VERBOSE,
 )
 

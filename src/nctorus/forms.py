@@ -24,7 +24,7 @@ from itertools import combinations
 
 from .algebra import AlgebraElement, TorusAlgebra, _first_unpaired, _frozen
 from .errors import DescriptorMismatch
-from .records import FrozenRecord, Record
+from .records import Record
 from .scalars import GaussianRational
 
 
@@ -58,7 +58,7 @@ def _jacobi_defect(n, c):
     return tuple(idx + 1 for idx in min(failing))
 
 
-class LieAlgebra(FrozenRecord):
+class LieAlgebra(Record):
     """An n-dimensional Lie algebra with a hermitian basis d_1, ..., d_n.
 
     ``brackets`` holds rational structure constants c^e_{ab} with
@@ -75,11 +75,8 @@ class LieAlgebra(FrozenRecord):
         if n < 1:
             raise ValueError("need dimension at least 1")
         c = _frozen(brackets, (n, n, n), "structure constants")
-        self.__dict__.update(
-            n=n,
-            brackets=c,
-            _abelian=not any(v for plane in c for row in plane for v in row),
-        )
+        Record.__init__(self, n, c)
+        self.__dict__["_abelian"] = not any(v for plane in c for row in plane for v in row)
         bad = _first_unpaired(c, lambda x, y: x == -y, 3)
         if bad is not None:
             raise ValueError("structure constants not antisymmetric at c^%d_{%d%d}" % bad)
@@ -115,7 +112,7 @@ class LieAlgebra(FrozenRecord):
         return self._abelian
 
 
-class Calculus(FrozenRecord):
+class Calculus(Record):
     """A torus algebra together with a Lie algebra acting by the standard
     derivations; both must have the same dimension n.  Immutable; equal
     and hashed by (algebra, lie)."""
@@ -123,7 +120,7 @@ class Calculus(FrozenRecord):
     _fields = ("algebra", "lie")
 
     def __init__(self, algebra: TorusAlgebra, lie: LieAlgebra):
-        self.__dict__.update(algebra=algebra, lie=lie)
+        Record.__init__(self, algebra, lie)
         if algebra.n != lie.n:
             raise DescriptorMismatch(
                 "algebra has %d generators but Lie algebra has dimension %d"
@@ -185,9 +182,7 @@ class KForm(Record):
                     value = _frozen(value, (), "component %s" % (key,), calculus.algebra)
                 if not value.is_zero():
                     clean[key] = value
-        self.calculus = calculus
-        self.degree = degree
-        self.comps = clean
+        Record.__init__(self, calculus, degree, clean)
 
     # -- construction ------------------------------------------------------------
 

@@ -73,9 +73,7 @@ class SolverParams(Record):
     _fields = ("X", "triples", "antiherm")
 
     def __init__(self, X: tuple, triples: dict, antiherm: tuple | None = None):
-        self.X = X
-        self.triples = triples
-        self.antiherm = antiherm
+        Record.__init__(self, X, triples, antiherm)
 
     @classmethod
     def zeros(cls, calculus: Calculus) -> "SolverParams":
@@ -241,20 +239,6 @@ class LCVerification(Record):
 
     _fields = ("torsion_forms", "compat", "torsion_zero", "compat_zero", "characterization")
 
-    def __init__(
-        self,
-        torsion_forms: tuple,
-        compat: tuple,
-        torsion_zero: bool,
-        compat_zero: bool,
-        characterization: bool,
-    ):
-        self.torsion_forms = torsion_forms
-        self.compat = compat
-        self.torsion_zero = torsion_zero
-        self.compat_zero = compat_zero
-        self.characterization = characterization
-
     @property
     def passed(self) -> bool:
         return self.torsion_zero and self.compat_zero and self.characterization
@@ -265,13 +249,11 @@ def verify_levi_civita(conn: Connection, metric: HermitianMetric) -> LCVerificat
     torsion_forms = torsion(conn)
     defect = compat_defect(conn, metric)
     return LCVerification(
-        torsion_forms=torsion_forms,
-        compat=defect,
-        torsion_zero=all(form.is_zero() for form in torsion_forms),
-        compat_zero=not any(
-            entry.terms for plane in defect for row in plane for entry in row
-        ),
-        characterization=lc_characterization_check(conn, metric),
+        torsion_forms,
+        defect,
+        all(form.is_zero() for form in torsion_forms),
+        not any(entry.terms for plane in defect for row in plane for entry in row),
+        lc_characterization_check(conn, metric),
     )
 
 

@@ -80,24 +80,24 @@ class HermitianMetric(Record):
             lower = invert_metric(calculus, upper)
         else:
             lower = _frozen(lower, shape, "lower", calculus.algebra)
-        self.calculus = calculus
-        self.upper = upper
-        self.lower = lower
-        self._d_upper = None
+        Record.__init__(self, calculus, upper, lower)
+        object.__setattr__(self, "_d_upper", None)
         validate(self)
 
     @property
     def d_upper(self):
         """The n matrices d_a h^ij (a = 1..n), derived on first use."""
-        if self._d_upper is None:
-            self._d_upper = tuple(
+        d_upper = self._d_upper
+        if d_upper is None:
+            d_upper = tuple(
                 tuple(
                     tuple([entry.derive(a) if entry.terms else entry for entry in row])
                     for row in self.upper
                 )
                 for a in range(1, self.calculus.n + 1)
             )
-        return self._d_upper
+            object.__setattr__(self, "_d_upper", d_upper)
+        return d_upper
 
     def __repr__(self):
         return "HermitianMetric(n=%d)" % self.calculus.n

@@ -13,6 +13,7 @@ from nctorus.cli import (
     MAX_N,
     MAX_VALUE_CHARS,
     STATUS_EXIT_CODES,
+    ProblemConfig,
     emit_report,
     load_config,
     main,
@@ -24,6 +25,13 @@ from conftest import pairing_spy, random_antihermitian_array, random_monomial, s
 REPO = Path(__file__).resolve().parent.parent
 BLOCK_CFG = REPO / "demos" / "torus3-block.cfg"
 BLOCK_U1_CFG = REPO / "demos" / "torus3-block-u1.cfg"
+
+
+def with_command(config, command):
+    """A new config that runs ``command`` on the problem of ``config``."""
+    return ProblemConfig(
+        config.calculus, config.upper, config.lower, config.params, config.gamma, command
+    )
 
 
 def write_cfg(tmp_path, body, name="problem.cfg"):
@@ -136,17 +144,23 @@ def rank_cfg(rank, n=3):
     )
 
 
+# the module has the size n of the calculus, and [metric] has no key that
+# names it: an N key is refused like any other key that is not h or hinv
+N_KEY = "bad key 'N', expected h with 2 indices"
+
+
 def test_load_rejects_rank_above_limit(tmp_path, capsys):
     path = write_cfg(tmp_path, rank_cfg(MAX_N + 1))
-    assert_rejected(path, capsys, 5, "MAX_N")
+    assert_rejected(path, capsys, 5, N_KEY)
 
 
 def test_load_accepts_rank_at_limit(tmp_path, capsys):
-    # N = MAX_N is read over the MAX_N-torus and refused over the 3-torus
-    config = load_config(write_cfg(tmp_path, rank_cfg(MAX_N, MAX_N)))
+    # the MAX_N-torus has its module of rank MAX_N with no N key, and
+    # naming the rank is refused even where it equals n
+    config = load_config(write_cfg(tmp_path, diagonal_cfg(MAX_N)))
     assert len(config.upper) == config.calculus.n == MAX_N
-    path = write_cfg(tmp_path, rank_cfg(MAX_N), "three.cfg")
-    assert_rejected(path, capsys, 5, "N must equal n = 3")
+    path = write_cfg(tmp_path, rank_cfg(MAX_N, MAX_N), "named.cfg")
+    assert_rejected(path, capsys, 5, N_KEY)
 
 
 def lie_cfg(value):
@@ -286,9 +300,7 @@ def test_run_not_weakly_symmetric():
 
 
 def test_run_check_weak_symmetry(tmp_path):
-    config = load_config(BLOCK_CFG)
-    config.command = "check-weak-symmetry"
-    report = run(config)
+    report = run(with_command(load_config(BLOCK_CFG), "check-weak-symmetry"))
     assert report["status"] == "ok"
     assert "gamma" not in report
     assert "f" not in report
@@ -306,9 +318,7 @@ def test_run_verify_given(tmp_path):
 
 
 def test_verify_given_without_a_connection_is_an_error(capsys):
-    config = load_config(BLOCK_CFG)
-    config.command = "verify-given"
-    report = run(config)
+    report = run(with_command(load_config(BLOCK_CFG), "verify-given"))
     assert report["status"] == "error"
     assert report["error"] == "ParseError: verify-given needs a [connection] section"
     assert "verification" not in report
@@ -461,13 +471,13 @@ def test_run_rank_mismatch_is_error(tmp_path, capsys):
         "[algebra]\nn = 3\n\n[metric]\nN = 2\nh.1.1 = 1\nh.2.2 = 1\n\n"
         "[run]\ncommand = build-lc\n",
     )
-    assert_rejected(path, capsys, 5, "N must equal n = 3 (the dual-basis module)")
+    assert_rejected(path, capsys, 5, N_KEY)
     for command in COMMANDS:
         assert main(["--config", str(path), "--command", command]) == 1
         out = capsys.readouterr()
         assert out.out == ""
         assert json.loads(out.err)["error"] == (
-            "ParseError: N must equal n = 3 (the dual-basis module) at line 5, column 1"
+            "ParseError: %s at line 5, column 1" % N_KEY
         )
 
 

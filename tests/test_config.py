@@ -175,9 +175,10 @@ def test_index_longer_than_int_converts_is_no_integer(tmp_path, capsys):
     assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
 
 
-# the module size N must equal n: refused over the 3-torus, read over the 2-torus
+# the module has the size n of the calculus; [metric] has no key naming it
 RANK_2 = dict(BASE, metric=["N = 2", "h.1.1 = 1", "h.2.2 = 1"])
-SIZE_2 = dict(RANK_2, algebra=["n = 2"])
+SIZE_2 = dict(BASE, algebra=["n = 2"], metric=["h.1.1 = 1", "h.2.2 = 1"])
+N_KEY = "bad key 'N', expected h with 2 indices"
 
 
 @pytest.mark.parametrize(
@@ -202,8 +203,16 @@ def test_smaller_rank_is_refused_at_its_line(tmp_path, capsys):
         RANK_2,
     )
     assert text.splitlines()[4] == "N = 2"
-    message = "N must equal n = 3 (the dual-basis module) at line 5, column 1"
+    message = "%s at line 5, column 1" % N_KEY
     assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, message, 5)
+
+
+@pytest.mark.parametrize("line", ["N = 3", "N = x", "N = -1", "N = 17", "N = 0_3"])
+def test_metric_n_key_is_refused(tmp_path, capsys, line):
+    # N is not a key of [metric], whatever its value, even n itself
+    text, lineno = config_text({"metric": [line]})
+    message = "%s at line %d, column 1" % (N_KEY, lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, message, lineno)
 
 
 @pytest.mark.parametrize(
@@ -212,15 +221,11 @@ def test_smaller_rank_is_refused_at_its_line(tmp_path, capsys):
         ("n", "algebra", "n = x", "n must be an integer"),
         ("n", "algebra", "n = 0", "n must be at least 1"),
         ("n", "algebra", "n = 17", "n = 17 exceeds MAX_N = 16"),
-        ("N", "metric", "N = x", "N must be an integer"),
-        ("N", "metric", "N = -1", "N must be at least 1"),
-        ("N", "metric", "N = 17", "N = 17 exceeds MAX_N = 16"),
         # a size is ASCII digits with an optional sign
         ("n", "algebra", "n = 1_2", "n must be an integer"),
         ("n", "algebra", "n = \uff13", "n must be an integer"),
         ("n", "algebra", "n = \u0663", "n must be an integer"),
         ("n", "algebra", "n = -3", "n must be at least 1"),
-        ("N", "metric", "N = 0_3", "N must be an integer"),
     ],
 )
 def test_size_errors(tmp_path, capsys, name, section, line, message):
@@ -229,6 +234,40 @@ def test_size_errors(tmp_path, capsys, name, section, line, message):
     path = write_cfg(tmp_path, text)
     full = "%s at line %d, column 1" % (message, lineno)
     assert_load_error(path, capsys, ParseError, full, lineno)
+
+
+@pytest.mark.parametrize(
+    "section,line,col",
+    [
+        ("algebra", "n\u3000= 3", 1),
+        ("metric", "h.1.1\u00a0= 1", 1),
+        ("metric", "h.2.3 = U1\u3000+ U2", 3),
+        ("metric", "h.2.3 = U1\x1c", 3),
+    ],
+    ids=[
+        "key-ideographic-space",
+        "key-no-break-space",
+        "value-ideographic-space",
+        "value-file-separator",
+    ],
+)
+def test_unicode_whitespace_is_refused(tmp_path, capsys, section, line, col):
+    # whitespace is ASCII: a key or value keeps any other space character,
+    # and is refused at its line and column, naming the character
+    text, lineno = config_text({section: [line]})
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ParseError) as info:
+        load_config(path)
+    assert (info.value.line, info.value.col) == (lineno, col)
+    blank = next(c for c in line if c in "\u3000\u00a0\x1c")
+    assert repr(blank)[1:-1] in str(info.value)
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_ascii_whitespace_is_stripped(tmp_path):
+    text, _ = config_text({"metric": ["\th.2.3\v=\fU2\t\r"]})
+    assert load_config(write_cfg(tmp_path, text)).upper[1][2].is_monomial()
 
 
 def test_missing_n_and_command(tmp_path, capsys):

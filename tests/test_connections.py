@@ -607,9 +607,9 @@ def test_build_forms_one_pairing(monkeypatch, calc3):
 
 
 def test_kept_pairing_follows_the_metric_and_gamma(calc3):
-    # one connection verified against two metrics, then with gamma
-    # reassigned, gives each metric's own verdict and defect, as a fresh
-    # connection and a directly formed pairing do
+    # one connection verified against two metrics in turn, and a new
+    # connection built from another gamma, give each metric's own verdict
+    # and defect, as a fresh connection and a directly formed pairing do
     alg = calc3.algebra
     first = block_metric(calc3, alg.gen(2))
     second = block_metric(calc3, alg.gen(3))
@@ -627,6 +627,6 @@ def test_kept_pairing_follows_the_metric_and_gamma(calc3):
     check(first, True)
     check(second, False)
     check(first, True)
-    conn.gamma = build_levi_civita(second).gamma
+    conn = Connection(calc3, build_levi_civita(second).gamma)
     check(first, False)
     check(second, True)

@@ -50,6 +50,7 @@ def test_parse_adj_reverses_products(alg):
 
 def test_parse_whitespace_and_power_of_paren(alg):
     assert parse_element(alg, "  2 * U1 ") == alg.gen(1) * 2
+    assert parse_element(alg, "\t2\v*\fU1\r\n") == alg.gen(1) * 2  # ASCII whitespace
     assert parse_element(alg, "(U1*U2)^-1") == (alg.gen(1) * alg.gen(2)).invert()
 
 
@@ -362,8 +363,20 @@ def test_parse_errors_on_multiline_input(alg, text, line, col):
         # digits are ASCII: an Arabic-Indic or fullwidth digit is no digit
         ("U\u0663", "unexpected character '\u0663' at line 1, column 2"),
         ("2 * \uff13", "unexpected character '\uff13' at line 1, column 5"),
+        # whitespace is ASCII: other space characters are no whitespace
+        ("U1\u3000+ U2", "unexpected character '\\u3000' at line 1, column 3"),
+        ("U1 +\u00a0U2", "unexpected character '\\xa0' at line 1, column 5"),
+        ("U1\x1c", "unexpected character '\\x1c' at line 1, column 3"),
     ],
-    ids=["trailing", "phase-index", "arabic-indic-generator", "fullwidth-number"],
+    ids=[
+        "trailing",
+        "phase-index",
+        "arabic-indic-generator",
+        "fullwidth-number",
+        "ideographic-space",
+        "no-break-space",
+        "file-separator",
+    ],
 )
 def test_parse_error_names_the_token(alg, text, message):
     with pytest.raises(ParseError) as info:

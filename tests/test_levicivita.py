@@ -691,7 +691,7 @@ def test_other_verification_failures_stay_internal(
     zeros = tuple(tuple(tuple(z for _ in range(3)) for _ in range(3)) for _ in range(3))
     params = SolverParams.zeros(calc3)
     if with_a:
-        params.antiherm = zeros
+        params = SolverParams(params.X, params.triples, zeros)
     failed = lc.LCVerification(
         (calc3.zero_form(2),) * 3, zeros, torsion_zero, compat_zero, False
     )

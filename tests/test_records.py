@@ -1,12 +1,13 @@
-"""Value semantics of the plain record classes.
+"""Value semantics of the record classes.
 
-The three descriptors (``TorusAlgebra``, ``LieAlgebra``, ``Calculus``)
-are immutable, compare and hash by their fields and print as
-``Name(field=value, ...)``; error messages embed that text.
-``SolverParams`` and ``LCVerification`` compare field-wise, as do the
-slotted ``HermitianMetric``, ``Connection`` and ``KForm``, which take
-their equality from ``Record`` and keep no ``__dict__``; the CLI's
-``ProblemConfig`` stays mutable; ``run`` returns its report as a plain
+Every ``Record`` subclass of the package is immutable: assigning or
+deleting a field raises ``AttributeError``.  Records compare field by
+field and hash by their field tuple, or raise ``TypeError`` when a field
+is unhashable (``KForm``'s dict of components, ``SolverParams``'s
+triples).  The descriptors (``TorusAlgebra``, ``LieAlgebra``,
+``Calculus``) print as ``Name(field=value, ...)``, and error messages
+embed that text.  The slotted ``HermitianMetric``, ``Connection`` and
+``KForm`` keep no ``__dict__``.  ``run`` returns its report as a plain
 dict holding only the sections the command reached.
 """
 
@@ -20,13 +21,14 @@ from nctorus import (
     Connection,
     DescriptorMismatch,
     KForm,
+    LCVerification,
     LieAlgebra,
     SolverParams,
     TorusAlgebra,
     build_levi_civita,
     verify_levi_civita,
 )
-from nctorus.cli import load_config, run
+from nctorus.cli import ProblemConfig, load_config, run
 from nctorus.records import Record
 
 from conftest import block_metric
@@ -169,8 +171,10 @@ def test_solver_records_compare_fieldwise(calc3):
     first = verify_levi_civita(conn, metric)
     second = verify_levi_civita(conn, metric)
     assert first == second and first is not second
-    second.characterization = False
-    assert first != second and not second.passed
+    failed = LCVerification(second.torsion_forms, second.compat, True, True, False)
+    assert first != failed and not failed.passed
+    with pytest.raises(TypeError, match="LCVerification takes 5 fields, got 4"):
+        LCVerification(second.torsion_forms, second.compat, True, True)
 
 
 def test_slotted_values_compare_through_record(calc3):
@@ -198,15 +202,84 @@ def test_slotted_values_compare_through_record(calc3):
         cls = type(value)
         assert "__eq__" not in vars(cls) and isinstance(value, Record)
         assert not hasattr(value, "__dict__")
+    # metric and connection hash by value; a form's components are a dict
+    assert hash(metric) == hash(twin) and {metric: 1}[twin] == 1
+    assert hash(conn) == hash(build_levi_civita(twin))
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(form)
+
+
+def example_records():
+    """One value of each ``Record`` subclass, keyed by class."""
+    calc = Calculus.torus(3)
+    metric = block_metric(calc, calc.algebra.gen(2))
+    conn = build_levi_civita(metric)
+    values = [
+        calc.algebra,
+        calc.lie,
+        calc,
+        calc.theta(2),
+        metric,
+        conn,
+        SolverParams.zeros(calc),
+        verify_levi_civita(conn, metric),
+        load_config(BLOCK_CFG),
+    ]
+    return {type(value): value for value in values}
+
+
+EXAMPLES = example_records()
+
+
+@pytest.mark.parametrize("cls", Record.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_every_record_refuses_assignment(cls):
+    value = EXAMPLES[cls]
+    assert type(value) is cls and cls._fields
+    for name in cls._fields:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError, match="cannot assign to field '%s'" % name):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="cannot delete field '%s'" % name):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    fields = tuple(getattr(value, name) for name in cls._fields)
+    try:
+        expected = hash(fields)
+    except TypeError:
         with pytest.raises(TypeError):
             hash(value)
+    else:
+        assert hash(value) == expected
 
 
-def test_cli_records_stay_mutable():
+def test_a_built_connection_keeps_its_gamma(calc3):
+    # a gamma of lists never equals the tuples of its own projection, so
+    # the characterization would fail where torsion and compatibility pass;
+    # the assignment is refused and the verdicts stay consistent
+    metric = block_metric(calc3, calc3.algebra.gen(2))
+    conn = build_levi_civita(metric)
+    gamma = conn.gamma
+    with pytest.raises(AttributeError, match="cannot assign to field 'gamma'"):
+        conn.gamma = [[list(row) for row in plane] for plane in conn.gamma]
+    assert conn.gamma is gamma
+    report = verify_levi_civita(conn, metric)
+    assert report.torsion_zero and report.compat_zero and report.characterization
+
+
+def test_cli_records_refuse_assignment():
     config = load_config(BLOCK_CFG)
     assert config == load_config(BLOCK_CFG)
-    config.command = "check-weak-symmetry"
-    assert config.command == "check-weak-symmetry"
+    with pytest.raises(AttributeError, match="cannot assign to field 'command'"):
+        config.command = "check-weak-symmetry"
+    assert config.command == "build-lc"
+    config = ProblemConfig(
+        config.calculus,
+        config.upper,
+        config.lower,
+        config.params,
+        config.gamma,
+        "check-weak-symmetry",
+    )
     assert config != load_config(BLOCK_CFG)
     assert set(run(config)) == {
         "schema",
