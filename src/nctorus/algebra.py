@@ -14,8 +14,11 @@ then the q-exponents of the pairs (1,2), (1,3), ..., (n-1,n); a
 commutative algebra has no q block.  In normal form no numerator is
 zero, gcd(den, every numerator) = 1, and the zero element is ({}, 1).
 Products, sums, the star, derivations and inverses are integer
-arithmetic on keys and numerators with one gcd pass per result; a
-matrix product or elimination step x +- f * p is one result, not two.
+arithmetic on keys and numerators with one gcd pass per result.  An
+entry of a matrix product, sum_j f_j * p_j, and an elimination step
+x - f * p are each one result too: ``_plus_product`` brings every pair to
+one common denominator first, adds all term products into one
+accumulator and normalises once, so no partial sum is formed.
 
 Each algebra has one zero: ``zero()`` and every operation whose result
 is zero return the same instance.  Zero entries of arrays are therefore
@@ -541,47 +544,86 @@ def _product_into(acc: dict, x, y, scale: int) -> None:
             acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
 
 
-def _plus_product(x, f, p, sign: int = 1):
-    """x + sign * f * p (sign 1 or -1), adding the term pairs of f * p into
-    x's numerators at their common denominator, normalised once."""
-    if not (x.algebra is f.algebra is p.algebra):
-        x._check_same(f)
-        f._check_same(p)
-    if not (f.terms and p.terms):
+def _plus_product(x, pairs, sign: int = 1):
+    """x + sign * (f_1 * p_1 + f_2 * p_2 + ...) over the pairs (f, p) of
+    ``pairs`` (sign 1 or -1), as one result.
+
+    The common denominator of x and of every pair is found before any
+    product is formed; x's numerators are scaled to it once, each pair's
+    term products are added into the same dict by ``_product_into``, and
+    the sum is normalised once.  A pair with a zero factor adds nothing,
+    and with no other pair x itself is returned.  Every factor must live
+    over x's algebra, zero factors included.
+    """
+    alg, xd = x.algebra, x.den
+    common, size, live = xd, len(x.terms), []
+    for f, p in pairs:
+        if not (f.algebra is alg and p.algebra is alg):
+            x._check_same(f)
+            f._check_same(p)
+        if f.terms and p.terms:
+            den = f.den * p.den
+            live.append((f, p, den))
+            size += len(f.terms) * len(p.terms)
+            if common % den:
+                common = common * den // gcd(common, den)
+    if not live:
         return x
-    den, xd = f.den * p.den, x.den
-    common = xd * den // gcd(xd, den)
-    acc = dict(x.terms) if common == xd else _scaled(x.terms, common // xd)
-    _product_into(acc, f, p, sign * (common // den))
-    return f._normal(acc, common, len(acc) == len(x.terms) + len(f.terms) * len(p.terms))
+    if not x.terms:  # every matrix-product entry starts from zero
+        acc = {}
+    elif common == xd:
+        acc = dict(x.terms)
+    else:
+        acc = _scaled(x.terms, common // xd)
+    for f, p, den in live:
+        _product_into(acc, f, p, sign * (common // den))
+    return x._normal(acc, common, len(acc) == size)
 
 
-def matmul(left, right):
-    """The exact matrix product (left . right) of two matrices of elements.
+def _product_rows(left, right):
+    """The rows of the exact matrix product (left . right), one row tuple
+    at a time, in order.
 
-    Entry (i, k) is the sum over j of left[i][j] * right[j][k], summed in
-    increasing j by ``_plus_product``, which forms no product on its own.
-    A pair with a zero factor contributes nothing and is skipped without
-    multiplying: the nonzero entries of each right row are listed once per
-    call, so sparse matrices (block and diagonal metrics, most Christoffel
-    arrays) cost only their nonzero pairs.  Exact arithmetic makes the
-    result independent of which pairs are skipped.
-    Returns a tuple of row tuples.
+    The nonzero entries of each row of ``right`` are listed once, when the
+    first row is asked for.  Entry (i, k) sums its pairs left[i][j] *
+    right[j][k] with both factors nonzero, in increasing j, through one
+    ``_plus_product``; an entry with no such pair is the shared zero.  A
+    pair with a zero factor is skipped without multiplying, so sparse
+    matrices (block and diagonal metrics, most Christoffel arrays) cost
+    only their nonzero pairs.  Exact arithmetic makes the result
+    independent of which pairs are skipped.
     """
     if not right or not right[0]:
-        return tuple(() for _ in left)
+        for _ in left:
+            yield ()
+        return
     zero = right[0][0].algebra.zero()
     width = len(right[0])
+    empty = (zero,) * width
     nonzero_rows = [[(k, y) for k, y in enumerate(row) if y.terms] for row in right]
-    out = []
     for row in left:
-        acc = [zero] * width
+        cells = {}  # column k -> the pairs of entry k
         for x, nonzero in zip(row, nonzero_rows):
             if x.terms:
                 for k, y in nonzero:
-                    acc[k] = _plus_product(acc[k], x, y)
-        out.append(tuple(acc))
-    return tuple(out)
+                    if k in cells:
+                        cells[k].append((x, y))
+                    else:
+                        cells[k] = [(x, y)]
+        if not cells:
+            yield empty
+            continue
+        out = [zero] * width
+        for k, pairs in cells.items():
+            out[k] = _plus_product(zero, pairs)
+        yield tuple(out)
+
+
+def matmul(left, right):
+    """The exact matrix product (left . right) of two matrices of elements,
+    as a tuple of row tuples: every row of ``_product_rows``, so each
+    entry's pairs are summed as one result."""
+    return tuple(_product_rows(left, right))
 
 
 def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):

@@ -140,6 +140,9 @@ def _read_sections(path):
             key, _, value = line.partition("=")
             key = key.strip(_BLANKS)
             value = value.strip(_BLANKS)
+            # the column in the line where the value starts (one past the
+            # line's end for an empty value); the value ends the stripped line
+            column = len(raw) - len(raw.lstrip(_BLANKS)) + len(line) - len(value) + 1
             if not key:
                 raise ParseError("empty key", lineno, 1)
             if len(value) > MAX_VALUE_CHARS:
@@ -151,7 +154,7 @@ def _read_sections(path):
                 )
             if key in sections[current]:
                 raise ParseError("duplicate key %r" % key, lineno, 1)
-            sections[current][key] = (value, lineno)
+            sections[current][key] = (value, lineno, column)
     return sections
 
 
@@ -159,7 +162,7 @@ def _plain_keys(sections, name, required, optional=()):
     """The section ``name``, which must hold ``required`` and no key other
     than ``required`` and ``optional``."""
     section = sections.get(name, {})
-    for key, (_, lineno) in section.items():
+    for key, (_, lineno, _) in section.items():
         if key != required and key not in optional:
             raise ParseError("unknown key %r in [%s]" % (key, name), lineno, 1)
     if required not in section:
@@ -226,17 +229,19 @@ def _nested(entries, shape, zero, index=()):
     )
 
 
-def _parse_expr(calculus, text, lineno):
+def _parse_expr(calculus, text, lineno, column):
+    """The element written ``text``, the value that starts at ``column`` of
+    line ``lineno``; a ParseError names the column in that line."""
     try:
         return parse_element(calculus.algebra, text)
     except ParseError as exc:
         raise ParseError(
-            "in expression %r: %s" % (text, exc.args[0]), lineno, exc.col
+            "in expression %r: %s" % (text, exc.message), lineno, column + exc.col - 1
         ) from exc
 
 
-def _parse_hermitian(calculus, text, lineno, prefix, index):
-    element = _parse_expr(calculus, text, lineno)
+def _parse_hermitian(calculus, text, lineno, column, prefix, index):
+    element = _parse_expr(calculus, text, lineno, column)
     if not element.is_hermitian():
         raise HermiticityError(
             "%s.%s must be hermitian (line %d)"
@@ -255,14 +260,15 @@ def load_config(path) -> ProblemConfig:
     sections = _read_sections(path)
 
     algebra_sec = _plain_keys(sections, "algebra", "n", ("commutative",))
-    n = _size(*algebra_sec["n"])
-    text, lineno = algebra_sec.get("commutative", ("false", None))
+    text, lineno, _ = algebra_sec["n"]
+    n = _size(text, lineno)
+    text, lineno, _ = algebra_sec.get("commutative", ("false", None, None))
     if text not in ("true", "false"):
         raise ParseError("commutative must be true or false", lineno, 1)
     commutative = text == "true"
 
     brackets = {}
-    for key, (value, lineno) in sections.get("lie", {}).items():
+    for key, (value, lineno, _) in sections.get("lie", {}).items():
         index = _index(key, "c", (n, n, n), "structure constant", lineno, brackets)
         if not _RATIONAL.fullmatch(value):
             raise ParseError(
@@ -279,24 +285,24 @@ def load_config(path) -> ProblemConfig:
     zero = calculus.algebra.zero()
 
     upper, lower = {}, {}
-    for key, (value, lineno) in sections.get("metric", {}).items():
+    for key, (value, lineno, column) in sections.get("metric", {}).items():
         entries, prefix = (lower, "hinv") if key.startswith("hinv.") else (upper, "h")
         index = _index(key, prefix, (n, n), "metric", lineno, entries)
-        entries[index] = _parse_expr(calculus, value, lineno)
+        entries[index] = _parse_expr(calculus, value, lineno, column)
 
     x_entries, triples, a_entries = {}, {}, {}
-    for key, (value, lineno) in sections.get("params", {}).items():
+    for key, (value, lineno, column) in sections.get("params", {}).items():
         if key.startswith("X."):
             index = _index(key, "X", (n, n), "X", lineno, x_entries)
-            x_entries[index] = _parse_hermitian(calculus, value, lineno, "X", index)
+            x_entries[index] = _parse_hermitian(calculus, value, lineno, column, "X", index)
         elif key.startswith("H."):
             index = _index(key, "H", (n, n, n), "H", lineno, triples)
             if not index[0] < index[1] < index[2]:
                 raise ParseError("H key indices must be strictly increasing", lineno, 1)
-            triples[index] = _parse_hermitian(calculus, value, lineno, "H", index)
+            triples[index] = _parse_hermitian(calculus, value, lineno, column, "H", index)
         elif key.startswith("A."):
             index = _index(key, "A", (n, n, n), "A", lineno, a_entries)
-            a_entries[index] = _parse_expr(calculus, value, lineno)
+            a_entries[index] = _parse_expr(calculus, value, lineno, column)
         else:
             raise ParseError("unknown key %r in [params]" % key, lineno, 1)
     antiherm = None
@@ -313,12 +319,12 @@ def load_config(path) -> ProblemConfig:
     gamma = None
     if "connection" in sections:
         gamma_entries = {}
-        for key, (value, lineno) in sections["connection"].items():
+        for key, (value, lineno, column) in sections["connection"].items():
             index = _index(key, "gamma", (n, n, n), "gamma", lineno, gamma_entries)
-            gamma_entries[index] = _parse_expr(calculus, value, lineno)
+            gamma_entries[index] = _parse_expr(calculus, value, lineno, column)
         gamma = _nested(gamma_entries, (n, n, n), zero)
 
-    command, lineno = _plain_keys(sections, "run", "command")["command"]
+    command, lineno, _ = _plain_keys(sections, "run", "command")["command"]
     if command not in COMMANDS:
         raise ParseError(
             "unknown command %r, expected one of %s" % (command, ", ".join(COMMANDS)),

@@ -94,6 +94,7 @@ class ParseError(NCTorusError):
     """An expression or config file could not be parsed."""
 
     def __init__(self, message, line=None, col=None):
+        self.message = message
         self.line = line
         self.col = col
         where = ""

@@ -12,7 +12,7 @@ compatible connection; d(rho) = 0 is the exact existence criterion.
 
 from __future__ import annotations
 
-from .algebra import _first_unpaired, _frozen, _plus_product, matmul
+from .algebra import _first_unpaired, _frozen, _plus_product, _product_rows
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
 from .expr import render_short
 from .forms import Calculus, KForm
@@ -35,7 +35,7 @@ def invert_metric(calculus: Calculus, upper):
     it writes the pivot column (one at the pivot, zero in every other row)
     instead of multiplying it and touches only the nonzero entries right
     of the pivot (those left of it are zero already); each update
-    x - factor * p is one ``_plus_product``.
+    x - factor * p is one ``_plus_product`` of one pair.
     """
     alg, n = calculus.algebra, calculus.n
     upper = _frozen(upper, (n, n), "upper", alg)
@@ -62,7 +62,7 @@ def invert_metric(calculus: Calculus, upper):
             if row is pivot or not factor.terms:
                 continue
             for c, p in rest:
-                row[c] = _plus_product(row[c], factor, p, -1)
+                row[c] = _plus_product(row[c], ((factor, p),), -1)
             row[col] = zero
     return tuple(tuple(row[n:]) for row in rows)
 
@@ -109,8 +109,10 @@ def validate(metric: HermitianMetric) -> None:
     Raises NotHermitian or NotInverse naming the first failing entry.
     Only h^ij h_jk is formed: once U = h^ij and L = h_ij are hermitian,
     (LU)_ik = sum_j L_ij U_jk = sum_j (U_kj L_ji)* = ((UL)_ki)*, so LU is
-    the adjoint of UL and equals delta exactly when UL does.  UL is formed
-    one row at a time, up to the first failing row.
+    the adjoint of UL and equals delta exactly when UL does.  UL is read
+    one row at a time from one ``_product_rows`` iterator, which lists the
+    nonzero entries of L once, and no row after the first failing one is
+    formed.
     """
     alg = metric.calculus.algebra
     for matrix in (metric.upper, metric.lower):
@@ -118,8 +120,7 @@ def validate(metric: HermitianMetric) -> None:
         if bad is not None:
             raise NotHermitian(bad)
     one, zero = alg.one(), alg.zero()
-    for i, upper_row in enumerate(metric.upper):
-        (row,) = matmul((upper_row,), metric.lower)
+    for i, row in enumerate(_product_rows(metric.upper, metric.lower)):
         for k, total in enumerate(row):
             if total != (one if i == k else zero):
                 raise NotInverse(

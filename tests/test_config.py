@@ -241,8 +241,8 @@ def test_size_errors(tmp_path, capsys, name, section, line, message):
     [
         ("algebra", "n\u3000= 3", 1),
         ("metric", "h.1.1\u00a0= 1", 1),
-        ("metric", "h.2.3 = U1\u3000+ U2", 3),
-        ("metric", "h.2.3 = U1\x1c", 3),
+        ("metric", "h.2.3 = U1\u3000+ U2", 11),
+        ("metric", "h.2.3 = U1\x1c", 11),
     ],
     ids=[
         "key-ideographic-space",
@@ -263,6 +263,34 @@ def test_unicode_whitespace_is_refused(tmp_path, capsys, section, line, col):
     assert repr(blank)[1:-1] in str(info.value)
     assert main(["--config", str(path)]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "section,line,reason,col",
+    [
+        ("metric", "h.2.3 = U1 +", "dangling operator '+'", 13),
+        ("metric", "\th.2.3 =\t  U1 +  ", "dangling operator '+'", 16),
+        ("params", "X.1.1 = (U1", "expected ')'", 12),
+        ("connection", "gamma.1.1.1 = U1 *", "expected an atom", 19),
+        ("metric", "h.2.3 =", "expected an atom", 8),
+    ],
+    ids=[
+        "dangling-operator",
+        "blanks-around-value",
+        "hermitian-parameter",
+        "gamma",
+        "empty-value",
+    ],
+)
+def test_expression_error_names_one_position(tmp_path, capsys, section, line, reason, col):
+    # the expression's message, then one position: the column in the config
+    # line, counted from the line's first character (an empty value is
+    # read one past the line's end)
+    text, lineno = config_text({section: [line]})
+    path = write_cfg(tmp_path, text)
+    value = line.partition("=")[2].strip(" \t")
+    full = "in expression %r: %s at line %d, column %d" % (value, reason, lineno, col)
+    assert_load_error(path, capsys, ParseError, full, lineno)
 
 
 def test_ascii_whitespace_is_stripped(tmp_path):

@@ -433,46 +433,77 @@ def test_plus_product_matches_oracle(alg):
         f, of = build(alg, sf)
         p, op = build(alg, sp)
         rescaled.append(bool(x.terms) and x.den % (f.den * p.den) != 0)
-        result = _plus_product(x, f, p, sign)
+        result = _plus_product(x, ((f, p),), sign)
         check(alg, result, o_plus_product(alg, ox, of, op, sign))
         assert result == (x + f * p if sign == 1 else x - f * p)
         # a full cancellation is the shared zero; a partial one leaves x
-        assert _plus_product(f * p * -sign, f, p, sign) is zero
-        check(alg, _plus_product(x - f * p * sign, f, p, sign), ox)
+        assert _plus_product(f * p * -sign, ((f, p),), sign) is zero
+        check(alg, _plus_product(x - f * p * sign, ((f, p),), sign), ox)
         # a zero factor returns x itself
-        assert _plus_product(x, zero, p, sign) is x
-        assert _plus_product(x, f, zero, sign) is x
+        assert _plus_product(x, ((zero, p),), sign) is x
+        assert _plus_product(x, ((f, zero),), sign) is x
 
     inner()
     assert sum(rescaled) >= 10
 
 
+def is_constant(x):
+    """One term, at the all-zero key: the factors of the constant path."""
+    return len(x.terms) == 1 and not any(next(iter(x.terms)))
+
+
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_matmul_matches_oracle_sum(alg):
     # entry (i, k) against the oracle's sum over j of left[i][j] * right[j][k],
-    # over seeded matrices with zero entries and mixed denominators
+    # over seeded matrices with inner dimension up to 6, zero entries,
+    # constants among general elements, mixed denominators, and pairs
+    # that cancel each other
     rng = random.Random("matmul/%d/%s" % (alg.n, alg.commutative))
     zero = alg.zero()
-    mixed = 0
-    for _ in range(12):
-        m, depth, width = (rng.randint(1, 3) for _ in range(3))
+    seen = dict(deep=0, mixed=0, three_dens=0, constant_and_general=0, cancelled=0, zero_sum=0)
+    for _ in range(24):
+        m, depth, width = rng.randint(1, 3), rng.randint(1, 6), rng.randint(1, 3)
         left = [[build(alg, random_spec(rng, alg.n, 3)) for _ in range(depth)] for _ in range(m)]
         right = [[build(alg, random_spec(rng, alg.n, 3)) for _ in range(width)] for _ in range(depth)]
+        for row in left + right:
+            for c in range(len(row)):
+                if rng.random() < 0.25:
+                    row[c] = random_constant(rng, alg)
+        if depth > 1:
+            # left[i][b] * right[b][k] = -left[i][a] * right[a][k]: the pairs
+            # a and b cancel, and half the time they are the entry's only pairs
+            i, k = rng.randrange(m), rng.randrange(width)
+            a, b = rng.sample(range(depth), 2)
+            x = left[i][a]
+            if rng.random() < 0.5:
+                left[i] = [(zero, {})] * depth
+            left[i][a] = left[i][b] = x
+            y, oy = right[a][k]
+            right[b][k] = (-y, o_neg(oy))
         product = matmul(
             [[x for x, _ in row] for row in left], [[y for y, _ in row] for row in right]
         )
         assert len(product) == m and all(len(row) == width for row in product)
         for i, row in enumerate(product):
             for k, entry in enumerate(row):
-                pairs = [(left[i][j], right[j][k]) for j in range(depth)]
-                terms = [
-                    term for (_, ox), (_, oy) in pairs for term in o_mul(alg, ox, oy).items()
+                pairs = [
+                    (left[i][j], right[j][k])
+                    for j in range(depth)
+                    if left[i][j][0].terms and right[j][k][0].terms
                 ]
+                products = [o_mul(alg, ox, oy) for (_, ox), (_, oy) in pairs]
+                terms = [term for each in products for term in each.items()]
                 check(alg, entry, _accumulate(terms))
                 assert entry.terms or entry is zero
-                dens = {x.den * y.den for (x, _), (y, _) in pairs if x.terms and y.terms}
-                mixed += len(dens) > 1
-    assert mixed >= 5
+                dens = {x.den * y.den for (x, _), (y, _) in pairs}
+                constant = [is_constant(x) or is_constant(y) for (x, _), (y, _) in pairs]
+                seen["deep"] += len(pairs) >= 5
+                seen["mixed"] += len(dens) > 1
+                seen["three_dens"] += len(dens) > 2
+                seen["constant_and_general"] += any(constant) and not all(constant)
+                seen["cancelled"] += any(a == o_neg(b) for a in products for b in products)
+                seen["zero_sum"] += bool(pairs) and entry is zero
+    assert min(seen.values()) >= 3, seen
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
@@ -487,7 +518,7 @@ def test_matmul_and_plus_product_keep_the_descriptor_check(alg):
         other = other_alg.zero()
         for args in ((x, x, y), (x, y, x), (y, x, x), (other, x, x), (x, x, other), (x, other, x)):
             with pytest.raises(DescriptorMismatch):
-                _plus_product(*args)
+                _plus_product(args[0], (args[1:],))
 
 
 # -- constant factors keep the other factor's keys ----------------------------------
@@ -544,12 +575,14 @@ def test_constant_factors_match_oracle(alg):
             check(alg, c * f, o_mul(alg, oc, of))
             check(alg, f * c, o_mul(alg, of, oc))
             for sign in (1, -1):
-                check(alg, _plus_product(y, c, f, sign), o_plus_product(alg, oy, oc, of, sign))
-                check(alg, _plus_product(y, f, c, sign), o_plus_product(alg, oy, of, oc, sign))
+                expected = o_plus_product(alg, oy, oc, of, sign)
+                check(alg, _plus_product(y, ((c, f),), sign), expected)
+                expected = o_plus_product(alg, oy, of, oc, sign)
+                check(alg, _plus_product(y, ((f, c),), sign), expected)
                 if f.terms:
                     # a full cancellation is the shared zero
-                    assert _plus_product(f * c * -sign, c, f, sign) is zero
-                    assert _plus_product(f * c * -sign, f, c, sign) is zero
+                    assert _plus_product(f * c * -sign, ((c, f),), sign) is zero
+                    assert _plus_product(f * c * -sign, ((f, c),), sign) is zero
         # a constant diagonal with random entries off it, and the identity
         m = rng.randint(1, 3)
         cells = [[build(alg, random_spec(rng, alg.n, 2)) for _ in range(m)] for _ in range(m)]
@@ -591,8 +624,8 @@ def test_constant_factors_read_no_pair_exponents(alg, monkeypatch):
         (c * x, x * c),
         (one * x, x),
         (c * c, c * c),
-        (_plus_product(x, c, x, -1), x - c * x),
-        (_plus_product(x, x, one), x + x),
+        (_plus_product(x, ((c, x),), -1), x - c * x),
+        (_plus_product(x, ((x, one),)), x + x),
         (matmul([[c, zero], [zero, one]], [[x, c], [c, x]]), ((c * x, c * c), (c, x))),
     ):
         assert result == expected

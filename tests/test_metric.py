@@ -21,8 +21,10 @@ from nctorus.algebra import _first_unpaired
 
 from conftest import (
     block_metric,
+    congruence_metric,
     drho_via_generators,
     random_block_metric,
+    random_congruence_steps,
     random_diagonal_metric,
     random_hermitian_matrix,
     random_monomial,
@@ -225,22 +227,33 @@ def counting(monkeypatch, owner, name):
 
 
 def test_validate_forms_one_matrix_product(rng, calc3, monkeypatch):
-    # with and without a supplied lower matrix: h^ij h_jk, one row of h^ij
-    # at a time, and nothing else
+    # with and without a supplied lower matrix: h^ij h_jk, read from one row
+    # iterator over h^ij and h_jk, and no other product
     metric = random_block_metric(rng, calc3)
-    lefts = []
-    original = metric_module.matmul
+    upper, lower = metric.upper, metric.lower
+    pairs = sum(
+        1 for row in upper for x, lower_row in zip(row, lower) for y in lower_row
+        if x.terms and y.terms
+    )
+    calls = []
+    original = metric_module._product_rows
 
     def recording(left, right):
-        assert right == metric.lower
-        lefts.append(left)
+        calls.append((left, right))
         return original(left, right)
 
-    monkeypatch.setattr(metric_module, "matmul", recording)
-    HermitianMetric(calc3, metric.upper, metric.lower)
-    assert lefts == [(row,) for row in metric.upper]
-    HermitianMetric(calc3, metric.upper)
-    assert lefts == [(row,) for row in metric.upper] * 2
+    monkeypatch.setattr(metric_module, "_product_rows", recording)
+    products = counting(monkeypatch, algebra_module, "_product_into")
+    HermitianMetric(calc3, upper, lower)
+    assert calls == [(upper, lower)]
+    assert len(products) == pairs
+    calls.clear()
+    HermitianMetric(calc3, upper)
+    assert calls == [(upper, lower)]
+    products.clear()
+    validate(metric)
+    assert calls == [(upper, lower)] * 2
+    assert len(products) == pairs
 
 
 def test_validate_stops_at_the_first_failing_row(calc3, monkeypatch):
@@ -429,3 +442,41 @@ def test_invert_antidiagonal_needs_row_swap(calc3):
     assert metric.lower[2][0] == g.invert()
     assert metric.lower[1][1] == alg.scalar(Fraction(1, 3))
     validate(metric)
+
+
+# -- an inverse oracle outside the package's arithmetic ------------------------------
+
+
+def sympy_matrix(sympy, symbols, matrix):
+    """``matrix`` over a commutative torus as a sympy Matrix of Laurent
+    polynomials in ``symbols``: U^k is u_1^k_1 ... u_n^k_n, read from the
+    U-exponents of each term."""
+
+    def entry(x):
+        return sympy.Add(
+            *(
+                (sympy.Rational(re, x.den) + sympy.I * sympy.Rational(im, x.den))
+                * sympy.Mul(*map(sympy.Pow, symbols, key))
+                for key, (re, im) in x.terms.items()
+            )
+        )
+
+    return sympy.Matrix([[entry(x) for x in row] for row in matrix])
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_lower_is_sympys_inverse_of_upper(n):
+    # seeded congruence metrics on a commutative torus, the lower matrix
+    # passed in: sympy inverts the upper matrix in its own arithmetic, and
+    # its product upper * lower is the identity
+    sympy = pytest.importorskip("sympy")
+    calc = Calculus.torus(n, commutative=True)
+    symbols = sympy.symbols("u1:%d" % (n + 1))
+    rng = random.Random("sympy-inverse/%d" % n)
+    for _ in range(3):
+        metric = congruence_metric(calc, *random_congruence_steps(rng, calc.algebra, 2))
+        upper = sympy_matrix(sympy, symbols, metric.upper)
+        lower = sympy_matrix(sympy, symbols, metric.lower)
+        assert any(len(x.terms) > 1 for row in metric.lower for x in row)
+        assert (upper * lower).applyfunc(sympy.expand) == sympy.eye(n)
+        assert (upper.inv() - lower).applyfunc(sympy.cancel) == sympy.zeros(n, n)
