@@ -26,10 +26,14 @@ shared and cost one attribute test (``x.terms`` is empty) or one identity
 test (tuple equality compares identical entries without ``__eq__``).  An
 operation with a zero operand returns at once, after the same descriptor
 and index checks, without building or normalising anything.  The array
-checkers follow suit: ``_frozen`` returns input that is already frozen
-unchanged and tests its leaves in one pass, and ``_first_unpaired``
-skips a pair of two zero elements, because every relation it is given
-(hermitian, antihermitian, antisymmetric, equal) holds on (0, 0).
+checkers follow suit and cost about one read per entry.  ``_frozen``
+returns nested tuples of the right shape whose leaves all live over the
+very algebra instance, which is every array the package froze itself,
+after one pass that builds nothing.  ``_first_unpaired`` skips a pair of
+two zero elements, because every relation it is given (hermitian,
+antihermitian, antisymmetric, equal) holds on (0, 0).  The antisymmetric
+and antihermitian relations read x == -y through ``_is_negation``, which
+compares the numerators and the denominator in place and forms no -y.
 
 A constant factor keeps the other factor's keys.  A nonzero constant c
 has one term, at the all-zero key, which each algebra builds once.
@@ -626,10 +630,48 @@ def matmul(left, right):
     return tuple(_product_rows(left, right))
 
 
+def _is_frozen(x, shape, algebra):
+    """True when ``x`` is nested tuples of exactly ``shape`` whose leaves
+    are all AlgebraElements over the instance ``algebra`` (any leaves when
+    ``algebra`` is None): one pass that builds nothing.  The last two
+    axes are walked in one frame, row by row."""
+    if len(shape) > 2:
+        if x.__class__ is not tuple or len(x) != shape[0]:
+            return False
+        inner = shape[1:]
+        for part in x:
+            if not _is_frozen(part, inner, algebra):
+                return False
+        return True
+    if not shape:
+        return algebra is None or (x.__class__ is AlgebraElement and x.algebra is algebra)
+    if len(shape) == 1:
+        rows = (x,)
+    elif x.__class__ is not tuple or len(x) != shape[0]:
+        return False
+    else:
+        rows = x
+    width = shape[-1]
+    for row in rows:
+        if row.__class__ is not tuple or len(row) != width:
+            return False
+        if algebra is not None:
+            for y in row:
+                if y.__class__ is not AlgebraElement or y.algebra is not algebra:
+                    return False
+    return True
+
+
 def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
     """The nested sequence ``x`` as nested tuples of ``shape``; with an
-    empty shape, ``x`` is the one leaf.  A level that is already a tuple
-    of the right length is kept, so a frozen input is returned as it is.
+    empty shape, ``x`` is the one leaf.
+
+    Input that is already nested tuples of ``shape``, with every leaf an
+    AlgebraElement over the very ``algebra`` instance, is returned as it
+    is after one pass that builds nothing (``_is_frozen``); this is every
+    array the package froze itself.  Any other input is frozen level by
+    level, keeping a level that is already a tuple of the right length,
+    and its leaves are checked in index order.
 
     Another shape raises ``errors[0]``, worded from ``name`` and the rank
     of ``shape``: "an n x n" or "an n x n x n array".  With
@@ -638,6 +680,8 @@ def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
     equal to it DescriptorMismatch, each naming the leaf as
     ``name[i][j]...``, 1-based.
     """
+    if _is_frozen(x, shape, algebra):
+        return x
 
     last = len(shape) - 1
 
@@ -668,6 +712,21 @@ def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
         if y.algebra != algebra:
             raise DescriptorMismatch("%s lives over %r, not %r" % (where, y.algebra, algebra))
     return out
+
+
+def _is_negation(x, y) -> bool:
+    """x == -y for two elements over equal algebras, with no -y formed:
+    the denominators are equal and each numerator of ``y`` is, negated,
+    the numerator of ``x`` at the same key, with no key of ``x`` left."""
+    xt, yt = x.terms, y.terms
+    if x.den != y.den or len(xt) != len(yt):
+        return False
+    get = xt.get
+    for key, (re, im) in yt.items():
+        value = get(key)
+        if value is None or value[0] != -re or value[1] != -im:
+            return False
+    return True
 
 
 def _first_unpaired(x, related, ndim):

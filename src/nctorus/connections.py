@@ -45,7 +45,7 @@ import operator
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .algebra import _first_unpaired, _frozen, matmul
+from .algebra import _first_unpaired, _frozen, _is_negation, matmul
 from .errors import AntihermitianViolation, DescriptorMismatch
 from .forms import Calculus, KForm, d_array
 from .metric import HermitianMetric
@@ -126,8 +126,12 @@ def compat_defect(conn: Connection, metric: HermitianMetric):
 
 def check_antihermitian(array) -> None:
     """(A^ij_a)* = -A^ji_a for all a, i, j of a frozen n x n x n array;
-    raises AntihermitianViolation naming the first failing (a, i, j)."""
-    bad = _first_unpaired(array, lambda x, y: x.star() == -y, 3)
+    raises AntihermitianViolation naming the first failing (a, i, j).
+
+    The adjoint (A^ij_a)* is formed and kept by its element; it is
+    compared with -A^ji_a through ``_is_negation``, which forms no -A^ji_a.
+    """
+    bad = _first_unpaired(array, lambda x, y: _is_negation(x.star(), y), 3)
     if bad is not None:
         raise AntihermitianViolation(bad)
 
@@ -149,7 +153,7 @@ def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
         )
     n = calc.n
     rows = matmul(tuple(chain.from_iterable(coeffs)), metric.lower)
-    return Connection(calc, [rows[start : start + n] for start in range(0, n * n, n)])
+    return Connection(calc, tuple(rows[start : start + n] for start in range(0, n * n, n)))
 
 
 # -- operators on component arrays gamma[a][i][b] (dual basis) -----------------

@@ -89,9 +89,11 @@ class LieAlgebra(Record):
         """Build from a sparse map {(e, a, b): rational}, 1-based indices.
 
         The antisymmetric partner of every entry is filled in
-        automatically; conflicting assignments raise.
+        automatically; an entry already assigned, zero included, that
+        differs from the new value raises.
         """
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        assigned = {}
         for (e, a, b), value in entries.items():
             if not (1 <= e <= n and 1 <= a <= n and 1 <= b <= n):
                 raise IndexError("structure constant index out of range: %s" % ((e, a, b),))
@@ -99,7 +101,7 @@ class LieAlgebra(Record):
                 raise ValueError("structure constant c^e_{aa} must vanish")
             value = Fraction(value)
             for (x, y, v) in ((a, b, value), (b, a, -value)):
-                if c[e - 1][x - 1][y - 1] and c[e - 1][x - 1][y - 1] != v:
+                if assigned.setdefault((e, x, y), v) != v:
                     raise ValueError("conflicting structure constants at %s" % ((e, x, y),))
                 c[e - 1][x - 1][y - 1] = v
         return cls(n, c)

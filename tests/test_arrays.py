@@ -12,12 +12,16 @@ components of a ``KForm`` go through the same leaf check.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import gcd
 import operator
+import random
+import sys
 
 import pytest
 
 from nctorus import (
+    AlgebraElement,
     Calculus,
     Connection,
     DescriptorMismatch,
@@ -34,7 +38,10 @@ from nctorus import (
     invert_metric,
     solve_R,
 )
-from nctorus.algebra import _first_unpaired, _frozen
+import nctorus.algebra as algebra_module
+from nctorus.algebra import _first_unpaired, _frozen, _is_negation
+
+from conftest import random_block_metric, random_element
 
 CALC = Calculus.torus(3)
 ALG = CALC.algebra
@@ -383,3 +390,86 @@ def test_frozen_names_the_same_leaf_for_lists_and_tuples(frozen):
     with pytest.raises(ParamViolation) as info:
         _frozen(shaped(upper), (N, N), "X", ALG, (ParamViolation, ParamViolation))
     assert str(info.value) == "X[3][2] has type Fraction, not AlgebraElement"
+
+
+# -- the negation test of the antisymmetric and antihermitian relations -----------
+
+
+def negation_cases(rng, alg):
+    """(name, x, y, holds) pairs for the relation x == -y of ``_is_negation``:
+    y = -x, then y with one numerator changed, one key moved or another
+    denominator, and zero against nonzero."""
+    for _ in range(12):
+        x = alg.zero()
+        while len(x.terms) < 2:
+            x = random_element(rng, alg, max_terms=4)
+        y = -x
+        yield "negation", x, y, True
+        key = rng.choice(sorted(y.terms))
+        terms = dict(y.terms)
+        re, im = terms[key]
+        terms[key] = (re + y.den, im) if re + y.den else (re - y.den, im)
+        yield "numerator", x, AlgebraElement(alg, terms, y.den), False
+        terms = dict(y.terms)
+        moved = (key[0] + 7,) + key[1:]
+        terms[moved] = terms.pop(key)
+        yield "key", x, AlgebraElement(alg, terms, y.den), False
+        den = next(p for p in (7, 11, 13) if gcd(p, *chain.from_iterable(y.terms.values())) == 1)
+        yield "denominator", x, AlgebraElement(alg, dict(y.terms), y.den * den), False
+        yield "zero-right", x, alg.zero(), False
+        yield "zero-left", alg.zero(), x, False
+    yield "zeros", alg.zero(), alg.zero(), True
+
+
+@pytest.mark.parametrize("commutative", (False, True), ids=("q", "commutative"))
+def test_is_negation_agrees_with_the_literal_relations(commutative):
+    alg = TorusAlgebra(3, commutative=commutative)
+    rng = random.Random("is-negation/%s" % commutative)
+    names = set()
+    for name, x, y, holds in negation_cases(rng, alg):
+        # the antisymmetric relation x == -y
+        assert _is_negation(x, y) is (x == -y) is holds, name
+        # the antihermitian relation w* == -y, on the w with w* == x
+        w = x.star()
+        assert _is_negation(w.star(), y) is (w.star() == -y) is holds, name
+        names.add(name)
+    assert len(names) == 7
+
+
+def nested_tuples(x, depth):
+    """True when ``x`` is ``depth`` >= 1 levels of tuples all the way down."""
+    return type(x) is tuple and (depth == 1 or all(nested_tuples(p, depth - 1) for p in x))
+
+
+def test_frozen_returns_every_frozen_array_of_a_build_as_it_is(monkeypatch):
+    # every array that the metric and the build hand on is frozen already,
+    # the connection's gamma included, and each such call returns its input
+    # object (the metric's own lists are frozen once, by its constructor)
+    original = algebra_module._frozen
+    calls = []
+
+    def spy(x, shape, name, *args, **kwargs):
+        out = original(x, shape, name, *args, **kwargs)
+        calls.append((name, x, out, nested_tuples(x, len(shape))))
+        return out
+
+    modules = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("nctorus.") and getattr(module, "_frozen", None) is original
+    ]
+    assert {module.__name__ for module in modules} >= {
+        "nctorus.connections",
+        "nctorus.forms",
+        "nctorus.levicivita",
+        "nctorus.metric",
+    }
+    for module in modules:
+        monkeypatch.setattr(module, "_frozen", spy)
+    metric = random_block_metric(random.Random("frozen-guard"), CALC)
+    build_levi_civita(metric)
+    frozen = [(name, x, out) for name, x, out, tupled in calls if tupled]
+    names = {name for name, _, _ in frozen}
+    assert names == {"upper", "X", "F", "R", "antiherm", "gamma"}, names
+    for name, x, out in frozen:
+        assert out is x, name

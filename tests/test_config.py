@@ -351,6 +351,23 @@ def test_repeated_base_entry_is_rejected(tmp_path, capsys):
     assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
 
 
+
+@pytest.mark.parametrize(
+    "lines, where",
+    [
+        (["c.3.1.2 = 0", "c.3.2.1 = 5"], (3, 2, 1)),
+        (["c.3.2.1 = 5", "c.3.1.2 = 0"], (3, 1, 2)),
+    ],
+    ids=("zero-first", "zero-second"),
+)
+def test_conflicting_structure_constants_are_refused(tmp_path, capsys, lines, where):
+    # an explicit zero is an assignment, so a partner that is not its
+    # negation conflicts with it, whichever comes first
+    text, _ = config_text({"lie": lines})
+    message = "bad [lie] section: conflicting structure constants at %s" % (where,)
+    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, message)
+
+
 # -- unknown sections and keys ----------------------------------------------------------
 
 

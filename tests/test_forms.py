@@ -304,6 +304,31 @@ def test_lie_algebra_validation():
     assert not lie.is_abelian()
 
 
+
+@pytest.mark.parametrize(
+    "entries, where",
+    [
+        ({(3, 1, 2): 0, (3, 2, 1): 5}, (3, 2, 1)),
+        ({(3, 2, 1): 5, (3, 1, 2): 0}, (3, 1, 2)),
+        ({(3, 1, 2): 1, (3, 2, 1): 0}, (3, 2, 1)),
+    ],
+    ids=("zero-first", "zero-second", "nonzero-then-zero"),
+)
+def test_explicit_zero_conflicts_with_its_partner(entries, where):
+    # an explicit zero is an assignment: its antisymmetric partner must be
+    # zero too, in either order
+    with pytest.raises(ValueError) as info:
+        LieAlgebra.from_struct(3, entries)
+    assert str(info.value) == "conflicting structure constants at %s" % (where,)
+
+
+def test_consistent_explicit_entries_are_accepted():
+    zero = LieAlgebra.from_struct(3, {(3, 1, 2): 0, (3, 2, 1): 0})
+    assert zero.is_abelian() and zero == LieAlgebra.from_struct(3, {})
+    both = LieAlgebra.from_struct(3, {(3, 1, 2): 1, (3, 2, 1): -1})
+    assert both == LieAlgebra.from_struct(3, HEISENBERG)
+
+
 def _jacobi_reference(n, c):
     """First failing (a, b, d, f) of the Jacobi sum by the literal loop."""
     for a in range(n):

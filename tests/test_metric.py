@@ -12,6 +12,7 @@ from nctorus import (
     NotHermitian,
     NotInverse,
     NotInvertibleByElimination,
+    build_levi_civita,
     invert_metric,
     symmetry_form,
     validate,
@@ -480,3 +481,60 @@ def test_lower_is_sympys_inverse_of_upper(n):
         assert any(len(x.terms) > 1 for row in metric.lower for x in row)
         assert (upper * lower).applyfunc(sympy.expand) == sympy.eye(n)
         assert (upper.inv() - lower).applyfunc(sympy.cancel) == sympy.zeros(n, n)
+
+
+def sympy_star(sympy, symbols, value):
+    """The adjoint over a commutative torus: conjugate every coefficient
+    and send each u_a to 1/u_a (the symbols are positive, so conjugation
+    leaves them alone)."""
+    return sympy.conjugate(value).xreplace({u: 1 / u for u in symbols})
+
+
+def sympy_lc_defects(sympy, symbols, upper, gamma):
+    """(torsion, compatibility) defects of the Christoffel planes ``gamma``
+    (sympy matrices gamma[a][i, k] = gamma^i_ak) against the sympy matrix
+    ``upper`` over an abelian calculus, each a list of the nonzero entries
+    after expansion: torsion gamma^i_ab - gamma^i_ba, and compatibility
+    d_a h^ij - gamma^i_ak h^kj - (gamma^j_ak h^ki)* with
+    d_a = i u_a d/du_a."""
+    n = len(symbols)
+    torsion = [
+        gamma[a][i, b] - gamma[b][i, a]
+        for a in range(n)
+        for b in range(a + 1, n)
+        for i in range(n)
+    ]
+    compat = []
+    for a, u in enumerate(symbols):
+        paired = (gamma[a] * upper).applyfunc(sympy.expand)
+        for i in range(n):
+            for j in range(n):
+                derivative = sympy.I * u * sympy.diff(upper[i, j], u)
+                compat.append(
+                    derivative - paired[i, j] - sympy_star(sympy, symbols, paired[j, i])
+                )
+    nonzero = lambda values: [v for v in map(sympy.expand, values) if v != 0]  # noqa: E731
+    return nonzero(torsion), nonzero(compat)
+
+
+def test_built_connection_passes_sympys_torsion_and_compatibility():
+    # seeded congruence metrics on a commutative torus, the lower matrix
+    # passed in: the built gamma is torsion free and metric compatible in
+    # sympy's arithmetic, and i*U1 added at gamma^2_13 and gamma^2_31 keeps
+    # the torsion zero but breaks compatibility
+    sympy = pytest.importorskip("sympy")
+    calc = Calculus.torus(3, commutative=True)
+    symbols = sympy.symbols("u1:4", positive=True)
+    rng = random.Random("sympy-levi-civita")
+    for _ in range(3):
+        metric = congruence_metric(calc, *random_congruence_steps(rng, calc.algebra, 2))
+        gamma = build_levi_civita(metric).gamma
+        assert any(len(x.terms) > 1 for plane in gamma for row in plane for x in row)
+        upper = sympy_matrix(sympy, symbols, metric.upper)
+        planes = [sympy_matrix(sympy, symbols, plane) for plane in gamma]
+        assert sympy_lc_defects(sympy, symbols, upper, planes) == ([], [])
+        shift = sympy.I * symbols[0]
+        planes[0][1, 2] += shift  # gamma^2_13
+        planes[2][1, 0] += shift  # gamma^2_31
+        torsion, compat = sympy_lc_defects(sympy, symbols, upper, planes)
+        assert torsion == [] and compat != []
