@@ -32,8 +32,14 @@ very algebra instance, which is every array the package froze itself,
 after one pass that builds nothing.  ``_first_unpaired`` skips a pair of
 two zero elements, because every relation it is given (hermitian,
 antihermitian, antisymmetric, equal) holds on (0, 0).  The antisymmetric
-and antihermitian relations read x == -y through ``_is_negation``, which
-compares the numerators and the denominator in place and forms no -y.
+relation reads x == -y through ``_is_negation``, which compares the
+numerators and the denominator in place and forms no -y; the
+antihermitian one reads x* == -y through ``_is_star_negation``, which
+looks up the reversed key of each term of x and forms no x* either.
+No element is formed whose value is known: x - x is the shared zero
+after one comparison, without a merge, and a product with a unit
+scalar, +-1 or +-i, only permutes and negates numerators, so it keeps
+their gcd with ``den`` and skips the gcd pass.
 
 A constant factor keeps the other factor's keys.  A nonzero constant c
 has one term, at the all-zero key, which each algebra builds once.
@@ -352,6 +358,8 @@ class AlgebraElement:
             return self
         if not self.terms:
             return -other
+        if self.den == other.den and self.terms == other.terms:
+            return self.algebra._zero
         return self._merged(other, True)
 
     def __rsub__(self, other):
@@ -368,14 +376,13 @@ class AlgebraElement:
                 cr, ci, cd = _gaussian_parts(other)
                 if not (cr or ci):
                     return self.algebra._zero
-                return self._normal(
-                    {
-                        key: (re * cr - im * ci, re * ci + im * cr)
-                        for key, (re, im) in self.terms.items()
-                    },
-                    self.den * cd,
-                    True,
-                )
+                terms = {
+                    key: (re * cr - im * ci, re * ci + im * cr)
+                    for key, (re, im) in self.terms.items()
+                }
+                if cd == 1 and cr * cr + ci * ci == 1:  # +-1, +-i: gcd with den kept
+                    return AlgebraElement(self.algebra, terms, self.den)
+                return self._normal(terms, self.den * cd, True)
             if not isinstance(other, AlgebraElement):
                 return NotImplemented
         if other.algebra is not self.algebra:
@@ -725,6 +732,23 @@ def _is_negation(x, y) -> bool:
     for key, (re, im) in yt.items():
         value = get(key)
         if value is None or value[0] != -re or value[1] != -im:
+            return False
+    return True
+
+
+def _is_star_negation(x, y) -> bool:
+    """x* == -y for two elements over equal algebras, with no x* formed
+    (x's kept adjoint is read when it has one): the denominators are equal
+    and y holds (-re, im) at the reversed key of each term (re, im) of x."""
+    if x._star is not None:
+        return _is_negation(x._star, y)
+    xt, yt = x.terms, y.terms
+    if x.den != y.den or len(xt) != len(yt):
+        return False
+    get, reverse = yt.get, x._reversed_key
+    for key, (re, im) in xt.items():
+        value = get(reverse(key))
+        if value is None or value[0] != -re or value[1] != im:
             return False
     return True
 

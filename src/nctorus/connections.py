@@ -23,14 +23,17 @@ The operators that swap the two derivation slots form each pair a <= b
 once and mirror it: wedge(alpha) is antisymmetric, so entry (b, i, a) is
 the element of entry (a, i, b) negated, on a zero diagonal; P sums the
 pair of gamma entries once, and where d^i_ab = 0 holds one element
-s^i_ab / 2 at both.  The characterization tests T_h(P) = dh, the paper's
-T_h(s) = 2 dh - T_h(d) halved (T_h is real-linear), and only once the
-fixed point P == gamma has held entry by entry.  Then T_h(P) = T_h(gamma)
-exactly: T_h reads nothing but the entries, and equal entries are
-identical normal forms.  So the compatibility defect and the
-characterization read one pairing T_h(gamma), which a connection keeps
-for the last metric it was paired with (``_gamma_pairing``), and no
-T_h(d) is formed.
+s^i_ab / 2 at both.  Where d^i_ab = 0 and the two gamma entries are equal
+(every diagonal pair, and every pair of a connection that passes), that
+element is the gamma entry itself, because (x + x) / 2 = x: the fixed
+point of a passing connection forms no element where d vanishes.  The
+characterization tests T_h(P) = dh, the paper's T_h(s) = 2 dh - T_h(d)
+halved (T_h is real-linear), and only once the fixed point P == gamma
+has held entry by entry.  Then T_h(P) = T_h(gamma) exactly: T_h reads
+nothing but the entries, and equal entries are identical normal forms.
+So the compatibility defect and the characterization read one pairing
+T_h(gamma), which a connection keeps for the last metric it was paired
+with (``_gamma_pairing``), and no T_h(d) is formed.
 
 ``torsion``, ``compat_defect`` and the characterization check are built
 from these identities, and ``compatible_connection`` reads d_a h^ij from
@@ -45,7 +48,7 @@ import operator
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .algebra import _first_unpaired, _frozen, _is_negation, matmul
+from .algebra import _first_unpaired, _frozen, _is_star_negation, matmul
 from .errors import AntihermitianViolation, DescriptorMismatch
 from .forms import Calculus, KForm, d_array
 from .metric import HermitianMetric
@@ -128,10 +131,11 @@ def check_antihermitian(array) -> None:
     """(A^ij_a)* = -A^ji_a for all a, i, j of a frozen n x n x n array;
     raises AntihermitianViolation naming the first failing (a, i, j).
 
-    The adjoint (A^ij_a)* is formed and kept by its element; it is
-    compared with -A^ji_a through ``_is_negation``, which forms no -A^ji_a.
+    Each pair is read in place by ``_is_star_negation``, which forms
+    neither (A^ij_a)* nor -A^ji_a (it reads the adjoint A^ij_a keeps, if
+    one was formed before).
     """
-    bad = _first_unpaired(array, lambda x, y: _is_negation(x.star(), y), 3)
+    bad = _first_unpaired(array, _is_star_negation, 3)
     if bad is not None:
         raise AntihermitianViolation(bad)
 
@@ -242,7 +246,9 @@ def _projection(dop, gamma):
     so where d^i_ab = 0 (always on abelian calculi, and on every diagonal)
     both entries are the one element s / 2; otherwise they are (s + d) / 2
     at (a, i, b) and (s - d) / 2 at (b, i, a), because d^i_ba = -d^i_ab.
-    A pair of zero gamma entries forms no sum.
+    Where d^i_ab = 0 and gamma^i_ab is gamma^i_ba or equals it, both
+    entries are that gamma entry, since (x + x) / 2 = x; so a pair of zero
+    entries, and every diagonal pair, forms no sum.
     """
     n = len(dop)
     zero = dop[0][0][0].algebra.zero()
@@ -253,6 +259,10 @@ def _projection(dop, gamma):
             gamma_b, out_b = gamma[b], out[b]
             for i in range(n):
                 d, x, y = dop_a[i][b], gamma_a[i][b], gamma_b[i][a]
+                if not d.terms and (x is y or x == y):
+                    if x.terms:  # (x + x) / 2 = x
+                        out_a[i][b] = out_b[i][a] = x
+                    continue
                 s = x + y if x.terms or y.terms else zero
                 if d.terms:
                     out_a[i][b] = (s + d) * HALF

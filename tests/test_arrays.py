@@ -39,7 +39,7 @@ from nctorus import (
     solve_R,
 )
 import nctorus.algebra as algebra_module
-from nctorus.algebra import _first_unpaired, _frozen, _is_negation
+from nctorus.algebra import _first_unpaired, _frozen, _is_negation, _is_star_negation
 
 from conftest import random_block_metric, random_element
 
@@ -434,6 +434,58 @@ def test_is_negation_agrees_with_the_literal_relations(commutative):
         assert _is_negation(w.star(), y) is (w.star() == -y) is holds, name
         names.add(name)
     assert len(names) == 7
+
+
+def star_negation_cases(rng, alg):
+    """(name, x, y, holds) pairs for the relation x* == -y of
+    ``_is_star_negation``: y = -x*, then y with the sign of one real or one
+    imaginary part flipped, one key moved or another denominator, and zero
+    against nonzero."""
+    for _ in range(12):
+        x = alg.zero()
+        while not (
+            len(x.terms) >= 2
+            and any(re for re, _ in x.terms.values())
+            and any(im for _, im in x.terms.values())
+        ):
+            x = random_element(rng, alg, max_terms=4)
+        y = -x.star()
+        yield "negation", x, y, True
+        for part in (0, 1):
+            key = rng.choice(sorted(k for k, value in y.terms.items() if value[part]))
+            terms = dict(y.terms)
+            value = list(terms[key])
+            value[part] = -value[part]
+            terms[key] = tuple(value)
+            yield ("re", "im")[part] + "-sign", x, AlgebraElement(alg, terms, y.den), False
+        key = rng.choice(sorted(y.terms))
+        terms = dict(y.terms)
+        terms[(key[0] + 7,) + key[1:]] = terms.pop(key)
+        yield "key", x, AlgebraElement(alg, terms, y.den), False
+        den = next(p for p in (7, 11, 13) if gcd(p, *chain.from_iterable(y.terms.values())) == 1)
+        yield "denominator", x, AlgebraElement(alg, dict(y.terms), y.den * den), False
+        yield "zero-right", x, alg.zero(), False
+        yield "zero-left", alg.zero(), y, False
+    yield "zeros", alg.zero(), alg.zero(), True
+
+
+@pytest.mark.parametrize("commutative", (False, True), ids=("q", "commutative"))
+def test_is_star_negation_agrees_with_the_literal_relation(commutative):
+    alg = TorusAlgebra(3, commutative=commutative)
+    rng = random.Random("is-star-negation/%s" % commutative)
+    names = set()
+    for name, x, y, holds in star_negation_cases(rng, alg):
+        # a fresh x keeps no adjoint, and the helper forms none
+        if x.terms:
+            x = AlgebraElement(alg, dict(x.terms), x.den)
+        assert _is_star_negation(x, y) is holds, name
+        assert x._star is None
+        # the literal relation forms and keeps x*; the helper then reads it
+        assert (x.star() == -y) is holds, name
+        assert x._star is not None or not x.terms
+        assert _is_star_negation(x, y) is holds, name
+        names.add(name)
+    assert len(names) == 8
 
 
 def nested_tuples(x, depth):

@@ -501,9 +501,10 @@ def test_pair_loops_match_literal_entries(name):
 
 
 def test_pair_loops_combine_each_pair_once(monkeypatch, calc3):
-    # on the abelian calc3 the projection forms n * n(n+1)/2 sums, wedge
-    # n * n(n-1)/2 differences and as many negations, and a pair of two
-    # zeros costs no call
+    # on the abelian calc3 the projection forms n * n(n-1)/2 sums, one per
+    # pair a < b, and none on a diagonal pair (x is y, and (x + x) / 2 = x);
+    # wedge forms n * n(n-1)/2 differences and as many negations, and a
+    # pair of two zeros costs no call
     arr = dense_array(random.Random("pair-calls"), calc3, {(0, 0, 1), (1, 0, 0)})
     counts = {"__add__": 0, "__sub__": 0, "__neg__": 0}
     for name in counts:
@@ -515,7 +516,7 @@ def test_pair_loops_combine_each_pair_once(monkeypatch, calc3):
 
         monkeypatch.setattr(AlgebraElement, name, spy)
     _projection(d_array(calc3), arr)
-    assert counts == {"__add__": 3 * 6 - 1, "__sub__": 0, "__neg__": 0}
+    assert counts == {"__add__": 3 * 3 - 1, "__sub__": 0, "__neg__": 0}
     counts.update(dict.fromkeys(counts, 0))
     antisymmetrize(arr)
     assert counts == {"__add__": 0, "__sub__": 3 * 3 - 1, "__neg__": 3 * 3 - 1}
@@ -556,6 +557,44 @@ def quadrant_connections(calc, rng):
     return metric, conns
 
 
+def replaced(conn, entries):
+    """``conn`` with the entries {(a, i, b): element}, 0-based, put in."""
+    gamma = [[list(row) for row in plane] for plane in conn.gamma]
+    for (a, i, b), value in entries.items():
+        gamma[a][i][b] = value
+    return Connection(conn.calculus, gamma)
+
+
+def perturbed_builds(conn, rng):
+    """A built ``conn`` with one random nonzero element w added at one
+    off-diagonal entry where d vanishes (its pair then differs) and at one
+    diagonal entry; where d has a nonzero entry, w added at that entry
+    alone and at both entries of its pair, and the entry copied onto its
+    pair (an equal pair where d does not vanish)."""
+    calc, n = conn.calculus, conn.calculus.n
+    gamma, dop = conn.gamma, d_array(calc)
+    w = calc.algebra.zero()
+    while not w.terms:
+        w = random_element(rng, calc.algebra, max_terms=2, max_exp=1)
+    places = [(a, i, b) for a in range(n) for i in range(n) for b in range(n)]
+    a, i, b = rng.choice([(a, i, b) for a, i, b in places if a < b and not dop[a][i][b].terms])
+    k, j = rng.randrange(n), rng.randrange(n)
+    out = [
+        replaced(conn, {(a, i, b): gamma[a][i][b] + w}),
+        replaced(conn, {(k, j, k): gamma[k][j][k] + w}),
+    ]
+    bracket = [(a, i, b) for a, i, b in places if dop[a][i][b].terms]
+    if bracket:
+        a, i, b = rng.choice(bracket)
+        x, y = gamma[a][i][b], gamma[b][i][a]
+        out += [
+            replaced(conn, {(a, i, b): x + w}),
+            replaced(conn, {(a, i, b): x + w, (b, i, a): y + w}),
+            replaced(conn, {(b, i, a): x}),
+        ]
+    return out
+
+
 @pytest.mark.parametrize("n", (3, 4))
 @pytest.mark.parametrize("name", ("q-deformed", "commutative", "bracket"))
 def test_characterization_matches_the_literal_identities(name, n):
@@ -563,9 +602,12 @@ def test_characterization_matches_the_literal_identities(name, n):
     calc = Calculus.torus(n, commutative=name == "commutative", brackets=brackets)
     rng = random.Random("characterization/%s/%d" % (name, n))
     metric, conns = quadrant_connections(calc, rng)
+    conns += perturbed_builds(conns[-1], rng)
+    dop = d_array(calc)
     seen = set()
     for conn in conns:
         pairing, fixed = literal_characterization(conn, metric)
+        assert (_projection(dop, conn.gamma) == conn.gamma) is fixed
         torsion_zero = all(form.is_zero() for form in torsion(conn))
         compat_zero = not any(
             x.terms for plane in compat_defect(conn, metric) for row in plane for x in row

@@ -358,9 +358,11 @@ def test_difference_merges_like_sum_with_negation(alg):
         y, oy = build(alg, spec_y)
         check(alg, x - y, _accumulate(list(ox.items()) + list(o_neg(oy).items())))
         assert x - y == x + (-y)
-        # a difference that cancels is the shared zero
+        # a difference that cancels is the shared zero, whether the two
+        # operands are one object or two equal ones
         copy, _ = build(alg, spec_x)
-        assert x - copy is zero
+        assert copy == x and (copy is not x or not x.terms)
+        assert x - copy is zero and x - x is zero
         assert (x + y) - y == x
         # operands over different denominators
         w = y * Fraction(1, rng.choice((2, 3, 5, 7))) + x * Fraction(rng.randint(1, 4), 3)
@@ -381,6 +383,12 @@ def test_scalar_multiples_stay_normal(t3):
     assert_normal_form(x)
     for c in (3, Fraction(9, 2), GaussianRational(Fraction(3, 2), 3), 0):
         assert_normal_form(x * c)
+    # a unit keeps the denominator; its product matches the element product
+    for c in (1, -1, GaussianRational(0, 1), GaussianRational(0, -1)):
+        assert_normal_form(x * c)
+        assert (x * c).den == x.den
+        assert x * c == c * x == x * t3.scalar(c)
+    assert x * 1 == x and x * -1 == -x
     assert (x * 0).den == 1
     assert_normal_form(x - x)
     assert (x * Fraction(9, 2)).den == 1

@@ -8,6 +8,7 @@ from nctorus import (
     AlgebraElement,
     Calculus,
     Connection,
+    GaussianRational,
     HermitianMetric,
     InternalVerificationFailure,
     NotInvertibleByElimination,
@@ -25,6 +26,7 @@ from nctorus import (
     verify_levi_civita,
     weak_symmetry_defect,
 )
+from nctorus.algebra import matmul
 from nctorus.levicivita import solvability_check
 from conftest import (
     block_metric,
@@ -953,3 +955,62 @@ def test_r_equation_failure_names_the_literal_search_index(calc3, monkeypatch, p
     assert str(info.value) == "R equation fails at (a=%d, b=%d, c=%d)" % (a + 1, b + 1, c + 1)
     # the loop runs over (a, b, c), and the left side is indexed [a][c][b]
     assert (a, c, b) == min(perturbed, key=lambda index: (index[0], index[2], index[1]))
+
+
+# -- the parameter readout: (X, H) read back from a built gamma -------------------
+
+
+def read_parameters(metric, gamma):
+    """(X, H) read back from a Levi-Civita ``gamma`` built without A:
+    K_a = gamma_a h^up - 1/2 d_a h, U_a = -i K_a, R_a = h_low U_a h_low,
+    X_ab = (R_a)_bb and H_abc = (R_a)_bc - (f_abc - f_bca + f_cab*) / 2
+    for every a < b < c, 1-based keys, zero values included."""
+    n = metric.calculus.n
+    half, minus_i = Fraction(1, 2), GaussianRational(0, -1)
+    F = compute_F(metric)
+    R = []
+    for plane, dh in zip(gamma, metric.d_upper):
+        K = [
+            [k - d * half for k, d in zip(k_row, d_row)]
+            for k_row, d_row in zip(matmul(plane, metric.upper), dh)
+        ]
+        U = [[k * minus_i for k in row] for row in K]
+        R.append(matmul(matmul(metric.lower, U), metric.lower))
+    X = tuple(tuple(R[a][b][b] for b in range(n)) for a in range(n))
+    H = {
+        (a + 1, b + 1, c + 1): R[a][b][c] - (F[a][b][c] - F[b][c][a] + F[c][a][b].star()) * half
+        for a, b, c in itertools.combinations(range(n), 3)
+    }
+    return X, H
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("commutative", (False, True), ids=("q", "commutative"))
+def test_parameters_read_back_from_the_built_connection(n, commutative):
+    # 3 seeded weakly symmetric 2-step congruence metrics per case, the
+    # lower matrix passed in, each built from random hermitian X and H:
+    # the readout returns the validated parameters, and rebuilding from
+    # them gives an identical gamma
+    calc = Calculus.torus(n, commutative=commutative)
+    alg = calc.algebra
+    rng = random.Random("readout/%d/%s" % (n, commutative))
+    built = 0
+    while built < 3:
+        metric = congruence_metric(calc, *random_congruence_steps(rng, alg, 2))
+        if not weak_symmetry_defect(metric).is_zero():
+            continue
+        X, H = [[alg.zero()]], {}
+        while not any(x.terms for row in X for x in row):
+            X = [[random_hermitian(rng, alg, 1, 1) for _ in range(n)] for _ in range(n)]
+        while not any(h.terms for h in H.values()):
+            H = {
+                key: random_hermitian(rng, alg, 1, 1)
+                for key in itertools.combinations(range(1, n + 1), 3)
+            }
+        params = SolverParams(X, H).validated(calc)
+        gamma = build_levi_civita(metric, params).gamma
+        X_read, H_read = read_parameters(metric, gamma)
+        assert X_read == params.X
+        assert H_read == {key: params.triples.get(key, alg.zero()) for key in H_read}
+        assert build_levi_civita(metric, SolverParams(X_read, H_read)).gamma == gamma
+        built += 1

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from nctorus import (
     NotHermitian,
     NotInverse,
     NotInvertibleByElimination,
+    NotWeaklySymmetric,
     build_levi_civita,
     invert_metric,
     symmetry_form,
@@ -538,3 +540,58 @@ def test_built_connection_passes_sympys_torsion_and_compatibility():
         planes[2][1, 0] += shift  # gamma^2_31
         torsion, compat = sympy_lc_defects(sympy, symbols, upper, planes)
         assert torsion == [] and compat != []
+
+
+def sympy_drho(sympy, symbols, upper):
+    """d(rho) over an abelian calculus from sympy's inverse h of the sympy
+    matrix ``upper``: rho_bc = h_bc - (h_bc)* and
+    d(rho)_abc = delta_a rho_bc - delta_b rho_ac + delta_c rho_ab with
+    delta_a = i u_a d/du_a, as {(a, b, c): value} over a < b < c, 1-based,
+    nonzero values only."""
+    n = len(symbols)
+    lower = upper.inv()
+    rho = [
+        [lower[b, c] - sympy_star(sympy, symbols, lower[b, c]) for c in range(n)]
+        for b in range(n)
+    ]
+
+    def delta(a, value):
+        return sympy.I * symbols[a] * sympy.diff(value, symbols[a])
+
+    out = {}
+    for a, b, c in combinations(range(n), 3):
+        value = sympy.cancel(delta(a, rho[b][c]) - delta(b, rho[a][c]) + delta(c, rho[a][b]))
+        if value != 0:
+            out[(a + 1, b + 1, c + 1)] = value
+    return out
+
+
+def test_drho_is_sympys():
+    # metrics the gate rejects on a commutative torus: the block metric with
+    # h^23 = U1, whose d(rho)_123 is i U1^-1 + i U1, and seeded congruence
+    # metrics that are not weakly symmetric, the lower matrix passed in.
+    # sympy forms d(rho) from its own inverse of the upper matrix; every
+    # component is the package's, and the build is refused at sympy's first
+    # nonzero triple
+    sympy = pytest.importorskip("sympy")
+    calc = Calculus.torus(3, commutative=True)
+    alg = calc.algebra
+    symbols = sympy.symbols("u1:4", positive=True)
+    rng = random.Random("sympy-drho")
+    metrics = [block_metric(calc, alg.gen(1))]
+    assert weak_symmetry_defect(metrics[0]).comps == {
+        (1, 2, 3): alg.i() * (alg.gen(1, -1) + alg.gen(1))
+    }
+    while len(metrics) < 4:
+        metric = congruence_metric(calc, *random_congruence_steps(rng, alg, 2))
+        if not weak_symmetry_defect(metric).is_zero():
+            metrics.append(metric)
+    for metric in metrics:
+        expected = sympy_drho(sympy, symbols, sympy_matrix(sympy, symbols, metric.upper))
+        comps = weak_symmetry_defect(metric).comps
+        assert set(comps) == set(expected)
+        for key, value in comps.items():
+            assert sympy.expand(sympy_matrix(sympy, symbols, [[value]])[0, 0] - expected[key]) == 0
+        with pytest.raises(NotWeaklySymmetric) as info:
+            build_levi_civita(metric)
+        assert info.value.triple == min(expected)
