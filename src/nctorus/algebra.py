@@ -37,9 +37,7 @@ numerators and the denominator in place and forms no -y; the
 antihermitian one reads x* == -y through ``_is_star_negation``, which
 looks up the reversed key of each term of x and forms no x* either.
 No element is formed whose value is known: x - x is the shared zero
-after one comparison, without a merge, and a product with a unit
-scalar, +-1 or +-i, only permutes and negates numerators, so it keeps
-their gcd with ``den`` and skips the gcd pass.
+after one comparison, without a merge.
 
 A constant factor keeps the other factor's keys.  A nonzero constant c
 has one term, at the all-zero key, which each algebra builds once.
@@ -376,13 +374,14 @@ class AlgebraElement:
                 cr, ci, cd = _gaussian_parts(other)
                 if not (cr or ci):
                     return self.algebra._zero
-                terms = {
-                    key: (re * cr - im * ci, re * ci + im * cr)
-                    for key, (re, im) in self.terms.items()
-                }
-                if cd == 1 and cr * cr + ci * ci == 1:  # +-1, +-i: gcd with den kept
-                    return AlgebraElement(self.algebra, terms, self.den)
-                return self._normal(terms, self.den * cd, True)
+                return self._normal(
+                    {
+                        key: (re * cr - im * ci, re * ci + im * cr)
+                        for key, (re, im) in self.terms.items()
+                    },
+                    self.den * cd,
+                    True,
+                )
             if not isinstance(other, AlgebraElement):
                 return NotImplemented
         if other.algebra is not self.algebra:
@@ -737,11 +736,9 @@ def _is_negation(x, y) -> bool:
 
 
 def _is_star_negation(x, y) -> bool:
-    """x* == -y for two elements over equal algebras, with no x* formed
-    (x's kept adjoint is read when it has one): the denominators are equal
-    and y holds (-re, im) at the reversed key of each term (re, im) of x."""
-    if x._star is not None:
-        return _is_negation(x._star, y)
+    """x* == -y for two elements over equal algebras, with no x* formed:
+    the denominators are equal and y holds (-re, im) at the reversed key
+    of each term (re, im) of x."""
     xt, yt = x.terms, y.terms
     if x.den != y.den or len(xt) != len(yt):
         return False

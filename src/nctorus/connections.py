@@ -132,8 +132,7 @@ def check_antihermitian(array) -> None:
     raises AntihermitianViolation naming the first failing (a, i, j).
 
     Each pair is read in place by ``_is_star_negation``, which forms
-    neither (A^ij_a)* nor -A^ji_a (it reads the adjoint A^ij_a keeps, if
-    one was formed before).
+    neither (A^ij_a)* nor -A^ji_a.
     """
     bad = _first_unpaired(array, _is_star_negation, 3)
     if bad is not None:

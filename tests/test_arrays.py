@@ -480,7 +480,7 @@ def test_is_star_negation_agrees_with_the_literal_relation(commutative):
             x = AlgebraElement(alg, dict(x.terms), x.den)
         assert _is_star_negation(x, y) is holds, name
         assert x._star is None
-        # the literal relation forms and keeps x*; the helper then reads it
+        # the literal relation forms and keeps x*; the verdict stays
         assert (x.star() == -y) is holds, name
         assert x._star is not None or not x.terms
         assert _is_star_negation(x, y) is holds, name
