@@ -36,8 +36,9 @@ relation reads x == -y through ``_is_negation``, which compares the
 numerators and the denominator in place and forms no -y; the
 antihermitian one reads x* == -y through ``_is_star_negation``, which
 looks up the reversed key of each term of x and forms no x* either.
-No element is formed whose value is known: x - x is the shared zero
-after one comparison, without a merge.
+The hermitian one, x* == y through ``_is_adjoint``, forms x*, which the
+element keeps (below).  No element is formed whose value is known:
+x - x is the shared zero after one comparison, without a merge.
 
 A constant factor keeps the other factor's keys.  A nonzero constant c
 has one term, at the all-zero key, which each algebra builds once.
@@ -718,6 +719,12 @@ def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
         if y.algebra != algebra:
             raise DescriptorMismatch("%s lives over %r, not %r" % (where, y.algebra, algebra))
     return out
+
+
+def _is_adjoint(x, y) -> bool:
+    """x* == y: the hermitian pairing of entries (i, j) and (j, i).  The
+    adjoint is formed, because ``star`` keeps it for later reads."""
+    return x.star() == y
 
 
 def _is_negation(x, y) -> bool:

@@ -22,11 +22,10 @@ Config files are flat sectioned key-value text.  Each line is a
     hinv.3.2 = adj(U2)
 
     # optional, parameters default to 0: X_ab and one parameter per triple
-    # a < b < c are hermitian, A^ij_a (keyed A.a.i.j) is antihermitian
+    # a < b < c, both hermitian
     [params]
     X.1.1 = U1 + U1^-1
     H.1.2.3 = 2
-    A.1.1.1 = i
 
     # read only by verify-given
     [connection]
@@ -72,9 +71,8 @@ import re
 import sys
 from itertools import combinations
 
-from .connections import Connection, check_antihermitian
+from .connections import Connection
 from .errors import (
-    AntihermitianViolation,
     HermiticityError,
     NCTorusError,
     NotWeaklySymmetric,
@@ -254,8 +252,8 @@ def load_config(path) -> ProblemConfig:
     """Load and fully validate a config file.
 
     Raises ParseError (with line and column), IndexError for out-of-range
-    indices, and HermiticityError when a declared-hermitian parameter is
-    not hermitian (or a declared-antihermitian one is not antihermitian).
+    indices, and HermiticityError when an X or H parameter is not
+    hermitian.
     """
     sections = _read_sections(path)
 
@@ -290,7 +288,7 @@ def load_config(path) -> ProblemConfig:
         index = _index(key, prefix, (n, n), "metric", lineno, entries)
         entries[index] = _parse_expr(calculus, value, lineno, column)
 
-    x_entries, triples, a_entries = {}, {}, {}
+    x_entries, triples = {}, {}
     for key, (value, lineno, column) in sections.get("params", {}).items():
         if key.startswith("X."):
             index = _index(key, "X", (n, n), "X", lineno, x_entries)
@@ -300,21 +298,9 @@ def load_config(path) -> ProblemConfig:
             if not index[0] < index[1] < index[2]:
                 raise ParseError("H key indices must be strictly increasing", lineno, 1)
             triples[index] = _parse_hermitian(calculus, value, lineno, column, "H", index)
-        elif key.startswith("A."):
-            index = _index(key, "A", (n, n, n), "A", lineno, a_entries)
-            a_entries[index] = _parse_expr(calculus, value, lineno, column)
         else:
             raise ParseError("unknown key %r in [params]" % key, lineno, 1)
-    antiherm = None
-    if a_entries:
-        antiherm = _nested(a_entries, (n, n, n), zero)
-        try:
-            check_antihermitian(antiherm)
-        except AntihermitianViolation as exc:
-            raise HermiticityError(
-                "A.%d.%d.%d must be antihermitian: (A^ij_a)* = -A^ji_a" % exc.entry
-            ) from None
-    params = SolverParams(_nested(x_entries, (n, n), zero), triples, antiherm)
+    params = SolverParams(_nested(x_entries, (n, n), zero), triples)
 
     gamma = None
     if "connection" in sections:

@@ -39,7 +39,8 @@ class ParamViolation(NCTorusError):
 
 
 class AntihermitianViolation(ParamViolation):
-    """A parameter that must satisfy (A^ij)* = -A^ji does not.
+    """The antihermitian array A of ``compatible_connection`` breaks
+    (A^ij_a)* = -A^ji_a.
 
     ``entry`` is the first failing (a, i, j), 1-based.
     """
@@ -87,7 +88,7 @@ class InternalVerificationFailure(NCTorusError):
 
 
 class HermiticityError(NCTorusError):
-    """A declared-hermitian (or antihermitian) config entry fails the check."""
+    """A config parameter (an X or H entry) is not hermitian."""
 
 
 class ParseError(NCTorusError):

@@ -7,40 +7,42 @@ solve the hermitian matrix equations (R_a)_cb - (R_b)_ca = F_cab, that is
 antisymmetrize(R) = F, conjugate by the metric to obtain the U array,
 and assemble the Christoffel entries
 
-    gamma^i_ak = (1/2 d_a h^ij + i U^ij_a + A^ij_a) h_jk.
+    gamma^i_ak = (1/2 d_a h^ij + i U^ij_a) h_jk.
 
 F, R and U are 0-based nested tuples like gamma; F is checked where
 ``solve_R`` receives it and R where ``assemble_U`` receives it.
 
-The assembly is ``compatible_connection(metric, i U + A)``: i U is
+The assembly is ``compatible_connection(metric, i U)``: i U is
 antihermitian because U is hermitian, so gamma is compatible by
 construction.  Both the conjugation, U_a = (h R_a) h, and the assembly,
-gamma_a = (1/2 d_a h + i U_a + A_a) h_lower, are matrix products over
+gamma_a = (1/2 d_a h + i U_a) h_lower, are matrix products over
 the algebra (``nctorus.algebra.matmul``): O(n^3) element multiplications per
 derivation index, O(n^4) in all, with every pair that has a zero factor
 skipped, so block and diagonal metrics cost only their nonzero pairs.
 
 The free data of the construction is exactly: the hermitian diagonal
-parameters X_ab = (R_a)_bb, one hermitian parameter per strictly
-increasing index triple, and an optional antihermitian array A.  Every
-constructed connection is re-verified (torsion, compatibility, and the
+parameters X_ab = (R_a)_bb and one hermitian parameter per strictly
+increasing index triple.  These reach every Levi-Civita connection of
+the metric, and distinct parameters give distinct connections.  A
+compatible gamma is (1/2 d_a h + K_a) h_lower with K_a antihermitian, and
+it is torsion free exactly when R_a = h_lower (-i K_a) h_lower solves
+antisymmetrize(R) = F; ``solve_R`` returns every hermitian solution of
+that system, each for one choice of parameters.  Every constructed
+connection is re-verified (torsion, compatibility, and the
 characterization identities) before being returned.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import combinations, product
 
-from .algebra import _first_unpaired, _frozen, _is_negation, matmul
+from .algebra import _first_unpaired, _frozen, _is_adjoint, _is_negation, matmul
 from .connections import (
     Connection,
     antisymmetrize,
-    check_antihermitian,
     compat_defect,
     compatible_connection,
-    entrywise,
     lc_characterization_check,
     torsion,
 )
@@ -50,7 +52,6 @@ from .errors import (
     ParamViolation,
     SolvabilityViolated,
 )
-from .expr import render_short
 from .forms import Calculus, d_array
 from .metric import HermitianMetric, weak_symmetry_defect
 from .records import Record
@@ -66,14 +67,13 @@ class SolverParams(Record):
 
     ``X[a][b]`` (0-based) is the hermitian diagonal entry (R_{a+1})_{b+1,b+1};
     ``triples`` maps each strictly increasing index triple (a, b, c)
-    (1-based) to a hermitian element; ``antiherm``, when present, is the
-    n x n x n antihermitian compatibility freedom.  Compared field-wise.
+    (1-based) to a hermitian element; a triple it does not name is zero.
+    Distinct parameters give distinct Levi-Civita connections, and every
+    Levi-Civita connection of a metric comes from some of them.  Compared
+    field-wise.
     """
 
-    _fields = ("X", "triples", "antiherm")
-
-    def __init__(self, X: tuple, triples: dict, antiherm: tuple | None = None):
-        Record.__init__(self, X, triples, antiherm)
+    _fields = ("X", "triples")
 
     @classmethod
     def zeros(cls, calculus: Calculus) -> "SolverParams":
@@ -104,11 +104,7 @@ class SolverParams(Record):
             if not value.is_hermitian():
                 raise ParamViolation("triple parameter %s is not hermitian" % (key,))
             triples[key] = value
-        antiherm = self.antiherm
-        if antiherm is not None:
-            antiherm = _frozen(antiherm, (n, n, n), "A", alg, errors)
-            check_antihermitian(antiherm)
-        return SolverParams(X, triples, antiherm)
+        return SolverParams(X, triples)
 
 
 def compute_F(metric: HermitianMetric) -> tuple:
@@ -227,7 +223,7 @@ def assemble_U(metric: HermitianMetric, R):
     calc = metric.calculus
     n = calc.n
     R = _frozen(R, (n, n, n), "R", calc.algebra)
-    bad = _first_unpaired(R, lambda x, y: x.star() == y, 3)
+    bad = _first_unpaired(R, _is_adjoint, 3)
     if bad is not None:
         raise ValueError("R_%d is not hermitian at (%d, %d)" % bad)
     return tuple(matmul(matmul(metric.upper, r_a), metric.upper) for r_a in R)
@@ -265,12 +261,11 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     solvability condition is the same condition, since
     cyc + cyc* = i d(rho)_abc with cyc = F_abc + F_bca + F_cab, so the
     solvability checks after the gate pass and SolvabilityViolated does
-    not come out of a build.  The default parameters are all zero.  A
-    nonzero antihermitian array keeps compatibility but in general breaks
-    torsion freeness; the unconditional re-verification reports that as a
-    ParamViolation naming the first (i, a, b) with T^i(d_a, d_b) != 0, and
-    any other failure (an internal convention bug) as
-    InternalVerificationFailure.
+    not come out of a build.  The default parameters are all zero; each
+    choice of parameters gives a distinct connection, and every
+    Levi-Civita connection of the metric is one of them.  The
+    unconditional re-verification reports a failure, which is an internal
+    convention bug, as InternalVerificationFailure.
     """
     calc = metric.calculus
     if params is None:
@@ -285,22 +280,12 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     if violation is not None:
         raise SolvabilityViolated(*violation)
     R = solve_R(calc, F, params)
-    antiherm = tuple(
+    i_u = tuple(
         tuple(tuple([u * UNIT_I if u.terms else u for u in row]) for row in plane)
         for plane in assemble_U(metric, R)
     )
-    if params.antiherm is not None:
-        antiherm = entrywise(operator.add, antiherm, params.antiherm)
-    conn = compatible_connection(metric, antiherm)
+    conn = compatible_connection(metric, i_u)
     report = verify_levi_civita(conn, metric)
-    if params.antiherm is not None and report.compat_zero and not report.torsion_zero:
-        # the construction without A is torsion free, so A broke it
-        i, form = next((i, f) for i, f in enumerate(report.torsion_forms, 1) if f.comps)
-        a, b = min(form.comps)
-        raise ParamViolation(
-            "antihermitian parameter A breaks torsion freedom: T^%d(d_%d, d_%d) = %s"
-            % (i, a, b, render_short(form.comps[(a, b)]))
-        )
     if not report.passed:
         raise InternalVerificationFailure(
             "constructed connection failed re-verification: torsion_zero=%s "

@@ -12,16 +12,11 @@ compatible connection; d(rho) = 0 is the exact existence criterion.
 
 from __future__ import annotations
 
-from .algebra import _first_unpaired, _frozen, _plus_product, _product_rows
+from .algebra import _first_unpaired, _frozen, _is_adjoint, _plus_product, _product_rows
 from .errors import NotHermitian, NotInverse, NotInvertibleByElimination
 from .expr import render_short
 from .forms import Calculus, KForm
 from .records import Record
-
-
-def _adjoint(x, y):
-    """The hermitian pairing of entries (i, j) and (j, i)."""
-    return x.star() == y
 
 
 def invert_metric(calculus: Calculus, upper):
@@ -39,7 +34,7 @@ def invert_metric(calculus: Calculus, upper):
     """
     alg, n = calculus.algebra, calculus.n
     upper = _frozen(upper, (n, n), "upper", alg)
-    bad = _first_unpaired(upper, _adjoint, 2)
+    bad = _first_unpaired(upper, _is_adjoint, 2)
     if bad is not None:
         raise NotHermitian(bad)
     one, zero = alg.one(), alg.zero()
@@ -116,7 +111,7 @@ def validate(metric: HermitianMetric) -> None:
     """
     alg = metric.calculus.algebra
     for matrix in (metric.upper, metric.lower):
-        bad = _first_unpaired(matrix, _adjoint, 2)
+        bad = _first_unpaired(matrix, _is_adjoint, 2)
         if bad is not None:
             raise NotHermitian(bad)
     one, zero = alg.one(), alg.zero()

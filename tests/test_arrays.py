@@ -70,8 +70,8 @@ def solve_with(params):
     return solve_R(CALC, compute_F(METRIC), params)
 
 
-def params(X=None, triples=None, antiherm=None):
-    return SolverParams(zeros(N, N) if X is None else X, triples or {}, antiherm)
+def params(X=None, triples=None):
+    return SolverParams(zeros(N, N) if X is None else X, triples or {})
 
 
 # name -> (a maker of a valid array, the call that checks it, name in the
@@ -96,12 +96,6 @@ for run in (build_with, solve_with):
         lambda: zeros(N, N),
         lambda x, run=run: run(params(X=x)),
         "X",
-        ParamViolation,
-    )
-    ENTRIES["%s-A" % run.__name__] = (
-        lambda: zeros(N, N, N),
-        lambda x, run=run: run(params(antiherm=x)),
-        "A",
         ParamViolation,
     )
 

@@ -1,5 +1,4 @@
 import json
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nctorus import HermiticityError, ParseError, parse_element, render_element
+from nctorus import HermiticityError, ParseError, parse_element
 from nctorus.cli import (
     COMMANDS,
     MAX_N,
@@ -20,7 +19,7 @@ from nctorus.cli import (
     run,
 )
 
-from conftest import pairing_spy, random_antihermitian_array, random_monomial, src_env
+from conftest import pairing_spy, src_env
 
 REPO = Path(__file__).resolve().parent.parent
 BLOCK_CFG = REPO / "demos" / "torus3-block.cfg"
@@ -207,63 +206,16 @@ def test_load_rejects_unknown_command(tmp_path):
 
 
 def test_load_rejects_bad_antihermitian(tmp_path):
+    # [params] has no A keys, so an antihermitian parameter, bad or not,
+    # is refused as an unknown key at its line
     path = write_cfg(
         tmp_path,
         "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.2 = 1\nh.3.3 = 1\n\n"
         "[params]\nA.1.1.1 = 1\n\n[run]\ncommand = build-lc\n",
     )
-    with pytest.raises(HermiticityError):
+    with pytest.raises(ParseError) as info:
         load_config(path)
-
-
-def first_config_antihermitian_failure(array):
-    """The load_config message for the first (a, i, j) over all i, j where
-    (A^ij_a)* != -A^ji_a, or None."""
-    for a, plane in enumerate(array):
-        for i in range(3):
-            for j in range(3):
-                if plane[i][j].star() != -plane[j][i]:
-                    return "A.%d.%d.%d must be antihermitian: (A^ij_a)* = -A^ji_a" % (
-                        a + 1,
-                        i + 1,
-                        j + 1,
-                    )
-    return None
-
-
-def test_load_antihermitian_check_names_first_failing_entry(tmp_path):
-    head = (
-        "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.2 = 1\nh.3.3 = 1\n\n"
-        "[run]\ncommand = build-lc\n"
-    )
-    calc = load_config(write_cfg(tmp_path, head)).calculus
-    rng = random.Random("config-antihermitian")
-    checked = 0
-    for _ in range(40):
-        array = [
-            [list(row) for row in plane]
-            for plane in random_antihermitian_array(rng, calc)
-        ]
-        for _ in range(rng.randint(1, 2)):  # break one or two entries
-            a, i, j = (rng.randrange(3) for _ in range(3))
-            array[a][i][j] = array[a][i][j] + random_monomial(rng, calc.algebra, 1)
-        lines = [
-            "A.%d.%d.%d = %s" % (a + 1, i + 1, j + 1, render_element(value))
-            for a, plane in enumerate(array)
-            for i, row in enumerate(plane)
-            for j, value in enumerate(row)
-            if not value.is_zero()
-        ]
-        path = write_cfg(tmp_path, head + "\n[params]\n" + "\n".join(lines) + "\n")
-        expected = first_config_antihermitian_failure(array)
-        if expected is None:
-            load_config(path)
-            continue
-        with pytest.raises(HermiticityError) as info:
-            load_config(path)
-        assert str(info.value) == expected
-        checked += 1
-    assert checked >= 30
+    assert str(info.value) == "unknown key 'A.1.1.1' in [params] at line 10, column 1"
 
 
 # -- running ----------------------------------------------------------------------
@@ -479,18 +431,6 @@ def test_run_rank_mismatch_is_error(tmp_path, capsys):
         assert json.loads(out.err)["error"] == (
             "ParseError: %s at line 5, column 1" % N_KEY
         )
-
-
-def test_run_with_valid_antihermitian_param(tmp_path):
-    path = write_cfg(
-        tmp_path,
-        "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.3 = U2\nh.3.2 = adj(U2)\n\n"
-        "[params]\nA.1.1.1 = i\n\n[run]\ncommand = build-lc\n",
-    )
-    report = run(load_config(path))
-    assert report["status"] == "ok"
-    assert report["gamma"][0][0][0] == "i"
-    assert report["verification"]["pass"] is True
 
 
 def test_load_rejects_non_jacobi_lie_section(tmp_path):

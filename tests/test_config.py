@@ -127,11 +127,12 @@ MESSAGES = {
         ("params", "H.2.1.3 = 1", ParseError, "H key indices must be strictly increasing"),
         ("params", "H.1.2.3 = i", HermiticityError, "H.1.2.3 must be hermitian"),
     ],
+    # [params] has no A keys: well formed or not, each is an unknown key
     "A": [
-        ("params", "A.1.1 = i", ParseError, bad_key("A.1.1", "A", 3)),
-        ("params", "A.1.1.z = i", ParseError, non_integer("A.1.1.z")),
-        ("params", "A.4.1.1 = i", IndexError, "A index 4 out of range 1..3"),
-        ("params", "A.1.1.2 = 1", HermiticityError, "A.1.1.2 must be antihermitian"),
+        ("params", "A.1.1 = i", ParseError, "unknown key 'A.1.1' in [params]"),
+        ("params", "A.1.1.z = i", ParseError, "unknown key 'A.1.1.z' in [params]"),
+        ("params", "A.4.1.1 = i", ParseError, "unknown key 'A.4.1.1' in [params]"),
+        ("params", "A.1.1.2 = 1", ParseError, "unknown key 'A.1.1.2' in [params]"),
     ],
     "gamma": [
         ("connection", "gamma.1.1 = 1", ParseError, bad_key("gamma.1.1", "gamma", 3)),
@@ -151,10 +152,6 @@ def expected_message(kind, message, line):
     """The full text of each kind of error for an entry on ``line``."""
     if kind is ParseError:
         return "%s at line %d, column 1" % (message, line)
-    if kind is IndexError:
-        return "%s (line %d)" % (message, line)
-    if message.endswith("antihermitian"):  # checked once the section is read
-        return message + ": (A^ij_a)* = -A^ji_a"
     return "%s (line %d)" % (message, line)
 
 
@@ -186,7 +183,6 @@ N_KEY = "bad key 'N', expected h with 2 indices"
     [
         ("metric", "h.3.1 = 1", "metric index 3 out of range 1..2"),
         ("metric", "hinv.1.3 = 1", "metric index 3 out of range 1..2"),
-        ("params", "A.1.3.1 = i", "A index 3 out of range 1..2"),
         ("connection", "gamma.3.1.3 = 1", "gamma index 3 out of range 1..2"),
     ],
 )
@@ -199,7 +195,7 @@ def test_rank_bounds_matrix_indices(tmp_path, capsys, section, line, message):
 def test_smaller_rank_is_refused_at_its_line(tmp_path, capsys):
     # entries that would have fitted an N = 2 module are never read
     text, _ = config_text(
-        {"params": ["A.3.1.2 = i", "A.3.2.1 = i"], "connection": ["gamma.3.2.2 = 1"]},
+        {"params": ["X.3.1 = 1", "H.1.2.3 = 1"], "connection": ["gamma.3.2.2 = 1"]},
         RANK_2,
     )
     assert text.splitlines()[4] == "N = 2"
@@ -325,7 +321,6 @@ def repeated(key, index):
         ("metric", "hinv.1.1 = 1", "hinv.1.+01 = 1", repeated("hinv.1.+01", (1, 1))),
         ("params", "X.1.1 = 1", "X.01.1 = 2", repeated("X.01.1", (1, 1))),
         ("params", "H.1.2.3 = 1", "H.1.2.03 = 1", repeated("H.1.2.03", (1, 2, 3))),
-        ("params", "A.1.1.1 = i", "A.+1.1.1 = 2*i", repeated("A.+1.1.1", (1, 1, 1))),
         (
             "connection",
             "gamma.1.1.1 = 1",
@@ -333,7 +328,7 @@ def repeated(key, index):
             repeated("gamma.1.01.1", (1, 1, 1)),
         ),
     ],
-    ids=["c", "h", "hinv", "X", "H", "A", "gamma"],
+    ids=["c", "h", "hinv", "X", "H", "gamma"],
 )
 def test_repeated_entry_is_rejected(tmp_path, capsys, section, first, second, message):
     text, _ = config_text({section: [first]})
@@ -487,24 +482,10 @@ def test_docstring_config_loads_and_builds(tmp_path):
     assert config.lower[1][2] == alg.gen(2)
     assert config.params.X[0][0] == alg.gen(1) + alg.gen(1, -1)
     assert config.params.triples == {(1, 2, 3): alg.scalar(2)}
-    assert config.params.antiherm[0][0][0] == alg.i()
     assert config.gamma[0][0][0] == alg.i()
     report = run(config)
     assert report["status"] == "ok"
     assert report["verification"]["pass"] is True
-
-
-def test_docstring_config_with_torsion_breaking_a_is_a_param_error(tmp_path, capsys):
-    # A.2.1.1 = i is antihermitian and keeps compatibility, but breaks
-    # torsion freedom: the input is at fault, not the solver
-    text = docstring_config()
-    assert text.count("A.1.1.1 = i") == 1
-    path = write_cfg(tmp_path, text.replace("A.1.1.1 = i", "A.2.1.1 = i"))
-    capsys.readouterr()
-    assert main(["--config", str(path)]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["status"] == "error"
-    assert report["error"].startswith("ParamViolation: ")
 
 
 # -- fuzzing ------------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from nctorus import (
     validate,
     weak_symmetry_defect,
 )
-from nctorus.algebra import _first_unpaired
+from nctorus.algebra import _first_unpaired, _is_adjoint
 
 from conftest import (
     block_metric,
@@ -301,7 +301,7 @@ def test_hermitian_check_stars_each_pair_once(monkeypatch, n):
         if matrix[i][j].terms or matrix[j][i].terms
     )
     calls = counting(monkeypatch, AlgebraElement, "star")
-    assert _first_unpaired(matrix, metric_module._adjoint, 2) is None
+    assert _first_unpaired(matrix, _is_adjoint, 2) is None
     assert len(calls) == nonzero_pairs
     calls.clear()
     HermitianMetric(calc, metric.upper, metric.lower)
