@@ -18,13 +18,11 @@ from .connections import (
     Connection,
     antisymmetrize,
     compat_defect,
-    compatible_connection,
     lc_characterization_check,
     metric_pairing_operator,
     torsion,
 )
 from .errors import (
-    AntihermitianViolation,
     DescriptorMismatch,
     HermiticityError,
     InternalVerificationFailure,
@@ -61,7 +59,6 @@ from .scalars import GaussianRational
 
 __all__ = [
     "AlgebraElement",
-    "AntihermitianViolation",
     "Calculus",
     "Connection",
     "DescriptorMismatch",
@@ -88,7 +85,6 @@ __all__ = [
     "assemble_U",
     "build_levi_civita",
     "compat_defect",
-    "compatible_connection",
     "compute_F",
     "invert_metric",
     "lc_characterization_check",

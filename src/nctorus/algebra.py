@@ -31,14 +31,14 @@ returns nested tuples of the right shape whose leaves all live over the
 very algebra instance, which is every array the package froze itself,
 after one pass that builds nothing.  ``_first_unpaired`` skips a pair of
 two zero elements, because every relation it is given (hermitian,
-antihermitian, antisymmetric, equal) holds on (0, 0).  The antisymmetric
-relation reads x == -y through ``_is_negation``, which compares the
-numerators and the denominator in place and forms no -y; the
-antihermitian one reads x* == -y through ``_is_star_negation``, which
-looks up the reversed key of each term of x and forms no x* either.
-The hermitian one, x* == y through ``_is_adjoint``, forms x*, which the
-element keeps (below).  No element is formed whose value is known:
-x - x is the shared zero after one comparison, without a merge.
+antisymmetric, equal) holds on (0, 0).  The antisymmetric relation reads
+x == -y through ``_is_negation``, which compares the numerators and the
+denominator in place and forms no -y.  The hermitian one, x* == y
+through ``_is_adjoint``, forms x*, which the element keeps (below).  No
+array is checked for antihermiticity: the solver's one antihermitian
+array, i U, is so because U = h R h and R passed the hermitian check.
+No element is formed whose value is known: x - x is the shared zero
+after one comparison, without a merge.
 
 A constant factor keeps the other factor's keys.  A nonzero constant c
 has one term, at the all-zero key, which each algebra builds once.
@@ -738,21 +738,6 @@ def _is_negation(x, y) -> bool:
     for key, (re, im) in yt.items():
         value = get(key)
         if value is None or value[0] != -re or value[1] != -im:
-            return False
-    return True
-
-
-def _is_star_negation(x, y) -> bool:
-    """x* == -y for two elements over equal algebras, with no x* formed:
-    the denominators are equal and y holds (-re, im) at the reversed key
-    of each term (re, im) of x."""
-    xt, yt = x.terms, y.terms
-    if x.den != y.den or len(xt) != len(yt):
-        return False
-    get, reverse = yt.get, x._reversed_key
-    for key, (re, im) in xt.items():
-        value = get(reverse(key))
-        if value is None or value[0] != -re or value[1] != im:
             return False
     return True
 

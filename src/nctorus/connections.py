@@ -36,8 +36,10 @@ T_h(gamma), which a connection keeps for the last metric it was paired
 with (``_gamma_pairing``), and no T_h(d) is formed.
 
 ``torsion``, ``compat_defect`` and the characterization check are built
-from these identities, and ``compatible_connection`` reads d_a h^ij from
-``HermitianMetric.d_upper``.
+from these identities.  The compatible connections are
+gamma_a = (d_a h / 2 + K_a) h_lower with K_a antihermitian: T_h of that
+gamma is d_a h / 2 + K_a plus its adjoint, which is d_a h.  The solver
+of ``levicivita`` forms its connection so, with K = i U for a hermitian U.
 The F tensor of ``levicivita`` reads its bracket term, -i h_ce d^e_ab,
 from the same array.
 """
@@ -48,8 +50,8 @@ import operator
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .algebra import _first_unpaired, _frozen, _is_star_negation, matmul
-from .errors import AntihermitianViolation, DescriptorMismatch
+from .algebra import _frozen, matmul
+from .errors import DescriptorMismatch
 from .forms import Calculus, KForm, d_array
 from .metric import HermitianMetric
 from .records import Record
@@ -125,38 +127,6 @@ def compat_defect(conn: Connection, metric: HermitianMetric):
     if conn.calculus != metric.calculus:
         raise DescriptorMismatch("connection and metric live over different calculi")
     return entrywise(operator.sub, metric.d_upper, _gamma_pairing(conn, metric))
-
-
-def check_antihermitian(array) -> None:
-    """(A^ij_a)* = -A^ji_a for all a, i, j of a frozen n x n x n array;
-    raises AntihermitianViolation naming the first failing (a, i, j).
-
-    Each pair is read in place by ``_is_star_negation``, which forms
-    neither (A^ij_a)* nor -A^ji_a.
-    """
-    bad = _first_unpaired(array, _is_star_negation, 3)
-    if bad is not None:
-        raise AntihermitianViolation(bad)
-
-
-def compatible_connection(metric: HermitianMetric, antiherm=None) -> Connection:
-    """A metric-compatible connection gamma^i_ak = (1/2 d_a h^ij + A^ij_a) h_jk.
-
-    The optional array A must satisfy (A^ij_a)* = -A^ji_a; every such
-    choice yields zero compatibility defect.
-    """
-    calc = metric.calculus
-    if antiherm is None:
-        coeffs = [[[x * HALF for x in row] for row in plane] for plane in metric.d_upper]
-    else:
-        antiherm = _frozen(antiherm, (calc.n,) * 3, "antiherm", calc.algebra)
-        check_antihermitian(antiherm)
-        coeffs = entrywise(
-            lambda dh, x: dh * HALF + x if dh.terms else x, metric.d_upper, antiherm
-        )
-    n = calc.n
-    rows = matmul(tuple(chain.from_iterable(coeffs)), metric.lower)
-    return Connection(calc, tuple(rows[start : start + n] for start in range(0, n * n, n)))
 
 
 # -- operators on component arrays gamma[a][i][b] (dual basis) -----------------

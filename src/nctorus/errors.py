@@ -38,20 +38,6 @@ class ParamViolation(NCTorusError):
     """A solver parameter fails its hermiticity or shape requirement."""
 
 
-class AntihermitianViolation(ParamViolation):
-    """The antihermitian array A of ``compatible_connection`` breaks
-    (A^ij_a)* = -A^ji_a.
-
-    ``entry`` is the first failing (a, i, j), 1-based.
-    """
-
-    def __init__(self, entry):
-        self.entry = entry
-        super().__init__(
-            "entry (a=%d, i=%d, j=%d) violates (A^ij_a)* = -A^ji_a" % entry
-        )
-
-
 class SolvabilityViolated(NCTorusError):
     """The cyclic solvability condition on F fails; ``triple`` is the
     first strictly increasing (a, b, c), 1-based, and ``defect`` the

@@ -12,13 +12,17 @@ and assemble the Christoffel entries
 F, R and U are 0-based nested tuples like gamma; F is checked where
 ``solve_R`` receives it and R where ``assemble_U`` receives it.
 
-The assembly is ``compatible_connection(metric, i U)``: i U is
-antihermitian because U is hermitian, so gamma is compatible by
-construction.  Both the conjugation, U_a = (h R_a) h, and the assembly,
-gamma_a = (1/2 d_a h + i U_a) h_lower, are matrix products over
-the algebra (``nctorus.algebra.matmul``): O(n^3) element multiplications per
-derivation index, O(n^4) in all, with every pair that has a zero factor
-skipped, so block and diagonal metrics cost only their nonzero pairs.
+Compatibility follows from U being hermitian: ``assemble_U`` checks
+that R is hermitian, so U_a = h R_a h is hermitian, i U_a is
+antihermitian, and gamma_a = (1/2 d_a h + i U_a) h_lower is in the
+compatible family of ``connections``.  i U is not checked again; the
+re-verification proves compatibility on every build.  Both the
+conjugation, U_a = (h R_a) h, and the assembly, one product of the
+stacked coefficient rows with h_lower, are matrix products over the
+algebra (``nctorus.algebra.matmul``): O(n^3) element multiplications
+per derivation index, O(n^4) in all, with every pair that has a zero
+factor skipped, so block and diagonal metrics cost only their nonzero
+pairs.
 
 The free data of the construction is exactly: the hermitian diagonal
 parameters X_ab = (R_a)_bb and one hermitian parameter per strictly
@@ -35,14 +39,14 @@ characterization identities) before being returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .algebra import _first_unpaired, _frozen, _is_adjoint, _is_negation, matmul
 from .connections import (
     Connection,
     antisymmetrize,
     compat_defect,
-    compatible_connection,
+    entrywise,
     lc_characterization_check,
     torsion,
 )
@@ -263,9 +267,12 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     solvability checks after the gate pass and SolvabilityViolated does
     not come out of a build.  The default parameters are all zero; each
     choice of parameters gives a distinct connection, and every
-    Levi-Civita connection of the metric is one of them.  The
-    unconditional re-verification reports a failure, which is an internal
-    convention bug, as InternalVerificationFailure.
+    Levi-Civita connection of the metric is one of them.  gamma is
+    formed from the hermitian U as (1/2 d_a h + i U_a) h_lower, which is
+    compatible because i U is antihermitian.  The unconditional
+    re-verification proves torsion freedom and compatibility, and
+    reports a failure, which is an internal convention bug, as
+    InternalVerificationFailure.
     """
     calc = metric.calculus
     if params is None:
@@ -280,11 +287,14 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     if violation is not None:
         raise SolvabilityViolated(*violation)
     R = solve_R(calc, F, params)
-    i_u = tuple(
-        tuple(tuple([u * UNIT_I if u.terms else u for u in row]) for row in plane)
-        for plane in assemble_U(metric, R)
+    coeffs = entrywise(
+        lambda dh, u: dh * HALF + u * UNIT_I if dh.terms else u * UNIT_I,
+        metric.d_upper,
+        assemble_U(metric, R),
     )
-    conn = compatible_connection(metric, i_u)
+    n = calc.n
+    rows = matmul(tuple(chain.from_iterable(coeffs)), metric.lower)
+    conn = Connection(calc, tuple(rows[start : start + n] for start in range(0, n * n, n)))
     report = verify_levi_civita(conn, metric)
     if not report.passed:
         raise InternalVerificationFailure(

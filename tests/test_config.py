@@ -125,6 +125,8 @@ MESSAGES = {
         ("params", "H.1.2.z = 1", ParseError, non_integer("H.1.2.z")),
         ("params", "H.1.2.4 = 1", IndexError, "H index 4 out of range 1..3"),
         ("params", "H.2.1.3 = 1", ParseError, "H key indices must be strictly increasing"),
+        ("params", "H.1.1.2 = 1", ParseError, "H key indices must be strictly increasing"),
+        ("params", "H.1.2.2 = 1", ParseError, "H key indices must be strictly increasing"),
         ("params", "H.1.2.3 = i", HermiticityError, "H.1.2.3 must be hermitian"),
     ],
     # [params] has no A keys: well formed or not, each is an unknown key

@@ -5,13 +5,11 @@ from fractions import Fraction
 import pytest
 
 from nctorus import (
-    AntihermitianViolation,
     Connection,
     DescriptorMismatch,
     KForm,
     antisymmetrize,
     compat_defect,
-    compatible_connection,
     lc_characterization_check,
     torsion,
 )
@@ -27,12 +25,21 @@ from conftest import (
     pairing_spy,
     random_antihermitian_array,
     random_block_metric,
-    random_diagonal_metric,
     random_congruence_steps,
     random_element,
     random_hermitian,
 )
 from test_metric import identity_metric
+from test_products import oracle_gamma
+
+
+def compatible(metric, antiherm=None):
+    """The member (1/2 d_a h + A_a) h_lower of the compatible family, formed
+    by the literal index sum of ``oracle_gamma``; A is zero when not given."""
+    calc = metric.calculus
+    if antiherm is None:
+        antiherm = [[[calc.algebra.zero()] * calc.n] * calc.n] * calc.n
+    return Connection(calc, oracle_gamma(metric, antiherm))
 
 
 def connection_with(calc, entries):
@@ -228,7 +235,7 @@ def test_compat_pairing_identity(calc3):
     # h(nabla_a theta^2, theta^3) + h(theta^2, nabla_a theta^3) = d_a h^23
     alg = calc3.algebra
     metric = block_metric(calc3, alg.gen(2) * alg.gen(3))
-    conn = compatible_connection(metric)
+    conn = compatible(metric)
     e2 = (alg.zero(), alg.one(), alg.zero())
     e3 = (alg.zero(), alg.zero(), alg.one())
     for a in (1, 2, 3):
@@ -281,24 +288,26 @@ def test_grassmann_is_zero(rng, calc3):
 
 
 def test_compatible_connection_formula(calc3):
+    # gamma^i_ak = sum_j (1/2 d_a h^ij) h_jk, summed by hand, has zero defect
     alg = calc3.algebra
     metric = block_metric(calc3, alg.gen(2))
-    conn = compatible_connection(metric)
     half = Fraction(1, 2)
+    gamma = [[[alg.zero()] * 3 for _ in range(3)] for _ in range(3)]
     for a in range(3):
         for i in range(3):
             for k in range(3):
-                expected = alg.zero()
                 for j in range(3):
-                    expected = expected + (
+                    gamma[a][i][k] = gamma[a][i][k] + (
                         metric.upper[i][j].derive(a + 1) * half
                     ) * metric.lower[j][k]
-                assert conn.gamma[a][i][k] == expected
+    conn = Connection(calc3, gamma)
     assert compat_defect(conn, metric) == Connection.zero(calc3).gamma
 
 
 def test_compatible_connection_identity_zero(calc3):
-    assert compatible_connection(identity_metric(calc3)) == Connection.zero(calc3)
+    # on the flat metric d h = 0, so the build with zero parameters is zero
+    assert compatible(identity_metric(calc3)) == Connection.zero(calc3)
+    assert build_levi_civita(identity_metric(calc3)) == Connection.zero(calc3)
 
 
 def test_compatible_connection_with_antihermitian_freedom(rng, calc3):
@@ -306,7 +315,7 @@ def test_compatible_connection_with_antihermitian_freedom(rng, calc3):
     for _ in range(50):
         metric = random_block_metric(rng, calc3, weakly_symmetric=False)
         anti = random_antihermitian_array(rng, calc3)
-        conn = compatible_connection(metric, anti)
+        conn = compatible(metric, anti)
         assert compat_defect(conn, metric) == Connection.zero(calc3).gamma
 
 
@@ -320,54 +329,8 @@ def test_compatible_connection_general_antihermitian(rng, calc3):
     a_arr[0][0][1] = x
     a_arr[0][1][0] = -x.star()
     a_arr[0][0][0] = alg.i()
-    conn = compatible_connection(metric, a_arr)
+    conn = compatible(metric, a_arr)
     assert compat_defect(conn, metric) == Connection.zero(calc3).gamma
-
-
-def test_compatible_connection_rejects_bad_array(calc3):
-    alg = calc3.algebra
-    z = alg.zero()
-    bad = [[[z for _ in range(3)] for _ in range(3)] for _ in range(3)]
-    bad[0][0][0] = alg.one()
-    with pytest.raises(AntihermitianViolation) as info:
-        compatible_connection(identity_metric(calc3), bad)
-    assert info.value.entry == (1, 1, 1)
-
-
-def first_antihermitian_failure(array, n):
-    """The message for the first (a, i, j) over all i, j where
-    (A^ij_a)* != -A^ji_a, or None."""
-    for a in range(n):
-        for i in range(n):
-            for j in range(n):
-                if array[a][i][j].star() != -array[a][j][i]:
-                    return "entry (a=%d, i=%d, j=%d) violates (A^ij_a)* = -A^ji_a" % (
-                        a + 1,
-                        i + 1,
-                        j + 1,
-                    )
-    return None
-
-
-@pytest.mark.parametrize("n", (2, 3))
-def test_antihermitian_check_names_first_failing_entry(n):
-    calc = Calculus.torus(n)
-    rng = random.Random("antihermitian/%d" % n)
-    metric = random_diagonal_metric(rng, calc)
-    for _ in range(40):
-        array = [
-            [list(row) for row in plane] for plane in random_antihermitian_array(rng, calc)
-        ]
-        for _ in range(rng.randint(0, 2)):  # break zero to two entries
-            a, i, j = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            array[a][i][j] = array[a][i][j] + random_element(rng, calc.algebra, 1)
-        expected = first_antihermitian_failure(array, n)
-        if expected is None:
-            compatible_connection(metric, array)
-            continue
-        with pytest.raises(AntihermitianViolation) as info:
-            compatible_connection(metric, array)
-        assert str(info.value) == expected
 
 
 def test_torsion_free_from_by_hand(calc3):
@@ -425,7 +388,7 @@ def test_characterization_rejects_compatible_but_torsionful(calc3):
     anti = [[[z for _ in range(3)] for _ in range(3)] for _ in range(3)]
     anti[0][0][1] = alg.one()
     anti[0][1][0] = -alg.one()
-    conn = compatible_connection(metric, anti)
+    conn = compatible(metric, anti)
     assert compat_defect(conn, metric) == Connection.zero(calc3).gamma
     assert not all(form.is_zero() for form in torsion(conn))
     assert not lc_characterization_check(conn, metric)
@@ -549,7 +512,7 @@ def quadrant_connections(calc, rng):
     x[0][1] = random_hermitian(rng, alg, max_terms=1, max_exp=1)
     conns = [
         Connection(calc, dense_array(rng, calc)),
-        compatible_connection(metric, random_antihermitian_array(rng, calc)),
+        compatible(metric, random_antihermitian_array(rng, calc)),
         projected(Connection(calc, dense_array(rng, calc))),
         build_levi_civita(metric),
         build_levi_civita(metric, SolverParams(tuple(map(tuple, x)), {})),

@@ -19,7 +19,6 @@ from nctorus import (
     assemble_U,
     build_levi_civita,
     compat_defect,
-    compatible_connection,
     compute_F,
     invert_metric,
     solve_R,
@@ -41,6 +40,7 @@ from conftest import (
     random_monomial,
 )
 from test_metric import identity_metric
+from test_products import oracle_gamma
 
 
 def params_with_x11(calc, x11):
@@ -251,8 +251,13 @@ def test_solve_r_rejects_unsolvable(calc3):
 
 def test_solve_r_rejects_bad_params(calc3):
     F = compute_F(identity_metric(calc3))
-    with pytest.raises(ParamViolation):
+    with pytest.raises(ParamViolation, match=r"^X\[1\]\[1\] is not hermitian$"):
         solve_R(calc3, F, params_with_x11(calc3, calc3.algebra.i()))
+    # the message names the entry, 1-based, row first
+    X = [[calc3.algebra.zero()] * 3 for _ in range(3)]
+    X[0][1] = calc3.algebra.i()
+    with pytest.raises(ParamViolation, match=r"^X\[1\]\[2\] is not hermitian$"):
+        solve_R(calc3, F, SolverParams(X, {}))
     bad_h = SolverParams.zeros(calc3)
     bad_h.triples[(1, 2, 3)] = calc3.algebra.i()
     with pytest.raises(ParamViolation):
@@ -623,13 +628,14 @@ def test_non_uniqueness(calc3):
 
 def test_antihermitian_param_preserving_torsion(calc3):
     # the diagonal antihermitian shift A^11_1 = i of i U keeps torsion
-    # freedom; the connection it gives is the one of X_11 = 1
+    # freedom; the connection it gives, summed by the literal oracle, is
+    # the one the build gives for X_11 = 1
     alg = calc3.algebra
     metric = block_metric(calc3, alg.gen(2))
     R = solve_R(calc3, compute_F(metric), SolverParams.zeros(calc3))
     i_u = [[[u * alg.i() for u in row] for row in plane] for plane in assemble_U(metric, R)]
     i_u[0][0][0] = i_u[0][0][0] + alg.i()
-    shifted = compatible_connection(metric, i_u)
+    shifted = Connection(calc3, oracle_gamma(metric, i_u))
     assert verify_levi_civita(shifted, metric).passed
     conn = build_levi_civita(metric, params_with_x11(calc3, alg.one()))
     assert conn == shifted
@@ -838,8 +844,8 @@ def bracket_diagonal_metric_5():
 # cyclic sum that has a nonzero entry.  The d(rho) gate (KForm.d) skips a
 # zero derivative or bracket term, the solvability check a triple whose
 # three F entries are zero, solve_R a forced entry (R_a)_ab whose X and F
-# terms are zero, and compatible_connection a zero d h entry beside a
-# nonzero A (halving it gave bracket-5 six __mul__).  A change that walks
+# terms are zero, and the gamma assembly a zero d h entry beside a
+# nonzero i U (halving it gave bracket-5 six __mul__).  A change that walks
 # zero entries again raises these counts (measured with the pairing formed
 # twice and those six halvings: walking every zero entry gives 6,416 and
 # 3,721; skipping zeros everywhere but in the pair checks and the

@@ -112,6 +112,13 @@ def test_invert_requires_monomial_pivot():
     fat = alg.gen(1) + alg.gen(1, -1)
     with pytest.raises(NotInvertibleByElimination):
         invert_metric(calc, [[fat]])
+    # the message names the column, 1-based: diag(1, U1 + U1^-1) fails at 2
+    calc = Calculus.torus(2)
+    alg = calc.algebra
+    fat = alg.gen(1) + alg.gen(1, -1)
+    with pytest.raises(NotInvertibleByElimination) as info:
+        invert_metric(calc, [[alg.one(), alg.zero()], [alg.zero(), fat]])
+    assert str(info.value) == "no invertible monomial pivot in column 2"
 
 
 def test_invert_random_metrics_two_sided(rng, calc3):

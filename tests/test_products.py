@@ -18,6 +18,7 @@ zero.
 """
 
 from fractions import Fraction
+from itertools import product
 import random
 
 import pytest
@@ -34,7 +35,6 @@ from nctorus import (
     assemble_U,
     build_levi_civita,
     compat_defect,
-    compatible_connection,
     compute_F,
     metric_pairing_operator,
     solve_R,
@@ -397,12 +397,39 @@ def test_compat_defect_and_pairing_match_index_sums(family, n):
 
 @pytest.mark.parametrize("family,n", CASES)
 def test_compatible_connection_matches_index_sum(family, n):
+    # the compatible family (1/2 d_a h + A_a) h_lower, summed literally, has
+    # zero defect for an antihermitian A, by compat_defect and by the index sum
     rng = case_rng("compatible", family, n)
     calc = make_calculus(family, n)
     metric = dense_metric(rng, calc)
-    antiherm = random_antihermitian_array(rng, calc)
-    conn = compatible_connection(metric, antiherm)
-    assert as_lists(conn.gamma) == oracle_gamma(metric, antiherm)
+    gamma = oracle_gamma(metric, random_antihermitian_array(rng, calc))
+    zero = [[[calc.algebra.zero()] * n for _ in range(n)] for _ in range(n)]
+    assert as_lists(compat_defect(Connection(calc, gamma), metric)) == zero
+    assert oracle_compat(gamma, metric.upper) == zero
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_every_compatible_connection_is_in_the_family(family, n):
+    # any gamma is (1/2 d_a h + K_a) h_lower with K_a = gamma_a h^up - 1/2 d_a h,
+    # and its defect is -(K_a + K_a^dagger): gamma is compatible exactly when
+    # K is antihermitian, so the family above is every compatible connection
+    rng = case_rng("family", family, n)
+    calc = make_calculus(family, n)
+    metric = dense_metric(rng, calc)
+    gamma = sparse_array(rng, calc)
+    upper, d_upper = metric.upper, oracle_d_upper(metric)
+    K = []
+    for a in range(n):
+        plane = [[-(d_upper[a][i][j] * HALF) for j in range(n)] for i in range(n)]
+        for i, j, k in product(range(n), repeat=3):
+            plane[i][j] = plane[i][j] + gamma[a][i][k] * upper[k][j]
+        K.append(plane)
+    assert oracle_gamma(metric, K) == as_lists(gamma)
+    expected = [
+        [[-(plane[i][j] + plane[j][i].star()) for j in range(n)] for i in range(n)]
+        for plane in K
+    ]
+    assert as_lists(compat_defect(Connection(calc, gamma), metric)) == expected
 
 
 @pytest.mark.parametrize("family,n", CASES)
@@ -480,8 +507,7 @@ def test_compatible_connection_at_rank_two_matches_index_sum(family, with_antihe
         if with_antiherm
         else tuple(((zero, zero), (zero, zero)) for _ in range(2))
     )
-    conn = compatible_connection(metric, antiherm if with_antiherm else None)
-    assert as_lists(conn.gamma) == oracle_gamma(metric, antiherm)
+    conn = Connection(calc, oracle_gamma(metric, antiherm))
     defect = compat_defect(conn, metric)
     assert all(x.is_zero() for plane in defect for row in plane for x in row)
 
