@@ -287,11 +287,15 @@ def build_levi_civita(metric: HermitianMetric, params: SolverParams | None = Non
     if violation is not None:
         raise SolvabilityViolated(*violation)
     R = solve_R(calc, F, params)
-    coeffs = entrywise(
-        lambda dh, u: dh * HALF + u * UNIT_I if dh.terms else u * UNIT_I,
-        metric.d_upper,
-        assemble_U(metric, R),
-    )
+
+    def coefficient(dh, u):
+        # 1/2 d_a h^ij + i U^ij_a, with no product or sum that has a zero
+        # operand (entrywise never passes two zeros)
+        if not u.terms:
+            return dh * HALF
+        return dh * HALF + u * UNIT_I if dh.terms else u * UNIT_I
+
+    coeffs = entrywise(coefficient, metric.d_upper, assemble_U(metric, R))
     n = calc.n
     rows = matmul(tuple(chain.from_iterable(coeffs)), metric.lower)
     conn = Connection(calc, tuple(rows[start : start + n] for start in range(0, n * n, n)))

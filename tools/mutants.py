@@ -8,18 +8,18 @@ Each mutant changes one site of one module:
 
 The tree is copied once to a temporary directory.  For each mutant the
 mutated module is written there (through ``ast.unparse``), ``python -m
-pytest -x -q tests`` runs in the copy with a timeout, and the original
-module is put back.  A mutant is killed when the tests fail or time out,
+pytest -x -q tests`` runs in the copy with a ``TIMEOUT`` of 120 s, and
+the original module is put back.  A mutant is killed when the tests fail or time out,
 and survives when they pass.  Before any mutant, a control run of the
 same modules unparsed without a change must pass, so a kill is never the
 unparsing's doing.
 
-    python tools/mutants.py --sample 40 --seed 1 levicivita.py connections.py
+    python tools/mutants.py --sample 40 levicivita.py connections.py
     python tools/mutants.py --list
 
-The sample is drawn with ``random.Random(seed)`` from every site of the
-named modules (all modules when none is named), so one seed gives one
-sample.  The script prints one line per mutant, the kill rate per module
+The sample is drawn with ``random.Random(seed)`` (``--seed``, default 1)
+from every site of the named modules (all modules when none is named),
+so one seed gives one sample.  The script prints one line per mutant, the kill rate per module
 and the survivors.  It is not part of the test suite.
 """
 
@@ -40,6 +40,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "nctorus"
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+TIMEOUT = 120.0  # seconds per test run
 
 COMPARE_SWAPS = {
     ast.Eq: ast.NotEq,
@@ -122,7 +123,7 @@ def all_sites(modules):
     return out
 
 
-def run_tests(root: Path, timeout: float) -> str:
+def run_tests(root: Path) -> str:
     """'pass', 'fail' or 'timeout' for ``pytest -x -q tests`` in ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
@@ -132,7 +133,7 @@ def run_tests(root: Path, timeout: float) -> str:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
-            timeout=timeout,
+            timeout=TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -143,8 +144,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="*", help="module file names under src/nctorus")
     parser.add_argument("--sample", type=int, default=40, help="mutants to run (0: all)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per test run")
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--list", action="store_true", help="count the sites and stop")
     args = parser.parse_args(argv)
 
@@ -167,7 +167,7 @@ def main(argv=None) -> int:
             (root / PACKAGE / module).write_text(
                 ast.unparse(ast.parse(originals[module])) + "\n", encoding="utf-8"
             )
-        control = run_tests(root, args.timeout)
+        control = run_tests(root)
         if control != "pass":
             print("control run (unparsed, unmutated) did not pass: %s" % control)
             return 2
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
             path = root / PACKAGE / module
             path.write_text(mutated_source(originals[module], index), encoding="utf-8")
             start = time.perf_counter()
-            outcome = run_tests(root, args.timeout)
+            outcome = run_tests(root)
             path.write_text(ast.unparse(ast.parse(originals[module])) + "\n", encoding="utf-8")
             verdict = "survived" if outcome == "pass" else "killed (%s)" % outcome
             print(
