@@ -6,10 +6,10 @@ A connection is the array gamma[a][i][j] of algebra elements with
 
 extended to arbitrary module elements by the Leibniz rule.  On the
 dual-basis module every operator needed here (antisymmetrization in the
-two derivation slots, the torsion-free projection, pairing against the
-metric) acts on such finite component arrays, and each is defined once.
-The operators visit only nonzero entries: a zero entry is skipped after
-one ``x.terms`` test, and a zero result is the algebra's shared zero.
+two derivation slots, pairing against the metric) acts on such finite
+component arrays, and each is defined once.  The operators visit only
+nonzero entries: a zero entry is skipped after one ``x.terms`` test, and
+a zero result is the algebra's shared zero.
 ``entrywise`` therefore requires an additive ``op``, with op(0, 0) = 0.
 With T_h the metric pairing operator, s(alpha)^i_ab = alpha^i_ab +
 alpha^i_ba, wedge the antisymmetrizer and d the exterior derivative as an
@@ -19,21 +19,18 @@ array (``forms.d_array``, d^i_ab = -c^i_ab):
     compatibility defect   C(gamma) = d h - T_h(gamma)
     torsion-free part      P(gamma) = (d + s(gamma)) / 2
 
-The operators that swap the two derivation slots form each pair a <= b
-once and mirror it: wedge(alpha) is antisymmetric, so entry (b, i, a) is
-the element of entry (a, i, b) negated, on a zero diagonal; P sums the
-pair of gamma entries once, and where d^i_ab = 0 holds one element
-s^i_ab / 2 at both.  Where d^i_ab = 0 and the two gamma entries are equal
-(every diagonal pair, and every pair of a connection that passes), that
-element is the gamma entry itself, because (x + x) / 2 = x: the fixed
-point of a passing connection forms no element where d vanishes.  The
-characterization tests T_h(P) = dh, the paper's T_h(s) = 2 dh - T_h(d)
-halved (T_h is real-linear), and only once the fixed point P == gamma
-has held entry by entry.  Then T_h(P) = T_h(gamma) exactly: T_h reads
-nothing but the entries, and equal entries are identical normal forms.
-So the compatibility defect and the characterization read one pairing
+Entry by entry P(gamma) - gamma = (d - wedge(gamma)) / 2, so the fixed
+point P(gamma) = gamma holds exactly when wedge(gamma) = d, which is zero
+torsion: both read the one antisymmetrizer.  wedge(alpha) is
+antisymmetric, so each pair a < b is formed once and entry (b, i, a) is
+its negation, on a zero diagonal.  The characterization tests
+T_h(P) = dh, the paper's T_h(s) = 2 dh - T_h(d) halved (T_h is
+real-linear), and only once the fixed point has held.  Then P = gamma
+entry by entry, so T_h(P) = T_h(gamma) exactly: T_h reads nothing but the
+entries, and equal entries are identical normal forms.  So the
+compatibility defect and the characterization read one pairing
 T_h(gamma), which a connection keeps for the last metric it was paired
-with (``_gamma_pairing``), and no T_h(d) is formed.
+with (``_gamma_pairing``), and neither P nor T_h(d) is formed.
 
 ``torsion``, ``compat_defect`` and the characterization check are built
 from these identities.  The compatible connections are
@@ -47,7 +44,6 @@ from the same array.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from itertools import chain, combinations
 
 from .algebra import _frozen, matmul
@@ -55,8 +51,6 @@ from .errors import DescriptorMismatch
 from .forms import Calculus, KForm, d_array
 from .metric import HermitianMetric
 from .records import Record
-
-HALF = Fraction(1, 2)
 
 
 class Connection(Record):
@@ -98,19 +92,19 @@ class Connection(Record):
 def torsion(conn: Connection):
     """Torsion on the basis: a two-form per basis index i.
 
-    T^i(d_a, d_b) = gamma[a][i][b] - gamma[b][i][a] - d^i_ab, the
-    antisymmetrization of gamma minus ``d_array``, taken once per pair
-    a < b; left linearity extends this to the whole module.
+    T^i(d_a, d_b) = wedge(gamma)^i_ab - d^i_ab, read from
+    ``antisymmetrize`` and ``d_array`` once per pair a < b; left linearity
+    extends this to the whole module.
     """
     calc = conn.calculus
-    gamma, dop = conn.gamma, d_array(calc)
+    wedge, dop = antisymmetrize(conn.gamma), d_array(calc)
     forms = []
     for i in range(calc.n):
         comps = {}
         for a, b in combinations(range(calc.n), 2):
-            x, y, d = gamma[a][i][b], gamma[b][i][a], dop[a][i][b]
-            if x.terms or y.terms or d.terms:
-                comps[(a + 1, b + 1)] = x - y - d  # KForm drops a zero
+            x, d = wedge[a][i][b], dop[a][i][b]
+            if x.terms or d.terms:
+                comps[(a + 1, b + 1)] = x - d  # KForm drops a zero
         forms.append(KForm(calc, 2, comps))
     return tuple(forms)
 
@@ -120,9 +114,9 @@ def compat_defect(conn: Connection, metric: HermitianMetric):
     = d_a h^ij - gamma^i_ak h^kj - (gamma^j_ak h^ki)*.
 
     T_h(gamma) is read through the pairing the connection keeps for this
-    metric.  The characterization check reads the same one: it
-    pairs its projection P only once P == gamma entry by entry, and then
-    T_h(P) = T_h(gamma) exactly.
+    metric.  The characterization check reads the same one: it pairs
+    only once the fixed point P == gamma has held entry by entry, and
+    then T_h(P) = T_h(gamma) exactly.
     """
     if conn.calculus != metric.calculus:
         raise DescriptorMismatch("connection and metric live over different calculi")
@@ -207,46 +201,14 @@ def _gamma_pairing(conn: Connection, metric: HermitianMetric):
     return kept[1]
 
 
-def _projection(dop, gamma):
-    """The torsion-free projection (d + gamma + gamma^T) / 2, read from
-    d_array and gamma, where gamma^T is gamma with its slots a, b swapped.
-
-    Formed once per pair a <= b: s = gamma^i_ab + gamma^i_ba is symmetric,
-    so where d^i_ab = 0 (always on abelian calculi, and on every diagonal)
-    both entries are the one element s / 2; otherwise they are (s + d) / 2
-    at (a, i, b) and (s - d) / 2 at (b, i, a), because d^i_ba = -d^i_ab.
-    Where d^i_ab = 0 and gamma^i_ab is gamma^i_ba or equals it, both
-    entries are that gamma entry, since (x + x) / 2 = x; so a pair of zero
-    entries, and every diagonal pair, forms no sum.
-    """
-    n = len(dop)
-    zero = dop[0][0][0].algebra.zero()
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        dop_a, gamma_a, out_a = dop[a], gamma[a], out[a]
-        for b in range(a, n):
-            gamma_b, out_b = gamma[b], out[b]
-            for i in range(n):
-                d, x, y = dop_a[i][b], gamma_a[i][b], gamma_b[i][a]
-                if not d.terms and (x is y or x == y):
-                    if x.terms:  # (x + x) / 2 = x
-                        out_a[i][b] = out_b[i][a] = x
-                    continue
-                s = x + y if x.terms or y.terms else zero
-                if d.terms:
-                    out_a[i][b] = (s + d) * HALF
-                    out_b[i][a] = (s - d) * HALF
-                elif s.terms:
-                    out_a[i][b] = out_b[i][a] = s * HALF
-    return tuple(tuple(map(tuple, plane)) for plane in out)
-
-
 def lc_characterization_check(conn: Connection, metric: HermitianMetric) -> bool:
     """Both component identities a Levi-Civita connection must satisfy.
 
     The fixed-point identity: the torsion-free projection
-    P = (d + s(conn)) / 2 returns conn itself.  The paper's pairing
-    identity, T_h(s(conn)) = 2 dh - T_h(d), is tested in its halved form
+    P = (d + s(conn)) / 2 returns conn itself.  Entry by entry
+    P - gamma = (d - wedge(gamma)) / 2, so it is tested as
+    wedge(gamma) == d, and no P is formed.  The paper's pairing identity,
+    T_h(s(conn)) = 2 dh - T_h(d), is tested in its halved form
     T_h(P) = dh: T_h is real-linear, so T_h(P) = T_h(d) / 2 + T_h(s) / 2,
     which equals dh exactly when the paper's identity holds.  The
     identity that forms no product goes first.  Once it holds, P == gamma
@@ -259,6 +221,6 @@ def lc_characterization_check(conn: Connection, metric: HermitianMetric) -> bool
     if calc != metric.calculus:
         raise DescriptorMismatch("connection and metric live over different calculi")
     return (
-        _projection(d_array(calc), conn.gamma) == conn.gamma
+        antisymmetrize(conn.gamma) == d_array(calc)
         and _gamma_pairing(conn, metric) == metric.d_upper
     )

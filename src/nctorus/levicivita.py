@@ -173,7 +173,8 @@ def solve_R(calculus: Calculus, F, params: SolverParams) -> tuple:
     (ValueError), solvability (SolvabilityViolated), the parameters
     (ParamViolation).  Diagonals are the free X parameters, entries
     (R_a)_ab are forced, and each strictly increasing triple adds the
-    closed-form entries with one free hermitian parameter; the transposed
+    closed-form entries with one free hermitian parameter (the parameter
+    itself where the triple's three F entries are zero); the transposed
     entries are their stars.
     """
     n = calculus.n
@@ -197,13 +198,17 @@ def solve_R(calculus: Calculus, F, params: SolverParams) -> tuple:
     for a, b, c in combinations(range(n), 3):
         h = params.triples.get((a + 1, b + 1, c + 1), zero)
         f_abc, f_bca, f_cab = F[a][b][c], F[b][c][a], F[c][a][b]
-        if f_abc.terms or f_bca.terms or f_cab.terms or h.terms:
+        if f_abc.terms or f_bca.terms or f_cab.terms:
             r_a = (f_abc - f_bca + f_cab.star()) * HALF + h
             r_b = (f_abc.star() - f_bca.star() - f_cab) * HALF + h
             r_c = -((f_abc + f_bca + f_cab.star()) * HALF) + h
-            R[a][b][c], R[a][c][b] = r_a, r_a.star()
-            R[b][c][a], R[b][a][c] = r_b, r_b.star()
-            R[c][a][b], R[c][b][a] = r_c, r_c.star()
+        elif h.terms:
+            r_a = r_b = r_c = h
+        else:
+            continue
+        R[a][b][c], R[a][c][b] = r_a, r_a.star()
+        R[b][c][a], R[b][a][c] = r_b, r_b.star()
+        R[c][a][b], R[c][b][a] = r_c, r_c.star()
     R = tuple(tuple(map(tuple, plane)) for plane in R)
     lhs = antisymmetrize(R)  # (R_a)_cb - (R_b)_ca at [a][c][b]
     if lhs != tuple(zip(*F)):

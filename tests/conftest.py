@@ -267,6 +267,19 @@ def block_metric(calc, h0):
     )
 
 
+def literal_projection(dop, array):
+    """The torsion-free projection (d^i_ab + alpha^i_ab + alpha^i_ba) / 2,
+    entry by entry, with d the ``d_array`` of the calculus."""
+    n = len(array)
+    return [
+        [
+            [(dop[a][i][b] + array[a][i][b] + array[b][i][a]) * Fraction(1, 2) for b in range(n)]
+            for i in range(n)
+        ]
+        for a in range(n)
+    ]
+
+
 def drho_via_generators(metric):
     """Independent route to d(rho) through the one-form calculus.
 

@@ -14,7 +14,7 @@ from nctorus import (
     torsion,
 )
 from nctorus.algebra import AlgebraElement, matmul
-from nctorus.connections import _projection, entrywise, metric_pairing_operator
+from nctorus.connections import entrywise, metric_pairing_operator
 from nctorus.forms import Calculus, d_array
 from nctorus.levicivita import SolverParams, build_levi_civita, verify_levi_civita
 from nctorus.metric import weak_symmetry_defect
@@ -22,6 +22,7 @@ from nctorus.metric import weak_symmetry_defect
 from conftest import (
     block_metric,
     congruence_metric,
+    literal_projection,
     pairing_spy,
     random_antihermitian_array,
     random_block_metric,
@@ -70,7 +71,7 @@ def pairing(metric, f, g):
 def projected(conn):
     """The torsion-free projection (d + s(gamma)) / 2 of ``conn``."""
     calc = conn.calculus
-    return Connection(calc, _projection(d_array(calc), conn.gamma))
+    return Connection(calc, literal_projection(d_array(calc), conn.gamma))
 
 
 def swapped(array):
@@ -366,12 +367,12 @@ def test_sigma_involution_and_projections(rng, calc3):
         for i in (1, 2, 3)
         for j in (1, 2, 3)
     }
-    arr = connection_with(calc3, entries).gamma
+    base = connection_with(calc3, entries)
+    arr, zero = base.gamma, Connection.zero(calc3)
     # calc3 is abelian, so d = 0 and the projection P is s / 2
-    dop, zero = d_array(calc3), Connection.zero(calc3).gamma
-    assert _projection(dop, swapped(arr)) == _projection(dop, arr)
-    assert _projection(dop, antisymmetrize(arr)) == zero
-    assert antisymmetrize(_projection(dop, arr)) == zero
+    assert projected(Connection(calc3, swapped(arr))) == projected(base)
+    assert projected(Connection(calc3, antisymmetrize(arr))) == zero
+    assert antisymmetrize(projected(base).gamma) == zero.gamma
 
 
 # -- characterization -----------------------------------------------------------------
@@ -438,36 +439,24 @@ def test_pair_loops_match_literal_entries(name):
     calc = Calculus.torus(n, commutative=commutative, brackets=brackets)
     zero = calc.algebra.zero()
     rng = random.Random("pair-loops/" + name)
-    dop = d_array(calc)
     # both entries of one pair zero, one of them zero, and a zero diagonal entry
     holes = {(0, 1, 2), (2, 1, 0), (1, 0, 2), (1, 1, 1)}
     arrays = [dense_array(rng, calc), dense_array(rng, calc, holes)]
     for arr in arrays:
-        anti, proj = antisymmetrize(arr), _projection(dop, arr)
+        anti = antisymmetrize(arr)
         for a in range(n):
             for i in range(n):
                 for b in range(n):
-                    x, y, d = arr[a][i][b], arr[b][i][a], dop[a][i][b]
-                    assert anti[a][i][b] == x - y
-                    assert proj[a][i][b] == (d + x + y) * Fraction(1, 2)
-                    # the mechanism: one element per projected pair where
-                    # d vanishes
-                    if not d.terms:
-                        assert proj[b][i][a] is proj[a][i][b]
+                    assert anti[a][i][b] == arr[a][i][b] - arr[b][i][a]
             for i in range(n):
                 assert anti[a][i][a] is zero
-        for result in (anti, proj):
-            entries = [x for plane in result for row in plane for x in row]
-            assert all(x is zero for x in entries if not x.terms)
-    if brackets:
-        assert any(x.terms for plane in dop for row in plane for x in row)
+        entries = [x for plane in anti for row in plane for x in row]
+        assert all(x is zero for x in entries if not x.terms)
 
 
 def test_pair_loops_combine_each_pair_once(monkeypatch, calc3):
-    # on the abelian calc3 the projection forms n * n(n-1)/2 sums, one per
-    # pair a < b, and none on a diagonal pair (x is y, and (x + x) / 2 = x);
-    # wedge forms n * n(n-1)/2 differences and as many negations, and a
-    # pair of two zeros costs no call
+    # on calc3 wedge forms n * n(n-1)/2 differences, one per pair a < b, and
+    # as many negations; a pair of two zeros costs no call
     arr = dense_array(random.Random("pair-calls"), calc3, {(0, 0, 1), (1, 0, 0)})
     counts = {"__add__": 0, "__sub__": 0, "__neg__": 0}
     for name in counts:
@@ -478,9 +467,6 @@ def test_pair_loops_combine_each_pair_once(monkeypatch, calc3):
             return _original(self, *args)
 
         monkeypatch.setattr(AlgebraElement, name, spy)
-    _projection(d_array(calc3), arr)
-    assert counts == {"__add__": 3 * 3 - 1, "__sub__": 0, "__neg__": 0}
-    counts.update(dict.fromkeys(counts, 0))
     antisymmetrize(arr)
     assert counts == {"__add__": 0, "__sub__": 3 * 3 - 1, "__neg__": 3 * 3 - 1}
 
@@ -570,7 +556,7 @@ def test_characterization_matches_the_literal_identities(name, n):
     seen = set()
     for conn in conns:
         pairing, fixed = literal_characterization(conn, metric)
-        assert (_projection(dop, conn.gamma) == conn.gamma) is fixed
+        assert (antisymmetrize(conn.gamma) == dop) is fixed
         torsion_zero = all(form.is_zero() for form in torsion(conn))
         compat_zero = not any(
             x.terms for plane in compat_defect(conn, metric) for row in plane for x in row

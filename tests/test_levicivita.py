@@ -840,25 +840,34 @@ def bracket_diagonal_metric_5():
 # Element calls with only zero operands during one build_levi_civita.  Those
 # left are the stars of the one pairing T_h(gamma), which the compatibility
 # defect forms and the characterization reads (forming it in both gave 6
-# and 8 stars), and partial sums inside a torsion entry, a triple or a
-# cyclic sum that has a nonzero entry.  The d(rho) gate (KForm.d) skips a
-# zero derivative or bracket term, the solvability check a triple whose
-# three F entries are zero, solve_R a forced entry (R_a)_ab whose X and F
-# terms are zero, and the gamma assembly a zero d h entry beside a
-# nonzero i U (halving it gave bracket-5 six __mul__).  A change that walks
-# zero entries again raises these counts (measured with the pairing formed
-# twice and those six halvings: walking every zero entry gives 6,416 and
-# 3,721; skipping zeros everywhere but in the pair checks and the
-# closed-form R entries gives 1,554 and 915; everywhere but in those cyclic
-# sums and forced entries, 146 and 107; everywhere but in KForm.d, 18 and
-# 31).
+# and 8 stars), and partial sums inside a triple or a cyclic sum that has a
+# nonzero entry.  Torsion reads wedge(gamma) - d and forms no (0 - 0) - d
+# (forming it gave bracket-5 four __sub__).  The d(rho) gate (KForm.d)
+# skips a zero derivative or bracket term, the solvability check a triple
+# whose three F entries are zero, solve_R a forced entry (R_a)_ab whose X
+# and F terms are zero, and the gamma assembly a zero d h entry beside a
+# nonzero i U (halving it gave bracket-5 six __mul__).  block-6-triples
+# sets every triple parameter; its F vanishes on all 20 triples, and
+# solve_R takes each parameter as it is (forming (0 - 0 + 0*) / 2 + h gave
+# 60 __mul__, 60 __add__, 120 __sub__, 20 __neg__ and 80 more stars).  Its
+# other 60 stars mirror pairing entries x + y* that cancel to zero.  A
+# change that walks zero entries again raises these counts (measured with
+# the pairing formed twice and those six halvings: walking every zero
+# entry gives 6,416 and 3,721; skipping zeros everywhere but in the pair
+# checks and the closed-form R entries gives 1,554 and 915; everywhere but
+# in those cyclic sums and forced entries, 146 and 107; everywhere but in
+# KForm.d, 18 and 31).
 ALL_ZERO_CALLS = {
     "block-6": {
         "__mul__": 0, "__add__": 0, "__sub__": 0, "__neg__": 0,
         "star": 3, "derive": 0, "__eq__": 0,
     },
+    "block-6-triples": {
+        "__mul__": 0, "__add__": 0, "__sub__": 0, "__neg__": 0,
+        "star": 63, "derive": 0, "__eq__": 0,
+    },
     "bracket-5": {
-        "__mul__": 0, "__add__": 3, "__sub__": 4, "__neg__": 0,
+        "__mul__": 0, "__add__": 3, "__sub__": 2, "__neg__": 0,
         "star": 5, "derive": 0, "__eq__": 0,
     },
 }
@@ -866,11 +875,19 @@ ALL_ZERO_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(ALL_ZERO_CALLS))
 def test_build_skips_zero_entries(name, monkeypatch):
-    make = {"block-6": seeded_block_metric_6, "bracket-5": bracket_diagonal_metric_5}
+    make = {
+        "block-6": seeded_block_metric_6,
+        "block-6-triples": seeded_block_metric_6,
+        "bracket-5": bracket_diagonal_metric_5,
+    }
     metric = make[name]()
-    zero = metric.calculus.algebra.zero()
+    calc, zero = metric.calculus, metric.calculus.algebra.zero()
+    params = None
+    if name == "block-6-triples":
+        triples = dict.fromkeys(itertools.combinations(range(1, 7), 3), calc.algebra.one())
+        params = SolverParams(SolverParams.zeros(calc).X, triples)
     counts = count_all_zero_calls(monkeypatch)
-    conn = build_levi_civita(metric)
+    conn = build_levi_civita(metric, params)
     assert counts == ALL_ZERO_CALLS[name]
     monkeypatch.undo()
     assert verify_levi_civita(conn, metric).passed

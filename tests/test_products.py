@@ -1,8 +1,8 @@
 """Matrix products in metrics, connections and the solver against oracles.
 
 Every library function that multiplies matrices of algebra elements, the
-F tensor, the torsion-free projection and the derived metric d_a h^ij
-are compared with their literal index-sum definitions, written out below,
+F tensor, the slot antisymmetrizer and the derived metric d_a h^ij are
+compared with their literal index-sum definitions, written out below,
 on seeded dense metrics h = L D L* (L unit lower triangular, D rational
 constants) and on random arrays with zero entries.  Each case runs for
 n = 3..5 over an abelian, a bracket (c^3_12 = 1) and a commutative
@@ -41,10 +41,10 @@ from nctorus import (
     torsion,
 )
 from nctorus.algebra import matmul
-from nctorus.connections import _projection
 from nctorus.forms import d_array
 
 from conftest import (
+    literal_projection,
     random_antihermitian_array,
     random_hermitian,
     random_hermitian_matrix,
@@ -457,10 +457,12 @@ def test_build_gamma_matches_index_sum(family, n):
 
 @pytest.mark.parametrize("family,n", CASES)
 def test_projection_matches_literal_loop(family, n):
+    # the projection read from d_array matches the loop over the structure
+    # constants, and has zero torsion
     rng = case_rng("projection", family, n)
     calc = make_calculus(family, n)
     base = Connection(calc, sparse_array(rng, calc))
-    conn = Connection(calc, _projection(d_array(calc), base.gamma))
+    conn = Connection(calc, literal_projection(d_array(calc), base.gamma))
     assert as_lists(conn.gamma) == oracle_projection(base)
     assert all(form.is_zero() for form in torsion(conn))
 
@@ -581,18 +583,6 @@ def literal_swap_difference(array):
     ]
 
 
-def literal_projection(dop, array):
-    """(d^i_ab + alpha^i_ab + alpha^i_ba) / 2, entry by entry."""
-    n = len(array)
-    return [
-        [
-            [(dop[a][i][b] + array[a][i][b] + array[b][i][a]) * HALF for b in range(n)]
-            for i in range(n)
-        ]
-        for a in range(n)
-    ]
-
-
 def zeros_are_shared(array, alg):
     flat = list(array)
     while flat and isinstance(flat[0], (tuple, list)):
@@ -619,11 +609,9 @@ def test_pairing_and_symmetrizers_match_index_sums_on_edge_shapes(family, n, sha
     rng = case_rng("pairing/" + shape, family, n)
     calc = make_calculus(family, n)
     metric = edge_metric(rng, calc, shape)
-    dop = d_array(calc)
     for array in (edge_array(rng, calc, shape), sparse_array(rng, calc)):
         for result, expected in (
             (metric_pairing_operator(array, metric), oracle_pairing(array, metric.upper)),
-            (_projection(dop, array), literal_projection(dop, array)),
             (antisymmetrize(array), literal_swap_difference(array)),
         ):
             assert as_lists(result) == expected
