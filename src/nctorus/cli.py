@@ -336,9 +336,11 @@ def _by_index(element, indices) -> dict:
 
 
 def _verification_dict(report) -> dict:
-    pairs = list(combinations(range(1, len(report.compat) + 1), 2))
+    indices = range(1, len(report.torsion) + 1)
+    pairs = list(combinations(indices, 2))
     torsion = {
-        str(i): _by_index(form, pairs) for i, form in enumerate(report.torsion_forms, 1)
+        str(i): _by_index(lambda a, b: report.torsion[a - 1][i - 1][b - 1], pairs)
+        for i in indices
     }
     return {
         "torsion": torsion,

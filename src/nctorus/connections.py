@@ -32,8 +32,9 @@ compatibility defect and the characterization read one pairing
 T_h(gamma), which a connection keeps for the last metric it was paired
 with (``_gamma_pairing``), and neither P nor T_h(d) is formed.
 
-``torsion``, ``compat_defect`` and the characterization check are built
-from these identities.  The compatible connections are
+``torsion`` and ``compat_defect`` return the two defects as n x n x n
+arrays, each one ``entrywise`` difference, and the characterization check
+is built from the same identities.  The compatible connections are
 gamma_a = (d_a h / 2 + K_a) h_lower with K_a antihermitian: T_h of that
 gamma is d_a h / 2 + K_a plus its adjoint, which is d_a h.  The solver
 of ``levicivita`` forms its connection so, with K = i U for a hermitian U.
@@ -44,11 +45,11 @@ from the same array.
 from __future__ import annotations
 
 import operator
-from itertools import chain, combinations
+from itertools import chain
 
 from .algebra import _frozen, matmul
 from .errors import DescriptorMismatch
-from .forms import Calculus, KForm, d_array
+from .forms import Calculus, d_array
 from .metric import HermitianMetric
 from .records import Record
 
@@ -90,23 +91,13 @@ class Connection(Record):
 
 
 def torsion(conn: Connection):
-    """Torsion on the basis: a two-form per basis index i.
+    """T[a][i][b] = T^i(d_a, d_b) = wedge(gamma)^i_ab - d^i_ab.
 
-    T^i(d_a, d_b) = wedge(gamma)^i_ab - d^i_ab, read from
-    ``antisymmetrize`` and ``d_array`` once per pair a < b; left linearity
-    extends this to the whole module.
+    An n x n x n array like ``compat_defect``'s: antisymmetric in (a, b),
+    with the shared zero on the diagonal and wherever wedge and d agree.
+    Left linearity extends T from the basis to the whole module.
     """
-    calc = conn.calculus
-    wedge, dop = antisymmetrize(conn.gamma), d_array(calc)
-    forms = []
-    for i in range(calc.n):
-        comps = {}
-        for a, b in combinations(range(calc.n), 2):
-            x, d = wedge[a][i][b], dop[a][i][b]
-            if x.terms or d.terms:
-                comps[(a + 1, b + 1)] = x - d  # KForm drops a zero
-        forms.append(KForm(calc, 2, comps))
-    return tuple(forms)
+    return entrywise(operator.sub, antisymmetrize(conn.gamma), d_array(conn.calculus))
 
 
 def compat_defect(conn: Connection, metric: HermitianMetric):
@@ -170,7 +161,8 @@ def metric_pairing_operator(array, metric: HermitianMetric):
     """T_h(alpha)^ij_a = alpha^i_ak h^kj + (alpha^j_ak h^ki)*.
 
     T_h(alpha)^ji_a is the star of T_h(alpha)^ij_a, so each plane is formed
-    on i <= j and mirrored.  The n plane products are one matrix product
+    on i <= j and mirrored; an entry that cancels stays the shared zero, and
+    is not starred.  The n plane products are one matrix product
     of the stacked rows.
     """
     n = metric.calculus.n
@@ -184,9 +176,11 @@ def metric_pairing_operator(array, metric: HermitianMetric):
             for j in range(i, n):
                 x, y = product[i][j], product[j][i]
                 if x.terms or y.terms:
-                    rows[i][j] = value = x + y.star()
-                    if j != i:
-                        rows[j][i] = value.star()
+                    value = x + y.star()
+                    if value.terms:
+                        rows[i][j] = value
+                        if j != i:
+                            rows[j][i] = value.star()
         out.append(tuple(map(tuple, rows)))
     return tuple(out)
 

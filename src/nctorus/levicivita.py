@@ -240,9 +240,11 @@ def assemble_U(metric: HermitianMetric, R):
 
 class LCVerification(Record):
     """Outcome of checking a connection against a metric; compared
-    field-wise."""
+    field-wise.  ``torsion`` is the array T[a][i][b] of ``torsion`` and
+    ``compat`` the array C[a][i][j] of ``compat_defect``; each ``_zero``
+    flag is true when no entry of its array is nonzero."""
 
-    _fields = ("torsion_forms", "compat", "torsion_zero", "compat_zero", "characterization")
+    _fields = ("torsion", "compat", "torsion_zero", "compat_zero", "characterization")
 
     @property
     def passed(self) -> bool:
@@ -250,14 +252,14 @@ class LCVerification(Record):
 
 
 def verify_levi_civita(conn: Connection, metric: HermitianMetric) -> LCVerification:
-    """Full report: torsion forms, compatibility defect, both identities."""
-    torsion_forms = torsion(conn)
-    defect = compat_defect(conn, metric)
+    """Full report: the torsion and compatibility-defect arrays, whether
+    each is zero, and the characterization's verdict."""
+    tors, defect = torsion(conn), compat_defect(conn, metric)
     return LCVerification(
-        torsion_forms,
+        tors,
         defect,
-        all(form.is_zero() for form in torsion_forms),
-        not any(entry.terms for plane in defect for row in plane for entry in row),
+        not any(x.terms for plane in tors for row in plane for x in row),
+        not any(x.terms for plane in defect for row in plane for x in row),
         lc_characterization_check(conn, metric),
     )
 

@@ -289,6 +289,26 @@ def test_run_verify_given_failing(tmp_path):
     assert report["verification"]["pass"] is False
 
 
+def test_verify_given_reports_each_torsion_component(tmp_path):
+    # T^i(d_a, d_b) = gamma^i_ab - gamma^i_ba under "i" -> "a,b" for a < b:
+    # gamma^2_13 = U1 gives T^2(d_1, d_3) = U1, gamma^1_32 = i gives
+    # T^1(d_2, d_3) = -i
+    path = write_cfg(
+        tmp_path,
+        "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.2 = 1\nh.3.3 = 1\n\n"
+        "[connection]\ngamma.1.2.3 = U1\ngamma.3.1.2 = i\n\n"
+        "[run]\ncommand = verify-given\n",
+    )
+    verification = run(load_config(path))["verification"]
+    zeros = {"1,2": "0", "1,3": "0", "2,3": "0"}
+    assert verification["torsion"] == {
+        "1": dict(zeros, **{"2,3": "-i"}),
+        "2": dict(zeros, **{"1,3": "U1"}),
+        "3": zeros,
+    }
+    assert verification["torsion_zero"] is False
+
+
 def test_run_explicit_lower(tmp_path):
     path = write_cfg(
         tmp_path,

@@ -391,8 +391,9 @@ def test_unknown_plain_key_is_rejected(tmp_path, capsys, section, line, key):
     [
         ("algebra", " = 1", "empty key"),
         ("algebra", "commutative = maybe", "commutative must be true or false"),
+        ("run", "command = build-lc", "duplicate key 'command'"),
     ],
-    ids=["empty-key", "commutative"],
+    ids=["empty-key", "commutative", "duplicate-key"],
 )
 def test_bad_plain_line_is_rejected(tmp_path, capsys, section, line, message):
     text, lineno = config_text({section: [line]})

@@ -127,7 +127,8 @@ def test_connection_repr_lists_the_nonzero_entries(calc3):
 
 
 def test_torsion_zero_connection(calc3):
-    assert all(form.is_zero() for form in torsion(Connection.zero(calc3)))
+    zero = Connection.zero(calc3)
+    assert torsion(zero) == zero.gamma
 
 
 def test_torsion_symmetric_gamma(calc3, rng):
@@ -139,31 +140,32 @@ def test_torsion_symmetric_gamma(calc3, rng):
             sym[(a, 1, b)] = value
             sym[(b, 1, a)] = value
     conn = connection_with(calc3, sym)
-    assert all(form.is_zero() for form in torsion(conn))
+    assert torsion(conn) == Connection.zero(calc3).gamma
 
 
 def test_torsion_definition(calc3, rng):
     conn = connection_with(
         calc3, {(1, 2, 3): calc3.algebra.gen(1), (3, 2, 1): calc3.algebra.i()}
     )
-    forms = torsion(conn)
+    tors = torsion(conn)
     for i in (1, 2, 3):
         for a in (1, 2, 3):
             for b in (1, 2, 3):
                 expected = (
                     conn.gamma[a - 1][i - 1][b - 1] - conn.gamma[b - 1][i - 1][a - 1]
                 )
-                assert forms[i - 1](a, b) == expected
+                assert tors[a - 1][i - 1][b - 1] == expected
 
 
 def test_torsion_bracket_term():
     heis = Calculus.torus(3, brackets={(3, 1, 2): 1})
     conn = Connection.zero(heis)
-    forms = torsion(conn)
-    assert forms[2](1, 2) == heis.algebra.one()
-    assert forms[0](1, 2).is_zero()
+    tors = torsion(conn)
+    assert tors[0][2][1] == heis.algebra.one()
+    assert tors[1][2][0] == -heis.algebra.one()
+    assert tors[0][0][1].is_zero()
     fixed = projected(conn)
-    assert all(form.is_zero() for form in torsion(fixed))
+    assert torsion(fixed) == conn.gamma
     assert fixed.gamma[0][2][1] == heis.algebra.scalar(Fraction(-1, 2))
 
 
@@ -180,7 +182,7 @@ def test_torsion_left_linear(rng):
         conn = connection_with(
             calc, {(1, 1, 2): alg.gen(2), (2, 1, 1): alg.i() * alg.gen(1)}
         )
-        forms = torsion(conn)
+        tors = torsion(conn)
         dop = d_array(calc)
         for i in (1, 2, 3):
             d_theta = calc.theta(i).d()
@@ -197,7 +199,27 @@ def test_torsion_left_linear(rng):
                         nab_x = nabla(conn, x, coeffs)
                         nab_y = nabla(conn, y, coeffs)
                         direct = nab_x[y - 1] - nab_y[x - 1] - dform(x, y)
-                        assert direct == a_elt * forms[i - 1](x, y), brackets
+                        assert direct == a_elt * tors[x - 1][i - 1][y - 1], brackets
+
+
+def test_torsion_is_antisymmetric_on_a_shared_zero_diagonal(rng):
+    # T[b][i][a] = -T[a][i][b], and T[a][i][a] is the algebra's shared zero
+    for brackets in (None, HEISENBERG, SO3):
+        calc = Calculus.torus(3, brackets=brackets)
+        alg = calc.algebra
+        entries = {
+            (a, i, j): random_element(rng, alg, max_terms=2)
+            for a in (1, 2, 3)
+            for i in (1, 2, 3)
+            for j in (1, 2, 3)
+        }
+        tors = torsion(connection_with(calc, entries))
+        assert tors != Connection.zero(calc).gamma, brackets
+        for a in range(3):
+            for i in range(3):
+                assert tors[a][i][a] is alg.zero(), brackets
+                for b in range(a + 1, 3):
+                    assert tors[b][i][a] == -tors[a][i][b], brackets
 
 
 def test_d_array_is_built_once_per_calculus():
@@ -215,13 +237,13 @@ def test_torsion_equals_wedge_minus_d(calc3, rng):
     conn = connection_with(
         calc3, {(1, 2, 2): random_element(rng, calc3.algebra), (3, 2, 1): calc3.algebra.one()}
     )
-    forms = torsion(conn)
+    tors = torsion(conn)
     anti = antisymmetrize(conn.gamma)
     dop = d_array(calc3)
     for i in (1, 2, 3):
         for a in (1, 2, 3):
             for b in (1, 2, 3):
-                assert forms[i - 1](a, b) == anti[a - 1][i - 1][b - 1] - dop[a - 1][i - 1][b - 1]
+                assert tors[a - 1][i - 1][b - 1] == anti[a - 1][i - 1][b - 1] - dop[a - 1][i - 1][b - 1]
 
 
 # -- compatibility ------------------------------------------------------------------
@@ -341,7 +363,7 @@ def test_torsion_free_from_by_hand(calc3):
     half_u1 = alg.gen(1) * Fraction(1, 2)
     assert fixed.gamma[0][0][1] == half_u1
     assert fixed.gamma[1][0][0] == half_u1
-    assert all(form.is_zero() for form in torsion(fixed))
+    assert torsion(fixed) == Connection.zero(calc3).gamma
 
 
 def test_torsion_free_from_random(rng, calc3):
@@ -354,7 +376,7 @@ def test_torsion_free_from_random(rng, calc3):
             for j in (1, 2, 3)
         }
         base = connection_with(calc3, entries)
-        assert all(form.is_zero() for form in torsion(projected(base)))
+        assert torsion(projected(base)) == Connection.zero(calc3).gamma
 
 
 # -- array operators ----------------------------------------------------------------
@@ -391,15 +413,18 @@ def test_characterization_rejects_compatible_but_torsionful(calc3):
     anti[0][1][0] = -alg.one()
     conn = compatible(metric, anti)
     assert compat_defect(conn, metric) == Connection.zero(calc3).gamma
-    assert not all(form.is_zero() for form in torsion(conn))
+    assert torsion(conn) != Connection.zero(calc3).gamma
     assert not lc_characterization_check(conn, metric)
+    report = verify_levi_civita(conn, metric)
+    assert report.torsion == torsion(conn) and not report.torsion_zero
+    assert report.compat_zero and not report.passed
 
 
 def test_characterization_rejects_torsion_free_but_incompatible(calc3):
     alg = calc3.algebra
     metric = block_metric(calc3, alg.gen(2))
     conn = Connection.zero(calc3)
-    assert all(form.is_zero() for form in torsion(conn))
+    assert torsion(conn) == conn.gamma
     assert compat_defect(conn, metric) != Connection.zero(calc3).gamma
     assert not lc_characterization_check(conn, metric)
 
@@ -552,12 +577,12 @@ def test_characterization_matches_the_literal_identities(name, n):
     rng = random.Random("characterization/%s/%d" % (name, n))
     metric, conns = quadrant_connections(calc, rng)
     conns += perturbed_builds(conns[-1], rng)
-    dop = d_array(calc)
+    dop, zero = d_array(calc), Connection.zero(calc).gamma
     seen = set()
     for conn in conns:
         pairing, fixed = literal_characterization(conn, metric)
         assert (antisymmetrize(conn.gamma) == dop) is fixed
-        torsion_zero = all(form.is_zero() for form in torsion(conn))
+        torsion_zero = torsion(conn) == zero
         compat_zero = not any(
             x.terms for plane in compat_defect(conn, metric) for row in plane for x in row
         )

@@ -170,10 +170,10 @@ def test_solver_records_compare_fieldwise(calc3):
     first = verify_levi_civita(conn, metric)
     second = verify_levi_civita(conn, metric)
     assert first == second and first is not second
-    failed = LCVerification(second.torsion_forms, second.compat, True, True, False)
+    failed = LCVerification(second.torsion, second.compat, True, True, False)
     assert first != failed and not failed.passed
     with pytest.raises(TypeError, match="LCVerification takes 5 fields, got 4"):
-        LCVerification(second.torsion_forms, second.compat, True, True)
+        LCVerification(second.torsion, second.compat, True, True)
 
 
 def test_slotted_values_compare_through_record(calc3):
