@@ -24,7 +24,6 @@ from .connections import (
 )
 from .errors import (
     DescriptorMismatch,
-    HermiticityError,
     InternalVerificationFailure,
     NCTorusError,
     NotHermitian,
@@ -64,7 +63,6 @@ __all__ = [
     "DescriptorMismatch",
     "GaussianRational",
     "HermitianMetric",
-    "HermiticityError",
     "InternalVerificationFailure",
     "KForm",
     "LCVerification",

@@ -639,9 +639,9 @@ def matmul(left, right):
 
 def _is_frozen(x, shape, algebra):
     """True when ``x`` is nested tuples of exactly ``shape`` whose leaves
-    are all AlgebraElements over the instance ``algebra`` (any leaves when
-    ``algebra`` is None): one pass that builds nothing.  The last two
-    axes are walked in one frame, row by row."""
+    are all AlgebraElements over the instance ``algebra``: one pass that
+    builds nothing.  The last two axes are walked in one frame, row by
+    row."""
     if len(shape) > 2:
         if x.__class__ is not tuple or len(x) != shape[0]:
             return False
@@ -651,7 +651,7 @@ def _is_frozen(x, shape, algebra):
                 return False
         return True
     if not shape:
-        return algebra is None or (x.__class__ is AlgebraElement and x.algebra is algebra)
+        return x.__class__ is AlgebraElement and x.algebra is algebra
     if len(shape) == 1:
         rows = (x,)
     elif x.__class__ is not tuple or len(x) != shape[0]:
@@ -662,14 +662,13 @@ def _is_frozen(x, shape, algebra):
     for row in rows:
         if row.__class__ is not tuple or len(row) != width:
             return False
-        if algebra is not None:
-            for y in row:
-                if y.__class__ is not AlgebraElement or y.algebra is not algebra:
-                    return False
+        for y in row:
+            if y.__class__ is not AlgebraElement or y.algebra is not algebra:
+                return False
     return True
 
 
-def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
+def _frozen(x, shape, name, algebra, errors=(ValueError, TypeError)):
     """The nested sequence ``x`` as nested tuples of ``shape``; with an
     empty shape, ``x`` is the one leaf.
 
@@ -681,11 +680,10 @@ def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
     and its leaves are checked in index order.
 
     Another shape raises ``errors[0]``, worded from ``name`` and the rank
-    of ``shape``: "an n x n" or "an n x n x n array".  With
-    ``algebra``, the first leaf in index order that is not an
-    AlgebraElement raises ``errors[1]``, and the first over an algebra not
-    equal to it DescriptorMismatch, each naming the leaf as
-    ``name[i][j]...``, 1-based.
+    of ``shape``: "an n x n" or "an n x n x n array".  The first leaf in
+    index order that is not an AlgebraElement raises ``errors[1]``, and
+    the first over an algebra not equal to ``algebra`` DescriptorMismatch,
+    each naming the leaf as ``name[i][j]...``, 1-based.
     """
     if _is_frozen(x, shape, algebra):
         return x
@@ -703,8 +701,6 @@ def _frozen(x, shape, name, algebra=None, errors=(ValueError, TypeError)):
         return items if all(map(operator.is_, frozen, items)) else tuple(frozen)
 
     out = freeze(x, 0) if shape else x
-    if algebra is None:
-        return out
     leaves = [out]
     for _ in shape:
         leaves = list(chain.from_iterable(leaves))
@@ -746,11 +742,11 @@ def _first_unpaired(x, related, ndim):
     """The first index (..., i, j), 1-based, with j >= i at which
     ``related(x[..][i][j], x[..][j][i])`` is false, or None.
 
-    ``x`` has ``ndim`` axes, the last two of equal length.  For a relation
-    that holds at (i, j) exactly when it holds at (j, i), such as hermitian
-    or antisymmetric pairing, no earlier index of the full search fails.
-    Every relation passed here holds on two zero elements, so such a pair
-    is skipped without calling ``related``.
+    ``x`` has ``ndim`` axes of AlgebraElements, the last two of equal
+    length.  For a relation that holds at (i, j) exactly when it holds at
+    (j, i), such as hermitian or antisymmetric pairing, no earlier index of
+    the full search fails.  Every relation passed here holds on two zero
+    elements, so such a pair is skipped without calling ``related``.
     """
     if ndim > 2:
         for k, part in enumerate(x, 1):
@@ -761,7 +757,7 @@ def _first_unpaired(x, related, ndim):
     for i, row in enumerate(x):
         for j in range(i, len(x)):
             u, v = row[j], x[j][i]
-            if u.__class__ is v.__class__ is AlgebraElement and not (u.terms or v.terms):
+            if not (u.terms or v.terms):
                 continue
             if not related(u, v):
                 return (i + 1, j + 1)

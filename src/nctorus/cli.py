@@ -72,12 +72,7 @@ import sys
 from itertools import combinations
 
 from .connections import Connection
-from .errors import (
-    HermiticityError,
-    NCTorusError,
-    NotWeaklySymmetric,
-    ParseError,
-)
+from .errors import NCTorusError, NotWeaklySymmetric, ParseError
 from .expr import _BLANKS, parse_element, render_element
 from .forms import Calculus
 from .levicivita import (
@@ -206,8 +201,8 @@ def _index(key, prefix, bounds, what, lineno, entries):
         raise ParseError("non-integer index in key %r" % key, lineno, 1)
     for value, bound in zip(index, bounds):
         if not 1 <= value <= bound:
-            raise IndexError(
-                "%s index %d out of range 1..%d (line %d)" % (what, value, bound, lineno)
+            raise ParseError(
+                "%s index %d out of range 1..%d" % (what, value, bound), lineno, 1
             )
     if index in entries:
         raise ParseError(
@@ -241,9 +236,8 @@ def _parse_expr(calculus, text, lineno, column):
 def _parse_hermitian(calculus, text, lineno, column, prefix, index):
     element = _parse_expr(calculus, text, lineno, column)
     if not element.is_hermitian():
-        raise HermiticityError(
-            "%s.%s must be hermitian (line %d)"
-            % (prefix, ".".join(map(str, index)), lineno)
+        raise ParseError(
+            "%s.%s must be hermitian" % (prefix, ".".join(map(str, index))), lineno, column
         )
     return element
 
@@ -251,9 +245,10 @@ def _parse_hermitian(calculus, text, lineno, column, prefix, index):
 def load_config(path) -> ProblemConfig:
     """Load and fully validate a config file.
 
-    Raises ParseError (with line and column), IndexError for out-of-range
-    indices, and HermiticityError when an X or H parameter is not
-    hermitian.
+    Every rejection is a ParseError.  One caused by a line names it: an
+    index out of range at column 1, an X or H parameter that is not
+    hermitian at its value's column.  A missing required key and a
+    ``[lie]`` section that is no Lie algebra name no line.
     """
     sections = _read_sections(path)
 
@@ -472,7 +467,7 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-    except (ParseError, IndexError, HermiticityError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         return _fail(exc)
 
     calc = config.calculus

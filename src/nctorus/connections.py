@@ -161,9 +161,9 @@ def metric_pairing_operator(array, metric: HermitianMetric):
     """T_h(alpha)^ij_a = alpha^i_ak h^kj + (alpha^j_ak h^ki)*.
 
     T_h(alpha)^ji_a is the star of T_h(alpha)^ij_a, so each plane is formed
-    on i <= j and mirrored; an entry that cancels stays the shared zero, and
-    is not starred.  The n plane products are one matrix product
-    of the stacked rows.
+    on i <= j and mirrored; no zero product is starred, and an entry that
+    cancels stays the shared zero and is not starred.  The n plane
+    products are one matrix product of the stacked rows.
     """
     n = metric.calculus.n
     zero = metric.calculus.algebra.zero()
@@ -176,7 +176,7 @@ def metric_pairing_operator(array, metric: HermitianMetric):
             for j in range(i, n):
                 x, y = product[i][j], product[j][i]
                 if x.terms or y.terms:
-                    value = x + y.star()
+                    value = x + y.star() if y.terms else x
                     if value.terms:
                         rows[i][j] = value
                         if j != i:

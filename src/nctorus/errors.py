@@ -73,10 +73,6 @@ class InternalVerificationFailure(NCTorusError):
     """A constructed connection failed its own re-verification; this is a bug."""
 
 
-class HermiticityError(NCTorusError):
-    """A config parameter (an X or H entry) is not hermitian."""
-
-
 class ParseError(NCTorusError):
     """An expression or config file could not be parsed."""
 

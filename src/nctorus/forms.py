@@ -12,9 +12,10 @@ hermitian.  The torus derivations commute, so they do not represent a
 nonzero bracket, and d(d x) = 0 holds only for abelian brackets: over
 c^3_12 = 1, d(d U3) = -i U3 theta^1 theta^2.
 
-Only this module reads the structure constants: ``KForm.d`` and
-``d_array`` (d as a component array) fix d theta^i (d_a, d_b) = -c^i_ab
-for the array formulas of ``connections`` and ``levicivita``.
+Structure constants enter in one place, ``LieAlgebra``, as a sparse map,
+and only this module reads them: ``KForm.d`` and ``d_array`` (d as a
+component array) fix d theta^i (d_a, d_b) = -c^i_ab for the array
+formulas of ``connections`` and ``levicivita``.
 """
 
 from __future__ import annotations
@@ -22,26 +23,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import AlgebraElement, TorusAlgebra, _first_unpaired, _frozen
+from .algebra import AlgebraElement, TorusAlgebra, _frozen
 from .errors import DescriptorMismatch
 from .records import Record
 from .scalars import GaussianRational
 
 
-def _jacobi_defect(n, c):
+def _jacobi_defect(nonzero):
     """The lexicographically first (a, b, d, f), 1-based, at which
     sum_e c^e_ab c^f_ed + c^e_bd c^f_ea + c^e_da c^f_eb is nonzero, or None.
 
-    The sums are accumulated from products of nonzero constants only, so
-    an abelian bracket costs one pass over c instead of O(n^5).
+    ``nonzero`` lists (e, x, y, c^e_xy), 0-based, for each nonzero
+    constant, and the sums are accumulated from their products only.
     """
-    nonzero = [
-        (e, x, y, c[e][x][y])
-        for e in range(n)
-        for x in range(n)
-        for y in range(n)
-        if c[e][x][y]
-    ]
     outer = {}  # e -> [(f, z, c^f_ez)]
     for f, e, z, w in nonzero:
         outer.setdefault(e, []).append((f, z, w))
@@ -61,50 +55,41 @@ def _jacobi_defect(n, c):
 class LieAlgebra(Record):
     """An n-dimensional Lie algebra with a hermitian basis d_1, ..., d_n.
 
-    ``brackets`` holds rational structure constants c^e_{ab} with
-    [d_a, d_b] = sum_e c^e_{ab} d_e, stored as a nested tuple indexed
-    [e][a][b] (0-based).  Antisymmetry and the Jacobi identity are
-    validated at construction.  Immutable; equal and hashed by
-    (n, brackets).  Whether the bracket is abelian is decided once here,
-    outside the fields, for ``KForm.d``.
+    ``brackets`` maps (e, a, b), 1-based, to the rational structure
+    constant c^e_{ab} of [d_a, d_b] = sum_e c^e_{ab} d_e; a missing entry
+    is 0.  The partner c^e_{ba} = -c^e_{ab} of each entry is filled in,
+    so the table is antisymmetric by construction.  An index out of range
+    raises IndexError; c^e_{aa}, an entry assigned twice with different
+    values (explicit zeros count) and a failing Jacobi identity raise
+    ValueError.  The field ``brackets`` is the full table, a nested tuple
+    of Fractions indexed [e][a][b] (0-based).  Immutable; equal and hashed
+    by (n, brackets).  Whether the bracket is abelian is decided once
+    here, outside the fields, for ``KForm.d``.
     """
 
     _fields = ("n", "brackets")
 
-    def __init__(self, n: int, brackets: tuple):
+    def __init__(self, n: int, brackets=None):
         if n < 1:
             raise ValueError("need dimension at least 1")
-        c = _frozen(brackets, (n, n, n), "structure constants")
-        Record.__init__(self, n, c)
-        self.__dict__["_abelian"] = not any(v for plane in c for row in plane for v in row)
-        bad = _first_unpaired(c, lambda x, y: x == -y, 3)
-        if bad is not None:
-            raise ValueError("structure constants not antisymmetric at c^%d_{%d%d}" % bad)
-        bad = _jacobi_defect(n, c)
-        if bad is not None:
-            raise ValueError("Jacobi identity fails at indices %s" % (bad,))
-
-    @classmethod
-    def from_struct(cls, n: int, entries) -> "LieAlgebra":
-        """Build from a sparse map {(e, a, b): rational}, 1-based indices.
-
-        The antisymmetric partner of every entry is filled in
-        automatically; an entry already assigned, zero included, that
-        differs from the new value raises.
-        """
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        assigned = {}
-        for (e, a, b), value in entries.items():
+        table = {}  # (e, a, b), 0-based -> c^e_ab, explicit zeros and partners included
+        for (e, a, b), value in (brackets or {}).items():
             if not (1 <= e <= n and 1 <= a <= n and 1 <= b <= n):
                 raise IndexError("structure constant index out of range: %s" % ((e, a, b),))
             if a == b:
                 raise ValueError("structure constant c^e_{aa} must vanish")
             value = Fraction(value)
-            for (x, y, v) in ((a, b, value), (b, a, -value)):
-                if assigned.setdefault((e, x, y), v) != v:
+            for x, y, v in ((a, b, value), (b, a, -value)):
+                if table.setdefault((e - 1, x - 1, y - 1), v) != v:
                     raise ValueError("conflicting structure constants at %s" % ((e, x, y),))
-                c[e - 1][x - 1][y - 1] = v
-        return cls(n, c)
+        zero, r = Fraction(0), range(n)
+        c = tuple(tuple(tuple(table.get((e, a, b), zero) for b in r) for a in r) for e in r)
+        Record.__init__(self, n, c)
+        nonzero = [key + (v,) for key, v in table.items() if v]
+        self.__dict__["_abelian"] = not nonzero
+        bad = _jacobi_defect(nonzero)
+        if bad is not None:
+            raise ValueError("Jacobi identity fails at indices %s" % (bad,))
 
     def bracket(self, e: int, a: int, b: int) -> Fraction:
         """c^e_{ab} with 1-based indices."""
@@ -135,7 +120,7 @@ class Calculus(Record):
 
     @classmethod
     def torus(cls, n: int, commutative: bool = False, brackets=None) -> "Calculus":
-        return cls(TorusAlgebra(n, commutative), LieAlgebra.from_struct(n, brackets or {}))
+        return cls(TorusAlgebra(n, commutative), LieAlgebra(n, brackets))
 
     def zero_form(self, degree: int) -> "KForm":
         return KForm(self, degree, {})

@@ -594,14 +594,14 @@ def test_relabelling_the_generators_commutes_with_the_solver(n, commutative):
     assert built >= 2
     # the bracket c^3_12 = 1 over the same algebra; few of its congruence
     # metrics are weakly symmetric, so draw until two are built
-    bracket = Calculus(alg, LieAlgebra.from_struct(n, {(3, 1, 2): 1}))
+    bracket = Calculus(alg, LieAlgebra(n, {(3, 1, 2): 1}))
     rng = random.Random(7300 + 10 * n + commutative)
     built = 0
     for _ in range(BRACKET_DRAWS):
         sigma = draw_relabelling(rng, n)
         metric = congruence_metric(bracket, *random_congruence_steps(rng, alg, 3))
         if weak_symmetry_defect(metric).is_zero():
-            image_lie = LieAlgebra.from_struct(n, {(sigma[2], sigma[0], sigma[1]): 1})
+            image_lie = LieAlgebra(n, {(sigma[2], sigma[0], sigma[1]): 1})
             assert_relabelling_commutes(metric, sigma, Calculus(alg, image_lie))
             built += 1
             if built == 2:

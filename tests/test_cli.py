@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nctorus import HermiticityError, ParseError, parse_element
+from nctorus import ParseError, parse_element
 from nctorus.cli import (
     COMMANDS,
     MAX_N,
@@ -70,8 +70,11 @@ def test_load_rejects_non_hermitian_param(tmp_path):
         "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.2 = 1\nh.3.3 = 1\n\n"
         "[params]\nX.1.1 = i\n\n[run]\ncommand = build-lc\n",
     )
-    with pytest.raises(HermiticityError):
+    with pytest.raises(ParseError) as info:
         load_config(path)
+    # the value's column
+    assert (info.value.line, info.value.col) == (10, 9)
+    assert info.value.message == "X.1.1 must be hermitian"
 
 
 def test_load_rejects_bad_index(tmp_path):
@@ -79,8 +82,10 @@ def test_load_rejects_bad_index(tmp_path):
         tmp_path,
         "[algebra]\nn = 3\n\n[metric]\nh.4.1 = 1\n\n[run]\ncommand = build-lc\n",
     )
-    with pytest.raises(IndexError):
+    with pytest.raises(ParseError) as info:
         load_config(path)
+    assert (info.value.line, info.value.col) == (5, 1)
+    assert info.value.message == "metric index 4 out of range 1..3"
 
 
 def diagonal_cfg(n, value="1"):

@@ -1,8 +1,9 @@
 """Config loading as the CLI sees it: every rejection names its line.
 
 The message table below pins, for each indexed prefix and each way a key
-or value can be wrong, the exact exception type, message and line that
-``load_config`` raises and the JSON error that ``main`` prints.  A seeded
+or value can be wrong, the exact message, line and column of the
+ParseError that ``load_config`` raises and the JSON error that ``main``
+prints.  A seeded
 fuzz test mutates the demo configs and checks that ``main`` always ends
 with an exit code, never with an uncaught exception.
 """
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nctorus.cli
-from nctorus import HermiticityError, ParseError
+from nctorus import ParseError
 from nctorus.cli import load_config, main, run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -56,12 +57,12 @@ def write_cfg(tmp_path, text, name="problem.cfg"):
     return path
 
 
-def assert_load_error(path, capsys, kind, message, line=None):
-    """``load_config`` raises exactly ``kind(message)``; ``main`` exits 1
+def assert_load_error(path, capsys, message, line=None):
+    """``load_config`` raises exactly ``ParseError(message)``; ``main`` exits 1
     with the matching JSON error on stderr and nothing on stdout."""
-    with pytest.raises(kind) as info:
+    with pytest.raises(ParseError) as info:
         load_config(path)
-    assert type(info.value) is kind
+    assert type(info.value) is ParseError
     assert str(info.value) == message
     if line is not None:
         assert info.value.line == line
@@ -72,7 +73,7 @@ def assert_load_error(path, capsys, kind, message, line=None):
     assert json.loads(out.err) == {
         "schema": 1,
         "status": "error",
-        "error": "%s: %s" % (kind.__name__, message),
+        "error": "ParseError: %s" % message,
     }
 
 
@@ -84,85 +85,79 @@ def non_integer(key):
     return "non-integer index in key %r" % key
 
 
-# prefix -> (section, config line, exception type, message without its line)
+# prefix -> (section, config line, column, message without its position): a
+# key is refused at column 1, a value that is not hermitian at its own column
 MESSAGES = {
     "c": [
-        ("lie", "c.3.1 = 1", ParseError, bad_key("c.3.1", "c", 3)),
-        ("lie", "d.3.1.2 = 1", ParseError, bad_key("d.3.1.2", "c", 3)),
-        ("lie", "c.3.1.x = 1", ParseError, non_integer("c.3.1.x")),
-        ("lie", "c.4.1.2 = 1", IndexError, "structure constant index 4 out of range 1..3"),
-        ("lie", "c.3.0.2 = 1", IndexError, "structure constant index 0 out of range 1..3"),
+        ("lie", "c.3.1 = 1", 1, bad_key("c.3.1", "c", 3)),
+        ("lie", "d.3.1.2 = 1", 1, bad_key("d.3.1.2", "c", 3)),
+        ("lie", "c.3.1.x = 1", 1, non_integer("c.3.1.x")),
+        ("lie", "c.4.1.2 = 1", 1, "structure constant index 4 out of range 1..3"),
+        ("lie", "c.3.0.2 = 1", 1, "structure constant index 0 out of range 1..3"),
     ],
     "h": [
-        ("metric", "h.1 = 1", ParseError, bad_key("h.1", "h", 2)),
-        ("metric", "g.1.2 = 1", ParseError, bad_key("g.1.2", "h", 2)),
-        ("metric", "h.1.y = 1", ParseError, non_integer("h.1.y")),
+        ("metric", "h.1 = 1", 1, bad_key("h.1", "h", 2)),
+        ("metric", "g.1.2 = 1", 1, bad_key("g.1.2", "h", 2)),
+        ("metric", "h.1.y = 1", 1, non_integer("h.1.y")),
         # indices are ASCII digits: no digit separator, no fullwidth digit
-        ("metric", "h.1_0.1 = 1", ParseError, non_integer("h.1_0.1")),
-        ("metric", "h.1.\uff12 = 1", ParseError, non_integer("h.1.\uff12")),
-        ("metric", "h. 1.1 = 1", ParseError, non_integer("h. 1.1")),
+        ("metric", "h.1_0.1 = 1", 1, non_integer("h.1_0.1")),
+        ("metric", "h.1.\uff12 = 1", 1, non_integer("h.1.\uff12")),
+        ("metric", "h. 1.1 = 1", 1, non_integer("h. 1.1")),
         # a signed index is read, and is out of range
-        ("metric", "h.-1.1 = 1", IndexError, "metric index -1 out of range 1..3"),
-        ("metric", "h.4.1 = 1", IndexError, "metric index 4 out of range 1..3"),
+        ("metric", "h.-1.1 = 1", 1, "metric index -1 out of range 1..3"),
+        ("metric", "h.4.1 = 1", 1, "metric index 4 out of range 1..3"),
     ],
     # an hinv key is named as written
     "hinv": [
-        ("metric", "hinv.1 = 1", ParseError, bad_key("hinv.1", "hinv", 2)),
-        ("metric", "hinv.1.y = 1", ParseError, non_integer("hinv.1.y")),
-        ("metric", "hinv.1.0_1 = 1", ParseError, non_integer("hinv.1.0_1")),
-        ("metric", "hinv.1.4 = 1", IndexError, "metric index 4 out of range 1..3"),
+        ("metric", "hinv.1 = 1", 1, bad_key("hinv.1", "hinv", 2)),
+        ("metric", "hinv.1.y = 1", 1, non_integer("hinv.1.y")),
+        ("metric", "hinv.1.0_1 = 1", 1, non_integer("hinv.1.0_1")),
+        ("metric", "hinv.1.4 = 1", 1, "metric index 4 out of range 1..3"),
     ],
     "X": [
-        ("params", "X.1 = 1", ParseError, bad_key("X.1", "X", 2)),
-        ("params", "X.1.z = 1", ParseError, non_integer("X.1.z")),
-        ("params", "X.1.\u0661 = 1", ParseError, non_integer("X.1.\u0661")),
-        ("params", "X.0.1 = 1", IndexError, "X index 0 out of range 1..3"),
-        ("params", "X.1.2 = i", HermiticityError, "X.1.2 must be hermitian"),
-        ("params", "Y.1.2 = 1", ParseError, "unknown key 'Y.1.2' in [params]"),
+        ("params", "X.1 = 1", 1, bad_key("X.1", "X", 2)),
+        ("params", "X.1.z = 1", 1, non_integer("X.1.z")),
+        ("params", "X.1.\u0661 = 1", 1, non_integer("X.1.\u0661")),
+        ("params", "X.0.1 = 1", 1, "X index 0 out of range 1..3"),
+        ("params", "X.1.2 = i", 9, "X.1.2 must be hermitian"),
+        ("params", "Y.1.2 = 1", 1, "unknown key 'Y.1.2' in [params]"),
     ],
     "H": [
-        ("params", "H.1.2 = 1", ParseError, bad_key("H.1.2", "H", 3)),
-        ("params", "H.1.2.z = 1", ParseError, non_integer("H.1.2.z")),
-        ("params", "H.1.2.4 = 1", IndexError, "H index 4 out of range 1..3"),
-        ("params", "H.2.1.3 = 1", ParseError, "H key indices must be strictly increasing"),
-        ("params", "H.1.1.2 = 1", ParseError, "H key indices must be strictly increasing"),
-        ("params", "H.1.2.2 = 1", ParseError, "H key indices must be strictly increasing"),
-        ("params", "H.1.2.3 = i", HermiticityError, "H.1.2.3 must be hermitian"),
+        ("params", "H.1.2 = 1", 1, bad_key("H.1.2", "H", 3)),
+        ("params", "H.1.2.z = 1", 1, non_integer("H.1.2.z")),
+        ("params", "H.1.2.4 = 1", 1, "H index 4 out of range 1..3"),
+        ("params", "H.2.1.3 = 1", 1, "H key indices must be strictly increasing"),
+        ("params", "H.1.1.2 = 1", 1, "H key indices must be strictly increasing"),
+        ("params", "H.1.2.2 = 1", 1, "H key indices must be strictly increasing"),
+        ("params", "H.1.2.3 = i", 11, "H.1.2.3 must be hermitian"),
     ],
     # [params] has no A keys: well formed or not, each is an unknown key
     "A": [
-        ("params", "A.1.1 = i", ParseError, "unknown key 'A.1.1' in [params]"),
-        ("params", "A.1.1.z = i", ParseError, "unknown key 'A.1.1.z' in [params]"),
-        ("params", "A.4.1.1 = i", ParseError, "unknown key 'A.4.1.1' in [params]"),
-        ("params", "A.1.1.2 = 1", ParseError, "unknown key 'A.1.1.2' in [params]"),
+        ("params", "A.1.1 = i", 1, "unknown key 'A.1.1' in [params]"),
+        ("params", "A.1.1.z = i", 1, "unknown key 'A.1.1.z' in [params]"),
+        ("params", "A.4.1.1 = i", 1, "unknown key 'A.4.1.1' in [params]"),
+        ("params", "A.1.1.2 = 1", 1, "unknown key 'A.1.1.2' in [params]"),
     ],
     "gamma": [
-        ("connection", "gamma.1.1 = 1", ParseError, bad_key("gamma.1.1", "gamma", 3)),
-        ("connection", "G.1.1.1 = 1", ParseError, bad_key("G.1.1.1", "gamma", 3)),
-        ("connection", "gamma.1.z.1 = 1", ParseError, non_integer("gamma.1.z.1")),
-        ("connection", "gamma.1.1.4 = 1", IndexError, "gamma index 4 out of range 1..3"),
+        ("connection", "gamma.1.1 = 1", 1, bad_key("gamma.1.1", "gamma", 3)),
+        ("connection", "G.1.1.1 = 1", 1, bad_key("G.1.1.1", "gamma", 3)),
+        ("connection", "gamma.1.z.1 = 1", 1, non_integer("gamma.1.z.1")),
+        ("connection", "gamma.1.1.4 = 1", 1, "gamma index 4 out of range 1..3"),
     ],
 }
 CASES = [
-    pytest.param(section, line, kind, message, id="%s:%s" % (prefix, line.split(" =")[0]))
+    pytest.param(section, line, col, message, id="%s:%s" % (prefix, line.split(" =")[0]))
     for prefix, rows in MESSAGES.items()
-    for section, line, kind, message in rows
+    for section, line, col, message in rows
 ]
 
 
-def expected_message(kind, message, line):
-    """The full text of each kind of error for an entry on ``line``."""
-    if kind is ParseError:
-        return "%s at line %d, column 1" % (message, line)
-    return "%s (line %d)" % (message, line)
-
-
-@pytest.mark.parametrize("section,line,kind,message", CASES)
-def test_indexed_key_errors(tmp_path, capsys, section, line, kind, message):
+@pytest.mark.parametrize("section,line,col,message", CASES)
+def test_indexed_key_errors(tmp_path, capsys, section, line, col, message):
     text, lineno = config_text({section: [line]})
     path = write_cfg(tmp_path, text)
-    full = expected_message(kind, message, lineno)
-    assert_load_error(path, capsys, kind, full, lineno if kind is ParseError else None)
+    full = "%s at line %d, column %d" % (message, lineno, col)
+    assert_load_error(path, capsys, full, lineno)
 
 
 def test_index_longer_than_int_converts_is_no_integer(tmp_path, capsys):
@@ -170,8 +165,8 @@ def test_index_longer_than_int_converts_is_no_integer(tmp_path, capsys):
     # than sys.get_int_max_str_digits() (4300 by default)
     key = "h.%s.1" % ("9" * 5000)
     text, lineno = config_text({"metric": [key + " = 1"]})
-    full = expected_message(ParseError, non_integer(key), lineno)
-    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
+    full = "%s at line %d, column 1" % (non_integer(key), lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, full, lineno)
 
 
 # the module has the size n of the calculus; [metric] has no key naming it
@@ -191,7 +186,7 @@ N_KEY = "bad key 'N', expected h with 2 indices"
 def test_rank_bounds_matrix_indices(tmp_path, capsys, section, line, message):
     text, lineno = config_text({section: [line]}, SIZE_2)
     path = write_cfg(tmp_path, text)
-    assert_load_error(path, capsys, IndexError, "%s (line %d)" % (message, lineno))
+    assert_load_error(path, capsys, "%s at line %d, column 1" % (message, lineno), lineno)
 
 
 def test_smaller_rank_is_refused_at_its_line(tmp_path, capsys):
@@ -202,7 +197,7 @@ def test_smaller_rank_is_refused_at_its_line(tmp_path, capsys):
     )
     assert text.splitlines()[4] == "N = 2"
     message = "%s at line 5, column 1" % N_KEY
-    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, message, 5)
+    assert_load_error(write_cfg(tmp_path, text), capsys, message, 5)
 
 
 @pytest.mark.parametrize("line", ["N = 3", "N = x", "N = -1", "N = 17", "N = 0_3"])
@@ -210,7 +205,7 @@ def test_metric_n_key_is_refused(tmp_path, capsys, line):
     # N is not a key of [metric], whatever its value, even n itself
     text, lineno = config_text({"metric": [line]})
     message = "%s at line %d, column 1" % (N_KEY, lineno)
-    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, message, lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, message, lineno)
 
 
 @pytest.mark.parametrize(
@@ -231,7 +226,7 @@ def test_size_errors(tmp_path, capsys, name, section, line, message):
     text, lineno = config_text({section: [line]}, base)
     path = write_cfg(tmp_path, text)
     full = "%s at line %d, column 1" % (message, lineno)
-    assert_load_error(path, capsys, ParseError, full, lineno)
+    assert_load_error(path, capsys, full, lineno)
 
 
 @pytest.mark.parametrize(
@@ -288,7 +283,7 @@ def test_expression_error_names_one_position(tmp_path, capsys, section, line, re
     path = write_cfg(tmp_path, text)
     value = line.partition("=")[2].strip(" \t")
     full = "in expression %r: %s at line %d, column %d" % (value, reason, lineno, col)
-    assert_load_error(path, capsys, ParseError, full, lineno)
+    assert_load_error(path, capsys, full, lineno)
 
 
 def test_ascii_whitespace_is_stripped(tmp_path):
@@ -299,10 +294,10 @@ def test_ascii_whitespace_is_stripped(tmp_path):
 def test_missing_n_and_command(tmp_path, capsys):
     text, _ = config_text({}, dict(BASE, algebra=["commutative = false"]))
     path = write_cfg(tmp_path, text)
-    assert_load_error(path, capsys, ParseError, "missing required key 'n' in [algebra]")
+    assert_load_error(path, capsys, "missing required key 'n' in [algebra]")
     text, _ = config_text({}, dict(BASE, run=[]))
     path = write_cfg(tmp_path, text)
-    assert_load_error(path, capsys, ParseError, "missing required key 'command' in [run]")
+    assert_load_error(path, capsys, "missing required key 'command' in [run]")
 
 
 # -- one entry per index tuple ---------------------------------------------------------
@@ -338,14 +333,14 @@ def test_repeated_entry_is_rejected(tmp_path, capsys, section, first, second, me
     text, lineno = config_text({section: [first, second]})
     path = write_cfg(tmp_path, text)
     full = "%s at line %d, column 1" % (message, lineno)
-    assert_load_error(path, capsys, ParseError, full, lineno)
+    assert_load_error(path, capsys, full, lineno)
 
 
 def test_repeated_base_entry_is_rejected(tmp_path, capsys):
     # h.1.1 = 1 is in the base config
     text, lineno = config_text({"metric": ["h.01.1 = 5"]})
     full = "%s at line %d, column 1" % (repeated("h.01.1", (1, 1)), lineno)
-    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, full, lineno)
 
 
 
@@ -362,7 +357,7 @@ def test_conflicting_structure_constants_are_refused(tmp_path, capsys, lines, wh
     # negation conflicts with it, whichever comes first
     text, _ = config_text({"lie": lines})
     message = "bad [lie] section: conflicting structure constants at %s" % (where,)
-    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, message)
+    assert_load_error(write_cfg(tmp_path, text), capsys, message)
 
 
 # -- unknown sections and keys ----------------------------------------------------------
@@ -373,7 +368,7 @@ def test_unknown_section_is_rejected(tmp_path, capsys):
     text += "[parms]\nX.1.1 = i\n"
     lineno = text.splitlines().index("[parms]") + 1
     full = "unknown section [parms] at line %d, column 1" % lineno
-    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, full, lineno)
 
 
 @pytest.mark.parametrize(
@@ -383,7 +378,7 @@ def test_unknown_section_is_rejected(tmp_path, capsys):
 def test_unknown_plain_key_is_rejected(tmp_path, capsys, section, line, key):
     text, lineno = config_text({section: [line]})
     full = "unknown key %r in [%s] at line %d, column 1" % (key, section, lineno)
-    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, full, lineno)
 
 
 @pytest.mark.parametrize(
@@ -398,7 +393,7 @@ def test_unknown_plain_key_is_rejected(tmp_path, capsys, section, line, key):
 def test_bad_plain_line_is_rejected(tmp_path, capsys, section, line, message):
     text, lineno = config_text({section: [line]})
     full = "%s at line %d, column 1" % (message, lineno)
-    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, full, lineno)
 
 
 def test_header_with_trailing_comment_is_rejected(tmp_path, capsys):
@@ -406,7 +401,7 @@ def test_header_with_trailing_comment_is_rejected(tmp_path, capsys):
     text += "[params]  # all optional\n"
     lineno = len(text.splitlines())
     full = "expected 'key = value' at line %d, column 1" % lineno
-    assert_load_error(write_cfg(tmp_path, text), capsys, ParseError, full, lineno)
+    assert_load_error(write_cfg(tmp_path, text), capsys, full, lineno)
 
 
 # -- inputs that once escaped as tracebacks ---------------------------------------------
@@ -458,7 +453,7 @@ def test_non_utf8_byte_is_rejected(tmp_path, capsys, where):
     path = tmp_path / "latin1.cfg"
     path.write_bytes(b"\n".join(lines))
     full = "not valid UTF-8 at line %d, column %d" % (lineno, col)
-    assert_load_error(path, capsys, ParseError, full, lineno)
+    assert_load_error(path, capsys, full, lineno)
 
 
 # -- the documented reference ----------------------------------------------------------
@@ -562,8 +557,4 @@ def test_mutated_demo_configs_end_with_an_exit_code(data):
         payload = json.loads(err.getvalue())
         assert payload["schema"] == 1
         assert payload["status"] == "error"
-        assert payload["error"].split(":")[0] in (
-            "ParseError",
-            "IndexError",
-            "HermiticityError",
-        )
+        assert payload["error"].split(":")[0] == "ParseError"

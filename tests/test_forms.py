@@ -293,16 +293,23 @@ def test_dual_basis_from_generators(calc3):
 
 def test_lie_algebra_validation():
     with pytest.raises(ValueError):
-        # antisymmetry violated
-        LieAlgebra(2, (((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),) * 2)
-    with pytest.raises(ValueError):
         # Jacobi violated: [d1,d2] = d1, [d1,d3] = d2
-        LieAlgebra.from_struct(3, {(1, 1, 2): 1, (2, 1, 3): 1})
-    lie = LieAlgebra.from_struct(3, HEISENBERG)
+        LieAlgebra(3, {(1, 1, 2): 1, (2, 1, 3): 1})
+    lie = LieAlgebra(3, HEISENBERG)
     assert lie.bracket(3, 1, 2) == 1
     assert lie.bracket(3, 2, 1) == -1
     assert not lie.is_abelian()
 
+
+
+@pytest.mark.parametrize(
+    "key", [(0, 1, 2), (4, 1, 2), (1, 0, 2), (1, 4, 2), (1, 2, 0), (1, 2, 4)]
+)
+def test_structure_constant_index_out_of_range(key):
+    # each of e, a and b is refused below 1 and above n
+    with pytest.raises(IndexError) as info:
+        LieAlgebra(3, {(3, 1, 2): 1, key: 1})
+    assert str(info.value) == "structure constant index out of range: %s" % (key,)
 
 
 @pytest.mark.parametrize(
@@ -318,15 +325,15 @@ def test_explicit_zero_conflicts_with_its_partner(entries, where):
     # an explicit zero is an assignment: its antisymmetric partner must be
     # zero too, in either order
     with pytest.raises(ValueError) as info:
-        LieAlgebra.from_struct(3, entries)
+        LieAlgebra(3, entries)
     assert str(info.value) == "conflicting structure constants at %s" % (where,)
 
 
 def test_consistent_explicit_entries_are_accepted():
-    zero = LieAlgebra.from_struct(3, {(3, 1, 2): 0, (3, 2, 1): 0})
-    assert zero.is_abelian() and zero == LieAlgebra.from_struct(3, {})
-    both = LieAlgebra.from_struct(3, {(3, 1, 2): 1, (3, 2, 1): -1})
-    assert both == LieAlgebra.from_struct(3, HEISENBERG)
+    zero = LieAlgebra(3, {(3, 1, 2): 0, (3, 2, 1): 0})
+    assert zero.is_abelian() and zero == LieAlgebra(3, {})
+    both = LieAlgebra(3, {(3, 1, 2): 1, (3, 2, 1): -1})
+    assert both == LieAlgebra(3, HEISENBERG)
 
 
 def _jacobi_reference(n, c):
@@ -362,13 +369,13 @@ def test_jacobi_failure_names_first_failing_indices():
             c[e - 1][a - 1][b - 1], c[e - 1][b - 1][a - 1] = v, -v
         expected = _jacobi_reference(n, c)
         if expected is None:
-            assert LieAlgebra.from_struct(n, entries).brackets == tuple(
+            assert LieAlgebra(n, entries).brackets == tuple(
                 tuple(tuple(row) for row in plane) for plane in c
             )
             continue
         failures += 1
         with pytest.raises(ValueError) as excinfo:
-            LieAlgebra.from_struct(n, entries)
+            LieAlgebra(n, entries)
         assert str(excinfo.value) == "Jacobi identity fails at indices %s" % (expected,)
     assert failures >= 20
 
@@ -388,6 +395,43 @@ def test_d_degree_one_bracket_term(heis, rng):
     dom = om.d()
     expected = om(2).derive(1) - om(1).derive(2) - om(3)
     assert dom(1, 2) == expected
+
+
+def alternating_sum_d(form):
+    """d form by the invariant formula, at every increasing index tuple:
+    sum_i (-1)^i d_i form(.. no i ..) plus, over i < j,
+    (-1)^(i+j) form([d_i, d_j], .. no i, j ..) with the bracket expanded."""
+    calc, k = form.calculus, form.degree
+    comps = {}
+    for key in combinations(range(1, calc.n + 1), k + 1):
+        total = calc.algebra.zero()
+        for i, b in enumerate(key):
+            total += (-1) ** i * form(*(key[:i] + key[i + 1 :])).derive(b)
+        for i, j in combinations(range(k + 1), 2):
+            rest = tuple(x for p, x in enumerate(key) if p not in (i, j))
+            for e in range(1, calc.n + 1):
+                c = calc.lie.bracket(e, key[i], key[j])
+                total += (-1) ** (i + j) * c * form(e, *rest)
+        comps[key] = total
+    return KForm(calc, k + 1, comps)
+
+
+D_BRACKETS = {
+    "heisenberg": HEISENBERG,
+    # [d1, d3] = d1: a 2-form's bracket term at (i, j) = (0, 2) is nonzero
+    "affine": {(1, 1, 3): 1},
+    "so3": {(3, 1, 2): 1, (1, 2, 3): 1, (2, 3, 1): 1},
+}
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(D_BRACKETS))
+def test_d_matches_alternating_sum(name, degree):
+    calc = Calculus.torus(3, brackets=D_BRACKETS[name])
+    rng = random.Random("d/%s/%d" % (name, degree))
+    for _ in range(3):
+        om = random_form(rng, calc, degree, max_exp=1)
+        assert om.d() == alternating_sum_d(om)
 
 
 def test_kform_rejects_foreign_elements(calc3):

@@ -836,13 +836,13 @@ def bracket_diagonal_metric_5():
 
 
 # Element calls with only zero operands during one build_levi_civita.  Those
-# left are the stars of a zero product y in a pairing entry x + y* of the
-# one pairing T_h(gamma), which the compatibility defect forms and the
-# characterization reads (forming it in both gave 6 and 8 stars), and stars
-# and partial sums inside a triple or a cyclic sum that has a nonzero
-# entry.  A pairing entry that cancels to zero is left at the shared zero
-# with no mirror star (starring it gave block-6-triples 60 more stars and
-# bracket-5 3 more).  Torsion reads wedge(gamma) - d and forms no (0 - 0) - d
+# left are stars and partial sums inside a triple or a cyclic sum that has
+# a nonzero entry.  A pairing entry x + y* of the one pairing T_h(gamma),
+# which the compatibility defect forms and the characterization reads, is x
+# itself when the product y is zero (starring that zero gave both block-6
+# builds 3 stars), and an entry that cancels to zero is left at the shared
+# zero with no mirror star (starring it gave block-6-triples 60 more stars
+# and bracket-5 3 more).  Torsion reads wedge(gamma) - d and forms no (0 - 0) - d
 # (forming it gave bracket-5 four __sub__).  The d(rho) gate (KForm.d)
 # skips a zero derivative or bracket term, the solvability check a triple
 # whose three F entries are zero, solve_R a forced entry (R_a)_ab whose X
@@ -860,11 +860,11 @@ def bracket_diagonal_metric_5():
 ALL_ZERO_CALLS = {
     "block-6": {
         "__mul__": 0, "__add__": 0, "__sub__": 0, "__neg__": 0,
-        "star": 3, "derive": 0, "__eq__": 0,
+        "star": 0, "derive": 0, "__eq__": 0,
     },
     "block-6-triples": {
         "__mul__": 0, "__add__": 0, "__sub__": 0, "__neg__": 0,
-        "star": 3, "derive": 0, "__eq__": 0,
+        "star": 0, "derive": 0, "__eq__": 0,
     },
     "bracket-5": {
         "__mul__": 0, "__add__": 3, "__sub__": 2, "__neg__": 0,
