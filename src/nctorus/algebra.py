@@ -31,9 +31,7 @@ returns nested tuples of the right shape whose leaves all live over the
 very algebra instance, which is every array the package froze itself,
 after one pass that builds nothing.  ``_first_unpaired`` skips a pair of
 two zero elements, because every relation it is given (hermitian,
-antisymmetric, equal) holds on (0, 0).  The antisymmetric relation reads
-x == -y through ``_is_negation``, which compares the numerators and the
-denominator in place and forms no -y.  The hermitian one, x* == y
+antisymmetric, equal) holds on (0, 0).  The hermitian relation, x* == y
 through ``_is_adjoint``, forms x*, which the element keeps (below).  No
 array is checked for antihermiticity: the solver's one antihermitian
 array, i U, is so because U = h R h and R passed the hermitian check.
@@ -48,6 +46,8 @@ adds them so, in the order of its general loop, without slicing or
 building a key; the constant diagonals of block and diagonal metrics,
 the constant pivots of L D L* metrics, the identity half of the
 augmented elimination and scalar parameters all take this path.  A
+Python scalar factor (int, Fraction or GaussianRational) becomes that
+constant, as an operand of + and - does, and takes the same path.  A
 q-phase such as q[1,2] has a nonzero key and takes the general loop.
 A constant equals its int, Fraction or GaussianRational value and hashes
 as that value; two constants over different algebras compare by value
@@ -137,7 +137,7 @@ class TorusAlgebra(Record):
         return self._zero
 
     def one(self) -> "AlgebraElement":
-        return self.scalar(1)
+        return self._constant(1)
 
     def scalar(self, re, im=0) -> "AlgebraElement":
         """The scalar re + im*i, or the GaussianRational ``re`` with no ``im``."""
@@ -145,7 +145,15 @@ class TorusAlgebra(Record):
             re = GaussianRational(re, im)
         elif im != 0:
             raise TypeError("scalar takes no im with a GaussianRational re")
-        return self.monomial(re, (0,) * self.n)
+        return self._constant(re)
+
+    def _constant(self, c) -> "AlgebraElement":
+        """The constant c, an int, Fraction or GaussianRational: its one
+        term at the all-zero key, or the shared zero."""
+        re, im, den = _gaussian_parts(c)
+        if not (re or im):
+            return self._zero
+        return AlgebraElement(self, {self._one_key: (re, im)}, den)
 
     def i(self) -> "AlgebraElement":
         return self.scalar(0, 1)
@@ -239,7 +247,7 @@ class AlgebraElement:
             self._check_same(value)
             return value
         if isinstance(value, _SCALARS):
-            return self.algebra.scalar(value)
+            return self.algebra._constant(value)
         return None
 
     def _normal(self, acc: dict, den: int, nonzero: bool = False) -> "AlgebraElement":
@@ -368,25 +376,10 @@ class AlgebraElement:
         return other - self
 
     def __mul__(self, other):
-        if other.__class__ is not AlgebraElement:
-            if isinstance(other, _SCALARS):
-                if not self.terms:
-                    return self
-                cr, ci, cd = _gaussian_parts(other)
-                if not (cr or ci):
-                    return self.algebra._zero
-                return self._normal(
-                    {
-                        key: (re * cr - im * ci, re * ci + im * cr)
-                        for key, (re, im) in self.terms.items()
-                    },
-                    self.den * cd,
-                    True,
-                )
-            if not isinstance(other, AlgebraElement):
+        if other.__class__ is not AlgebraElement or other.algebra is not self.algebra:
+            other = self._coerce(other)
+            if other is None:
                 return NotImplemented
-        if other.algebra is not self.algebra:
-            self._check_same(other)
         if not self.terms:
             return self
         if not other.terms:
@@ -477,7 +470,7 @@ class AlgebraElement:
     def __eq__(self, other):
         if other.__class__ is not AlgebraElement:
             if isinstance(other, _SCALARS):
-                other = self.algebra.scalar(other)
+                other = self.algebra._constant(other)
             elif not isinstance(other, AlgebraElement):
                 return NotImplemented
         if self.algebra is other.algebra or self.algebra == other.algebra:
@@ -641,7 +634,7 @@ def _is_frozen(x, shape, algebra):
     """True when ``x`` is nested tuples of exactly ``shape`` whose leaves
     are all AlgebraElements over the instance ``algebra``: one pass that
     builds nothing.  The last two axes are walked in one frame, row by
-    row."""
+    row, so a shape of one axis, which no caller passes, reads False."""
     if len(shape) > 2:
         if x.__class__ is not tuple or len(x) != shape[0]:
             return False
@@ -652,14 +645,10 @@ def _is_frozen(x, shape, algebra):
         return True
     if not shape:
         return x.__class__ is AlgebraElement and x.algebra is algebra
-    if len(shape) == 1:
-        rows = (x,)
-    elif x.__class__ is not tuple or len(x) != shape[0]:
+    if x.__class__ is not tuple or len(x) != shape[0]:
         return False
-    else:
-        rows = x
     width = shape[-1]
-    for row in rows:
+    for row in x:
         if row.__class__ is not tuple or len(row) != width:
             return False
         for y in row:
@@ -721,21 +710,6 @@ def _is_adjoint(x, y) -> bool:
     """x* == y: the hermitian pairing of entries (i, j) and (j, i).  The
     adjoint is formed, because ``star`` keeps it for later reads."""
     return x.star() == y
-
-
-def _is_negation(x, y) -> bool:
-    """x == -y for two elements over equal algebras, with no -y formed:
-    the denominators are equal and each numerator of ``y`` is, negated,
-    the numerator of ``x`` at the same key, with no key of ``x`` left."""
-    xt, yt = x.terms, y.terms
-    if x.den != y.den or len(xt) != len(yt):
-        return False
-    get = xt.get
-    for key, (re, im) in yt.items():
-        value = get(key)
-        if value is None or value[0] != -re or value[1] != -im:
-            return False
-    return True
 
 
 def _first_unpaired(x, related, ndim):

@@ -246,9 +246,11 @@ def load_config(path) -> ProblemConfig:
     """Load and fully validate a config file.
 
     Every rejection is a ParseError.  One caused by a line names it: an
-    index out of range at column 1, an X or H parameter that is not
-    hermitian at its value's column.  A missing required key and a
-    ``[lie]`` section that is no Lie algebra name no line.
+    index out of range, a structure constant c^e_aa and one that
+    conflicts with an earlier key's partner at column 1, an X or H
+    parameter that is not hermitian at its value's column.  A missing
+    required key and a ``[lie]`` section that fails the Jacobi identity
+    name no line.
     """
     sections = _read_sections(path)
 
@@ -260,7 +262,7 @@ def load_config(path) -> ProblemConfig:
         raise ParseError("commutative must be true or false", lineno, 1)
     commutative = text == "true"
 
-    brackets = {}
+    brackets, bracket_lines = {}, {}
     for key, (value, lineno, _) in sections.get("lie", {}).items():
         index = _index(key, "c", (n, n, n), "structure constant", lineno, brackets)
         if not _RATIONAL.fullmatch(value):
@@ -270,11 +272,16 @@ def load_config(path) -> ProblemConfig:
                 lineno,
                 1,
             )
-        brackets[index] = value
+        brackets[index], bracket_lines[index] = value, lineno
     try:
         calculus = Calculus.torus(n, commutative, brackets or None)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("bad [lie] section: %s" % exc) from exc
+        # an entry that LieAlgebra refuses names its key; the Jacobi
+        # identity fails for the whole section
+        lineno = bracket_lines.get(getattr(exc, "key", None))
+        raise ParseError(
+            "bad [lie] section: %s" % exc, lineno, None if lineno is None else 1
+        ) from exc
     zero = calculus.algebra.zero()
 
     upper, lower = {}, {}

@@ -52,6 +52,14 @@ def _jacobi_defect(nonzero):
     return tuple(idx + 1 for idx in min(failing))
 
 
+def _entry_error(message, key):
+    """A ValueError refusing the bracket entry ``key``, (e, a, b) 1-based
+    as given, which it carries as ``key``."""
+    error = ValueError(message)
+    error.key = key
+    return error
+
+
 class LieAlgebra(Record):
     """An n-dimensional Lie algebra with a hermitian basis d_1, ..., d_n.
 
@@ -61,10 +69,11 @@ class LieAlgebra(Record):
     so the table is antisymmetric by construction.  An index out of range
     raises IndexError; c^e_{aa}, an entry assigned twice with different
     values (explicit zeros count) and a failing Jacobi identity raise
-    ValueError.  The field ``brackets`` is the full table, a nested tuple
-    of Fractions indexed [e][a][b] (0-based).  Immutable; equal and hashed
-    by (n, brackets).  Whether the bracket is abelian is decided once
-    here, outside the fields, for ``KForm.d``.
+    ValueError, the first two with the key (e, a, b) of the entry as the
+    error's ``key``.  The field ``brackets`` is the full table, a nested
+    tuple of Fractions indexed [e][a][b] (0-based).  Immutable; equal and
+    hashed by (n, brackets).  Whether the bracket is abelian is decided
+    once here, outside the fields, for ``KForm.d``.
     """
 
     _fields = ("n", "brackets")
@@ -77,11 +86,13 @@ class LieAlgebra(Record):
             if not (1 <= e <= n and 1 <= a <= n and 1 <= b <= n):
                 raise IndexError("structure constant index out of range: %s" % ((e, a, b),))
             if a == b:
-                raise ValueError("structure constant c^e_{aa} must vanish")
+                raise _entry_error("structure constant c^e_{aa} must vanish", (e, a, b))
             value = Fraction(value)
             for x, y, v in ((a, b, value), (b, a, -value)):
                 if table.setdefault((e - 1, x - 1, y - 1), v) != v:
-                    raise ValueError("conflicting structure constants at %s" % ((e, x, y),))
+                    raise _entry_error(
+                        "conflicting structure constants at %s" % ((e, x, y),), (e, a, b)
+                    )
         zero, r = Fraction(0), range(n)
         c = tuple(tuple(tuple(table.get((e, a, b), zero) for b in r) for a in r) for e in r)
         Record.__init__(self, n, c)
@@ -234,10 +245,7 @@ class KForm(Record):
         if isinstance(other, AlgebraElement):
             return KForm.of_element(self.calculus, other)
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return KForm.of_element(
-                self.calculus,
-                self.calculus.algebra.scalar(GaussianRational.coerce(other)),
-            )
+            return KForm.of_element(self.calculus, self.calculus.algebra.scalar(other))
         return None
 
     def __mul__(self, other):

@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from .algebra import _first_unpaired, _frozen, _is_adjoint, _is_negation, matmul
+from .algebra import _first_unpaired, _frozen, _is_adjoint, matmul
 from .connections import (
     Connection,
     antisymmetrize,
@@ -179,7 +179,7 @@ def solve_R(calculus: Calculus, F, params: SolverParams) -> tuple:
     """
     n = calculus.n
     F = _frozen(F, (n, n, n), "F", calculus.algebra)
-    bad = _first_unpaired(F, _is_negation, 3)
+    bad = _first_unpaired(F, lambda x, y: x == -y, 3)
     if bad is not None:
         raise ValueError("F is not antisymmetric at (%d, %d, %d)" % bad)
     violation = solvability_check(F)

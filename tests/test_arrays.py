@@ -12,8 +12,7 @@ components of a ``KForm`` go through the same leaf check.
 """
 
 from fractions import Fraction
-from itertools import chain, product
-from math import gcd
+from itertools import product
 import operator
 import random
 import sys
@@ -37,9 +36,9 @@ from nctorus import (
     solve_R,
 )
 import nctorus.algebra as algebra_module
-from nctorus.algebra import _first_unpaired, _frozen, _is_negation
+from nctorus.algebra import _first_unpaired, _frozen
 
-from conftest import random_block_metric, random_element
+from conftest import random_block_metric
 
 CALC = Calculus.torus(3)
 ALG = CALC.algebra
@@ -310,9 +309,28 @@ def test_frozen_returns_frozen_input_as_it_is():
     out = _frozen(rows, (N, N), "upper", ALG)
     assert out == plane and type(out) is tuple
     assert all(a is b for a, b in zip(out, rows))
-    # a level of the wrong length is refused even when it is a tuple
-    with pytest.raises(ValueError, match=r"^F must be an n x n x n array$"):
-        _frozen((plane, plane, plane[:2]), (N, N, N), "F", ALG)
+    # a tuple of the wrong rank, or with a level of the wrong length, is
+    # refused, also when every part of it is wrong alike
+    ragged = tuple(row[:2] for row in plane)
+    for x, shape in (
+        ((plane, plane, plane[:2]), (N, N, N)),
+        ((plane, plane), (N, N, N)),
+        ((ragged,) * N, (N, N, N)),
+        (plane, (N, N, N)),
+        (plane[:2], (N, N)),
+        (plane[0], (N, N)),
+        (one, (N, N)),
+    ):
+        dims = " x ".join("n" * len(shape))
+        with pytest.raises(ValueError, match=r"^F must be an %s array$" % dims):
+            _frozen(x, shape, "F", ALG)
+    # and so is one whose every leaf is an int or lives over another algebra
+    with pytest.raises(TypeError) as info:
+        _frozen(((1,) * N,) * N, (N, N), "upper", ALG)
+    assert str(info.value) == "upper[1][1] has type int, not AlgebraElement"
+    with pytest.raises(DescriptorMismatch) as info:
+        _frozen(((FOREIGN,) * N,) * N, (N, N), "upper", ALG)
+    assert str(info.value) == "upper[1][1] lives over %r, not %r" % (FOREIGN.algebra, ALG)
 
 
 @pytest.mark.parametrize("frozen", (False, True), ids=("lists", "tuples"))
@@ -342,50 +360,6 @@ def test_frozen_names_the_same_leaf_for_lists_and_tuples(frozen):
     with pytest.raises(ParamViolation) as info:
         _frozen(shaped(upper), (N, N), "X", ALG, (ParamViolation, ParamViolation))
     assert str(info.value) == "X[3][2] has type Fraction, not AlgebraElement"
-
-
-# -- the negation test of the antisymmetric and antihermitian relations -----------
-
-
-def negation_cases(rng, alg):
-    """(name, x, y, holds) pairs for the relation x == -y of ``_is_negation``:
-    y = -x, then y with one numerator changed, one key moved or another
-    denominator, and zero against nonzero."""
-    for _ in range(12):
-        x = alg.zero()
-        while len(x.terms) < 2:
-            x = random_element(rng, alg, max_terms=4)
-        y = -x
-        yield "negation", x, y, True
-        key = rng.choice(sorted(y.terms))
-        terms = dict(y.terms)
-        re, im = terms[key]
-        terms[key] = (re + y.den, im) if re + y.den else (re - y.den, im)
-        yield "numerator", x, AlgebraElement(alg, terms, y.den), False
-        terms = dict(y.terms)
-        moved = (key[0] + 7,) + key[1:]
-        terms[moved] = terms.pop(key)
-        yield "key", x, AlgebraElement(alg, terms, y.den), False
-        den = next(p for p in (7, 11, 13) if gcd(p, *chain.from_iterable(y.terms.values())) == 1)
-        yield "denominator", x, AlgebraElement(alg, dict(y.terms), y.den * den), False
-        yield "zero-right", x, alg.zero(), False
-        yield "zero-left", alg.zero(), x, False
-    yield "zeros", alg.zero(), alg.zero(), True
-
-
-@pytest.mark.parametrize("commutative", (False, True), ids=("q", "commutative"))
-def test_is_negation_agrees_with_the_literal_relations(commutative):
-    alg = TorusAlgebra(3, commutative=commutative)
-    rng = random.Random("is-negation/%s" % commutative)
-    names = set()
-    for name, x, y, holds in negation_cases(rng, alg):
-        # the antisymmetric relation x == -y
-        assert _is_negation(x, y) is (x == -y) is holds, name
-        # the antihermitian relation w* == -y, on the w with w* == x
-        w = x.star()
-        assert _is_negation(w.star(), y) is (w.star() == -y) is holds, name
-        names.add(name)
-    assert len(names) == 7
 
 
 def nested_tuples(x, depth):

@@ -345,19 +345,27 @@ def test_repeated_base_entry_is_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "lines, where",
+    "lines, error",
     [
-        (["c.3.1.2 = 0", "c.3.2.1 = 5"], (3, 2, 1)),
-        (["c.3.2.1 = 5", "c.3.1.2 = 0"], (3, 1, 2)),
+        (["c.3.1.2 = 0", "c.3.2.1 = 5"], "conflicting structure constants at (3, 2, 1)"),
+        (["c.3.2.1 = 5", "c.3.1.2 = 0"], "conflicting structure constants at (3, 1, 2)"),
+        (["c.3.1.2 = 1", "c.3.1.1 = 1"], "structure constant c^e_{aa} must vanish"),
+        (["c.1.1.2 = 1", "c.2.1.3 = 1"], "Jacobi identity fails at indices (1, 2, 3, 2)"),
     ],
-    ids=("zero-first", "zero-second"),
+    ids=("zero-first", "zero-second", "c-aa", "jacobi"),
 )
-def test_conflicting_structure_constants_are_refused(tmp_path, capsys, lines, where):
+def test_conflicting_structure_constants_are_refused(tmp_path, capsys, lines, error):
     # an explicit zero is an assignment, so a partner that is not its
-    # negation conflicts with it, whichever comes first
-    text, _ = config_text({"lie": lines})
-    message = "bad [lie] section: conflicting structure constants at %s" % (where,)
-    assert_load_error(write_cfg(tmp_path, text), capsys, message)
+    # negation conflicts with it, whichever comes first; the error names
+    # the line of the later key, as c^e_aa names its own, while the
+    # Jacobi identity fails for no one key and names no line
+    text, lineno = config_text({"lie": lines})
+    message = "bad [lie] section: %s" % error
+    if error.startswith("Jacobi"):
+        lineno = None
+    else:
+        message += " at line %d, column 1" % lineno
+    assert_load_error(write_cfg(tmp_path, text), capsys, message, lineno)
 
 
 # -- unknown sections and keys ----------------------------------------------------------

@@ -381,15 +381,24 @@ def test_difference_merges_like_sum_with_negation(alg):
 def test_scalar_multiples_stay_normal(t3):
     x = parse_element(t3, "2/3*U1 + 4/9*i*U2 - 2*q[1,3]")
     assert_normal_form(x)
-    for c in (3, Fraction(9, 2), GaussianRational(Fraction(3, 2), 3), 0):
-        assert_normal_form(x * c)
-    # a unit keeps the denominator; its product matches the element product
-    for c in (1, -1, GaussianRational(0, 1), GaussianRational(0, -1)):
-        assert_normal_form(x * c)
+    ox = as_oracle(x)
+    units = (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))
+    for c in (3, Fraction(9, 2), GaussianRational(Fraction(3, 2), 3), 0) + units:
+        # a Python scalar factor is the constant element: on either side it
+        # gives the product with that constant, with the same terms in the
+        # same order and the same denominator
+        g = GaussianRational.coerce(c)
+        oc = {((0, 0, 0), ()): (g.re, g.im)} if c else {}
+        check(t3, x * c, o_mul(t3, ox, oc))
+        products = (x * c, c * x, x * t3.scalar(c), t3.scalar(c) * x)
+        for y in products:
+            assert y == products[0] and y.den == products[0].den
+            assert list(y.terms.items()) == list(products[0].terms.items())
+    # a unit keeps the denominator
+    for c in units:
         assert (x * c).den == x.den
-        assert x * c == c * x == x * t3.scalar(c)
     assert x * 1 == x and x * -1 == -x
-    assert (x * 0).den == 1
+    assert x * 0 is t3.zero() and 0 * x is t3.zero()
     assert_normal_form(x - x)
     assert (x * Fraction(9, 2)).den == 1
 
@@ -515,6 +524,24 @@ def test_matmul_matches_oracle_sum(alg):
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
+def test_product_whose_cross_terms_cancel_stays_normal(alg):
+    # U1 * U2 and U2 * (-q[1,2] U1) land on one key with opposite
+    # numerators, so the product keeps two of its four term products
+    x = alg.gen(1) + alg.gen(2)
+    y = alg.gen(2) - alg.q(1, 2) * alg.gen(1)
+    product = x * y
+    check(alg, product, o_mul(alg, as_oracle(x), as_oracle(y)))
+    assert len(product.terms) == 2
+
+
+def test_matmul_of_empty_shapes():
+    # no row, or rows of no column: no entry is formed
+    x = TorusAlgebra(2).gen(1)
+    assert matmul((), ()) == ()
+    assert matmul(((x,), (x,)), ((),)) == ((), ())
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=IDS)
 def test_matmul_and_plus_product_keep_the_descriptor_check(alg):
     n = alg.n
     x = alg.gen(1) * GaussianRational(1, 2) + alg.q(1, 2)
@@ -628,8 +655,11 @@ def test_constant_factors_read_no_pair_exponents(alg, monkeypatch):
         monkeypatch.setitem(
             alg.__dict__, name, lambda key, picker=picker: picked.append(key) or picker(key)
         )
+    g = GaussianRational(Fraction(-5, 4), Fraction(1, 3))
     for result, expected in (
         (c * x, x * c),
+        (x * g, x * c),
+        (Fraction(1, 2) * x, x * alg.scalar(Fraction(1, 2))),
         (one * x, x),
         (c * c, c * c),
         (_plus_product(x, ((c, x),), -1), x - c * x),

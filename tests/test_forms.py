@@ -323,10 +323,11 @@ def test_structure_constant_index_out_of_range(key):
 )
 def test_explicit_zero_conflicts_with_its_partner(entries, where):
     # an explicit zero is an assignment: its antisymmetric partner must be
-    # zero too, in either order
+    # zero too, in either order; the error carries the later key
     with pytest.raises(ValueError) as info:
         LieAlgebra(3, entries)
     assert str(info.value) == "conflicting structure constants at %s" % (where,)
+    assert info.value.key == where == list(entries)[-1]
 
 
 def test_consistent_explicit_entries_are_accepted():
