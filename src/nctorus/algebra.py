@@ -49,11 +49,12 @@ augmented elimination and scalar parameters all take this path.  A
 Python scalar factor (int, Fraction or GaussianRational) becomes that
 constant, as an operand of + and - does, and takes the same path.  A
 q-phase such as q[1,2] has a nonzero key and takes the general loop.
-A constant equals its int, Fraction or GaussianRational value and hashes
-as that value; two constants over different algebras compare by value
-too, so equality stays transitive.  Other elements over different
-algebras are unequal, and arithmetic across algebras raises
-DescriptorMismatch.
+
+Two elements are equal exactly when their algebras are equal and their
+normal forms coincide; elements over different algebras are unequal, and
+arithmetic across algebras raises DescriptorMismatch.  A Python scalar
+is an operand of arithmetic, never of ``==``: ``alg.one() == 1`` is
+false, and ``alg.one() == alg.scalar(1)`` is the way to ask.
 
 An element keeps its adjoint once formed: ``star()`` stores the result in
 the element's ``_star`` slot and returns that instance on later calls, so
@@ -468,38 +469,16 @@ class AlgebraElement:
         return self.star() == self
 
     def __eq__(self, other):
-        if other.__class__ is not AlgebraElement:
-            if isinstance(other, _SCALARS):
-                other = self.algebra._constant(other)
-            elif not isinstance(other, AlgebraElement):
-                return NotImplemented
-        if self.algebra is other.algebra or self.algebra == other.algebra:
-            return self.den == other.den and self.terms == other.terms
-        # constants of different algebras compare by value, as they hash, so
-        # that equality stays transitive through the bare numbers they equal
-        parts = self._constant_parts()
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         return (
-            parts is not None
-            and parts == other._constant_parts()
+            (self.algebra is other.algebra or self.algebra == other.algebra)
             and self.den == other.den
+            and self.terms == other.terms
         )
 
     def __hash__(self):
-        # a constant, zero included, equals its GaussianRational value, so it
-        # hashes as that value
-        parts = self._constant_parts()
-        if parts is not None:
-            (re, im), den = parts, self.den
-            return hash(GaussianRational(Fraction(re, den), Fraction(im, den)))
         return hash((self.algebra, self.den, frozenset(self.terms.items())))
-
-    def _constant_parts(self):
-        """The numerator ``(re, im)`` of a constant, (0, 0) for zero, and
-        None for an element that is not constant."""
-        terms = self.terms
-        if not terms:
-            return (0, 0)
-        return terms.get(self.algebra._one_key) if len(terms) == 1 else None
 
     def __repr__(self):
         from .expr import render_element

@@ -69,6 +69,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 from .connections import Connection
@@ -272,10 +273,10 @@ def load_config(path) -> ProblemConfig:
                 lineno,
                 1,
             )
-        brackets[index], bracket_lines[index] = value, lineno
+        brackets[index], bracket_lines[index] = Fraction(value), lineno
     try:
         calculus = Calculus.torus(n, commutative, brackets or None)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         # an entry that LieAlgebra refuses names its key; the Jacobi
         # identity fails for the whole section
         lineno = bracket_lines.get(getattr(exc, "key", None))

@@ -66,14 +66,16 @@ class LieAlgebra(Record):
     ``brackets`` maps (e, a, b), 1-based, to the rational structure
     constant c^e_{ab} of [d_a, d_b] = sum_e c^e_{ab} d_e; a missing entry
     is 0.  The partner c^e_{ba} = -c^e_{ab} of each entry is filled in,
-    so the table is antisymmetric by construction.  An index out of range
-    raises IndexError; c^e_{aa}, an entry assigned twice with different
-    values (explicit zeros count) and a failing Jacobi identity raise
-    ValueError, the first two with the key (e, a, b) of the entry as the
-    error's ``key``.  The field ``brackets`` is the full table, a nested
-    tuple of Fractions indexed [e][a][b] (0-based).  Immutable; equal and
-    hashed by (n, brackets).  Whether the bracket is abelian is decided
-    once here, outside the fields, for ``KForm.d``.
+    so the table is antisymmetric by construction.  A value that is not
+    an int or a Fraction (a float, a string) raises TypeError naming its
+    key, and an index out of range raises IndexError; c^e_{aa}, an entry
+    assigned twice with different values (explicit zeros count) and a
+    failing Jacobi identity raise ValueError, the first two with the key
+    (e, a, b) of the entry as the error's ``key``.  The field
+    ``brackets`` is the full table, a nested tuple of Fractions indexed
+    [e][a][b] (0-based).  Immutable; equal and hashed by (n, brackets).
+    Whether the bracket is abelian is decided once here, outside the
+    fields, for ``KForm.d``.
     """
 
     _fields = ("n", "brackets")
@@ -87,6 +89,11 @@ class LieAlgebra(Record):
                 raise IndexError("structure constant index out of range: %s" % ((e, a, b),))
             if a == b:
                 raise _entry_error("structure constant c^e_{aa} must vanish", (e, a, b))
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(
+                    "structure constant %s must be int or Fraction, not %s"
+                    % ((e, a, b), type(value).__name__)
+                )
             value = Fraction(value)
             for x, y, v in ((a, b, value), (b, a, -value)):
                 if table.setdefault((e - 1, x - 1, y - 1), v) != v:

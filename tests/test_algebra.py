@@ -1,12 +1,16 @@
 from fractions import Fraction
+import operator
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from nctorus import (
+    Calculus,
     DescriptorMismatch,
     GaussianRational,
+    KForm,
     NotMonomial,
     TorusAlgebra,
     ZeroElement,
@@ -70,6 +74,37 @@ def test_add_coerces_an_equal_descriptor_and_refuses_other_types(t3):
         t3.gen(1) + object()
 
 
+def _form():
+    calc = Calculus.torus(2)
+    return KForm(calc, 1, {(1,): calc.algebra.gen(2)})
+
+
+FOREIGN_OPERANDS = {
+    "element": lambda: TorusAlgebra(2).gen(1) + 1,
+    "form": _form,
+    "gaussian": lambda: GaussianRational(Fraction(1, 2), -3),
+}
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "** or pow()": operator.pow}
+
+
+@pytest.mark.parametrize("symbol", OPERATORS)
+@pytest.mark.parametrize("kind", FOREIGN_OPERANDS)
+def test_foreign_operands_raise_pythons_type_error(kind, symbol):
+    # each class declines an operand it does not know, an object or a float
+    # (so ``x ** 1.5`` too), on either side, and Python raises its own TypeError
+    x, op = FOREIGN_OPERANDS[kind](), OPERATORS[symbol]
+    message = r"^unsupported operand type\(s\) for %s: " % re.escape(symbol)
+    for foreign in (object(), 1.5):
+        for left, right in ((x, foreign), (foreign, x)):
+            with pytest.raises(TypeError, match=message):
+                op(left, right)
+
+
+def test_zero_form_and_gaussian_reprs():
+    assert repr(KForm(Calculus.torus(2), 1, {})) == "KForm(degree=1, 0)"
+    assert repr(GaussianRational(Fraction(1, 2), -3)) == "GaussianRational(1/2, -3)"
+
+
 def test_equal_elements_hash_equal(t3):
     twin = TorusAlgebra(3)
     x = t3.gen(1) * Fraction(1, 2) + t3.q(1, 2) * t3.gen(3, -1)
@@ -79,76 +114,59 @@ def test_equal_elements_hash_equal(t3):
     assert len({x, y, t3.gen(1)}) == 2
 
 
-@pytest.mark.parametrize("commutative", (False, True), ids=("q", "comm"))
-def test_constants_hash_as_their_value(commutative):
-    # a constant element equals its int, Fraction and GaussianRational value,
-    # so it must hash like them: set and dict lookups then agree with ==
-    rng = random.Random("constant-hash/%s" % commutative)
+def _equality_pool():
+    """Elements over TorusAlgebra(n, kind) for n = 1..3 and both kinds, each
+    built twice: over one descriptor and over a second, equal one."""
+    pool = []
     for n in (1, 2, 3):
-        alg = TorusAlgebra(n, commutative)
-        values = [0, 1, -1, Fraction(0), GaussianRational(0), GaussianRational(0, -1)]
-        for _ in range(20):
-            re = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            im = rng.choice((0, Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
-            values += [re, GaussianRational(re, im)]
-            if re.denominator == 1:
-                values.append(int(re))
-        elements = [alg.scalar(value) for value in values]
-        everything = values + elements
-        for a in everything:
-            for b in everything:
-                if a == b:
-                    assert hash(a) == hash(b), (a, b)
-        for value, element in zip(values, elements):
-            assert {value: "v"}.get(element) == "v"
-            assert {element: "v"}.get(value) == "v"
-            assert len({element, value}) == 1
-        classes = {(g.re, g.im) for g in map(GaussianRational.coerce, values)}
-        assert len(set(everything)) == len(classes)
-        assert len({alg.zero(), 0}) == 1
-        assert {alg.scalar(2): "v"}.get(2) == "v"
-        # a non-constant element is found by no constant
-        others = [alg.gen(n), alg.gen(1) + 1]
-        if n > 1 and not commutative:
-            others.append(alg.q(1, 2))
-        table = dict.fromkeys(others, "x")
-        assert all(table.get(value) is None for value in everything)
+        for kind in (False, True):
+            for alg in (TorusAlgebra(n, kind), TorusAlgebra(n, kind)):
+                rng = random.Random("equality-pool/%d/%s" % (n, kind))
+                pool += [alg.zero(), alg.one(), alg.scalar(2), alg.scalar(Fraction(-1, 3))]
+                pool += [alg.scalar(Fraction(1, 2), -1), alg.i(), alg.gen(1), alg.gen(1) + 2]
+                pool += [random_element(rng, alg, max_terms=2) for _ in range(2)]
+                if n > 1 and not kind:
+                    pool.append(alg.q(1, 2))
+    return pool
 
 
-def test_equality_is_transitive_across_algebras():
-    # constants of different algebras equal the same bare numbers, so they
-    # must equal each other; non-constants of different algebras stay unequal
-    rng = random.Random("transitive-equality")
-    algebras = [TorusAlgebra(n, kind) for n in (1, 2, 3) for kind in (False, True)]
-    values = [0, 2, -1, Fraction(2), Fraction(-1, 3), GaussianRational(2)]
-    values += [GaussianRational(0), GaussianRational(Fraction(1, 2), -1)]
-    values.append(GaussianRational(0, 1))
-    pool = list(values)
-    for alg in algebras:
-        pool += [alg.zero(), alg.one(), alg.scalar(2), alg.scalar(Fraction(-1, 3))]
-        pool += [alg.scalar(Fraction(1, 2), -1), alg.i(), alg.gen(1), alg.gen(1) + 2]
-        pool += [random_element(rng, alg, max_terms=2) for _ in range(2)]
-        if alg.n > 1 and not alg.commutative:
-            pool.append(alg.q(1, 2))
+def _normal_form(x):
+    return (x.algebra.n, x.algebra.commutative, x.den, frozenset(x.terms.items()))
+
+
+def test_equality_is_identity_of_normal_forms():
+    pool = _equality_pool()
+    forms = list(map(_normal_form, pool))
     for a in pool:
+        assert a == a
         for b in pool:
             if a == b:
                 assert b == a and hash(a) == hash(b), (a, b)
                 for c in pool:
                     if b == c:
                         assert a == c, (a, b, c)
+    # equal exactly when descriptor fields and normal forms coincide, so every
+    # element equals its twin over the second descriptor
+    for a, form in zip(pool, forms):
+        assert [a == b for b in pool] == [form == other for other in forms], a
+    for number in (0, 1, Fraction(-1, 3), GaussianRational(0, 1)):
+        assert not any(x == number or number == x for x in pool), number
+    for n in (1, 2, 3):
+        alg = TorusAlgebra(n)
+        assert len({alg.zero(), 0}) == 2
+        assert {2: "v"}.get(alg.scalar(2)) is None
     # a set's size does not depend on insertion order
+    rng = random.Random("equality-order")
     sizes = set()
     for _ in range(20):
         rng.shuffle(pool)
         sizes.add(len(set(pool)))
-    assert len(sizes) == 1
+    assert sizes == {len(set(forms))}
+    # constants over different algebras are unequal, and never mix in arithmetic
     x, y = TorusAlgebra(3).scalar(2), TorusAlgebra(3, True).scalar(2)
-    assert x == y and len({2, x, y}) == len({x, y, 2}) == 1
-    # equality across algebras is not arithmetic across them
+    assert x != y and len({x, y}) == 2
     with pytest.raises(DescriptorMismatch):
         x + y
-    assert TorusAlgebra(3).gen(1) != TorusAlgebra(3, True).gen(1)
 
 
 # -- descriptor lookups ----------------------------------------------------------

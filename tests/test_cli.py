@@ -192,10 +192,12 @@ def test_load_rejects_lie_value_outside_rational_forms(tmp_path, capsys, value):
         ("-0.25", Fraction(-1, 4)),
         (".5", Fraction(1, 2)),
         ("4.", 4),
+        ("0.25", Fraction(1, 4)),
     ],
 )
 def test_load_accepts_rational_lie_values(tmp_path, value, expected):
     config = load_config(write_cfg(tmp_path, lie_cfg(value)))
+    assert type(config.calculus.lie.bracket(3, 1, 2)) is Fraction
     assert config.calculus.lie.bracket(3, 1, 2) == expected
     assert config.calculus.lie.bracket(3, 2, 1) == -expected
 

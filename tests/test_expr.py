@@ -29,12 +29,15 @@ def test_parse_atoms(alg):
     assert parse_element(alg, "3/4") == alg.scalar(Fraction(3, 4))
     assert parse_element(alg, "q[1,2]") == alg.q(1, 2)
     assert parse_element(alg, "q[2,1]") == alg.q(1, 2, -1)
+    assert parse_element(alg, "q[3,1]") == alg.q(1, 3, -1)
+    assert parse_element(alg, "q[3,2]") == alg.q(2, 3, -1)
     assert parse_element(alg, "0").is_zero()
 
 
 def test_parse_expressions(alg):
     assert parse_element(alg, "2*U1 + 3*U1") == alg.gen(1) * 5
     assert parse_element(alg, "U1^-2") == alg.gen(1, -2)
+    assert parse_element(alg, "U1^+2") == alg.gen(1, 2)
     assert parse_element(alg, "i^2") == -alg.one()
     assert parse_element(alg, "adj(U1*U2)") == (alg.gen(1) * alg.gen(2)).star()
     assert parse_element(alg, "(U1 + U2) * U1") == (alg.gen(1) + alg.gen(2)) * alg.gen(1)
@@ -315,6 +318,18 @@ def test_budget_charges_products_and_power_bounds(alg, monkeypatch):
     assert info.value.col == 8
     # monomial powers are not charged
     assert parse_element(alg, "U1^1000 * U2") == alg.gen(1, 1000) * alg.gen(2)
+    # the squaring spends the whole budget of 4; the product 1 x 4 after it
+    # is still counted
+    monkeypatch.setattr(expr, "MAX_TERM_PAIRS", 4)
+    with pytest.raises(ParseError) as info:
+        parse_element(alg, "(U1+U2)^2")
+    assert info.value.col == 8
+    # x^1 of a 2-term x is the product 1 x 2, charged like any power: 2 + 4 > 5
+    monkeypatch.setattr(expr, "MAX_TERM_PAIRS", 5)
+    assert len(parse_element(alg, "(U1+U2)*(U1+U2)").terms) == 4
+    with pytest.raises(ParseError) as info:
+        parse_element(alg, "(U1+U2)^1*(U1+U2)")
+    assert info.value.col == 10
 
 
 # -- nesting depth and invalid arithmetic ---------------------------------------------
@@ -345,6 +360,7 @@ def test_nesting_depth_bound(alg, opener):
         ("U1^2\n\n   * q[1,1]", 3, 6),
         ("1/0\n", 1, 1),
         ("  \n\n  U2 ^ (", 3, 8),
+        ("\nU7", 2, 1),
     ],
 )
 def test_parse_errors_on_multiline_input(alg, text, line, col):
@@ -367,6 +383,15 @@ def test_parse_errors_on_multiline_input(alg, text, line, col):
         ("U1\u3000+ U2", "unexpected character '\\u3000' at line 1, column 3"),
         ("U1 +\u00a0U2", "unexpected character '\\xa0' at line 1, column 5"),
         ("U1\x1c", "unexpected character '\\x1c' at line 1, column 3"),
+        # each bracket of q[a,b] is the one expected, and an atom starts with "("
+        ("q(1,2)", "expected '[' at line 1, column 2"),
+        ("q[1,2)", "expected ']' at line 1, column 6"),
+        ("[U1)", "expected an atom at line 1, column 1"),
+        ("U1 + foo", "unknown name 'foo' at line 1, column 6"),
+        # one phase index out of range is enough
+        ("q[1,4]", "bad phase symbol q[1,4] at line 1, column 1"),
+        ("q[4,1]", "bad phase symbol q[4,1] at line 1, column 1"),
+        ("q[0,2]", "bad phase symbol q[0,2] at line 1, column 1"),
     ],
     ids=[
         "trailing",
@@ -376,6 +401,13 @@ def test_parse_errors_on_multiline_input(alg, text, line, col):
         "ideographic-space",
         "no-break-space",
         "file-separator",
+        "phase-opener",
+        "phase-closer",
+        "atom-opener",
+        "unknown-name",
+        "phase-second-index",
+        "phase-first-index",
+        "phase-zero-index",
     ],
 )
 def test_parse_error_names_the_token(alg, text, message):
@@ -387,6 +419,11 @@ def test_parse_error_names_the_token(alg, text, message):
 def test_nesting_depth_counts_open_parentheses_only(alg):
     # many sibling groups at depth one are not nested
     assert parse_element(alg, " + ".join(["(1)"] * 200)) == alg.scalar(200)
+    # and a closed group gives back exactly the depth it took
+    depth = expr.MAX_DEPTH + 1
+    with pytest.raises(ParseError, match="MAX_DEPTH = 64") as info:
+        parse_element(alg, "(U1) + " + "(" * depth + "U1" + ")" * depth)
+    assert info.value.col == len("(U1) + ") + depth
 
 
 @pytest.mark.parametrize(

@@ -276,10 +276,9 @@ def test_zero_operands_keep_checks(alg):
             for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
                 with pytest.raises(DescriptorMismatch):
                     op(left, right)
-        # zeros compare by value across algebras, as they hash; other
-        # elements over different algebras stay unequal
-        assert (zero == other) is True
-        assert (other == zero) is True
+        # elements over different algebras are unequal, zeros included
+        assert (zero == other) is False
+        assert (other == zero) is False
         assert (x == other_alg.gen(1)) is False
     for a in (0, n + 1):
         with pytest.raises(IndexError):
@@ -288,7 +287,7 @@ def test_zero_operands_keep_checks(alg):
     assert (zero == alg.zero()) is True
     assert (zero == TorusAlgebra(n, alg.commutative).zero()) is True
     for c in (0, Fraction(0), GaussianRational(0)):
-        assert (zero == c) is True
+        assert (zero == c) is False
         assert (x == c) is False
     assert (zero == "0") is False
 

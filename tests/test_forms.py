@@ -313,6 +313,19 @@ def test_structure_constant_index_out_of_range(key):
 
 
 @pytest.mark.parametrize(
+    "value", [0.1, 0.5, "1/2", "1"], ids=("float", "exact-float", "str", "int-str")
+)
+def test_inexact_structure_constant_is_refused(value):
+    # a float or a string is not read as a rational: Fraction(0.1) would be
+    # 3602879701896397/36028797018963968
+    with pytest.raises(TypeError) as info:
+        LieAlgebra(3, {(3, 1, 2): value})
+    name = type(value).__name__
+    assert str(info.value) == "structure constant (3, 1, 2) must be int or Fraction, not " + name
+    assert LieAlgebra(3, {(3, 1, 2): Fraction(1, 4)}).bracket(3, 1, 2) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
     "entries, where",
     [
         ({(3, 1, 2): 0, (3, 2, 1): 5}, (3, 2, 1)),
