@@ -60,7 +60,9 @@ Reports are deterministic: algebra elements appear only as canonical
 strings, so two runs of the same config are byte-identical.  The status
 is ``ok``, ``verification_failed``, ``not_weakly_symmetric`` or
 ``error``; exit codes: 0 ok or verification failed, 2 not weakly
-symmetric, 1 any other error.
+symmetric, 1 any other error.  A usage error (no ``--config``, a format
+other than json or text, an unknown option) is an error too: exit code
+1 and the JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -453,35 +455,27 @@ def _fail(exc) -> int:
     return 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ArgumentError: argparse would exit
+    2, the code of a metric that is not weakly symmetric."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="nctorus",
         description="Exact Levi-Civita connections on noncommutative tori.",
     )
     parser.add_argument("--config", required=True, help="path to a problem config")
-    parser.add_argument(
-        "--command",
-        choices=COMMANDS,
-        help="override the command given in the config [run] section",
-    )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument(
-        "--params-zero",
-        action="store_true",
-        help="ignore the [params] section and use all-zero parameters",
-    )
     parser.add_argument("--out", help="write the report to this file instead of stdout")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         config = load_config(args.config)
-    except (ParseError, OSError) as exc:
+    except (argparse.ArgumentError, ParseError, OSError) as exc:
         return _fail(exc)
-
-    calc = config.calculus
-    params = SolverParams.zeros(calc) if args.params_zero else config.params
-    command = args.command or config.command
-    config = ProblemConfig(calc, config.upper, config.lower, params, config.gamma, command)
 
     report = run(config)
     text = emit_report(report, args.format)

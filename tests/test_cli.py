@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -119,10 +120,11 @@ def test_load_rejects_n_above_limit(tmp_path, capsys):
 
 def test_load_rejects_long_value(tmp_path, capsys):
     assert MAX_VALUE_CHARS == 4096
-    long_sum = " + ".join(["U1"] * 1000)  # 4,998 characters
+    long_sum = " + ".join(["U1"] * 1000)  # 4,997 characters
     assert len(long_sum) > MAX_VALUE_CHARS
     path = write_cfg(tmp_path, diagonal_cfg(3).replace("h.2.2 = 1", "h.2.2 = " + long_sum))
-    assert_rejected(path, capsys, 6, "MAX_VALUE_CHARS")
+    message = "value of 'h.2.2' has 4997 characters, more than MAX_VALUE_CHARS = 4096"
+    assert_rejected(path, capsys, 6, message + " at line 6, column 1")
     # a value at the limit still loads
     at_limit = "(" + "1 + " * 1023 + "10)"
     assert len(at_limit) == MAX_VALUE_CHARS
@@ -136,9 +138,11 @@ def test_load_rejects_costly_expression(tmp_path, capsys):
 
 
 def test_load_accepts_n_at_limit(tmp_path):
-    config = load_config(write_cfg(tmp_path, diagonal_cfg(MAX_N)))
-    assert config.calculus.n == MAX_N
-    assert run(config)["weak_symmetry"]["holds"] is True
+    # both ends of 1..MAX_N
+    for n in (1, MAX_N):
+        config = load_config(write_cfg(tmp_path, diagonal_cfg(n)))
+        assert config.calculus.n == n
+        assert run(config)["weak_symmetry"]["holds"] is True
 
 
 def rank_cfg(rank, n=3):
@@ -179,7 +183,12 @@ def lie_cfg(value):
 )
 def test_load_rejects_lie_value_outside_rational_forms(tmp_path, capsys, value):
     path = write_cfg(tmp_path, lie_cfg(value))
-    assert_rejected(path, capsys, 5, "must be an integer, p/q (q != 0) or a plain decimal")
+    assert_rejected(
+        path,
+        capsys,
+        5,
+        "must be an integer, p/q (q != 0) or a plain decimal at line 5, column 1",
+    )
 
 
 @pytest.mark.parametrize(
@@ -276,12 +285,14 @@ def test_run_verify_given(tmp_path):
     assert report["verification"]["pass"] is True
 
 
-def test_verify_given_without_a_connection_is_an_error(capsys):
-    report = run(with_command(load_config(BLOCK_CFG), "verify-given"))
+def test_verify_given_without_a_connection_is_an_error(tmp_path, capsys):
+    body = BLOCK_CFG.read_text(encoding="utf-8")
+    path = write_cfg(tmp_path, body.replace("command = build-lc", "command = verify-given"))
+    report = run(load_config(path))
     assert report["status"] == "error"
     assert report["error"] == "ParseError: verify-given needs a [connection] section"
     assert "verification" not in report
-    assert main(["--config", str(BLOCK_CFG), "--command", "verify-given"]) == 1
+    assert main(["--config", str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["error"] == report["error"]
 
 
@@ -408,8 +419,11 @@ def test_emit_gamma_strings_reparse():
 def test_emit_text_format():
     config = load_config(BLOCK_CFG)
     text = emit_report(run(config), "text")
-    assert "status = ok" in text
-    assert "gamma[2][2][2] = i" in text
+    lines = text.splitlines()
+    assert "status = ok" in lines
+    # list entries count from 1, as the config's keys do
+    assert "gamma[1][1][1] = i*U1^-1 + i*U1" in lines
+    assert "gamma[2][2][2] = i" in lines
     assert text == emit_report(run(load_config(BLOCK_CFG)), "text")
     with pytest.raises(ValueError):
         emit_report(run(config), "yaml")
@@ -444,15 +458,15 @@ def test_run_with_structure_constants(tmp_path):
 
 def test_run_rank_mismatch_is_error(tmp_path, capsys):
     # the module has the size of the calculus: N = 2 over the 3-torus is
-    # refused at its line, whichever command is asked for
-    path = write_cfg(
-        tmp_path,
-        "[algebra]\nn = 3\n\n[metric]\nN = 2\nh.1.1 = 1\nh.2.2 = 1\n\n"
-        "[run]\ncommand = build-lc\n",
-    )
-    assert_rejected(path, capsys, 5, N_KEY)
+    # refused at its line, whichever command [run] names
     for command in COMMANDS:
-        assert main(["--config", str(path), "--command", command]) == 1
+        path = write_cfg(
+            tmp_path,
+            "[algebra]\nn = 3\n\n[metric]\nN = 2\nh.1.1 = 1\nh.2.2 = 1\n\n"
+            "[run]\ncommand = %s\n" % command,
+        )
+        assert_rejected(path, capsys, 5, N_KEY)
+        assert main(["--config", str(path)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
         assert json.loads(out.err)["error"] == (
@@ -483,6 +497,25 @@ def run_cli(*args):
     )
 
 
+# a usage error and its message: each exits 1, never 2, which would read
+# as "not weakly symmetric"
+USAGE_ERRORS = [
+    ((), "the following arguments are required: --config"),
+    (
+        ("--config", str(BLOCK_CFG), "--format", "xml"),
+        "argument --format: invalid choice: 'xml' (choose from 'json', 'text')",
+    ),
+    (
+        ("--config", str(BLOCK_CFG), "--params-zero"),
+        "unrecognized arguments: --params-zero",
+    ),
+    (
+        ("--config", str(BLOCK_CFG), "--command", "build-lc"),
+        "unrecognized arguments: --command build-lc",
+    ),
+]
+
+
 def test_cli_exit_codes():
     ok = run_cli("--config", str(BLOCK_CFG))
     assert ok.returncode == 0
@@ -490,14 +523,15 @@ def test_cli_exit_codes():
     assert bad.returncode == 2
     missing = run_cli("--config", "no-such-file.cfg")
     assert missing.returncode == 1
-
-
-def test_cli_params_zero_override():
-    out = run_cli("--config", str(BLOCK_CFG), "--params-zero")
-    assert out.returncode == 0
-    payload = json.loads(out.stdout)
-    assert payload["gamma"][0][0][0] == "0"
-    assert payload["gamma"][1][1][1] == "i"
+    for args, error in USAGE_ERRORS:
+        out = run_cli(*args)
+        assert (out.returncode, out.stdout) == (1, "")
+        payload = {"schema": 1, "status": "error", "error": "ArgumentError: " + error}
+        assert out.stderr == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    usage = run_cli("--help")
+    assert (usage.returncode, usage.stderr) == (0, "")
+    options = set(re.findall(r"--[a-z-]+", usage.stdout))
+    assert options == {"--help", "--config", "--format", "--out"}
 
 
 def test_cli_out_file(tmp_path):
@@ -517,13 +551,6 @@ def test_unwritable_out_is_reported_as_an_error_object(tmp_path, capsys):
     assert (payload["schema"], payload["status"]) == (1, "error")
     assert payload["error"].startswith("FileNotFoundError: ")
     assert str(target) in payload["error"]
-
-
-def test_cli_command_override():
-    out = run_cli("--config", str(BLOCK_CFG), "--command", "check-weak-symmetry")
-    payload = json.loads(out.stdout)
-    assert payload["command"] == "check-weak-symmetry"
-    assert "gamma" not in payload
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -300,6 +300,15 @@ def test_missing_n_and_command(tmp_path, capsys):
     assert_load_error(path, capsys, "missing required key 'command' in [run]")
 
 
+def test_unknown_command_is_refused_at_its_line(tmp_path, capsys):
+    text, lineno = config_text({"run": ["command = solve"]}, dict(BASE, run=[]))
+    message = (
+        "unknown command 'solve', expected one of check-weak-symmetry, build-lc, "
+        "verify-given at line %d, column 1" % lineno
+    )
+    assert_load_error(write_cfg(tmp_path, text), capsys, message, lineno)
+
+
 # -- one entry per index tuple ---------------------------------------------------------
 
 
@@ -402,6 +411,12 @@ def test_bad_plain_line_is_rejected(tmp_path, capsys, section, line, message):
     text, lineno = config_text({section: [line]})
     full = "%s at line %d, column 1" % (message, lineno)
     assert_load_error(write_cfg(tmp_path, text), capsys, full, lineno)
+
+
+def test_key_outside_a_section_is_rejected(tmp_path, capsys):
+    text, _ = config_text({})
+    full = "key outside of any [section] at line 1, column 1"
+    assert_load_error(write_cfg(tmp_path, "n = 3\n" + text), capsys, full, 1)
 
 
 def test_header_with_trailing_comment_is_rejected(tmp_path, capsys):

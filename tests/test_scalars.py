@@ -15,6 +15,10 @@ def test_gaussian_rational_field_ops():
     assert -a == GaussianRational(Fraction(-1, 2), 3)
     assert a - a == GaussianRational(0, 0)
     assert not (a - a)
+    # both parts default to 0, and equal means both parts equal
+    assert GaussianRational() == GaussianRational(im=0) == 0
+    assert GaussianRational(1, 2) != GaussianRational(1, 3)
+    assert GaussianRational(1, 2) != GaussianRational(0, 2)
 
 
 # q-phase coefficients are part of each term of an algebra element; these
