@@ -57,12 +57,12 @@ Powers of a single term (``U1^-20000000``, ``q[1,2]^7``) are not
 charged, so exponent sizes themselves are not bounded.
 
 Reports are deterministic: algebra elements appear only as canonical
-strings, so two runs of the same config are byte-identical.  The status
-is ``ok``, ``verification_failed``, ``not_weakly_symmetric`` or
-``error``; exit codes: 0 ok or verification failed, 2 not weakly
-symmetric, 1 any other error.  A usage error (no ``--config``, a format
-other than json or text, an unknown option) is an error too: exit code
-1 and the JSON error object on stderr.
+strings, so two runs of the same config are byte-identical.  A report's
+status is ``ok``, ``verification_failed`` (exit code 0 for both) or
+``not_weakly_symmetric`` (exit code 2).  Every rejected input (a usage
+error, a config that load_config refuses, a metric that is not hermitian,
+has a wrong ``hinv`` or offers no monomial pivot) is the JSON error
+object on stderr, with nothing on stdout and exit code 1.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ _RATIONAL = re.compile(r"[-+]?(?:[0-9]+(?:/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)")
 
 
 class ProblemConfig(Record):
-    """A fully validated problem description."""
+    """A problem as ``load_config`` checked it (all but the metric); ``run``
+    checks the metric: hermitian, invertible, ``lower`` its inverse."""
 
     _fields = ("calculus", "upper", "lower", "params", "gamma", "command")
 
@@ -246,14 +247,14 @@ def _parse_hermitian(calculus, text, lineno, column, prefix, index):
 
 
 def load_config(path) -> ProblemConfig:
-    """Load and fully validate a config file.
+    """Load a config file and check all of it but the metric.
 
     Every rejection is a ParseError.  One caused by a line names it: an
-    index out of range, a structure constant c^e_aa and one that
-    conflicts with an earlier key's partner at column 1, an X or H
-    parameter that is not hermitian at its value's column.  A missing
-    required key and a ``[lie]`` section that fails the Jacobi identity
-    name no line.
+    index out of range, a structure constant c^e_aa, one that conflicts
+    with an earlier key's partner and verify-given with no
+    ``[connection]`` at column 1, an X or H parameter that is not
+    hermitian at its value's column.  A missing required key and a
+    ``[lie]`` section that fails the Jacobi identity name no line.
     """
     sections = _read_sections(path)
 
@@ -322,6 +323,8 @@ def load_config(path) -> ProblemConfig:
             lineno,
             1,
         )
+    if command == "verify-given" and gamma is None:
+        raise ParseError("verify-given needs a [connection] section", lineno, 1)
 
     upper = _nested(upper, (n, n), zero)
     lower = _nested(lower, (n, n), zero) if lower else None
@@ -360,8 +363,9 @@ def _verification_dict(report) -> dict:
 def run(config: ProblemConfig) -> dict:
     """Execute the configured command and return its report: ``schema``,
     ``command``, ``status``, ``n``, ``commutative`` and each section
-    (``weak_symmetry``, ``f``, ``r``, ``u``, ``gamma``, ``verification``,
-    ``error``) that the command set, elements as canonical strings."""
+    (``weak_symmetry``, ``f``, ``r``, ``u``, ``gamma``, ``verification``)
+    that the command set, elements as canonical strings; d(rho) != 0 adds
+    its ``error`` text.  Raises the NCTorusError of what it cannot compute."""
     calc = config.calculus
     report = {
         "schema": SCHEMA_VERSION,
@@ -370,47 +374,43 @@ def run(config: ProblemConfig) -> dict:
         "n": calc.n,
         "commutative": calc.algebra.commutative,
     }
-    try:
-        metric = HermitianMetric(calc, config.upper, config.lower)
-        defect = weak_symmetry_defect(metric)
-        indices = range(1, calc.n + 1)
-        report["weak_symmetry"] = {
-            "holds": defect.is_zero(),
-            "drho": _by_index(defect, combinations(indices, 3)),
-        }
+    metric = HermitianMetric(calc, config.upper, config.lower)
+    defect = weak_symmetry_defect(metric)
+    indices = range(1, calc.n + 1)
+    report["weak_symmetry"] = {
+        "holds": defect.is_zero(),
+        "drho": _by_index(defect, combinations(indices, 3)),
+    }
 
-        if config.command == "check-weak-symmetry":
-            if not defect.is_zero():
-                report["status"] = "not_weakly_symmetric"
-            return report
+    if config.command == "check-weak-symmetry":
+        if not defect.is_zero():
+            report["status"] = "not_weakly_symmetric"
+        return report
 
-        if config.command == "verify-given":
-            if config.gamma is None:
-                raise ParseError("verify-given needs a [connection] section")
-            conn = Connection(calc, config.gamma)
-            verification = verify_levi_civita(conn, metric)
-            report["gamma"] = _render_array(conn.gamma)
-            report["verification"] = _verification_dict(verification)
-            if not verification.passed:
-                report["status"] = "verification_failed"
-            return report
-
-        # build-lc
-        conn = build_levi_civita(metric, config.params)
-        F = compute_F(metric)
-        R = solve_R(calc, F, config.params.validated(calc))
-        report["f"] = _by_index(
-            lambda c, a, b: F[c - 1][a - 1][b - 1],
-            ((c, *ab) for c in indices for ab in combinations(indices, 2)),
-        )
-        report["r"] = _render_array(R)
-        report["u"] = _render_array(assemble_U(metric, R))
+    if config.command == "verify-given":
+        conn = Connection(calc, config.gamma)
+        verification = verify_levi_civita(conn, metric)
         report["gamma"] = _render_array(conn.gamma)
-        report["verification"] = _verification_dict(verify_levi_civita(conn, metric))
+        report["verification"] = _verification_dict(verification)
+        if not verification.passed:
+            report["status"] = "verification_failed"
+        return report
+
+    # build-lc
+    try:
+        conn = build_levi_civita(metric, config.params)
     except NotWeaklySymmetric as exc:
-        report.update(status="not_weakly_symmetric", error=str(exc))
-    except (NCTorusError, ValueError, IndexError) as exc:
-        report.update(status="error", error="%s: %s" % (type(exc).__name__, exc))
+        return dict(report, status="not_weakly_symmetric", error=str(exc))
+    F = compute_F(metric)
+    R = solve_R(calc, F, config.params.validated(calc))
+    report["f"] = _by_index(
+        lambda c, a, b: F[c - 1][a - 1][b - 1],
+        ((c, *ab) for c in indices for ab in combinations(indices, 2)),
+    )
+    report["r"] = _render_array(R)
+    report["u"] = _render_array(assemble_U(metric, R))
+    report["gamma"] = _render_array(conn.gamma)
+    report["verification"] = _verification_dict(verify_levi_civita(conn, metric))
     return report
 
 
@@ -440,7 +440,6 @@ STATUS_EXIT_CODES = {
     "ok": 0,
     "verification_failed": 0,
     "not_weakly_symmetric": 2,
-    "error": 1,
 }
 
 
@@ -467,17 +466,17 @@ def main(argv=None) -> int:
     parser = _ArgumentParser(
         prog="nctorus",
         description="Exact Levi-Civita connections on noncommutative tori.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", required=True, help="path to a problem config")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", help="write the report to this file instead of stdout")
     try:
         args = parser.parse_args(argv)
-        config = load_config(args.config)
-    except (argparse.ArgumentError, ParseError, OSError) as exc:
+        report = run(load_config(args.config))
+    except (argparse.ArgumentError, NCTorusError, OSError) as exc:
         return _fail(exc)
 
-    report = run(config)
     text = emit_report(report, args.format)
     if args.out:
         try:

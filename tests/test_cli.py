@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nctorus import ParseError, parse_element
+from nctorus import NotInverse, ParseError, parse_element
 from nctorus.cli import (
     COMMANDS,
     MAX_N,
@@ -97,19 +97,27 @@ def diagonal_cfg(n, value="1"):
     )
 
 
-def assert_rejected(path, capsys, line, words):
-    with pytest.raises(ParseError) as info:
-        load_config(path)
-    assert info.value.line == line
-    assert words in str(info.value)
+def main_error(path, capsys):
+    """The error text that ``main`` prints for the config ``path``: it exits
+    1, prints nothing on stdout and one JSON error object on stderr."""
     capsys.readouterr()
     assert main(["--config", str(path)]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     payload = json.loads(out.err)
-    assert payload["status"] == "error"
-    assert payload["error"].startswith("ParseError: ")
-    assert "at line %d" % line in payload["error"]
+    assert sorted(payload) == ["error", "schema", "status"]
+    assert (payload["schema"], payload["status"]) == (1, "error")
+    return payload["error"]
+
+
+def assert_rejected(path, capsys, line, words):
+    with pytest.raises(ParseError) as info:
+        load_config(path)
+    assert info.value.line == line
+    assert words in str(info.value)
+    error = main_error(path, capsys)
+    assert error.startswith("ParseError: ")
+    assert "at line %d" % line in error
 
 
 def test_load_rejects_n_above_limit(tmp_path, capsys):
@@ -288,12 +296,12 @@ def test_run_verify_given(tmp_path):
 def test_verify_given_without_a_connection_is_an_error(tmp_path, capsys):
     body = BLOCK_CFG.read_text(encoding="utf-8")
     path = write_cfg(tmp_path, body.replace("command = build-lc", "command = verify-given"))
-    report = run(load_config(path))
-    assert report["status"] == "error"
-    assert report["error"] == "ParseError: verify-given needs a [connection] section"
-    assert "verification" not in report
-    assert main(["--config", str(path)]) == 1
-    assert json.loads(capsys.readouterr().out)["error"] == report["error"]
+    line = body.splitlines().index("command = build-lc") + 1
+    message = "verify-given needs a [connection] section at line %d, column 1" % line
+    with pytest.raises(ParseError) as info:
+        load_config(path)
+    assert str(info.value) == message
+    assert main_error(path, capsys) == "ParseError: " + message
 
 
 def test_run_verify_given_failing(tmp_path):
@@ -337,19 +345,22 @@ def test_run_explicit_lower(tmp_path):
     assert report["status"] == "ok"
 
 
-def test_run_bad_lower_is_error(tmp_path):
-    path = write_cfg(
-        tmp_path,
-        "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.3 = U2\nh.3.2 = adj(U2)\n"
-        "hinv.1.1 = 1\nhinv.2.3 = U1\nhinv.3.2 = U1^-1\n\n[run]\ncommand = build-lc\n",
-    )
-    report = run(load_config(path))
-    assert report["status"] == "error"
-    assert "NotInverse" in report["error"]
+BAD_LOWER_CFG = (
+    "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.3 = U2\nh.3.2 = adj(U2)\n"
+    "hinv.1.1 = 1\nhinv.2.3 = U1\nhinv.3.2 = U1^-1\n\n[run]\ncommand = build-lc\n"
+)
 
 
-# a config that run() reports with each status: the demos, a verify-given
-# config with a wrong gamma, and a metric with no monomial pivot
+def test_run_bad_lower_is_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, BAD_LOWER_CFG)
+    config = load_config(path)
+    with pytest.raises(NotInverse) as info:
+        run(config)
+    assert main_error(path, capsys) == "NotInverse: %s" % info.value
+
+
+# a config that run() reports with each status: the demos and a
+# verify-given config with a wrong gamma
 STATUS_CONFIGS = {
     "ok": BLOCK_CFG.read_text(encoding="utf-8"),
     "not_weakly_symmetric": BLOCK_U1_CFG.read_text(encoding="utf-8"),
@@ -357,19 +368,43 @@ STATUS_CONFIGS = {
         "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.3 = U2\nh.3.2 = adj(U2)\n\n"
         "[connection]\ngamma.1.1.1 = U1\n\n[run]\ncommand = verify-given\n"
     ),
-    "error": (
+}
+
+# a config that main() rejects, by the name of the error it prints: a
+# metric that is not hermitian, one with a wrong inverse, one with no
+# monomial pivot, and verify-given with no [connection] section
+REJECTED_CONFIGS = {
+    "NotHermitian": (
+        "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.3 = U2\nh.3.3 = 1\n\n"
+        "[run]\ncommand = build-lc\n"
+    ),
+    "NotInverse": BAD_LOWER_CFG,
+    "NotInvertibleByElimination": (
         "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 2 + U1 + adj(U1)\nh.2.2 = 1\n"
         "h.3.3 = 1\n\n[run]\ncommand = build-lc\n"
+    ),
+    "ParseError": (
+        "[algebra]\nn = 3\n\n[metric]\nh.1.1 = 1\nh.2.2 = 1\nh.3.3 = 1\n\n"
+        "[run]\ncommand = verify-given\n"
     ),
 }
 
 
-def test_every_exit_status_is_reached(tmp_path):
-    # a status that no config reaches is dead code in run() and main()
+def test_every_exit_status_is_reached(tmp_path, capsys):
+    # a status that no config reaches is dead code in run() and main(); a
+    # result is a report on stdout, a rejection the error object on stderr
     assert sorted(STATUS_CONFIGS) == sorted(STATUS_EXIT_CODES)
     for status, body in STATUS_CONFIGS.items():
-        report = run(load_config(write_cfg(tmp_path, body)))
-        assert report["status"] == status, report.get("error")
+        path = write_cfg(tmp_path, body)
+        assert run(load_config(path))["status"] == status
+        capsys.readouterr()
+        assert main(["--config", str(path)]) == STATUS_EXIT_CODES[status]
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert json.loads(out.out)["status"] == status
+    for name, body in REJECTED_CONFIGS.items():
+        error = main_error(write_cfg(tmp_path, body), capsys)
+        assert error.startswith(name + ": "), error
 
 
 def test_long_element_in_an_error_is_cut_to_its_first_terms(tmp_path, capsys):
@@ -383,10 +418,7 @@ def test_long_element_in_an_error_is_cut_to_its_first_terms(tmp_path, capsys):
     )
     first_16 = " + ".join("U1^-%d" % k for k in range(64, 48, -1))
     error = "NotInverse: h^ij h_jk fails at (1, 1): got %s + ... (129 terms)" % first_16
-    assert main(["--config", str(path)]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["status"] == "error"
-    assert report["error"] == error
+    assert main_error(path, capsys) == error
 
 
 # -- emission -----------------------------------------------------------------------
@@ -512,6 +544,16 @@ USAGE_ERRORS = [
     (
         ("--config", str(BLOCK_CFG), "--command", "build-lc"),
         "unrecognized arguments: --command build-lc",
+    ),
+    # an option is spelled out in full: a prefix of one is not that option
+    (("--conf", str(BLOCK_CFG)), "the following arguments are required: --config"),
+    (
+        ("--config", str(BLOCK_CFG), "--form", "text"),
+        "unrecognized arguments: --form text",
+    ),
+    (
+        ("--config", str(BLOCK_CFG), "--o", "report.json"),
+        "unrecognized arguments: --o report.json",
     ),
 ]
 

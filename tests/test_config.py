@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import nctorus.cli
 from nctorus import ParseError
-from nctorus.cli import load_config, main, run
+from nctorus.cli import STATUS_EXIT_CODES, load_config, main, run
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CONFIGS = [REPO / "demos" / "torus3-block.cfg", REPO / "demos" / "torus3-block-u1.cfg"]
@@ -572,12 +572,15 @@ def test_mutated_demo_configs_end_with_an_exit_code(data):
             code = main(["--config", str(path)])
     assert code in (0, 1, 2)
     if out.getvalue():
+        # a result: its report on stdout and the exit code of its status
         assert err.getvalue() == ""
-        assert json.loads(out.getvalue())["status"]
+        assert code == STATUS_EXIT_CODES[json.loads(out.getvalue())["status"]]
     else:
-        # loading failed: exit 1 and the JSON error payload on stderr
+        # rejected by load_config or run: exit 1 and the JSON error payload
+        # of a package error on stderr (a deleted h.1.1 leaves no pivot)
         assert code == 1
         payload = json.loads(err.getvalue())
         assert payload["schema"] == 1
         assert payload["status"] == "error"
-        assert payload["error"].split(":")[0] == "ParseError"
+        name = payload["error"].split(":")[0]
+        assert issubclass(getattr(nctorus.errors, name), nctorus.NCTorusError), name
